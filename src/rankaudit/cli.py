@@ -4,8 +4,7 @@ Subcommands: validate, label, audit, churn, rerank, stats, simulate,
 export.  A key/value config file can set defaults for any long option
 (``key = value`` lines, ``#`` comments); explicit flags win.  Every
 randomized subcommand requires an explicit ``--seed``.  Output ordering is
-deterministic (sorted by query, day, cutoff) no matter how many worker
-threads RANKAUDIT_THREADS allows.
+deterministic (sorted by query, day, cutoff).
 """
 from __future__ import annotations
 
@@ -15,16 +14,16 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import churn as churn_mod
 from . import dataio, exposure, mixedlm, simulate
 from .detgreedy import ScoredCandidate, detgreedy_rerank
-from .errors import AuditError, ZeroTargetProportion
-from .model import GroupProportions, GroupScheme, QuerySeries, observed_proportions
+from .errors import AuditError, MalformedRow, ZeroTargetProportion
+from .model import GroupProportions, GroupScheme, PrefixCounts, QuerySeries, label_codes, observed_proportions
 from .names import label_dataset, load_name_table
-from .parallel import ordered_map
 
 _PROTOCOLS = ("minskew-protocol", "churn-protocol")
 
@@ -218,20 +217,19 @@ def _parse_grid(spec: str | None, limit: int) -> list[int]:
     return _int_list(spec)
 
 
-def _out_stream(args: argparse.Namespace):
-    if args.output:
-        return open(args.output, "w", encoding="utf-8", newline="")
-    return None
+@contextmanager
+def _output(args: argparse.Namespace) -> Iterator[TextIO]:
+    """The ``--output`` file opened for writing, or stdout without one."""
+    if not args.output:
+        yield sys.stdout
+        return
+    with open(args.output, "w", encoding="utf-8", newline="") as handle:
+        yield handle
 
 
 def _emit_long(args, rows, header) -> None:
-    fmt = args.format or dataio.FORMAT_CSV
-    stream = _out_stream(args)
-    if stream is None:
-        dataio.write_long_table(rows, header, sys.stdout, fmt)
-    else:
-        with stream:
-            dataio.write_long_table(rows, header, stream, fmt)
+    with _output(args) as out:
+        dataio.write_long_table(rows, header, out, args.format or dataio.FORMAT_CSV)
 
 
 def _load_or_fail(path: str):
@@ -266,9 +264,7 @@ def _targets_for(
 def _cmd_validate(args: argparse.Namespace) -> int:
     series, report = dataio.load_dataset(args.dataset)
     fmt = args.format or dataio.FORMAT_JSON
-    stream = _out_stream(args)
-    out = stream if stream is not None else sys.stdout
-    try:
+    with _output(args) as out:
         if fmt == dataio.FORMAT_JSON:
             out.write(json.dumps(report.to_dict(), indent=2, sort_keys=False))
             out.write("\n")
@@ -281,9 +277,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 writer.writerow(["integrity", issue.query_id, issue.day, issue.line, issue.message])
             for query_id, day in report.quarantined:
                 writer.writerow(["quarantined", query_id, day, "", ""])
-    finally:
-        if stream is not None:
-            stream.close()
     return 0 if report.ok else 1
 
 
@@ -299,8 +292,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
     for snap in labeled:
         regrouped.setdefault(snap.query_id, {})[snap.day] = snap
     out_series = [QuerySeries(query_id=qid, snapshots=days) for qid, days in sorted(regrouped.items())]
-    destination = args.output if args.output else sys.stdout
-    dataio.write_snapshots(out_series, destination)
+    with _output(args) as out:
+        dataio.write_snapshots(out_series, out)
     print(
         f"labeled {coverage.resolved}/{coverage.total} candidates (coverage {coverage.coverage:.4f})",
         file=sys.stderr,
@@ -320,37 +313,28 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         raise ValueError(f"unrecognized metrics: {sorted(unknown)}")
     only_day = int(args.day) if args.day is not None else None
 
-    def curves_for(one: QuerySeries) -> list[exposure.MetricCurve]:
-        out = []
+    curves: list[exposure.MetricCurve] = []
+    for one in series:
         for day in one.days:
-            if only_day is not None and day != only_day:
-                continue
             snap = one.snapshots[day]
-            if not snap.entries:
+            if (only_day is not None and day != only_day) or not snap.entries:
                 continue
             grid = _parse_grid(args.k_grid, len(snap.entries))
             try:
                 targets = _targets_for(snap, scheme, baseline)
-            except AuditError as exc:
-                print(f"warning: {one.query_id} day {day}: {exc}", file=sys.stderr)
-                continue
-            try:
                 if exposure.DEVIATION in metrics:
                     for label in scheme.labels:
-                        out.append(exposure.deviation_curve(snap, scheme, targets, label, grid))
+                        curves.append(exposure.deviation_curve(snap, scheme, targets, label, grid))
                 if exposure.SKEW in metrics:
                     for label in scheme.labels:
-                        out.append(exposure.skew_curve(snap, scheme, targets, label, grid))
+                        curves.append(exposure.skew_curve(snap, scheme, targets, label, grid))
                 if exposure.MINSKEW in metrics:
-                    out.append(exposure.minskew_curve(snap, scheme, targets, grid))
+                    curves.append(exposure.minskew_curve(snap, scheme, targets, grid))
                 if exposure.CORRECTED_SKEW in metrics:
                     for label in scheme.labels:
-                        out.append(exposure.corrected_skew_curve(snap, scheme, targets, label, grid))
+                        curves.append(exposure.corrected_skew_curve(snap, scheme, targets, label, grid))
             except AuditError as exc:
                 print(f"warning: {one.query_id} day {day}: {exc}", file=sys.stderr)
-        return out
-
-    curves = [curve for bundle in ordered_map(curves_for, series) for curve in bundle]
     _emit_long(args, dataio.curve_rows(curves), dataio.CURVE_HEADER)
     return 0 if report.ok else 1
 
@@ -360,7 +344,8 @@ def _cmd_churn(args: argparse.Namespace) -> int:
     series, report = _load_or_fail(args.dataset)
     spec = (args.pairs or "anchored").strip()
 
-    def cells_for(one: QuerySeries) -> list:
+    cells = []
+    for one in series:
         if spec == "anchored":
             pairs = churn_mod.anchored_pairs(one)
         elif spec == "consecutive":
@@ -368,28 +353,17 @@ def _cmd_churn(args: argparse.Namespace) -> int:
         else:
             pairs = [(int(s), int(e)) for s, _, e in (p.partition("-") for p in _csv_list(spec))]
         if not pairs:
-            return []
+            continue
         max_len = max(len(one.snapshots[d].entries) for d in one.days)
         grid = _parse_grid(args.k_grid, max_len) if args.k_grid else list(mixedlm.DEFAULT_CUTOFFS)
-        return churn_mod.churn_grid(one, scheme, grid, pairs)
-
-    cells = [cell for bundle in ordered_map(cells_for, series) for cell in bundle]
+        cells.extend(churn_mod.churn_grid(one, scheme, grid, pairs))
     _emit_long(args, dataio.churn_rows(cells), dataio.CHURN_HEADER)
     return 0 if report.ok else 1
 
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
-    pool: list[ScoredCandidate] = []
-    with open(args.pool, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ("candidate_id", "label", "score"):
-            raise ValueError("pool CSV must have header candidate_id,label,score")
-        for row in reader:
-            if not row:
-                continue
-            pool.append(ScoredCandidate(row[0].strip(), row[1].strip(), float(row[2])))
+    pool = _read_pool(args.pool)
     if args.proportions:
         shares = {}
         for part in _csv_list(args.proportions):
@@ -397,22 +371,14 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
             shares[label.strip()] = float(share)
         targets = GroupProportions(scheme=scheme, shares=shares)
     else:
-        counts = {label: 0 for label in scheme.labels}
-        for cand in pool:
-            if cand.label not in counts:
-                raise ValueError(f"pool label {cand.label!r} not in scheme")
-            counts[cand.label] += 1
-        targets = GroupProportions(
-            scheme=scheme,
-            shares={label: counts[label] / len(pool) for label in scheme.labels},
-            denominator=len(pool),
-        )
+        codes = label_codes((cand.label for cand in pool), scheme)
+        if (codes < 0).any():
+            raise ValueError(f"pool label {pool[int(codes.argmin())].label!r} not in scheme")
+        targets = PrefixCounts(codes, scheme.labels).proportions(scheme)
     result = detgreedy_rerank(pool, targets)
     by_id = {cand.candidate_id: cand for cand in pool}
     fmt = args.format or dataio.FORMAT_CSV
-    stream = _out_stream(args)
-    out = stream if stream is not None else sys.stdout
-    try:
+    with _output(args) as out:
         if fmt == dataio.FORMAT_CSV:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["rank", "candidate_id", "label", "score"])
@@ -431,12 +397,30 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
                 )
             )
             out.write("\n")
-    finally:
-        if stream is not None:
-            stream.close()
     if not result.feasible:
         print(f"warning: {len(result.violation_positions)} prefix-constraint violations", file=sys.stderr)
     return 0
+
+
+def _read_pool(path: str) -> list[ScoredCandidate]:
+    """Read a ``candidate_id,label,score`` CSV; bad rows raise
+    :class:`MalformedRow` with their line number."""
+    pool: list[ScoredCandidate] = []
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != ("candidate_id", "label", "score"):
+            raise ValueError("pool CSV must have header candidate_id,label,score")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise MalformedRow(f"line {lineno}: expected 3 fields, got {len(row)}")
+            try:
+                pool.append(ScoredCandidate(row[0].strip(), row[1].strip(), float(row[2])))
+            except ValueError as exc:
+                raise MalformedRow(f"line {lineno}: {exc}") from None
+    return pool
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -475,13 +459,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 cells.extend(churn_mod.churn_grid(one, scheme, cutoffs, pairs))
         rows = mixedlm.churn_protocol(cells, scheme, cutoffs)
 
-    fmt = args.format or dataio.FORMAT_CSV
-    stream = _out_stream(args)
-    if stream is None:
-        dataio.write_protocol_table(rows, sys.stdout, fmt)
-    else:
-        with stream:
-            dataio.write_protocol_table(rows, stream, fmt)
+    with _output(args) as out:
+        dataio.write_protocol_table(rows, out, args.format or dataio.FORMAT_CSV)
     return 0 if report.ok else 1
 
 
@@ -528,8 +507,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             series, scheme, args.inject_label, strength, inject_seed, page
         )
         print(json.dumps(record, ensure_ascii=False), file=sys.stderr)
-    destination = args.output if args.output else sys.stdout
-    dataio.write_snapshots(series, destination)
+    with _output(args) as out:
+        dataio.write_snapshots(series, out)
     if args.ledger:
         dataio.write_ledger(result.truth, args.ledger)
     return 0
@@ -537,35 +516,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     rows = _read_long_table(args.table)
-    wanted = [r for r in rows if r.get("metric") == args.metric]
+    wanted = [(n, r) for n, r in rows if r.get("metric") == args.metric]
     if args.label is not None:
-        wanted = [r for r in wanted if r.get("label") == args.label]
+        wanted = [(n, r) for n, r in wanted if r.get("label") == args.label]
     if not wanted:
         raise ValueError(f"no rows for metric {args.metric!r}" + (f" label {args.label!r}" if args.label else ""))
-    labels = {r.get("label", "") for r in wanted}
+    labels = {r.get("label", "") for _, r in wanted}
     if len(labels) > 1:
         raise ValueError(f"rows span labels {sorted(labels)}; pass --label to pick one")
 
-    if "start_day" in wanted[0]:
+    if "start_day" in wanted[0][1]:
         cells = [
             churn_mod.ChurnCell(
-                query_id=r["query_id"],
+                query_id=_cell(n, r, "query_id", str),
                 attribute=r.get("attribute", ""),
                 label=r.get("label", ""),
-                k=int(r["k"]),
-                start_day=int(r["start_day"]),
-                end_day=int(r["end_day"]),
+                k=_cell(n, r, "k", int),
+                start_day=_cell(n, r, "start_day", int),
+                end_day=_cell(n, r, "end_day", int),
                 churn=r["value"],
                 base_count=1 if r["value"] is not None else 0,
             )
-            for r in wanted
+            for n, r in wanted
         ]
         source: list = cells
     else:
         grouped: dict[tuple[str, int], dict[int, float | None]] = {}
-        attr = wanted[0].get("attribute", "")
-        for r in wanted:
-            grouped.setdefault((r["query_id"], int(r["day"])), {})[int(r["k"])] = r["value"]
+        attr = wanted[0][1].get("attribute", "")
+        for n, r in wanted:
+            key = (_cell(n, r, "query_id", str), _cell(n, r, "day", int))
+            grouped.setdefault(key, {})[_cell(n, r, "k", int)] = r["value"]
         source = [
             exposure.MetricCurve(
                 query_id=query_id,
@@ -577,33 +557,45 @@ def _cmd_export(args: argparse.Namespace) -> int:
             )
             for (query_id, day), values in sorted(grouped.items())
         ]
-    stream = _out_stream(args)
-    if stream is None:
-        dataio.export_heatmap(source, sys.stdout)
-    else:
-        with stream:
-            dataio.export_heatmap(source, stream)
+    with _output(args) as out:
+        dataio.export_heatmap(source, out)
     return 0
 
 
-def _read_long_table(path: str) -> list[dict]:
-    """Read back a long-format table, CSV or JSONL, with typed cells."""
+def _read_long_table(path: str) -> list[tuple[int, dict]]:
+    """Read back a long-format table, CSV or JSONL, as (line number, row)
+    pairs with the value cell typed."""
     text = Path(path).read_text(encoding="utf-8")
-    head = text.lstrip()[:1]
-    rows: list[dict] = []
-    if head == "{":
-        for line in text.splitlines():
+    if text.lstrip()[:1] == "{":
+        rows = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            raw = json.loads(line)
-            raw["value"] = _parse_cell(raw.get("value"))
-            rows.append(raw)
-        return rows
-    reader = csv.DictReader(io.StringIO(text))
-    for raw in reader:
-        raw["value"] = _parse_cell(raw.get("value"))
-        rows.append(raw)
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRow(f"line {lineno}: invalid JSON: {exc.msg}") from None
+            if not isinstance(raw, dict):
+                raise MalformedRow(f"line {lineno}: row is not a JSON object")
+            rows.append((lineno, raw))
+    else:
+        reader = csv.DictReader(io.StringIO(text))
+        rows = [(reader.line_num, raw) for raw in reader]
+    for lineno, raw in rows:
+        raw["value"] = _cell(lineno, raw, "value", _parse_cell, required=False)
     return rows
+
+
+def _cell(lineno: int, row: dict, column: str, parse, required: bool = True):
+    """One cell of a long-table row passed through ``parse``; an absent or
+    unparsable cell raises :class:`MalformedRow` with the line number."""
+    value = row.get(column)
+    if value is None and required:
+        raise MalformedRow(f"line {lineno}: no {column!r} value")
+    try:
+        return parse(value)
+    except (TypeError, ValueError):
+        raise MalformedRow(f"line {lineno}: {column} {value!r} does not parse") from None
 
 
 def _parse_cell(value) -> float | None:

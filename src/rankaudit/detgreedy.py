@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyPool, LabelWithoutProportion
-from .model import GroupProportions
+from .model import GroupProportions, prefix_table
 
 
 @dataclass(frozen=True)
@@ -163,17 +163,8 @@ def _violations_by_index(
     targets: Sequence[float],
     labels: Sequence[str],
 ) -> tuple[tuple[int, str], ...]:
-    n = len(indexed)
-    if n == 0:
-        return ()
-    idx = np.asarray(indexed, dtype=np.int64)
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    found: list[tuple[int, int]] = []
-    for i, label in enumerate(labels):
-        cum = np.cumsum(idx == i)
-        scaled = targets[i] * ks
-        bad = (cum < np.floor(scaled)) | (cum > np.ceil(scaled))
-        for k in np.nonzero(bad)[0]:
-            found.append((int(k) + 1, i))
-    found.sort()
+    counts = prefix_table(np.asarray(indexed, dtype=np.int64), len(labels))[:, 1:]
+    scaled = np.asarray(targets, dtype=np.float64)[:, None] * np.arange(1, len(indexed) + 1, dtype=np.float64)
+    bad = (counts < np.floor(scaled)) | (counts > np.ceil(scaled))
+    found = sorted((int(k) + 1, int(i)) for i, k in zip(*np.nonzero(bad)))
     return tuple((k, labels[i]) for k, i in found)

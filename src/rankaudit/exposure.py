@@ -29,7 +29,7 @@ from .errors import (
     UnknownLabel,
     ZeroTargetProportion,
 )
-from .model import GroupProportions, GroupScheme, RankingSnapshot
+from .model import GroupProportions, GroupScheme, PrefixCounts, RankingSnapshot, snapshot_counts
 
 DEVIATION = "deviation"
 SKEW = "skew"
@@ -83,14 +83,8 @@ def topk_counts(snapshot: RankingSnapshot, scheme: GroupScheme, k: int) -> TopKC
     Raises :class:`CutoffOutOfRange` unless ``1 <= k <= len(entries)``.
     """
     _check_cutoff(snapshot, k)
-    counts = dict.fromkeys(scheme.labels, 0)
-    labeled = 0
-    for record in snapshot.entries[:k]:
-        label = record.label_for(scheme)
-        if label in counts:
-            counts[label] += 1
-            labeled += 1
-    return TopKCounts(k=k, counts=counts, labeled_total=labeled)
+    table = snapshot_counts(snapshot, scheme)
+    return TopKCounts(k=k, counts=table.tally(k), labeled_total=table.labeled[k])
 
 
 def deviation_at_k(
@@ -187,7 +181,7 @@ def deviation_curve(
     """Deviation traced over ``k_grid`` (default: every cutoff 1..n)."""
     _check_label(scheme, label)
     target = proportions.shares[label]
-    table = _PrefixTable.build(snapshot, scheme)
+    table = snapshot_counts(snapshot, scheme)
 
     def cell(k: int) -> float | None:
         share = table.share(label, k)
@@ -206,7 +200,7 @@ def skew_curve(
     """Skew traced over ``k_grid`` (default: every cutoff 1..n)."""
     _check_label(scheme, label)
     target = _positive_target(proportions, label)
-    table = _PrefixTable.build(snapshot, scheme)
+    table = snapshot_counts(snapshot, scheme)
 
     def cell(k: int) -> float | None:
         return _skew_cell(table, label, target, k)
@@ -222,7 +216,7 @@ def minskew_curve(
 ) -> MetricCurve:
     """MinSkew traced over ``k_grid`` (default: every cutoff 1..n)."""
     targets = {label: _positive_target(proportions, label) for label in scheme.labels}
-    table = _PrefixTable.build(snapshot, scheme)
+    table = snapshot_counts(snapshot, scheme)
 
     def cell(k: int) -> float | None:
         skews = [_skew_cell(table, label, targets[label], k) for label in scheme.labels]
@@ -245,7 +239,7 @@ def corrected_skew_curve(
     target = _positive_target(proportions, label)
     if not target < 1.0:
         raise DegenerateProportion(f"target proportion must be inside (0, 1), got {target!r}")
-    table = _PrefixTable.build(snapshot, scheme)
+    table = snapshot_counts(snapshot, scheme)
 
     def cell(k: int) -> float | None:
         return corrected_skew(_skew_cell(table, label, target, k), target, k)
@@ -253,40 +247,7 @@ def corrected_skew_curve(
     return _curve(snapshot, scheme, label, CORRECTED_SKEW, _grid(snapshot, k_grid), cell)
 
 
-class _PrefixTable:
-    """Cumulative per-label counts, one pass over the entry list."""
-
-    __slots__ = ("counts", "totals", "n")
-
-    def __init__(self, counts: dict[str, list[int]], totals: list[int], n: int) -> None:
-        self.counts = counts
-        self.totals = totals
-        self.n = n
-
-    @classmethod
-    def build(cls, snapshot: RankingSnapshot, scheme: GroupScheme) -> "_PrefixTable":
-        counts: dict[str, list[int]] = {label: [0] for label in scheme.labels}
-        totals = [0]
-        running = dict.fromkeys(scheme.labels, 0)
-        labeled = 0
-        for record in snapshot.entries:
-            label = record.label_for(scheme)
-            if label in running:
-                running[label] += 1
-                labeled += 1
-            for lbl, acc in counts.items():
-                acc.append(running[lbl])
-            totals.append(labeled)
-        return cls(counts, totals, len(snapshot.entries))
-
-    def share(self, label: str, k: int) -> float | None:
-        """Labeled share of ``label`` at cutoff ``k``; None when undefined."""
-        if k < 1 or k > self.n or self.totals[k] == 0:
-            return None
-        return self.counts[label][k] / self.totals[k]
-
-
-def _skew_cell(table: _PrefixTable, label: str, target: float, k: int) -> float | None:
+def _skew_cell(table: PrefixCounts, label: str, target: float, k: int) -> float | None:
     share = table.share(label, k)
     if share is None:
         return None

@@ -8,7 +8,9 @@ position but expose no name and no group labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import EmptyLabeledPool
 
@@ -171,6 +173,70 @@ class GroupProportions:
             raise ValueError("denominator must be non-negative")
 
 
+def prefix_table(codes: np.ndarray, n_labels: int) -> np.ndarray:
+    """Cumulative group counts of a ranked code sequence, in one pass.
+
+    ``codes`` holds one label index per position (-1 for missing or unknown
+    entries); row ``i``, column ``k`` of the ``n_labels x (n + 1)`` result is
+    how many of the first ``k`` positions carry code ``i``.
+    """
+    table = np.zeros((n_labels, len(codes) + 1), dtype=np.int64)
+    np.cumsum(codes == np.arange(n_labels, dtype=codes.dtype)[:, None], axis=1, out=table[:, 1:])
+    return table
+
+
+class PrefixCounts:
+    """Per-group counts for every prefix of one ranked label sequence.
+
+    ``counts[label][k]`` is how many of the first ``k`` positions carry
+    ``label`` and ``labeled[k]`` how many carry any of the labels, read from
+    one :func:`prefix_table`.  Cells are plain ints, so shares divide exactly
+    as a loop over the entries would.
+    """
+
+    __slots__ = ("counts", "labeled", "n")
+
+    def __init__(self, codes: np.ndarray, labels: Sequence[str]) -> None:
+        self.n = len(codes)
+        table = prefix_table(codes, len(labels))
+        self.counts = dict(zip(labels, table.tolist()))
+        self.labeled = table.sum(axis=0).tolist()
+
+    def tally(self, k: int) -> dict[str, int]:
+        """Per-label counts over the first ``k`` positions."""
+        return {label: counts[k] for label, counts in self.counts.items()}
+
+    def share(self, label: str, k: int) -> float | None:
+        """Labeled share of ``label`` in the first ``k``; None when undefined."""
+        if k < 1 or k > self.n or self.labeled[k] == 0:
+            return None
+        return self.counts[label][k] / self.labeled[k]
+
+    def proportions(self, scheme: GroupScheme, k: int | None = None) -> GroupProportions:
+        """Observed shares among the labeled entries of the first ``k`` (all by
+        default); raises :class:`EmptyLabeledPool` when there are none."""
+        k = self.n if k is None else k
+        labeled = self.labeled[k]
+        if labeled == 0:
+            raise EmptyLabeledPool(f"no labeled candidates for {scheme.attribute_name!r} in the first {k} entries")
+        shares = {label: self.counts[label][k] / labeled for label in scheme.labels}
+        return GroupProportions(scheme=scheme, shares=shares, source=OBSERVED_POOL, denominator=labeled)
+
+
+def label_codes(labels: Iterable[str], scheme: GroupScheme) -> np.ndarray:
+    """Label codes for :class:`PrefixCounts`: the index of each label in
+    ``scheme.labels``, -1 for anything outside the scheme; int8 unless the
+    scheme has more labels than int8 can index."""
+    index = {label: code for code, label in enumerate(scheme.labels)}
+    return np.fromiter([index.get(label, -1) for label in labels], dtype=np.min_scalar_type(-len(index)))
+
+
+def snapshot_counts(snapshot: RankingSnapshot, scheme: GroupScheme) -> PrefixCounts:
+    """Prefix counts of ``snapshot`` under ``scheme``."""
+    codes = label_codes([record.label_for(scheme) for record in snapshot.entries], scheme)
+    return PrefixCounts(codes, scheme.labels)
+
+
 def observed_proportions(
     snapshot: RankingSnapshot,
     scheme: GroupScheme,
@@ -183,18 +249,11 @@ def observed_proportions(
     whole list.  Raises :class:`EmptyLabeledPool` when no labeled candidate
     falls inside the window.
     """
-    window = snapshot.entries if max_rank is None else snapshot.entries[:max_rank]
-    counts = {label: 0 for label in scheme.labels}
-    labeled = 0
-    for record in window:
-        label = record.label_for(scheme)
-        if label in counts:
-            counts[label] += 1
-            labeled += 1
-    if labeled == 0:
+    window = len(snapshot.entries if max_rank is None else snapshot.entries[:max_rank])
+    table = snapshot_counts(snapshot, scheme)
+    if table.labeled[window] == 0:
         raise EmptyLabeledPool(
             f"no labeled candidates for {scheme.attribute_name!r} in "
-            f"{snapshot.query_id!r} day {snapshot.day} (window {len(window)})"
+            f"{snapshot.query_id!r} day {snapshot.day} (window {window})"
         )
-    shares = {label: counts[label] / labeled for label in scheme.labels}
-    return GroupProportions(scheme=scheme, shares=shares, source=OBSERVED_POOL, denominator=labeled)
+    return table.proportions(scheme, window)

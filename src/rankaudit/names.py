@@ -9,7 +9,6 @@ rather than guessing.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -89,27 +88,7 @@ def load_name_table(source: str | Path | TextIO, scheme: GroupScheme) -> NameFre
 
     counts: dict[str, dict[str, int]] = {}
     for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise MalformedRow(f"line {lineno}: expected 3 fields, got {len(row)}")
-        raw_name, raw_label, raw_count = row
-        name = _fold(raw_name)
-        if not name:
-            raise MalformedRow(f"line {lineno}: empty name")
-        label = raw_label.strip()
-        if label not in scheme.labels:
-            raise UnknownLabel(f"line {lineno}: label {label!r} not in scheme {scheme.attribute_name!r}")
-        try:
-            count = int(raw_count)
-        except ValueError:
-            raise MalformedRow(f"line {lineno}: count {raw_count!r} is not an integer") from None
-        if count < 0:
-            raise MalformedRow(f"line {lineno}: count must be non-negative")
-        if count == 0:
-            continue
-        counts.setdefault(name, dict.fromkeys(scheme.labels, 0))[label] += count
-
+        _add_row(counts, scheme, lineno, row)
     return NameFrequencyTable(scheme=scheme, counts=counts)
 
 
@@ -200,11 +179,36 @@ def save_name_table(table: NameFrequencyTable, destination: str | Path | TextIO)
 
 
 def table_from_rows(rows: Iterable[tuple[str, str, int]], scheme: GroupScheme) -> NameFrequencyTable:
-    """Build a table from in-memory rows; same validation as the CSV loader."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_TABLE_COLUMNS)
-    for row in rows:
-        writer.writerow(row)
-    buffer.seek(0)
-    return load_name_table(buffer, scheme)
+    """Build a table from in-memory rows; same validation as the CSV loader.
+
+    Each cell is read as its text, as it would be after a CSV round trip,
+    and errors count lines as if a header row came first.
+    """
+    counts: dict[str, dict[str, int]] = {}
+    for lineno, row in enumerate(rows, start=2):
+        _add_row(counts, scheme, lineno, ["" if cell is None else str(cell) for cell in row])
+    return NameFrequencyTable(scheme=scheme, counts=counts)
+
+
+def _add_row(counts: dict[str, dict[str, int]], scheme: GroupScheme, lineno: int, row: Sequence[str]) -> None:
+    """Check one ``name,label,count`` row and add its count under the
+    case-folded name; empty rows and zero counts add nothing."""
+    if not row:
+        return
+    if len(row) != 3:
+        raise MalformedRow(f"line {lineno}: expected 3 fields, got {len(row)}")
+    raw_name, raw_label, raw_count = row
+    name = _fold(raw_name)
+    if not name:
+        raise MalformedRow(f"line {lineno}: empty name")
+    label = raw_label.strip()
+    if label not in scheme.labels:
+        raise UnknownLabel(f"line {lineno}: label {label!r} not in scheme {scheme.attribute_name!r}")
+    try:
+        count = int(raw_count)
+    except ValueError:
+        raise MalformedRow(f"line {lineno}: count {raw_count!r} is not an integer") from None
+    if count < 0:
+        raise MalformedRow(f"line {lineno}: count must be non-negative")
+    if count:
+        counts.setdefault(name, dict.fromkeys(scheme.labels, 0))[label] += count

@@ -10,9 +10,9 @@ Missingness masks names and labels without touching ids or positions.
 
 Scores are normal draws truncated to [0, 1] (inverse-CDF transform), one
 unimodal bump per group.  All randomness flows from a single seed through
-counter-based per-query substreams, so any subset of queries regenerates
-identically regardless of scheduling; masking uses a separate substream so
-toggling it never perturbs pool composition or order.
+counter-based per-query substreams, so each query regenerates identically
+however many others are generated with it; masking uses a separate
+substream so toggling it never perturbs pool composition or order.
 """
 from __future__ import annotations
 
@@ -30,14 +30,13 @@ from .model import (
     CandidateRecord,
     GroupProportions,
     GroupScheme,
+    PrefixCounts,
     QuerySeries,
     RankingSnapshot,
 )
-from .parallel import ordered_map
 
 POSTPROCESS_NONE = "none"
 POSTPROCESS_DETGREEDY = "detgreedy"
-REPLACEMENT_SAME_GROUP = "same_group"
 
 _CORE_STREAM = 0
 _MASK_STREAM = 1
@@ -74,7 +73,6 @@ class SimConfig:
     postprocess: str = POSTPROCESS_NONE
     postprocess_targets: Mapping[str, float] | None = None
     weights_concentration: float | None = None
-    replacement_policy: str = REPLACEMENT_SAME_GROUP
 
     def __post_init__(self) -> None:
         labels = set(self.scheme.labels)
@@ -119,8 +117,6 @@ class SimConfig:
                 raise InvalidConfig("postprocess targets must sum to 1")
         if self.weights_concentration is not None and not self.weights_concentration > 0.0:
             raise InvalidConfig("weights_concentration must be positive")
-        if self.replacement_policy != REPLACEMENT_SAME_GROUP:
-            raise InvalidConfig(f"unrecognized replacement policy {self.replacement_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,7 @@ def generate(config: SimConfig) -> SimResult:
     Deterministic: the same config (seed included) always yields the same
     series and ledger, byte for byte once serialized.
     """
-    results = ordered_map(lambda qi: _generate_query(config, qi), range(config.n_queries))
+    results = [_generate_query(config, qi) for qi in range(config.n_queries)]
     return SimResult(
         series=[series for series, _ in results],
         truth=[truth for _, truth in results],
@@ -194,7 +190,7 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
         pool.append(cand)
         truth_labels[cid] = labels[int(g)]
         truth_scores[cid] = float(score)
-    composition = {label: int((group_idx == i).sum()) for i, label in enumerate(labels)}
+    composition = PrefixCounts(group_idx, labels).tally(n)
 
     departure = np.array([config.departure_probs.get(label, 0.0) for label in labels])
     snapshots: dict[int, RankingSnapshot] = {}
@@ -265,14 +261,7 @@ def _rank(
             source=EXTERNAL_BASELINE,
         )
     else:
-        counts = {label: 0 for label in labels}
-        for cand in pool:
-            counts[labels[cand.group]] += 1
-        proportions = GroupProportions(
-            scheme=scheme,
-            shares={label: counts[label] / len(pool) for label in labels},
-            denominator=len(pool),
-        )
+        proportions = PrefixCounts(np.array([cand.group for cand in pool]), labels).proportions(scheme)
     scored = [ScoredCandidate(c.candidate_id, labels[c.group], c.score) for c in by_score]
     result = detgreedy_rerank(scored, proportions)
     by_id = {c.candidate_id: c for c in pool}

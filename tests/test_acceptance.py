@@ -11,10 +11,15 @@ byte-for-byte deterministic.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import rankaudit
 from rankaudit import (
     EXTERNAL_BASELINE,
     GroupProportions,
@@ -328,46 +333,40 @@ def test_measured_churn_tracks_departure_rates() -> None:
 
 def test_pipeline_is_byte_for_byte_deterministic(tmp_path, monkeypatch) -> None:
     """The same seed produces identical files through simulate, audit,
-    churn, both protocols, and the heatmap export - independent of how
-    many worker threads are allowed."""
+    churn, both protocols, and the heatmap export - in this process and in
+    fresh interpreter processes with another string-hash seed."""
+    stages = [
+        ["simulate", "--seed", "31337", "--queries", "40", "--pool", "120:140",
+         "--days", "3", "--departures", "0.25,0.15", "--missing-prob", "0.1",
+         "--postprocess", "detgreedy", "-o", "snapshots.jsonl", "--ledger", "truth.jsonl"],
+        ["audit", "snapshots.jsonl", "--k-grid", "25,50,75,100", "-o", "curves.csv"],
+        ["churn", "snapshots.jsonl", "--pairs", "consecutive", "--k-grid", "25,50", "-o", "churn.csv"],
+        ["stats", "minskew-protocol", "snapshots.jsonl", "--cutoffs", "25,50", "-o", "minskew_protocol.csv"],
+        ["stats", "churn-protocol", "snapshots.jsonl", "--cutoffs", "25,50", "-o", "churn_protocol.csv"],
+        ["export", "curves.csv", "--metric", "minskew", "-o", "heatmap.csv"],
+    ]
 
-    def pipeline(workdir, threads: str) -> dict[str, bytes]:
-        workdir.mkdir()
-        monkeypatch.setenv("RANKAUDIT_THREADS", threads)
-        data = workdir / "snapshots.jsonl"
-        ledger = workdir / "truth.jsonl"
-        assert main([
-            "simulate", "--seed", "31337", "--queries", "40", "--pool", "120:140",
-            "--days", "3", "--departures", "0.25,0.15", "--missing-prob", "0.1",
-            "--postprocess", "detgreedy",
-            "-o", str(data), "--ledger", str(ledger),
-        ]) == 0
-        curves = workdir / "curves.csv"
-        assert main([
-            "audit", str(data), "--k-grid", "25,50,75,100", "-o", str(curves),
-        ]) == 0
-        churn = workdir / "churn.csv"
-        assert main([
-            "churn", str(data), "--pairs", "consecutive", "--k-grid", "25,50",
-            "-o", str(churn),
-        ]) == 0
-        minskew = workdir / "minskew_protocol.csv"
-        assert main([
-            "stats", "minskew-protocol", str(data), "--cutoffs", "25,50", "-o", str(minskew),
-        ]) == 0
-        churn_stats = workdir / "churn_protocol.csv"
-        assert main([
-            "stats", "churn-protocol", str(data), "--cutoffs", "25,50", "-o", str(churn_stats),
-        ]) == 0
-        heat = workdir / "heatmap.csv"
-        assert main([
-            "export", str(curves), "--metric", "minskew", "-o", str(heat),
-        ]) == 0
+    def outputs(workdir) -> dict[str, bytes]:
         return {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
 
-    first = pipeline(tmp_path / "one", threads="1")
-    second = pipeline(tmp_path / "two", threads="4")
-    assert set(first) == set(second)
-    for name in first:
-        assert first[name] == second[name], f"{name} differs between runs"
-    assert len(first) == 7  # snapshots, ledger, curves, churn, 2 protocols, heatmap
+    first = tmp_path / "in_process"
+    first.mkdir()
+    monkeypatch.chdir(first)
+    for argv in stages:
+        assert main(argv) == 0, argv
+
+    second = tmp_path / "child_processes"
+    second.mkdir()
+    src = str(Path(rankaudit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["PYTHONHASHSEED"] = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    for argv in stages:
+        done = subprocess.run([sys.executable, "-m", "rankaudit.cli", *argv], cwd=second, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, (argv, done.stderr)
+
+    one, two = outputs(first), outputs(second)
+    assert set(one) == set(two)
+    for name in one:
+        assert one[name] == two[name], f"{name} differs between runs"
+    assert len(one) == 7  # snapshots, ledger, curves, churn, 2 protocols, heatmap

@@ -200,6 +200,18 @@ class TestRerankCommand:
         assert run("rerank", str(bad)) == 1
         assert "candidate_id,label,score" in capsys.readouterr().err
 
+    def test_short_row_is_a_clean_error(self, tmp_path, capsys) -> None:
+        pool = self.write_pool(tmp_path, [("a", "F", 0.9)])
+        pool.write_text(pool.read_text(encoding="utf-8") + "b,M\n", encoding="utf-8")
+        assert run("rerank", str(pool)) == 1
+        assert capsys.readouterr().err == "error: line 3: expected 3 fields, got 2\n"
+
+    def test_non_numeric_score_is_a_clean_error(self, tmp_path, capsys) -> None:
+        pool = self.write_pool(tmp_path, [("a", "F", 0.9), ("b", "M", "high")])
+        assert run("rerank", str(pool)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and "'high'" in err and err.count("\n") == 1
+
 
 @pytest.fixture()
 def wide_dataset(tmp_path):
@@ -296,6 +308,13 @@ class TestExportCommand:
                    "-o", str(table)) == 0
         assert run("export", str(table), "--metric", "sparkle") == 1
         assert "no rows for metric" in capsys.readouterr().err
+
+    def test_table_without_day_column_is_a_clean_error(self, tmp_path, capsys) -> None:
+        table = tmp_path / "curves.csv"
+        table.write_text("query_id,attribute,label,k,metric,value\nq1,gender,,25,minskew,-0.1\n",
+                         encoding="utf-8")
+        assert run("export", str(table), "--metric", "minskew") == 1
+        assert capsys.readouterr().err == "error: line 2: no 'day' value\n"
 
 
 class TestLabelCommand:

@@ -133,6 +133,17 @@ class TestCheckFeasibility:
     def test_empty_sequence_is_feasible(self) -> None:
         assert check_feasibility([], HALF) == ()
 
+    @given(st.lists(st.sampled_from("abc"), max_size=40))
+    def test_matches_a_prefix_loop(self, order: list[str]) -> None:
+        props = GroupProportions(GroupScheme("tier", ("a", "b", "c")), {"a": 0.2, "b": 0.3, "c": 0.5})
+        expected = []
+        for k in range(1, len(order) + 1):
+            for label in "abc":
+                x = props.shares[label] * k
+                if not math.floor(x) <= order[:k].count(label) <= math.ceil(x):
+                    expected.append((k, label))
+        assert check_feasibility(order, props) == tuple(expected)
+
 
 @st.composite
 def ample_pools(draw):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rankaudit import (
     CandidateRecord,
@@ -11,8 +12,9 @@ from rankaudit import (
     RankingSnapshot,
     observed_proportions,
 )
+from rankaudit.model import PrefixCounts, label_codes, prefix_table, snapshot_counts
 
-from conftest import snapshot
+from conftest import GENDER, snapshot
 
 
 class TestGroupScheme:
@@ -157,3 +159,39 @@ class TestObservedProportions:
             observed_proportions(snapshot("xx??"), gender)
         with pytest.raises(EmptyLabeledPool):
             observed_proportions(snapshot("xxFM"), gender, max_rank=2)
+
+
+class TestPrefixCounts:
+    @given(st.text(alphabet="FMx?", max_size=60))
+    def test_matches_a_counting_loop(self, labels: str) -> None:
+        snap = snapshot(labels)
+        table = snapshot_counts(snap, GENDER)
+        for k in range(len(labels) + 1):
+            window = [record.label_for(GENDER) for record in snap.entries[:k]]
+            assert table.tally(k) == {label: window.count(label) for label in GENDER.labels}
+            assert table.labeled[k] == sum(label in GENDER.labels for label in window)
+
+    def test_counts_every_prefix_of_the_labeled_entries(self, gender: GroupScheme) -> None:
+        table = snapshot_counts(snapshot("FxM?F"), gender)
+        assert table.counts == {"F": [0, 1, 1, 1, 1, 2], "M": [0, 0, 0, 1, 1, 1]}
+        assert table.labeled == [0, 1, 1, 2, 2, 3]
+        assert all(type(cell) is int for cell in table.labeled + table.counts["F"])
+        assert table.tally(3) == {"F": 1, "M": 1}
+
+    def test_share_is_undefined_outside_the_list_or_without_labels(self, gender: GroupScheme) -> None:
+        table = snapshot_counts(snapshot("xF"), gender)
+        assert table.share("F", 1) is None
+        assert table.share("F", 2) == 1.0
+        assert table.share("F", 0) is None
+        assert table.share("F", 3) is None
+
+    def test_codes_outside_the_scheme_are_unlabeled(self, gender: GroupScheme) -> None:
+        codes = label_codes(["M", "other", gender.unknown_label, "F"], gender)
+        assert codes.tolist() == [1, -1, -1, 0]
+        assert prefix_table(codes, 2).tolist() == [[0, 0, 0, 0, 1], [0, 1, 1, 1, 1]]
+
+    def test_proportions_of_an_unlabeled_prefix_raise(self, gender: GroupScheme) -> None:
+        table = PrefixCounts(label_codes(["?", "F"], gender), gender.labels)
+        assert table.proportions(gender).shares == {"F": 1.0, "M": 0.0}
+        with pytest.raises(EmptyLabeledPool):
+            table.proportions(gender, 1)

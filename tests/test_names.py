@@ -185,3 +185,10 @@ class TestTableFromRows:
         assert table.lookup("ada") == {"F": 5, "M": 0}
         with pytest.raises(UnknownLabel):
             table_from_rows([("ada", "X", 3)], GENDER)
+
+    def test_rows_are_checked_like_csv_lines(self) -> None:
+        assert len(table_from_rows([("ada", "F", 0), ()], GENDER)) == 0
+        for bad, where in (([(" ", "F", 1)], "line 2"), ([("ada", "F", 1), ("bo", "M", -1)], "line 3"),
+                           ([("ada", "F", "5.0")], "line 2"), ([("ada", "F")], "line 2")):
+            with pytest.raises(MalformedRow, match=where):
+                table_from_rows(bad, GENDER)

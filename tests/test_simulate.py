@@ -79,8 +79,6 @@ class TestConfigValidation:
     def test_rejects_unknown_modes(self) -> None:
         with pytest.raises(InvalidConfig):
             cfg(postprocess="shuffle")
-        with pytest.raises(InvalidConfig):
-            cfg(replacement_policy="uniform")
 
     def test_postprocess_targets_need_detgreedy(self) -> None:
         with pytest.raises(InvalidConfig, match="detgreedy"):
