@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Iterator, Sequence, TextIO
 from . import churn as churn_mod
 from . import dataio, exposure, mixedlm, simulate
 from .detgreedy import ScoredCandidate, detgreedy_rerank
-from .errors import AuditError, MalformedRow, ZeroTargetProportion
+from .errors import AuditError, MalformedRow, MissingBaselineEntry
 from .model import GroupProportions, GroupScheme, PrefixCounts, QuerySeries, label_codes, observed_proportions
 from .names import label_dataset, load_name_table
 
@@ -34,7 +35,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         _apply_config(args, config)
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull so the flush at exit cannot raise again (recipe from the
+        # ``signal`` module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except AuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -252,7 +261,7 @@ def _targets_for(
     if baseline is not None:
         key = (snapshot.query_id, scheme.attribute_name)
         if key not in baseline:
-            raise ZeroTargetProportion(f"baseline has no proportions for {key!r}")
+            raise MissingBaselineEntry(f"baseline has no proportions for {key!r}")
         return baseline[key]
     return observed_proportions(snapshot, scheme)
 
@@ -459,9 +468,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 cells.extend(churn_mod.churn_grid(one, scheme, cutoffs, pairs))
         rows = mixedlm.churn_protocol(cells, scheme, cutoffs)
 
+    # One line per failed cutoff; churn has two rows per cutoff.
+    for k, reason in dict.fromkeys((row.k, row.reason) for row in rows if row.reason):
+        print(f"warning: k={k}: {reason}", file=sys.stderr)
     with _output(args) as out:
         dataio.write_protocol_table(rows, out, args.format or dataio.FORMAT_CSV)
-    return 0 if report.ok else 1
+    # A run in which no cutoff could be tested has failed, rows or not.
+    untested = bool(rows) and all(row.reason for row in rows)
+    return 0 if report.ok and not untested else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

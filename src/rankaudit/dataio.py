@@ -488,7 +488,8 @@ def write_protocol_table(
     destination: str | Path | TextIO,
     fmt: str = FORMAT_CSV,
 ) -> None:
-    """Write protocol results in the fixed k,coef,estimate,... layout."""
+    """Write protocol results in the fixed k,coef,estimate,... layout; the
+    test fields of a failed fit are ``undefined`` in CSV, ``null`` in JSON."""
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8", newline="") as handle:
             write_protocol_table(rows, handle, fmt)
@@ -501,12 +502,12 @@ def write_protocol_table(
                 [
                     row.k,
                     row.coefficient,
-                    format_real(row.estimate),
-                    format_real(row.se),
-                    format_real(row.z),
-                    format_real(row.p_value),
-                    format_real(row.ci_lo),
-                    format_real(row.ci_hi),
+                    format_cell(row.estimate),
+                    format_cell(row.se),
+                    format_cell(row.z),
+                    format_cell(row.p_value),
+                    format_cell(row.ci_lo),
+                    format_cell(row.ci_hi),
                 ]
             )
     elif fmt == FORMAT_JSON:

@@ -26,6 +26,10 @@ class ZeroTargetProportion(AuditError):
     """Skew needs a strictly positive target proportion for the group."""
 
 
+class MissingBaselineEntry(AuditError):
+    """The external baseline has no target proportions for a query."""
+
+
 class DegenerateProportion(AuditError):
     """Integrality correction needs a target strictly inside (0, 1)."""
 
@@ -60,6 +64,10 @@ class TooFewGroups(AuditError):
 
 class NonConvergence(AuditError):
     """Variance-ratio search exhausted its bracket without settling."""
+
+
+class FitRefused(AuditError, ValueError):
+    """Too few observations to fit, or a Wald test of a non-converged fit."""
 
 
 class CoefficientMissing(AuditError):

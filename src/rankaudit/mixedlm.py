@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .churn import ChurnCell
 from .errors import (
     CoefficientMissing,
+    FitRefused,
     NonConvergence,
     RankDeficientDesign,
     TooFewGroups,
@@ -51,6 +51,10 @@ DEFAULT_CUTOFFS = (25, 50, 75, 100)
 
 _LAMBDA_MAX = 1e8
 _REL_TOL = 1e-8
+
+# The documented ways one cutoff's fit or test can fail; the protocols turn
+# them into an undefined row instead of losing the other cutoffs.
+_FIT_FAILURES = (TooFewGroups, RankDeficientDesign, NonConvergence, FitRefused)
 
 
 @dataclass(frozen=True)
@@ -97,19 +101,24 @@ class WaldTest:
 
 @dataclass(frozen=True)
 class ProtocolRow:
-    """One emitted line of a test protocol table."""
+    """One emitted line of a test protocol table.
+
+    When the cutoff's fit failed, the test fields are ``None`` and
+    ``reason`` says why; the counts still describe the cells it was given.
+    """
 
     k: int
     coefficient: str
-    estimate: float
-    se: float
-    z: float
-    p_value: float
-    ci_lo: float
-    ci_hi: float
+    estimate: float | None
+    se: float | None
+    z: float | None
+    p_value: float | None
+    ci_lo: float | None
+    ci_hi: float | None
     n_obs: int
     n_groups: int
     n_excluded: int
+    reason: str | None = None
 
 
 class _Profile:
@@ -159,9 +168,9 @@ def fit_random_intercept(
 
     ``fixed_design`` lists coefficient names in order; the name
     ``"intercept"`` denotes the constant column, every other name is looked
-    up in each observation's covariates.  Raises
-    :class:`RankDeficientDesign`, :class:`TooFewGroups`, or
-    :class:`NonConvergence` when the ratio search runs off its bracket.
+    up in each observation's covariates.  Raises :class:`FitRefused` on too
+    few observations, :class:`RankDeficientDesign`, :class:`TooFewGroups`,
+    or :class:`NonConvergence` when the ratio search runs off its bracket.
     """
     if method not in ("reml", "ml"):
         raise ValueError(f"method must be 'reml' or 'ml', got {method!r}")
@@ -173,7 +182,7 @@ def fit_random_intercept(
         raise ValueError("fixed_design names must be unique")
     n, p = len(rows), len(names)
     if n < p + 2:
-        raise ValueError(f"need at least {p + 2} observations for {p} coefficients, got {n}")
+        raise FitRefused(f"need at least {p + 2} observations for {p} coefficients, got {n}")
 
     group_ids: dict[str, int] = {}
     codes = np.empty(n, dtype=np.intp)
@@ -232,6 +241,9 @@ def fit_random_intercept(
 
 def _minimize_ratio(objective) -> tuple[float, bool]:
     """Bracket on a log grid, polish with bounded search, check stationarity."""
+    # Imported here: scipy.optimize costs ~0.5 s, and only fitting needs it.
+    from scipy.optimize import minimize_scalar
+
     grid = [0.0] + list(np.logspace(-8.0, math.log10(_LAMBDA_MAX), 65))
     values = [objective(lam) for lam in grid]
     best = int(np.argmin(values))
@@ -265,7 +277,7 @@ def _minimize_ratio(objective) -> tuple[float, bool]:
 def wald_test(fit: MixedModelFit, coefficient: str, null_value: float = 0.0) -> WaldTest:
     """Two-sided z-test of one fitted coefficient against ``null_value``."""
     if not fit.converged:
-        raise ValueError("cannot test a non-converged fit")
+        raise FitRefused("cannot test a non-converged fit")
     if coefficient not in fit.beta:
         raise CoefficientMissing(f"coefficient {coefficient!r} not in fitted design")
     estimate = fit.beta[coefficient]
@@ -296,7 +308,8 @@ def minskew_protocol(
     Each curve contributes one cell per cutoff; cells that are undefined or
     ``-inf`` are excluded (and counted).  Per cutoff, an intercept-only
     random-intercept model pools repeated days within a query, and the
-    intercept is Wald-tested against ``null``.
+    intercept is Wald-tested against ``null``.  A cutoff whose fit fails
+    gets an undefined row carrying the reason.
     """
     curve_list = list(curves)
     rows: list[ProtocolRow] = []
@@ -311,9 +324,7 @@ def minskew_protocol(
             observations.append(LongObservation(curve.query_id, value, {}))
         if excluded:
             logger.info("MinSkew@%d: excluded %d undefined or -inf cells", k, excluded)
-        fit = fit_random_intercept(observations, (INTERCEPT,))
-        test = wald_test(fit, INTERCEPT, null)
-        rows.append(_row(k, test, fit, excluded))
+        rows.extend(_fit_rows(k, observations, (INTERCEPT,), {INTERCEPT: null}, excluded))
     return rows
 
 
@@ -329,7 +340,8 @@ def churn_protocol(
     the second scheme label plus the end day, with a random intercept per
     query; queries with any undefined cell at that cutoff are dropped (and
     counted).  The group indicator is tested against zero; the day slope is
-    reported alongside.
+    reported alongside.  A cutoff whose fit fails gets undefined rows
+    carrying the reason.
     """
     if len(scheme.labels) != 2:
         raise ValueError("churn protocol expects a two-label scheme")
@@ -362,23 +374,43 @@ def churn_protocol(
                 )
         if excluded:
             logger.info("churn@%d: dropped %d queries with undefined cells", k, excluded)
-        fit = fit_random_intercept(observations, (INTERCEPT, group_coef, "day"))
-        rows.append(_row(k, wald_test(fit, group_coef, 0.0), fit, excluded))
-        rows.append(_row(k, wald_test(fit, "day", 0.0), fit, excluded))
+        tested = {group_coef: 0.0, "day": 0.0}
+        rows.extend(_fit_rows(k, observations, (INTERCEPT, group_coef, "day"), tested, excluded))
     return rows
 
 
-def _row(k: int, test: WaldTest, fit: MixedModelFit, excluded: int) -> ProtocolRow:
-    return ProtocolRow(
-        k=k,
-        coefficient=test.coefficient,
-        estimate=test.estimate,
-        se=test.se,
-        z=test.z,
-        p_value=test.p_value,
-        ci_lo=test.ci95[0],
-        ci_hi=test.ci95[1],
-        n_obs=fit.n_obs,
-        n_groups=fit.n_groups,
-        n_excluded=excluded,
-    )
+def _fit_rows(
+    k: int,
+    observations: list[LongObservation],
+    design: Sequence[str],
+    tested: Mapping[str, float],
+    excluded: int,
+) -> list[ProtocolRow]:
+    """One row per tested coefficient (name -> null value) at cutoff ``k``;
+    undefined rows with the reason when the fit or a test fails."""
+    try:
+        fit = fit_random_intercept(observations, design)
+        tests = [wald_test(fit, name, null) for name, null in tested.items()]
+    except _FIT_FAILURES as exc:
+        n_groups = len({obs.query_id for obs in observations})
+        return [
+            ProtocolRow(k, name, None, None, None, None, None, None,
+                        len(observations), n_groups, excluded, reason=str(exc))
+            for name in tested
+        ]
+    return [
+        ProtocolRow(
+            k=k,
+            coefficient=test.coefficient,
+            estimate=test.estimate,
+            se=test.se,
+            z=test.z,
+            p_value=test.p_value,
+            ci_lo=test.ci95[0],
+            ci_hi=test.ci95[1],
+            n_obs=fit.n_obs,
+            n_groups=fit.n_groups,
+            n_excluded=excluded,
+        )
+        for test in tests
+    ]

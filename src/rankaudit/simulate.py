@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .detgreedy import ScoredCandidate, detgreedy_rerank
 from .errors import InvalidConfig
@@ -239,6 +238,9 @@ class _Candidate:
 
 
 def _truncated_scores(rng: np.random.Generator, means: np.ndarray, spreads: np.ndarray) -> np.ndarray:
+    # Imported here: loading scipy costs ~0.5 s, and only generation needs it.
+    from scipy.special import ndtr, ndtri
+
     lo = ndtr((0.0 - means) / spreads)
     hi = ndtr((1.0 - means) / spreads)
     u = rng.random(means.shape[0])

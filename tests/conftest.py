@@ -1,11 +1,48 @@
 """Shared fixtures and snapshot-building helpers."""
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
+
 import pytest
 
+import rankaudit
 from rankaudit import CandidateRecord, GroupScheme, QuerySeries, RankingSnapshot
 
 GENDER = GroupScheme("gender", ("F", "M"))
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a fresh ``python`` child that imports this checkout's
+    rankaudit."""
+    src = str(Path(rankaudit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def write_cli_inputs(directory: Path) -> None:
+    """Write the small hand-made CLI inputs into ``directory``: ``raw.jsonl``
+    (unlabeled snapshots with first names), ``names.csv`` (a name-frequency
+    table for them) and ``pool.csv`` (a scored pool for ``rerank``)."""
+    names = ["Ada", "Omar", "Lena", "Ravi", "Mia", "Tom"]
+    rows = [
+        {"query_id": f"q{q}", "day": day, "rank": rank, "candidate_id": f"q{q}-{name.lower()}",
+         "first_name": name, "last_name": None, "groups": None, "missing": False}
+        for q in (1, 2)
+        for day in (1, 2)
+        for rank, name in enumerate(names[q - 1:] + names[:q - 1], start=1)
+    ]
+    (directory / "raw.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    (directory / "names.csv").write_text(
+        "name,label,count\nada,F,900\nada,M,100\nomar,M,400\nlena,F,300\n"
+        "ravi,M,250\nmia,F,500\ntom,M,800\n",
+        encoding="utf-8",
+    )
+    (directory / "pool.csv").write_text(
+        "candidate_id,label,score\n"
+        + "".join(f"c{i},{'F' if i % 3 == 0 else 'M'},{1.0 - i / 20:.2f}\n" for i in range(12)),
+        encoding="utf-8",
+    )
 
 
 def record(cid: str, label: str | None, first: str | None = None, last: str | None = None) -> CandidateRecord:

@@ -15,11 +15,9 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-import rankaudit
 from rankaudit import (
     EXTERNAL_BASELINE,
     GroupProportions,
@@ -46,7 +44,7 @@ from rankaudit import (
 )
 from rankaudit.cli import main
 
-from conftest import GENDER, snapshot
+from conftest import GENDER, child_env, snapshot
 
 
 def score_models(mean: float = 0.6, spread: float = 0.15) -> dict[str, ScoreModel]:
@@ -357,8 +355,7 @@ def test_pipeline_is_byte_for_byte_deterministic(tmp_path, monkeypatch) -> None:
 
     second = tmp_path / "child_processes"
     second.mkdir()
-    src = str(Path(rankaudit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     env["PYTHONHASHSEED"] = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     for argv in stages:
         done = subprocess.run([sys.executable, "-m", "rankaudit.cli", *argv], cwd=second, env=env,

@@ -3,13 +3,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
-from rankaudit.cli import main
+from rankaudit import MissingBaselineEntry, ZeroTargetProportion
+from rankaudit.cli import _targets_for, main
 from rankaudit.dataio import load_dataset, load_ledger
 
-from conftest import GENDER
+from conftest import GENDER, child_env, snapshot
 
 
 def run(*argv: str) -> int:
@@ -136,6 +139,38 @@ class TestAuditCommand:
         for row in read_csv(external):
             assert row["value"] not in ("undefined", "")
 
+    def test_missing_baseline_entry_has_its_own_error(self) -> None:
+        with pytest.raises(MissingBaselineEntry, match="no proportions for"):
+            _targets_for(snapshot("FM"), GENDER, {})
+        assert not issubclass(MissingBaselineEntry, ZeroTargetProportion)
+
+    def test_query_without_baseline_entry_is_skipped_with_a_warning(self, dataset, tmp_path, capsys) -> None:
+        baseline = tmp_path / "baseline.csv"
+        baseline.write_text("query_id,attribute,label,share\nq00000,gender,F,0.5\nq00000,gender,M,0.5\n",
+                            encoding="utf-8")
+        out = tmp_path / "curves.csv"
+        assert run("audit", str(dataset), "--k-grid", "10", "--day", "1", "--baseline", str(baseline),
+                   "-o", str(out)) == 0
+        err = capsys.readouterr().err
+        assert "warning: q00001 day 1: baseline has no proportions for ('q00001', 'gender')" in err
+        assert {row["query_id"] for row in read_csv(out)} == {"q00000"}
+
+    def test_closed_stdout_ends_quietly(self, tmp_path) -> None:
+        # ~5,600 rows, far more than a pipe buffer holds, so the child is
+        # still writing when the reader goes away.
+        path = tmp_path / "long.jsonl"
+        assert run("simulate", "--seed", "11", "--queries", "4", "--pool", "200:200", "-o", str(path)) == 0
+        child = subprocess.Popen(
+            [sys.executable, "-m", "rankaudit.cli", "audit", str(path), "--k-grid", "full"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        )
+        assert child.stdout.readline().startswith(b"query_id,")
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert err == b""
+
 
 class TestChurnCommand:
     def test_consecutive_pairs(self, dataset, tmp_path) -> None:
@@ -249,6 +284,50 @@ class TestStatsCommand:
         assert [r["coef"] for r in rows] == ["is_M", "day"]
         # Group F departs four times as often, so the M indicator is negative.
         assert float(rows[0]["estimate"]) < 0
+
+    def test_failed_cutoff_keeps_the_other_rows(self, tmp_path, capsys) -> None:
+        data, one, two = tmp_path / "d.jsonl", tmp_path / "one.csv", tmp_path / "two.csv"
+        assert run("simulate", "--seed", "3", "--queries", "4", "--pool", "30:40", "-o", str(data)) == 0
+        common = ("stats", "minskew-protocol", str(data), "--min-pool", "1")
+        assert run(*common, "--cutoffs", "10", "-o", str(one)) == 0
+        capsys.readouterr()
+        # Only two lists reach k=35: too few cells to fit.
+        assert run(*common, "--cutoffs", "10,35", "-o", str(two)) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert warnings == ["warning: k=35: need at least 3 observations for 1 coefficients, got 2"]
+        lines = two.read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == one.read_text(encoding="utf-8").splitlines()
+        assert lines[2] == "35,intercept," + ",".join(["undefined"] * 6)
+
+    def test_churn_cutoffs_that_cannot_fit_give_undefined_rows(self, tmp_path, capsys) -> None:
+        # With two days every cell ends on day 2, so the day column duplicates
+        # the intercept at every cutoff.
+        data, out = tmp_path / "d.jsonl", tmp_path / "protocol.jsonl"
+        assert run("simulate", "--seed", "6", "--queries", "12", "--pool", "40:60", "--days", "2",
+                   "-o", str(data)) == 0
+        # The table is written, but a run that tested nothing still fails.
+        assert run("stats", "churn-protocol", str(data), "--min-pool", "1", "--cutoffs", "10,20",
+                   "--format", "json", "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "warning: k=10: fixed-effect design is rank deficient" in err
+        assert "warning: k=20: fixed-effect design is rank deficient" in err
+        rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [(r["k"], r["coef"]) for r in rows] == [(10, "is_M"), (10, "day"), (20, "is_M"), (20, "day")]
+        for r in rows:
+            assert [r[f] for f in ("estimate", "se", "z", "p", "ci_lo", "ci_hi")] == [None] * 6
+            assert r["n_obs"] == 24 and r["n_groups"] == 12 and r["n_excluded"] == 0
+
+    def test_churn_failed_cutoff_keeps_the_other_rows(self, wide_dataset, tmp_path, capsys) -> None:
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        common = ("stats", "churn-protocol", str(wide_dataset))
+        assert run(*common, "--cutoffs", "25", "-o", str(one)) == 0
+        capsys.readouterr()
+        # No list reaches k=200, so every query is dropped at that cutoff.
+        assert run(*common, "--cutoffs", "25,200", "-o", str(two)) == 0
+        assert "warning: k=200: need at least 5 observations for 3 coefficients, got 0" in capsys.readouterr().err
+        lines = two.read_text(encoding="utf-8").splitlines()
+        assert lines[:3] == one.read_text(encoding="utf-8").splitlines()
+        assert lines[3:] == [f"200,{coef}," + ",".join(["undefined"] * 6) for coef in ("is_M", "day")]
 
     def test_small_pools_are_filtered_out(self, dataset, capsys) -> None:
         assert run("stats", "minskew-protocol", str(dataset), "--cutoffs", "10") == 1

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from rankaudit import (
+    AuditError,
     ChurnCell,
     CoefficientMissing,
+    FitRefused,
     GroupScheme,
     LongObservation,
     MetricCurve,
@@ -20,6 +23,8 @@ from rankaudit import (
     minskew_protocol,
     wald_test,
 )
+
+from rankaudit import mixedlm
 
 from conftest import GENDER
 
@@ -229,6 +234,9 @@ class TestFitErrors:
         obs = [LongObservation("g0", 1.0, {}), LongObservation("g1", 2.0, {})]
         with pytest.raises(ValueError):
             fit_random_intercept(obs, ("intercept",))
+        with pytest.raises(FitRefused, match="need at least 3 observations"):
+            fit_random_intercept(obs, ("intercept",))
+        assert issubclass(FitRefused, AuditError)
 
     def test_pure_group_structure_exhausts_the_ratio_search(self) -> None:
         # Zero within-group variance pushes the ratio beyond any bound.
@@ -297,6 +305,11 @@ class TestWaldTest:
         with pytest.raises(CoefficientMissing):
             wald_test(self.make_fit(), "slope")
 
+    def test_non_converged_fit_is_refused(self) -> None:
+        fit = dataclasses.replace(self.make_fit(), converged=False)
+        with pytest.raises(FitRefused, match="non-converged"):
+            wald_test(fit, "intercept")
+
 
 def curve_at(query_id: str, day: int, values: dict[int, float | None]) -> MetricCurve:
     return MetricCurve(
@@ -337,6 +350,30 @@ class TestMinskewProtocol:
         assert by_k[25].n_obs == 3
         assert by_k[50].n_excluded == 1
         assert by_k[50].n_obs == 4
+
+    def test_failed_cutoff_gets_an_undefined_row(self) -> None:
+        rng = np.random.default_rng(8)
+        curves = [
+            curve_at(f"q{qi}", day, {25: float(rng.normal(-0.2, 0.05)), 50: -0.1 if qi < 2 and day == 1 else None})
+            for qi in range(6)
+            for day in (1, 2)
+        ]
+        rows = minskew_protocol(curves, cutoffs=(25, 50))
+        assert rows[0] == minskew_protocol(curves, cutoffs=(25,))[0]
+        assert rows[0].reason is None
+        failed = rows[1]
+        assert (failed.k, failed.coefficient) == (50, "intercept")
+        assert failed.reason == "need at least 3 observations for 1 coefficients, got 2"
+        assert [failed.estimate, failed.se, failed.z, failed.p_value, failed.ci_lo, failed.ci_hi] == [None] * 6
+        assert (failed.n_obs, failed.n_groups, failed.n_excluded) == (2, 2, 10)
+
+    def test_unexpected_fit_errors_propagate(self, monkeypatch) -> None:
+        def broken(*args, **kwargs):
+            raise ValueError("not a documented fit failure")
+
+        monkeypatch.setattr(mixedlm, "fit_random_intercept", broken)
+        with pytest.raises(ValueError, match="not a documented"):
+            minskew_protocol([curve_at("q0", 1, {25: -0.1})], cutoffs=(25,))
 
 
 class TestChurnProtocol:
@@ -386,6 +423,19 @@ class TestChurnProtocol:
         rows = churn_protocol(cells, GENDER, cutoffs=(25,))
         assert rows[0].n_excluded == 1
         assert rows[0].n_groups == 39
+
+    def test_failed_cutoff_gets_undefined_rows(self) -> None:
+        # At k=50 every cell ends on day 2, so the day column duplicates the
+        # intercept and the design is rank deficient.
+        cells = self.make_cells()
+        cells += [dataclasses.replace(cell, k=50) for cell in cells if cell.end_day == 2]
+        rows = churn_protocol(cells, GENDER, cutoffs=(25, 50))
+        assert rows[:2] == churn_protocol(cells, GENDER, cutoffs=(25,))
+        assert [(row.k, row.coefficient) for row in rows[2:]] == [(50, "is_M"), (50, "day")]
+        for row in rows[2:]:
+            assert row.reason == "fixed-effect design is rank deficient"
+            assert [row.estimate, row.se, row.z, row.p_value, row.ci_lo, row.ci_hi] == [None] * 6
+            assert (row.n_obs, row.n_groups, row.n_excluded) == (80, 40, 0)
 
     def test_requires_two_label_scheme(self) -> None:
         wide = GroupScheme("region", ("EU", "US", "APAC"))

@@ -1,0 +1,77 @@
+"""Start-up cost: only the stages that fit a model or simulate load scipy.
+
+Importing scipy costs about half a second per process, and the daily audit
+chain starts the CLI once per stage.  Each check runs in a fresh interpreter,
+because this test process has imported scipy already.
+"""
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from rankaudit.cli import main
+
+from conftest import child_env, write_cli_inputs
+
+# Runs cli.main once per argv list given as JSON in argv[1], then prints the
+# loaded scipy modules and the rankaudit modules that did not load.
+PROBE = """
+import json, pkgutil, sys
+import rankaudit, rankaudit.cli
+for argv in json.loads(sys.argv[1]):
+    assert rankaudit.cli.main(argv) == 0, argv
+package = [f"rankaudit.{m.name}" for m in pkgutil.iter_modules(rankaudit.__path__)]
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "unloaded": [m for m in package if m not in sys.modules],
+}))
+"""
+
+
+def probe(argvs: list[list[str]], cwd) -> dict:
+    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)], cwd=cwd,
+                          env=child_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.fixture()
+def workdir(tmp_path):
+    write_cli_inputs(tmp_path)
+    assert main(["simulate", "--seed", "5", "--queries", "3", "--pool", "30:30", "--days", "2",
+                 "--departures", "0.3,0.2", "-o", str(tmp_path / "data.jsonl")]) == 0
+    return tmp_path
+
+
+def test_stages_without_a_fit_or_simulation_never_load_scipy(workdir) -> None:
+    seen = probe(
+        [
+            ["validate", "data.jsonl", "-o", "report.json"],
+            ["label", "raw.jsonl", "--names", "names.csv", "-o", "labeled.jsonl"],
+            ["audit", "data.jsonl", "--k-grid", "5,10", "-o", "curves.csv"],
+            ["churn", "data.jsonl", "--k-grid", "5,10", "-o", "churn.csv"],
+            ["rerank", "pool.csv", "-o", "reranked.csv"],
+            ["export", "curves.csv", "--metric", "minskew", "-o", "heatmap.csv"],
+        ],
+        workdir,
+    )
+    assert seen["scipy"] == []
+    assert seen["unloaded"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "minskew-protocol", "data.jsonl", "--min-pool", "1", "--cutoffs", "10",
+         "-o", "protocol.csv"],
+        ["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10", "-o", "sim.jsonl"],
+    ],
+    ids=["stats", "simulate"],
+)
+def test_fitting_and_simulating_do_load_scipy(workdir, argv) -> None:
+    # Shows that the check above would notice scipy being loaded.
+    seen = probe([argv], workdir)
+    assert seen["scipy"] != []
