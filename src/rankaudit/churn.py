@@ -6,14 +6,22 @@ candidate id.  The top-k window is positional over the raw entry list
 (hidden candidates occupy their slots); the group filter applies only to the
 day-s membership, so a candidate who is still ranked on day e counts as
 retained even if its label was masked that day.
+
+A day-s entry at 0-based position ``i`` whose candidate sits at position
+``p`` on day e (``p`` infinite when absent) is retained at cutoff ``k``
+exactly when ``max(i, p) < k``.  :func:`churn_grid` therefore scans each day
+pair once: the group base at every ``k`` is a prefix count of the day-s
+labels and the retained count a cumulative histogram of ``max(i, p) + 1``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CutoffOutOfRange, DayMissing, UnknownLabel
-from .model import GroupScheme, QuerySeries, RankingSnapshot
+from .model import GroupScheme, QuerySeries, RankingSnapshot, label_codes, prefix_table
 
 
 @dataclass(frozen=True)
@@ -44,10 +52,7 @@ def churn_rate(
     Raises :class:`DayMissing` when either day has no snapshot and
     :class:`CutoffOutOfRange` when ``k`` exceeds either day's list.
     """
-    if label not in scheme.labels:
-        raise UnknownLabel(f"label {label!r} not in scheme {scheme.attribute_name!r}")
-    if start_day >= end_day:
-        raise ValueError(f"start day {start_day} must precede end day {end_day}")
+    _check_cell(scheme, label, start_day, end_day)
     start = _snapshot_for(series, start_day)
     end = _snapshot_for(series, end_day)
     for snap in (start, end):
@@ -73,18 +78,26 @@ def churn_grid(
 ) -> list[ChurnCell]:
     """Churn cells over labels x day pairs x cutoffs for one query.
 
-    Element-wise :func:`churn_rate`; a missing day or an out-of-range cutoff
-    yields an undefined cell rather than aborting the sweep.  Cells come out
-    sorted by (label order, day pair, k).
+    The same cells as element-wise :func:`churn_rate`, read from one scan
+    per day pair; a missing day or an out-of-range cutoff yields an
+    undefined cell rather than aborting the sweep.  Cells come out sorted by
+    (label order, day pair, k).
     """
+    grid = list(k_grid)
+    if not grid:
+        return []
+    retention: dict[tuple[int, int], _Retention | None] = {}
     cells: list[ChurnCell] = []
     for label in labels if labels is not None else scheme.labels:
         for start_day, end_day in day_pairs:
-            for k in k_grid:
-                try:
-                    cells.append(churn_rate(series, scheme, label, k, start_day, end_day))
-                except (DayMissing, CutoffOutOfRange):
-                    cells.append(_cell(series, scheme, label, k, start_day, end_day, None, 0))
+            _check_cell(scheme, label, start_day, end_day)
+            pair = (start_day, end_day)
+            if pair not in retention:
+                retention[pair] = _Retention.scan(series, scheme, start_day, end_day)
+            table = retention[pair]
+            for k in grid:
+                churn, base = (None, 0) if table is None else table.cell(label, k)
+                cells.append(_cell(series, scheme, label, k, start_day, end_day, churn, base))
     return cells
 
 
@@ -115,6 +128,66 @@ def mean_churn_by_gap(cells: Iterable[ChurnCell]) -> dict[tuple[str, int, int], 
         sums[key] = sums.get(key, 0.0) + cell.churn
         counts[key] = counts.get(key, 0) + 1
     return {key: sums[key] / counts[key] for key in sums}
+
+
+class _Retention:
+    """Group base and retained counts at every cutoff of one day pair.
+
+    ``base[label][k]`` counts the label's members in the day-s top ``k`` and
+    ``retained[label][k]`` those of them also in the day-e top ``k``, for
+    ``k`` up to the shorter list; both are plain ints.
+    """
+
+    __slots__ = ("n", "base", "retained")
+
+    def __init__(self, n: int, base: dict[str, list[int]], retained: dict[str, list[int]]) -> None:
+        self.n = n
+        self.base = base
+        self.retained = retained
+
+    @classmethod
+    def scan(
+        cls, series: QuerySeries, scheme: GroupScheme, start_day: int, end_day: int
+    ) -> "_Retention | None":
+        """Counts of one pair; ``None`` when either day has no snapshot."""
+        start = series.snapshots.get(start_day)
+        end = series.snapshots.get(end_day)
+        if start is None or end is None:
+            return None
+        n = min(len(start.entries), len(end.entries))
+        n_labels = len(scheme.labels)
+        codes = label_codes([r.label_for(scheme) for r in start.entries], scheme)
+        position = {r.candidate_id: p for p, r in enumerate(end.entries)}
+        # Smallest cutoff that holds the entry on both days; n + 1 stands for
+        # "no defined cutoff" (beyond the shorter list, or gone on day e).
+        first_k = np.fromiter(
+            (min(max(i, position.get(r.candidate_id, n)), n) + 1 for i, r in enumerate(start.entries)),
+            dtype=np.int64,
+            count=len(start.entries),
+        )
+        member = codes >= 0
+        width = n + 2
+        slots = codes[member].astype(np.int64) * width + first_k[member]
+        hits = np.bincount(slots, minlength=n_labels * width)
+        retained = hits.reshape(n_labels, width).cumsum(axis=1)[:, : n + 1]
+        base = prefix_table(codes, n_labels)[:, : n + 1]
+        return cls(n, dict(zip(scheme.labels, base.tolist())), dict(zip(scheme.labels, retained.tolist())))
+
+    def cell(self, label: str, k: int) -> tuple[float | None, int]:
+        """(churn, base count) at cutoff ``k``; (None, 0) when undefined."""
+        if k < 1 or k > self.n:
+            return None, 0
+        base = self.base[label][k]
+        if base == 0:
+            return None, 0
+        return (base - self.retained[label][k]) / base, base
+
+
+def _check_cell(scheme: GroupScheme, label: str, start_day: int, end_day: int) -> None:
+    if label not in scheme.labels:
+        raise UnknownLabel(f"label {label!r} not in scheme {scheme.attribute_name!r}")
+    if start_day >= end_day:
+        raise ValueError(f"start day {start_day} must precede end day {end_day}")
 
 
 def _snapshot_for(series: QuerySeries, day: int) -> RankingSnapshot:

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import math
 import os
 import sys
@@ -23,7 +24,15 @@ from . import churn as churn_mod
 from . import dataio, exposure, mixedlm, simulate
 from .detgreedy import ScoredCandidate, detgreedy_rerank
 from .errors import AuditError, MalformedRow, MissingBaselineEntry
-from .model import GroupProportions, GroupScheme, PrefixCounts, QuerySeries, label_codes, observed_proportions
+from .model import (
+    GroupProportions,
+    GroupScheme,
+    PrefixCounts,
+    QuerySeries,
+    label_codes,
+    observed_proportions,
+    snapshot_counts,
+)
 from .names import label_dataset, load_name_table
 
 _PROTOCOLS = ("minskew-protocol", "churn-protocol")
@@ -32,6 +41,12 @@ _PROTOCOLS = ("minskew-protocol", "churn-protocol")
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Library warnings (``logging``) reach stderr like the CLI's own.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger = logging.getLogger("rankaudit")
+    logger.addHandler(handler)
     try:
         config = _load_config(args.config) if args.config else {}
         _apply_config(args, config)
@@ -50,6 +65,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +274,14 @@ def _targets_for(
     snapshot,
     scheme: GroupScheme,
     baseline: dict[tuple[str, str], GroupProportions] | None,
+    counts: PrefixCounts | None = None,
 ) -> GroupProportions:
     if baseline is not None:
         key = (snapshot.query_id, scheme.attribute_name)
         if key not in baseline:
             raise MissingBaselineEntry(f"baseline has no proportions for {key!r}")
         return baseline[key]
-    return observed_proportions(snapshot, scheme)
+    return observed_proportions(snapshot, scheme, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -321,29 +339,39 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if unknown:
         raise ValueError(f"unrecognized metrics: {sorted(unknown)}")
     only_day = int(args.day) if args.day is not None else None
+    snaps = [
+        one.snapshots[day]
+        for one in series
+        for day in one.days
+        if (only_day is None or day == only_day) and one.snapshots[day].entries
+    ]
+    # The default page grid follows the longest list, so every curve of the
+    # run shares it; cells past a shorter list are undefined.
+    run_grid = None
+    if args.k_grid is None and snaps:
+        run_grid = _parse_grid(None, max(len(snap.entries) for snap in snaps))
 
     curves: list[exposure.MetricCurve] = []
-    for one in series:
-        for day in one.days:
-            snap = one.snapshots[day]
-            if (only_day is not None and day != only_day) or not snap.entries:
-                continue
-            grid = _parse_grid(args.k_grid, len(snap.entries))
-            try:
-                targets = _targets_for(snap, scheme, baseline)
-                if exposure.DEVIATION in metrics:
-                    for label in scheme.labels:
-                        curves.append(exposure.deviation_curve(snap, scheme, targets, label, grid))
-                if exposure.SKEW in metrics:
-                    for label in scheme.labels:
-                        curves.append(exposure.skew_curve(snap, scheme, targets, label, grid))
-                if exposure.MINSKEW in metrics:
-                    curves.append(exposure.minskew_curve(snap, scheme, targets, grid))
-                if exposure.CORRECTED_SKEW in metrics:
-                    for label in scheme.labels:
-                        curves.append(exposure.corrected_skew_curve(snap, scheme, targets, label, grid))
-            except AuditError as exc:
-                print(f"warning: {one.query_id} day {day}: {exc}", file=sys.stderr)
+    for snap in snaps:
+        grid = run_grid or _parse_grid(args.k_grid, len(snap.entries))
+        counts = snapshot_counts(snap, scheme)
+        try:
+            targets = _targets_for(snap, scheme, baseline, counts=counts)
+            if exposure.DEVIATION in metrics:
+                for label in scheme.labels:
+                    curves.append(exposure.deviation_curve(snap, scheme, targets, label, grid, counts=counts))
+            if exposure.SKEW in metrics:
+                for label in scheme.labels:
+                    curves.append(exposure.skew_curve(snap, scheme, targets, label, grid, counts=counts))
+            if exposure.MINSKEW in metrics:
+                curves.append(exposure.minskew_curve(snap, scheme, targets, grid, counts=counts))
+            if exposure.CORRECTED_SKEW in metrics:
+                for label in scheme.labels:
+                    curves.append(
+                        exposure.corrected_skew_curve(snap, scheme, targets, label, grid, counts=counts)
+                    )
+        except AuditError as exc:
+            print(f"warning: {snap.query_id} day {snap.day}: {exc}", file=sys.stderr)
     _emit_long(args, dataio.curve_rows(curves), dataio.CURVE_HEADER)
     return 0 if report.ok else 1
 
@@ -453,9 +481,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 snap = one.snapshots[day]
                 if not snap.entries:
                     continue
+                counts = snapshot_counts(snap, scheme)
                 try:
-                    targets = _targets_for(snap, scheme, baseline)
-                    curves.append(exposure.minskew_curve(snap, scheme, targets, cutoffs))
+                    targets = _targets_for(snap, scheme, baseline, counts=counts)
+                    curves.append(exposure.minskew_curve(snap, scheme, targets, cutoffs, counts=counts))
                 except AuditError as exc:
                     print(f"warning: {one.query_id} day {day}: {exc}", file=sys.stderr)
         null = float(args.null) if args.null is not None else mixedlm.DEFAULT_MINSKEW_NULL

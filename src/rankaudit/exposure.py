@@ -14,7 +14,10 @@ Sign conventions:
 * MinSkew at k    =  min over groups of skew; never positive.
 
 Point operations raise typed errors on unusable inputs; curve builders mark
-those cells undefined (``None``) and keep going.
+those cells undefined (``None``) and keep going.  A curve builder's
+``counts`` keyword takes the snapshot's prefix counts
+(:func:`~rankaudit.model.snapshot_counts`) when the caller already built
+them, so several curves of one snapshot share one table.
 """
 from __future__ import annotations
 
@@ -177,11 +180,13 @@ def deviation_curve(
     proportions: GroupProportions,
     label: str,
     k_grid: Sequence[int] | None = None,
+    *,
+    counts: PrefixCounts | None = None,
 ) -> MetricCurve:
     """Deviation traced over ``k_grid`` (default: every cutoff 1..n)."""
     _check_label(scheme, label)
     target = proportions.shares[label]
-    table = snapshot_counts(snapshot, scheme)
+    table = counts if counts is not None else snapshot_counts(snapshot, scheme)
 
     def cell(k: int) -> float | None:
         share = table.share(label, k)
@@ -196,11 +201,13 @@ def skew_curve(
     proportions: GroupProportions,
     label: str,
     k_grid: Sequence[int] | None = None,
+    *,
+    counts: PrefixCounts | None = None,
 ) -> MetricCurve:
     """Skew traced over ``k_grid`` (default: every cutoff 1..n)."""
     _check_label(scheme, label)
     target = _positive_target(proportions, label)
-    table = snapshot_counts(snapshot, scheme)
+    table = counts if counts is not None else snapshot_counts(snapshot, scheme)
 
     def cell(k: int) -> float | None:
         return _skew_cell(table, label, target, k)
@@ -213,10 +220,12 @@ def minskew_curve(
     scheme: GroupScheme,
     proportions: GroupProportions,
     k_grid: Sequence[int] | None = None,
+    *,
+    counts: PrefixCounts | None = None,
 ) -> MetricCurve:
     """MinSkew traced over ``k_grid`` (default: every cutoff 1..n)."""
     targets = {label: _positive_target(proportions, label) for label in scheme.labels}
-    table = snapshot_counts(snapshot, scheme)
+    table = counts if counts is not None else snapshot_counts(snapshot, scheme)
 
     def cell(k: int) -> float | None:
         skews = [_skew_cell(table, label, targets[label], k) for label in scheme.labels]
@@ -233,13 +242,15 @@ def corrected_skew_curve(
     proportions: GroupProportions,
     label: str,
     k_grid: Sequence[int] | None = None,
+    *,
+    counts: PrefixCounts | None = None,
 ) -> MetricCurve:
     """Integrality-corrected skew traced over ``k_grid``."""
     _check_label(scheme, label)
     target = _positive_target(proportions, label)
     if not target < 1.0:
         raise DegenerateProportion(f"target proportion must be inside (0, 1), got {target!r}")
-    table = snapshot_counts(snapshot, scheme)
+    table = counts if counts is not None else snapshot_counts(snapshot, scheme)
 
     def cell(k: int) -> float | None:
         return corrected_skew(_skew_cell(table, label, target, k), target, k)

@@ -241,16 +241,19 @@ def observed_proportions(
     snapshot: RankingSnapshot,
     scheme: GroupScheme,
     max_rank: int | None = None,
+    *,
+    counts: PrefixCounts | None = None,
 ) -> GroupProportions:
     """Group shares among labeled candidates in the top ``max_rank`` positions.
 
     Missing and unknown-labeled candidates are excluded from both numerator
     and denominator.  ``max_rank`` of ``None`` (or beyond the list) uses the
     whole list.  Raises :class:`EmptyLabeledPool` when no labeled candidate
-    falls inside the window.
+    falls inside the window.  ``counts`` passes in the snapshot's
+    :func:`snapshot_counts` when the caller already has them.
     """
     window = len(snapshot.entries if max_rank is None else snapshot.entries[:max_rank])
-    table = snapshot_counts(snapshot, scheme)
+    table = counts if counts is not None else snapshot_counts(snapshot, scheme)
     if table.labeled[window] == 0:
         raise EmptyLabeledPool(
             f"no labeled candidates for {scheme.attribute_name!r} in "

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankaudit import (
     CandidateRecord,
+    ChurnCell,
     CutoffOutOfRange,
     DayMissing,
     QuerySeries,
@@ -142,6 +145,55 @@ class TestChurnGrid:
             ("M", (1, 2), 2),
             ("M", (1, 2), 1),
         ]
+
+    def test_rejects_unknown_labels_and_unordered_pairs(self) -> None:
+        two_days = series({1: [("a", "F")], 2: [("a", "F")]})
+        with pytest.raises(UnknownLabel):
+            churn_grid(two_days, GENDER, (1,), [(1, 2)], labels=["F", "X"])
+        with pytest.raises(ValueError, match="must precede"):
+            churn_grid(two_days, GENDER, (1,), [(1, 2), (2, 1)])
+        with pytest.raises(ValueError, match="must precede"):
+            churn_grid(two_days, GENDER, (1,), [(2, 2)])
+
+
+@st.composite
+def churn_sweeps(draw):
+    """A random series with its grid arguments: lists of different lengths,
+    hidden and unknown-label entries, candidates seen on one day only, pairs
+    that name absent days, and the edge cutoffs 0, 1, n and n + 1."""
+    pool = [f"c{i}" for i in range(12)]
+    days = draw(st.sets(st.integers(1, 4), min_size=1, max_size=4))
+    ranked = {}
+    for day in sorted(days):
+        ids = draw(st.permutations(pool))[: draw(st.integers(0, len(pool)))]
+        ranked[day] = [(cid, draw(st.sampled_from("FMx?"))) for cid in ids]
+    pairs = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda p: p[0] < p[1]),
+                          max_size=4))
+    n = draw(st.sampled_from([len(entries) for entries in ranked.values()]))
+    k_grid = draw(st.lists(st.integers(-1, len(pool) + 1), max_size=5)) + [0, 1, n, n + 1]
+    labels = draw(st.one_of(st.none(), st.lists(st.sampled_from(GENDER.labels), unique=True)))
+    return series(ranked), k_grid, pairs, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(churn_sweeps())
+def test_grid_matches_cell_by_cell_churn_rate(sweep) -> None:
+    one, k_grid, pairs, labels = sweep
+    expected = []
+    for label in labels if labels is not None else GENDER.labels:
+        for start_day, end_day in pairs:
+            for k in k_grid:
+                try:
+                    expected.append(churn_rate(one, GENDER, label, k, start_day, end_day))
+                except (DayMissing, CutoffOutOfRange):
+                    expected.append(ChurnCell(one.query_id, GENDER.attribute_name, label, k,
+                                              start_day, end_day, None, 0))
+    cells = churn_grid(one, GENDER, k_grid, pairs, labels)
+    assert len(cells) == len(expected)
+    for cell, want in zip(cells, expected):
+        assert cell == want
+        assert repr(cell.churn) == repr(want.churn)
+        assert type(cell.churn) is type(want.churn) and type(cell.base_count) is int
 
 
 class TestDayPairs:

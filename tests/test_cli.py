@@ -3,12 +3,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import subprocess
 import sys
 
 import pytest
 
-from rankaudit import MissingBaselineEntry, ZeroTargetProportion
+from rankaudit import MissingBaselineEntry, ZeroTargetProportion, cli, exposure, model
 from rankaudit.cli import _targets_for, main
 from rankaudit.dataio import load_dataset, load_ledger
 
@@ -155,6 +156,47 @@ class TestAuditCommand:
         assert "warning: q00001 day 1: baseline has no proportions for ('q00001', 'gender')" in err
         assert {row["query_id"] for row in read_csv(out)} == {"q00000"}
 
+    def test_one_prefix_table_per_snapshot(self, dataset, tmp_path, monkeypatch) -> None:
+        built = []
+
+        def counting(snap, scheme):
+            built.append((snap.query_id, snap.day))
+            return real(snap, scheme)
+
+        real = model.snapshot_counts
+        for module in (cli, exposure, model):
+            monkeypatch.setattr(module, "snapshot_counts", counting)
+        # Targets plus 2 deviation, 2 skew, 1 MinSkew and 2 corrected-skew
+        # curves per snapshot, all from one table.
+        assert run("audit", str(dataset), "--k-grid", "10,20", "-o", str(tmp_path / "curves.csv")) == 0
+        assert built == [(q, day) for q in ("q00000", "q00001", "q00002") for day in (1, 2)]
+
+    def test_default_grid_is_shared_by_the_run(self, tmp_path) -> None:
+        # Lists of 120-140 entries: per-list page grids would end at 100 or
+        # at 125 and leave export with differing grids.
+        data, table, heat = tmp_path / "d.jsonl", tmp_path / "curves.csv", tmp_path / "heat.csv"
+        assert run("simulate", "--seed", "2", "--queries", "30", "--pool", "120:140", "--days", "2",
+                   "-o", str(data)) == 0
+        assert run("audit", str(data), "-o", str(table)) == 0
+        rows = read_csv(table)
+        assert sorted({int(r["k"]) for r in rows}) == [25, 50, 75, 100, 125]
+        assert any(r["k"] == "125" and r["value"] == "undefined" for r in rows)
+        assert run("export", str(table), "--metric", "minskew", "-o", str(heat)) == 0
+        lines = heat.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "row,25,50,75,100,125"
+        assert len(lines) == 1 + 30 * 2
+
+    def test_full_grid_stays_per_snapshot(self, tmp_path) -> None:
+        data, out = tmp_path / "d.jsonl", tmp_path / "curves.csv"
+        assert run("simulate", "--seed", "11", "--queries", "4", "--pool", "20:30", "-o", str(data)) == 0
+        assert run("audit", str(data), "--k-grid", "full", "--metrics", "minskew", "-o", str(out)) == 0
+        lengths = {one.query_id: len(one.snapshots[1].entries) for one in load_dataset(str(data))[0]}
+        assert len(set(lengths.values())) > 1
+        grids: dict[str, list[int]] = {}
+        for row in read_csv(out):
+            grids.setdefault(row["query_id"], []).append(int(row["k"]))
+        assert grids == {qid: list(range(1, n + 1)) for qid, n in lengths.items()}
+
     def test_closed_stdout_ends_quietly(self, tmp_path) -> None:
         # ~5,600 rows, far more than a pipe buffer holds, so the child is
         # still writing when the reader goes away.
@@ -294,7 +336,10 @@ class TestStatsCommand:
         # Only two lists reach k=35: too few cells to fit.
         assert run(*common, "--cutoffs", "10,35", "-o", str(two)) == 0
         warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
-        assert warnings == ["warning: k=35: need at least 3 observations for 1 coefficients, got 2"]
+        assert warnings == [
+            "warning: one observation per query: variance ratio unidentifiable, reporting boundary fit",
+            "warning: k=35: need at least 3 observations for 1 coefficients, got 2",
+        ]
         lines = two.read_text(encoding="utf-8").splitlines()
         assert lines[:2] == one.read_text(encoding="utf-8").splitlines()
         assert lines[2] == "35,intercept," + ",".join(["undefined"] * 6)
@@ -328,6 +373,27 @@ class TestStatsCommand:
         lines = two.read_text(encoding="utf-8").splitlines()
         assert lines[:3] == one.read_text(encoding="utf-8").splitlines()
         assert lines[3:] == [f"200,{coef}," + ",".join(["undefined"] * 6) for coef in ("is_M", "day")]
+
+    def test_library_warnings_reach_stderr_with_the_prefix(self, tmp_path) -> None:
+        # One list per query: the fit logs that the variance ratio is
+        # unidentifiable.  A fresh child, so no test logging setup interferes.
+        data = tmp_path / "d.jsonl"
+        assert run("simulate", "--seed", "3", "--queries", "4", "--pool", "30:40", "-o", str(data)) == 0
+        child = subprocess.run(
+            [sys.executable, "-m", "rankaudit.cli", "stats", "minskew-protocol", str(data),
+             "--min-pool", "1", "--cutoffs", "10"],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert child.returncode == 0
+        assert child.stderr.splitlines() == [
+            "warning: one observation per query: variance ratio unidentifiable, reporting boundary fit"
+        ]
+
+    def test_log_handler_is_removed_after_the_run(self, wide_dataset, tmp_path) -> None:
+        before = list(logging.getLogger("rankaudit").handlers)
+        assert run("stats", "minskew-protocol", str(wide_dataset), "--cutoffs", "25",
+                   "-o", str(tmp_path / "p.csv")) == 0
+        assert logging.getLogger("rankaudit").handlers == before
 
     def test_small_pools_are_filtered_out(self, dataset, capsys) -> None:
         assert run("stats", "minskew-protocol", str(dataset), "--cutoffs", "10") == 1
