@@ -16,7 +16,7 @@ labels and the retained count a cumulative histogram of ``max(i, p) + 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -119,15 +119,21 @@ def mean_churn_by_gap(cells: Iterable[ChurnCell]) -> dict[tuple[str, int, int], 
     Keyed by (label, k, end_day - start_day); pools all queries present in
     ``cells``.  Pairs whose churn is undefined are left out of the average.
     """
-    sums: dict[tuple[str, int, int], float] = {}
-    counts: dict[tuple[str, int, int], int] = {}
+    return mean_churn_by(cells, lambda c: (c.label, c.k, c.end_day - c.start_day))
+
+
+def mean_churn_by(cells: Iterable[ChurnCell], key: Callable[[ChurnCell], tuple]) -> dict[tuple, float]:
+    """Mean of the defined churn values of the cells sharing ``key(cell)``,
+    summed in cell order; keys with no defined cell are absent."""
+    sums: dict[tuple, float] = {}
+    counts: dict[tuple, int] = {}
     for cell in cells:
         if cell.churn is None:
             continue
-        key = (cell.label, cell.k, cell.end_day - cell.start_day)
-        sums[key] = sums.get(key, 0.0) + cell.churn
-        counts[key] = counts.get(key, 0) + 1
-    return {key: sums[key] / counts[key] for key in sums}
+        group = key(cell)
+        sums[group] = sums.get(group, 0.0) + cell.churn
+        counts[group] = counts.get(group, 0) + 1
+    return {group: sums[group] / counts[group] for group in sums}
 
 
 class _Retention:

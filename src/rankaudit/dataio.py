@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .churn import ChurnCell
+from .churn import ChurnCell, mean_churn_by
 from .errors import InconsistentGrid, MalformedRow, UnknownLabel
 from .exposure import CHURN, MetricCurve
 from .mixedlm import ProtocolRow
@@ -564,13 +564,15 @@ def _matrix_from_curves(curves: Sequence[MetricCurve]):
     labels = {c.label for c in curves}
     if len(metrics) > 1 or len(labels) > 1:
         raise ValueError("heatmap needs curves of one metric and one label")
+    # Lists of different lengths (`audit --k-grid full`) give grids that
+    # are prefixes of the longest one; cells past a shorter list are empty.
     grids = {tuple(sorted(c.values)) for c in curves}
-    if len(grids) > 1:
+    grid = list(max(grids, key=len))
+    if any(list(g) != grid[: len(g)] for g in grids):
         raise InconsistentGrid("curves carry different cutoff grids")
-    grid = list(grids.pop())
     ordered = sorted(curves, key=lambda c: (c.query_id, c.day))
     row_labels = [f"{c.query_id}:{c.day}" for c in ordered]
-    cells = [[c.values[k] for k in grid] for c in ordered]
+    cells = [[c.values.get(k) for k in grid] for c in ordered]
     return row_labels, grid, cells
 
 
@@ -586,21 +588,8 @@ def _matrix_from_churn(cells_in: Sequence[ChurnCell]):
     if len(grid_sets) > 1:
         raise InconsistentGrid("day pairs carry different cutoff grids")
     grid = list(grid_sets.pop())
-    sums: dict[tuple[tuple[int, int], int], float] = {}
-    counts: dict[tuple[tuple[int, int], int], int] = {}
-    for cell in cells_in:
-        if cell.churn is None:
-            continue
-        key = ((cell.start_day, cell.end_day), cell.k)
-        sums[key] = sums.get(key, 0.0) + cell.churn
-        counts[key] = counts.get(key, 0) + 1
-    matrix = [
-        [
-            sums[(pair, k)] / counts[(pair, k)] if (pair, k) in sums else None
-            for k in grid
-        ]
-        for pair in pairs
-    ]
+    means = mean_churn_by(cells_in, lambda c: ((c.start_day, c.end_day), c.k))
+    matrix = [[means.get((pair, k)) for k in grid] for pair in pairs]
     row_labels = [f"{s}->{e}" for s, e in pairs]
     return row_labels, grid, matrix
 

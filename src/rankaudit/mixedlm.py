@@ -15,8 +15,9 @@ one-dimensional search:
 
 The search brackets the minimizer on a log-spaced grid (with the boundary
 ``lambda = 0`` evaluated explicitly, so pure fixed-effects data degrades to
-OLS exactly) and then polishes with a bounded scalar minimization to 1e-8
-relative tolerance.  Standard errors come from
+OLS exactly) and then polishes with an in-module bounded Brent search
+(:func:`_bounded_minimize`) to 1e-8 relative tolerance, so fitting needs no
+scipy.  Standard errors come from
 ``sigma_hat^2 (X^T W^-1 X)^-1`` at the fitted ratio.
 """
 from __future__ import annotations
@@ -241,9 +242,6 @@ def fit_random_intercept(
 
 def _minimize_ratio(objective) -> tuple[float, bool]:
     """Bracket on a log grid, polish with bounded search, check stationarity."""
-    # Imported here: scipy.optimize costs ~0.5 s, and only fitting needs it.
-    from scipy.optimize import minimize_scalar
-
     grid = [0.0] + list(np.logspace(-8.0, math.log10(_LAMBDA_MAX), 65))
     values = [objective(lam) for lam in grid]
     best = int(np.argmin(values))
@@ -251,18 +249,13 @@ def _minimize_ratio(objective) -> tuple[float, bool]:
         raise NonConvergence(f"variance ratio exceeded search bound {_LAMBDA_MAX:g}")
 
     if best == 0:
-        res = minimize_scalar(objective, bounds=(0.0, grid[1]), method="bounded", options={"xatol": 1e-12})
-        lam = float(res.x) if res.fun < values[0] else 0.0
+        x, fx = _bounded_minimize(objective, 0.0, grid[1], xatol=1e-12)
+        lam = float(x) if fx < values[0] else 0.0
     else:
         lo, hi = math.log(grid[best - 1]), math.log(grid[best + 1])
-        res = minimize_scalar(
-            lambda u: objective(math.exp(u)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 0.5 * _REL_TOL},
-        )
-        lam = math.exp(float(res.x))
-        if values[0] <= res.fun:
+        x, fx = _bounded_minimize(lambda u: objective(math.exp(u)), lo, hi, xatol=0.5 * _REL_TOL)
+        lam = math.exp(x)
+        if values[0] <= fx:
             lam = 0.0
 
     f_hat = objective(lam)
@@ -272,6 +265,89 @@ def _minimize_ratio(objective) -> tuple[float, bool]:
     if lam > h:
         stationary = stationary and objective(lam - h) >= f_hat - tol
     return lam, bool(stationary)
+
+
+def _bounded_minimize(func, lo: float, hi: float, xatol: float, maxfun: int = 500) -> tuple[float, float]:
+    """Brent's bounded minimization of ``func`` on ``[lo, hi]``: ``(x, f(x))``.
+
+    Golden-section steps with parabolic interpolation, stopping when the
+    bracket around the best point is within ``xatol`` (plus a relative
+    term) or after ``maxfun`` evaluations.  Step for step the same search as
+    ``scipy.optimize.minimize_scalar(method="bounded")``, so fits keep their
+    bytes without importing scipy.
+    """
+    # Port of scipy.optimize._optimize._minimize_scalar_bounded (BSD-3-Clause).
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # Try a parabola through the three best points.
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
+def _sign(value: float) -> float:
+    """-1 for negative ``value``, else 1 (zero steps go up, as in scipy)."""
+    return -1.0 if value < 0.0 else 1.0
 
 
 def wald_test(fit: MixedModelFit, coefficient: str, null_value: float = 0.0) -> WaldTest:

@@ -197,6 +197,29 @@ class TestAuditCommand:
             grids.setdefault(row["query_id"], []).append(int(row["k"]))
         assert grids == {qid: list(range(1, n + 1)) for qid, n in lengths.items()}
 
+    def test_full_grid_exports_with_empty_cells_past_short_lists(self, tmp_path) -> None:
+        # Lists of 120-140 entries: every 1..n grid is a prefix of the longest.
+        data, table, heat = tmp_path / "d.jsonl", tmp_path / "curves.csv", tmp_path / "heat.csv"
+        assert run("simulate", "--seed", "2", "--queries", "30", "--pool", "120:140", "--days", "2",
+                   "-o", str(data)) == 0
+        assert run("audit", str(data), "--k-grid", "full", "--metrics", "minskew", "-o", str(table)) == 0
+        assert run("export", str(table), "--metric", "minskew", "-o", str(heat)) == 0
+        values = {(r["query_id"], r["day"], int(r["k"])): r["value"] for r in read_csv(table)}
+        longest = max(k for _, _, k in values)
+        lines = heat.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "row," + ",".join(str(k) for k in range(1, longest + 1))
+        assert len(lines) == 1 + 30 * 2
+        short_rows = 0
+        for line in lines[1:]:
+            label, *cells = line.split(",")
+            qid, day = label.split(":")
+            n = max(k for q, d, k in values if (q, d) == (qid, day))
+            assert len(cells) == longest
+            assert [c or "undefined" for c in cells[:n]] == [values[(qid, day, k)] for k in range(1, n + 1)]
+            assert cells[n:] == [""] * (longest - n)
+            short_rows += n < longest
+        assert short_rows > 0
+
     def test_closed_stdout_ends_quietly(self, tmp_path) -> None:
         # ~5,600 rows, far more than a pipe buffer holds, so the child is
         # still writing when the reader goes away.

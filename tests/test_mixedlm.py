@@ -253,6 +253,72 @@ class TestFitErrors:
             fit_random_intercept(obs, ("intercept",), method="mcmc")
 
 
+def random_profile(seed: int) -> mixedlm._Profile:
+    """A profiled criterion's statistics for a seeded random design: 1-3
+    coefficients, 3-12 groups of 1-6 rows, tau drawn from 0 to 10."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 4))
+    sizes = rng.integers(1, 7, size=int(rng.integers(3, 13)))
+    sizes[0] = max(int(sizes[0]), 2)  # at least one repeated query
+    tau = float(rng.choice([0.0, 0.05, 0.3, 1.0, 3.0, 10.0]))
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    X = np.column_stack([np.ones(len(codes)), rng.normal(size=(len(codes), p - 1))])
+    y = X @ rng.normal(size=p) + rng.normal(0.0, tau, len(sizes))[codes] + rng.normal(size=len(codes))
+    return mixedlm._Profile(X, y, codes, len(sizes))
+
+
+class TestBoundedMinimize:
+    """The in-module bounded search retraces scipy's, float for float."""
+
+    @staticmethod
+    def same_as_scipy(func, lo: float, hi: float, xatol: float) -> int:
+        from scipy.optimize import minimize_scalar
+
+        res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        x, fx = mixedlm._bounded_minimize(func, lo, hi, xatol)
+        assert (x, fx) == (res.x, res.fun), (lo, hi, xatol)
+        return int(res.nfev)
+
+    def test_matches_scipy_on_profiled_criteria(self) -> None:
+        grid = [0.0] + list(np.logspace(-8.0, 8.0, 65))
+        log_grid = [math.log(lam) for lam in grid[1:]]
+        cases = 0
+        for seed in range(40):
+            profile = random_profile(seed)
+            for reml in (True, False):
+                def objective(lam: float) -> float:
+                    return profile.criterion(lam, reml)
+
+                def in_logs(u: float) -> float:
+                    return objective(math.exp(u))
+
+                # The boundary branch of _minimize_ratio ...
+                self.same_as_scipy(objective, 0.0, grid[1], 1e-12)
+                # ... and its log-space bracket around the best grid point,
+                # plus a spread of other brackets along the grid.
+                values = [objective(lam) for lam in grid]
+                best = min(max(int(np.argmin(values)), 2), len(grid) - 2)
+                for i in sorted({best, *range(2 + seed % 7, len(grid) - 1, 7)}):
+                    self.same_as_scipy(in_logs, log_grid[i - 2], log_grid[i], 0.5e-8)
+                    cases += 1
+        assert cases > 700
+
+    def test_matches_scipy_when_the_evaluation_budget_runs_out(self) -> None:
+        # Without an absolute tolerance, a search toward a minimum at the
+        # bound 0 never meets its relative stopping rule.  A criterion alone
+        # goes flat in floating point near 0 and lets the search stop, so it
+        # is scaled by x, which keeps it increasing at every scale.
+        profile = random_profile(2)
+        calls = []
+
+        def objective(x: float) -> float:
+            calls.append(x)
+            return x * profile.criterion(x, False)
+
+        assert self.same_as_scipy(objective, 0.0, 1e-8, 0.0) == 500
+        assert len(calls) == 1000
+
+
 class TestMonteCarlo:
     def test_recovery_within_three_standard_errors(self) -> None:
         hits = 0

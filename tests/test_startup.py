@@ -1,7 +1,8 @@
-"""Start-up cost: only the stages that fit a model or simulate load scipy.
+"""Start-up cost: only the simulator loads scipy.
 
 Importing scipy costs about half a second per process, and the daily audit
-chain starts the CLI once per stage.  Each check runs in a fresh interpreter,
+chain starts the CLI once per stage; the model fits of `stats` run their
+ratio search without it.  Each check runs in a fresh interpreter,
 because this test process has imported scipy already.
 """
 from __future__ import annotations
@@ -41,7 +42,7 @@ def probe(argvs: list[list[str]], cwd) -> dict:
 @pytest.fixture()
 def workdir(tmp_path):
     write_cli_inputs(tmp_path)
-    assert main(["simulate", "--seed", "5", "--queries", "3", "--pool", "30:30", "--days", "2",
+    assert main(["simulate", "--seed", "5", "--queries", "3", "--pool", "30:30", "--days", "3",
                  "--departures", "0.3,0.2", "-o", str(tmp_path / "data.jsonl")]) == 0
     return tmp_path
 
@@ -62,16 +63,29 @@ def test_stages_without_a_fit_or_simulation_never_load_scipy(workdir) -> None:
     assert seen["unloaded"] == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["stats", "minskew-protocol", "data.jsonl", "--min-pool", "1", "--cutoffs", "10",
-         "-o", "protocol.csv"],
-        ["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10", "-o", "sim.jsonl"],
-    ],
-    ids=["stats", "simulate"],
-)
-def test_fitting_and_simulating_do_load_scipy(workdir, argv) -> None:
-    # Shows that the check above would notice scipy being loaded.
-    seen = probe([argv], workdir)
+def test_stats_protocols_never_load_scipy(workdir) -> None:
+    seen = probe(
+        [
+            ["stats", "minskew-protocol", "data.jsonl", "--min-pool", "1", "--cutoffs", "10",
+             "--format", "json", "-o", "minskew.jsonl"],
+            ["stats", "churn-protocol", "data.jsonl", "--min-pool", "1", "--cutoffs", "10",
+             "--format", "json", "-o", "churn_test.jsonl"],
+        ],
+        workdir,
+    )
+    assert seen["scipy"] == []
+    # Both protocols ran the ratio search: every row is tested, and each
+    # query contributed more than one observation.
+    for name in ("minskew.jsonl", "churn_test.jsonl"):
+        rows = [json.loads(line) for line in (workdir / name).read_text().splitlines()]
+        assert rows, name
+        for row in rows:
+            assert row["estimate"] is not None, (name, row)
+            assert int(row["n_obs"]) > int(row["n_groups"]) >= 2, (name, row)
+
+
+def test_simulating_does_load_scipy(workdir) -> None:
+    # Shows that the checks above would notice scipy being loaded.
+    seen = probe([["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10",
+                   "-o", "sim.jsonl"]], workdir)
     assert seen["scipy"] != []
