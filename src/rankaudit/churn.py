@@ -11,14 +11,14 @@ A day-s entry at 0-based position ``i`` whose candidate sits at position
 ``p`` on day e (``p`` infinite when absent) is retained at cutoff ``k``
 exactly when ``max(i, p) < k``.  :func:`churn_grid` therefore scans each day
 pair once: the group base at every ``k`` is a prefix count of the day-s
-labels and the retained count a cumulative histogram of ``max(i, p) + 1``.
+labels and the retained count a running sum over a per-label histogram of
+``max(i, p) + 1``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .errors import CutoffOutOfRange, DayMissing, UnknownLabel
 from .model import GroupScheme, QuerySeries, RankingSnapshot, label_codes, prefix_table
@@ -161,23 +161,22 @@ class _Retention:
         if start is None or end is None:
             return None
         n = min(len(start.entries), len(end.entries))
-        n_labels = len(scheme.labels)
-        codes = label_codes([r.label_for(scheme) for r in start.entries], scheme)
+        # Entries past the shorter list fall in no defined cutoff.
+        head = start.entries[:n]
+        codes = label_codes([r.label_for(scheme) for r in head], scheme)
         position = {r.candidate_id: p for p, r in enumerate(end.entries)}
-        # Smallest cutoff that holds the entry on both days; n + 1 stands for
-        # "no defined cutoff" (beyond the shorter list, or gone on day e).
-        first_k = np.fromiter(
-            (min(max(i, position.get(r.candidate_id, n)), n) + 1 for i, r in enumerate(start.entries)),
-            dtype=np.int64,
-            count=len(start.entries),
-        )
-        member = codes >= 0
-        width = n + 2
-        slots = codes[member].astype(np.int64) * width + first_k[member]
-        hits = np.bincount(slots, minlength=n_labels * width)
-        retained = hits.reshape(n_labels, width).cumsum(axis=1)[:, : n + 1]
-        base = prefix_table(codes, n_labels)[:, : n + 1]
-        return cls(n, dict(zip(scheme.labels, base.tolist())), dict(zip(scheme.labels, retained.tolist())))
+        # hits[code][k]: members whose smallest cutoff holding them on both
+        # days is k; a member at or past position n on day e, or gone, has
+        # no such cutoff and is never retained.
+        hits = [[0] * (n + 1) for _ in scheme.labels]
+        for i, (code, record) in enumerate(zip(codes, head)):
+            if code >= 0:
+                first_k = max(i, position.get(record.candidate_id, n)) + 1
+                if first_k <= n:
+                    hits[code][first_k] += 1
+        base = prefix_table(codes, len(scheme.labels))
+        retained = [list(accumulate(row)) for row in hits]
+        return cls(n, dict(zip(scheme.labels, base)), dict(zip(scheme.labels, retained)))
 
     def cell(self, label: str, k: int) -> tuple[float | None, int]:
         """(churn, base count) at cutoff ``k``; (None, 0) when undefined."""

@@ -409,8 +409,8 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
         targets = GroupProportions(scheme=scheme, shares=shares)
     else:
         codes = label_codes((cand.label for cand in pool), scheme)
-        if (codes < 0).any():
-            raise ValueError(f"pool label {pool[int(codes.argmin())].label!r} not in scheme")
+        if -1 in codes:
+            raise ValueError(f"pool label {pool[codes.index(-1)].label!r} not in scheme")
         targets = PrefixCounts(codes, scheme.labels).proportions(scheme)
     result = detgreedy_rerank(pool, targets)
     by_id = {cand.candidate_id: cand for cand in pool}
@@ -610,17 +610,7 @@ def _read_long_table(path: str) -> list[tuple[int, dict]]:
     pairs with the value cell typed."""
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip()[:1] == "{":
-        rows = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRow(f"line {lineno}: invalid JSON: {exc.msg}") from None
-            if not isinstance(raw, dict):
-                raise MalformedRow(f"line {lineno}: row is not a JSON object")
-            rows.append((lineno, raw))
+        rows = list(dataio.json_objects(text.splitlines()))
     else:
         reader = csv.DictReader(io.StringIO(text))
         rows = [(reader.line_num, raw) for raw in reader]

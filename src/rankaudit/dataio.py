@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .churn import ChurnCell, mean_churn_by
 from .errors import InconsistentGrid, MalformedRow, UnknownLabel
@@ -35,6 +35,7 @@ SNAPSHOT_FIELDS = ("query_id", "day", "rank", "candidate_id", "first_name", "las
 BASELINE_HEADER = ("query_id", "attribute", "label", "share")
 CURVE_HEADER = ("query_id", "day", "attribute", "label", "k", "metric", "value")
 CHURN_HEADER = ("query_id", "attribute", "label", "k", "metric", "start_day", "end_day", "value")
+LEDGER_KEYS = ("query_id", "weights", "composition", "labels", "scores", "departures")
 PROTOCOL_HEADER = ("k", "coef", "estimate", "se", "z", "p", "ci_lo", "ci_hi")
 
 UNDEFINED = "undefined"
@@ -291,12 +292,18 @@ def write_ledger(truths: Iterable[QueryTruth], destination: str | Path | TextIO)
 
 
 def load_ledger(path: str | Path) -> list[QueryTruth]:
+    """Read a ledger written by :func:`write_ledger`; a line that is not a
+    ledger object raises :class:`MalformedRow` with its line number."""
     truths = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            raw = json.loads(line)
+        for lineno, raw in json_objects(handle):
+            for key in LEDGER_KEYS:
+                if key not in raw:
+                    raise MalformedRow(f"line {lineno}: no {key!r} value")
+            try:
+                departures = tuple((day, cid) for day, cid in raw["departures"])
+            except (TypeError, ValueError):
+                raise MalformedRow(f"line {lineno}: departures must be [day, candidate_id] pairs") from None
             truths.append(
                 QueryTruth(
                     query_id=raw["query_id"],
@@ -304,10 +311,25 @@ def load_ledger(path: str | Path) -> list[QueryTruth]:
                     composition=raw["composition"],
                     labels=raw["labels"],
                     scores=raw["scores"],
-                    departures=tuple((day, cid) for day, cid in raw["departures"]),
+                    departures=departures,
                 )
             )
     return truths
+
+
+def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSONL stream; a
+    line that is not a JSON object raises :class:`MalformedRow`."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRow(f"line {lineno}: invalid JSON: {exc.msg}") from None
+        if not isinstance(raw, dict):
+            raise MalformedRow(f"line {lineno}: row is not a JSON object")
+        yield lineno, raw
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import EmptyPool, LabelWithoutProportion
 from .model import GroupProportions, prefix_table
 
@@ -163,8 +161,10 @@ def _violations_by_index(
     targets: Sequence[float],
     labels: Sequence[str],
 ) -> tuple[tuple[int, str], ...]:
-    counts = prefix_table(np.asarray(indexed, dtype=np.int64), len(labels))[:, 1:]
-    scaled = np.asarray(targets, dtype=np.float64)[:, None] * np.arange(1, len(indexed) + 1, dtype=np.float64)
-    bad = (counts < np.floor(scaled)) | (counts > np.ceil(scaled))
-    found = sorted((int(k) + 1, int(i)) for i, k in zip(*np.nonzero(bad)))
-    return tuple((k, labels[i]) for k, i in found)
+    found = []
+    for i, (target, counts) in enumerate(zip(targets, prefix_table(indexed, len(labels)))):
+        # For an int count c and the float x = target * k, floor(x) <= c <=
+        # ceil(x) holds exactly when c - 1 < x < c + 1; int-float comparisons
+        # are exact, so this flags the same cells as floor and ceil would.
+        found.extend((k, i) for k, count in enumerate(counts) if not count - 1 < target * k < count + 1)
+    return tuple((k, labels[i]) for k, i in sorted(found))

@@ -25,9 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .churn import ChurnCell
 from .errors import (
@@ -39,6 +37,11 @@ from .errors import (
 )
 from .exposure import MetricCurve
 from .model import GroupScheme
+
+# numpy is imported inside the functions that compute with it, so that the
+# subcommands which neither fit nor simulate start without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -127,6 +130,8 @@ class _Profile:
     O(groups * p^2) per lambda, independent of n."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, codes: np.ndarray, n_groups: int) -> None:
+        import numpy as np
+
         self.n, self.p = X.shape
         self.S = np.zeros((n_groups, self.p))
         np.add.at(self.S, codes, X)
@@ -138,6 +143,8 @@ class _Profile:
 
     def gls(self, lam: float) -> tuple[np.ndarray, np.ndarray, float, float, float]:
         """(beta, XtWiX, rss, logdetW, logdetXtWiX) at fixed variance ratio."""
+        import numpy as np
+
         c = lam / (1.0 + lam * self.sizes)
         xtwix = self.A - (self.S.T * c) @ self.S
         xtwiy = self.b - self.S.T @ (c * self.t)
@@ -151,6 +158,8 @@ class _Profile:
         return beta, xtwix, rss, logdet_w, logdet_x
 
     def criterion(self, lam: float, reml: bool) -> float:
+        import numpy as np
+
         try:
             _, _, rss, logdet_w, logdet_x = self.gls(lam)
         except np.linalg.LinAlgError:
@@ -173,6 +182,8 @@ def fit_random_intercept(
     few observations, :class:`RankDeficientDesign`, :class:`TooFewGroups`,
     or :class:`NonConvergence` when the ratio search runs off its bracket.
     """
+    import numpy as np
+
     if method not in ("reml", "ml"):
         raise ValueError(f"method must be 'reml' or 'ml', got {method!r}")
     rows = list(data)
@@ -242,6 +253,8 @@ def fit_random_intercept(
 
 def _minimize_ratio(objective) -> tuple[float, bool]:
     """Bracket on a log grid, polish with bounded search, check stationarity."""
+    import numpy as np
+
     grid = [0.0] + list(np.logspace(-8.0, math.log10(_LAMBDA_MAX), 65))
     values = [objective(lam) for lam in grid]
     best = int(np.argmin(values))

@@ -8,9 +8,8 @@ position but expose no name and no group labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import EmptyLabeledPool
 
@@ -173,16 +172,14 @@ class GroupProportions:
             raise ValueError("denominator must be non-negative")
 
 
-def prefix_table(codes: np.ndarray, n_labels: int) -> np.ndarray:
-    """Cumulative group counts of a ranked code sequence, in one pass.
+def prefix_table(codes: Sequence[int], n_labels: int) -> list[list[int]]:
+    """Cumulative group counts of a ranked code sequence, one pass per label.
 
     ``codes`` holds one label index per position (-1 for missing or unknown
     entries); row ``i``, column ``k`` of the ``n_labels x (n + 1)`` result is
     how many of the first ``k`` positions carry code ``i``.
     """
-    table = np.zeros((n_labels, len(codes) + 1), dtype=np.int64)
-    np.cumsum(codes == np.arange(n_labels, dtype=codes.dtype)[:, None], axis=1, out=table[:, 1:])
-    return table
+    return [list(accumulate(map(code.__eq__, codes), initial=0)) for code in range(n_labels)]
 
 
 class PrefixCounts:
@@ -196,11 +193,10 @@ class PrefixCounts:
 
     __slots__ = ("counts", "labeled", "n")
 
-    def __init__(self, codes: np.ndarray, labels: Sequence[str]) -> None:
+    def __init__(self, codes: Sequence[int], labels: Sequence[str]) -> None:
         self.n = len(codes)
-        table = prefix_table(codes, len(labels))
-        self.counts = dict(zip(labels, table.tolist()))
-        self.labeled = table.sum(axis=0).tolist()
+        self.counts = dict(zip(labels, prefix_table(codes, len(labels))))
+        self.labeled = list(accumulate(map((0).__le__, codes), initial=0))
 
     def tally(self, k: int) -> dict[str, int]:
         """Per-label counts over the first ``k`` positions."""
@@ -223,12 +219,11 @@ class PrefixCounts:
         return GroupProportions(scheme=scheme, shares=shares, source=OBSERVED_POOL, denominator=labeled)
 
 
-def label_codes(labels: Iterable[str], scheme: GroupScheme) -> np.ndarray:
+def label_codes(labels: Iterable[str], scheme: GroupScheme) -> list[int]:
     """Label codes for :class:`PrefixCounts`: the index of each label in
-    ``scheme.labels``, -1 for anything outside the scheme; int8 unless the
-    scheme has more labels than int8 can index."""
+    ``scheme.labels``, -1 for anything outside the scheme."""
     index = {label: code for code, label in enumerate(scheme.labels)}
-    return np.fromiter([index.get(label, -1) for label in labels], dtype=np.min_scalar_type(-len(index)))
+    return [index.get(label, -1) for label in labels]
 
 
 def snapshot_counts(snapshot: RankingSnapshot, scheme: GroupScheme) -> PrefixCounts:

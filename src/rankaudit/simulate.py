@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .detgreedy import ScoredCandidate, detgreedy_rerank
 from .errors import InvalidConfig
@@ -33,6 +31,11 @@ from .model import (
     QuerySeries,
     RankingSnapshot,
 )
+
+# numpy is imported inside the functions that compute with it, so that the
+# subcommands which neither simulate nor fit start without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 POSTPROCESS_NONE = "none"
 POSTPROCESS_DETGREEDY = "detgreedy"
@@ -84,6 +87,8 @@ class SimConfig:
             raise InvalidConfig("days must be >= 1")
         if set(self.group_weights) != labels:
             raise InvalidConfig("group_weights must cover the scheme labels exactly")
+        if not all(math.isfinite(w) for w in self.group_weights.values()):
+            raise InvalidConfig("group weights must be finite")
         if any(w < 0.0 for w in self.group_weights.values()):
             raise InvalidConfig("group weights must be non-negative")
         if abs(sum(self.group_weights.values()) - 1.0) > 1e-9:
@@ -154,10 +159,14 @@ def generate(config: SimConfig) -> SimResult:
 
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTruth]:
+    import numpy as np
+
     rng = _substream(config.seed, index, _CORE_STREAM)
     mask_rng = _substream(config.seed, index, _MASK_STREAM)
     scheme = config.scheme
@@ -189,7 +198,7 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
         pool.append(cand)
         truth_labels[cid] = labels[int(g)]
         truth_scores[cid] = float(score)
-    composition = PrefixCounts(group_idx, labels).tally(n)
+    composition = PrefixCounts(group_idx.tolist(), labels).tally(n)
 
     departure = np.array([config.departure_probs.get(label, 0.0) for label in labels])
     snapshots: dict[int, RankingSnapshot] = {}
@@ -239,6 +248,7 @@ class _Candidate:
 
 def _truncated_scores(rng: np.random.Generator, means: np.ndarray, spreads: np.ndarray) -> np.ndarray:
     # Imported here: loading scipy costs ~0.5 s, and only generation needs it.
+    import numpy as np
     from scipy.special import ndtr, ndtri
 
     lo = ndtr((0.0 - means) / spreads)
@@ -263,7 +273,7 @@ def _rank(
             source=EXTERNAL_BASELINE,
         )
     else:
-        proportions = PrefixCounts(np.array([cand.group for cand in pool]), labels).proportions(scheme)
+        proportions = PrefixCounts([cand.group for cand in pool], labels).proportions(scheme)
     scored = [ScoredCandidate(c.candidate_id, labels[c.group], c.score) for c in by_score]
     result = detgreedy_rerank(scored, proportions)
     by_id = {c.candidate_id: c for c in pool}

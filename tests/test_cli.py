@@ -37,6 +37,11 @@ class TestSimulateCommand:
         assert run("simulate", "--queries", "2", "-o", str(tmp_path / "x.jsonl")) == 1
         assert "--seed is required" in capsys.readouterr().err
 
+    def test_non_finite_weight_is_rejected(self, tmp_path, capsys) -> None:
+        assert run("simulate", "--seed", "1", "--weights", "1,nan",
+                   "-o", str(tmp_path / "x.jsonl")) == 1
+        assert capsys.readouterr().err == "error: group weights must be finite\n"
+
     def test_writes_dataset_and_ledger(self, tmp_path) -> None:
         data = tmp_path / "data.jsonl"
         truth = tmp_path / "truth.jsonl"
@@ -293,6 +298,11 @@ class TestRerankCommand:
         rows = read_csv(out)
         assert len(rows) == 4
         assert {r["candidate_id"] for r in rows} == {"f1", "f2", "f3", "m1"}
+
+    def test_pool_label_outside_the_scheme_is_named(self, tmp_path, capsys) -> None:
+        pool = self.write_pool(tmp_path, [("f1", "F", 0.9), ("x1", "X", 0.8), ("y1", "Y", 0.7)])
+        assert run("rerank", str(pool)) == 1
+        assert capsys.readouterr().err == "error: pool label 'X' not in scheme\n"
 
     def test_header_is_checked(self, tmp_path, capsys) -> None:
         bad = tmp_path / "pool.csv"

@@ -246,6 +246,23 @@ class TestLedger:
         assert loaded == result.truth
         assert any(t.departures for t in loaded)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"query_id": "q1"}', "line 2: no 'weights' value"),
+            ("[1, 2]", "line 2: row is not a JSON object"),
+            ('{"query_id": ', "line 2: invalid JSON"),
+            ('{"query_id": "q1", "weights": {}, "composition": {}, "labels": {}, "scores": {}, '
+             '"departures": [[2]]}', r"line 2: departures must be \[day, candidate_id\] pairs"),
+        ],
+    )
+    def test_bad_lines_raise_with_their_line_number(self, tmp_path, bad: str, message: str) -> None:
+        path = tmp_path / "truth.jsonl"
+        write_ledger(sim_result(seed=12).truth[:1], path)
+        path.write_text(path.read_text(encoding="utf-8") + bad + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=message):
+            load_ledger(path)
+
 
 class TestBaseline:
     def write(self, tmp_path, text: str):

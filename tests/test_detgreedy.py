@@ -133,9 +133,17 @@ class TestCheckFeasibility:
     def test_empty_sequence_is_feasible(self) -> None:
         assert check_feasibility([], HALF) == ()
 
-    @given(st.lists(st.sampled_from("abc"), max_size=40))
-    def test_matches_a_prefix_loop(self, order: list[str]) -> None:
-        props = GroupProportions(GroupScheme("tier", ("a", "b", "c")), {"a": 0.2, "b": 0.3, "c": 0.5})
+    @given(
+        st.lists(st.sampled_from("abc"), max_size=40),
+        st.one_of(
+            st.sampled_from([(0.2, 0.3, 0.5), (0.1, 0.2, 0.7), (1 / 3, 1 / 3, 1 / 3), (0.0, 1e-9, 1 - 1e-9)]),
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+            .map(lambda ab: (ab[0], ab[1], 1.0 - ab[0] - ab[1]))
+            .filter(lambda shares: shares[2] >= 0.0),
+        ),
+    )
+    def test_matches_a_prefix_loop(self, order: list[str], shares: tuple[float, float, float]) -> None:
+        props = GroupProportions(GroupScheme("tier", ("a", "b", "c")), dict(zip("abc", shares)))
         expected = []
         for k in range(1, len(order) + 1):
             for label in "abc":

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,13 @@ from rankaudit import (
 from rankaudit.model import PrefixCounts, label_codes, prefix_table, snapshot_counts
 
 from conftest import GENDER, snapshot
+
+
+def numpy_prefix_table(codes: np.ndarray, n_labels: int) -> np.ndarray:
+    """Reference: the labels x (n + 1) prefix counts as one numpy cumsum."""
+    table = np.zeros((n_labels, len(codes) + 1), dtype=np.int64)
+    np.cumsum(codes == np.arange(n_labels, dtype=codes.dtype)[:, None], axis=1, out=table[:, 1:])
+    return table
 
 
 class TestGroupScheme:
@@ -171,6 +179,19 @@ class TestPrefixCounts:
             assert table.tally(k) == {label: window.count(label) for label in GENDER.labels}
             assert table.labeled[k] == sum(label in GENDER.labels for label in window)
 
+    @given(st.integers(2, 5).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.integers(-1, m - 1), max_size=80))))
+    def test_matches_the_numpy_cumsum(self, case: tuple[int, list[int]]) -> None:
+        n_labels, codes = case
+        labels = [f"g{i}" for i in range(n_labels)]
+        table = numpy_prefix_table(np.array(codes, dtype=np.int8), n_labels)
+        assert prefix_table(codes, n_labels) == table.tolist()
+        counts = PrefixCounts(codes, labels)
+        assert counts.counts == dict(zip(labels, table.tolist()))
+        assert counts.labeled == table.sum(axis=0).tolist()
+        assert all(type(cell) is int for row in counts.counts.values() for cell in row)
+        assert all(type(cell) is int for cell in counts.labeled)
+
     def test_counts_every_prefix_of_the_labeled_entries(self, gender: GroupScheme) -> None:
         table = snapshot_counts(snapshot("FxM?F"), gender)
         assert table.counts == {"F": [0, 1, 1, 1, 1, 2], "M": [0, 0, 0, 1, 1, 1]}
@@ -187,8 +208,8 @@ class TestPrefixCounts:
 
     def test_codes_outside_the_scheme_are_unlabeled(self, gender: GroupScheme) -> None:
         codes = label_codes(["M", "other", gender.unknown_label, "F"], gender)
-        assert codes.tolist() == [1, -1, -1, 0]
-        assert prefix_table(codes, 2).tolist() == [[0, 0, 0, 0, 1], [0, 1, 1, 1, 1]]
+        assert codes == [1, -1, -1, 0]
+        assert prefix_table(codes, 2) == [[0, 0, 0, 0, 1], [0, 1, 1, 1, 1]]
 
     def test_proportions_of_an_unlabeled_prefix_raise(self, gender: GroupScheme) -> None:
         table = PrefixCounts(label_codes(["?", "F"], gender), gender.labels)

@@ -1,9 +1,11 @@
-"""Start-up cost: only the simulator loads scipy.
+"""Start-up cost: only the simulator loads scipy, and only it and the model
+fits load numpy.
 
-Importing scipy costs about half a second per process, and the daily audit
-chain starts the CLI once per stage; the model fits of `stats` run their
-ratio search without it.  Each check runs in a fresh interpreter,
-because this test process has imported scipy already.
+Importing scipy costs about half a second per process and numpy about
+0.15 s, and the daily audit chain starts the CLI once per stage; the model
+fits of `stats` run their ratio search without scipy, and the counting
+stages need neither.  Each check runs in a fresh interpreter, because this
+test process has imported both already.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from rankaudit.cli import main
 from conftest import child_env, write_cli_inputs
 
 # Runs cli.main once per argv list given as JSON in argv[1], then prints the
-# loaded scipy modules and the rankaudit modules that did not load.
+# loaded scipy and numpy modules and the rankaudit modules that did not load.
 PROBE = """
 import json, pkgutil, sys
 import rankaudit, rankaudit.cli
@@ -27,6 +29,7 @@ for argv in json.loads(sys.argv[1]):
 package = [f"rankaudit.{m.name}" for m in pkgutil.iter_modules(rankaudit.__path__)]
 print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
     "unloaded": [m for m in package if m not in sys.modules],
 }))
 """
@@ -47,20 +50,26 @@ def workdir(tmp_path):
     return tmp_path
 
 
+# Every subcommand except `stats` and `simulate`.
+COUNTING_STAGES = [
+    ["validate", "data.jsonl", "-o", "report.json"],
+    ["label", "raw.jsonl", "--names", "names.csv", "-o", "labeled.jsonl"],
+    ["audit", "data.jsonl", "--k-grid", "5,10", "-o", "curves.csv"],
+    ["churn", "data.jsonl", "--k-grid", "5,10", "-o", "churn.csv"],
+    ["rerank", "pool.csv", "-o", "reranked.csv"],
+    ["export", "curves.csv", "--metric", "minskew", "-o", "heatmap.csv"],
+]
+
+
 def test_stages_without_a_fit_or_simulation_never_load_scipy(workdir) -> None:
-    seen = probe(
-        [
-            ["validate", "data.jsonl", "-o", "report.json"],
-            ["label", "raw.jsonl", "--names", "names.csv", "-o", "labeled.jsonl"],
-            ["audit", "data.jsonl", "--k-grid", "5,10", "-o", "curves.csv"],
-            ["churn", "data.jsonl", "--k-grid", "5,10", "-o", "churn.csv"],
-            ["rerank", "pool.csv", "-o", "reranked.csv"],
-            ["export", "curves.csv", "--metric", "minskew", "-o", "heatmap.csv"],
-        ],
-        workdir,
-    )
+    seen = probe(COUNTING_STAGES, workdir)
     assert seen["scipy"] == []
     assert seen["unloaded"] == []
+
+
+def test_import_and_stages_without_a_fit_or_simulation_never_load_numpy(workdir) -> None:
+    assert probe([], workdir)["numpy"] == []
+    assert probe(COUNTING_STAGES, workdir)["numpy"] == []
 
 
 def test_stats_protocols_never_load_scipy(workdir) -> None:
@@ -74,6 +83,8 @@ def test_stats_protocols_never_load_scipy(workdir) -> None:
         workdir,
     )
     assert seen["scipy"] == []
+    # Shows that the numpy check above would notice numpy being loaded.
+    assert seen["numpy"] != []
     # Both protocols ran the ratio search: every row is tested, and each
     # query contributed more than one observation.
     for name in ("minskew.jsonl", "churn_test.jsonl"):
@@ -85,7 +96,8 @@ def test_stats_protocols_never_load_scipy(workdir) -> None:
 
 
 def test_simulating_does_load_scipy(workdir) -> None:
-    # Shows that the checks above would notice scipy being loaded.
+    # Shows that the checks above would notice scipy or numpy being loaded.
     seen = probe([["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10",
                    "-o", "sim.jsonl"]], workdir)
     assert seen["scipy"] != []
+    assert seen["numpy"] != []
