@@ -16,9 +16,8 @@ import logging
 import math
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence
 
 from . import churn as churn_mod
 from . import dataio, exposure, mixedlm, simulate
@@ -36,6 +35,11 @@ from .model import (
 from .names import label_dataset, load_name_table
 
 _PROTOCOLS = ("minskew-protocol", "churn-protocol")
+_FORMATS = (dataio.FORMAT_CSV, dataio.FORMAT_JSON)
+_POSTPROCESS = (simulate.POSTPROCESS_NONE, simulate.POSTPROCESS_DETGREEDY)
+# The allowed values of each option with ``choices``; config values are
+# checked against them too, since argparse checks only the command line.
+_CHOICES = {"format": _FORMATS, "postprocess": _POSTPROCESS}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -76,7 +80,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file with option defaults")
-    common.add_argument("--format", choices=(dataio.FORMAT_CSV, dataio.FORMAT_JSON), default=None)
+    common.add_argument("--format", choices=_FORMATS, default=None)
     common.add_argument("--output", "-o", help="output path (default: stdout)")
 
     scheme = argparse.ArgumentParser(add_help=False)
@@ -138,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", default=None)
     p.add_argument("--departures", default=None, help="per-group daily departure probabilities")
     p.add_argument("--missing-prob", default=None)
-    p.add_argument("--postprocess", default=None, choices=(simulate.POSTPROCESS_NONE, simulate.POSTPROCESS_DETGREEDY))
+    p.add_argument("--postprocess", default=None, choices=_POSTPROCESS)
     p.add_argument("--weights-concentration", default=None)
     p.add_argument("--ledger", default=None, help="path for the ground-truth ledger JSONL")
     p.add_argument("--inject-label", default=None, help="demote this group from the top page")
@@ -197,6 +201,8 @@ def _apply_config(args: argparse.Namespace, config: dict) -> None:
             continue
         current = getattr(args, key)
         if current is None:
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ValueError(f"config {key} = {value!r}: choose from {', '.join(_CHOICES[key])}")
             setattr(args, key, value)
         elif current is False and value is True:
             setattr(args, key, True)
@@ -243,19 +249,8 @@ def _parse_grid(spec: str | None, limit: int) -> list[int]:
     return _int_list(spec)
 
 
-@contextmanager
-def _output(args: argparse.Namespace) -> Iterator[TextIO]:
-    """The ``--output`` file opened for writing, or stdout without one."""
-    if not args.output:
-        yield sys.stdout
-        return
-    with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        yield handle
-
-
 def _emit_long(args, rows, header) -> None:
-    with _output(args) as out:
-        dataio.write_long_table(rows, header, out, args.format or dataio.FORMAT_CSV)
+    dataio.write_long_table(rows, header, args.output or sys.stdout, args.format or dataio.FORMAT_CSV)
 
 
 def _load_or_fail(path: str):
@@ -290,20 +285,18 @@ def _targets_for(
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     series, report = dataio.load_dataset(args.dataset)
-    fmt = args.format or dataio.FORMAT_JSON
-    with _output(args) as out:
-        if fmt == dataio.FORMAT_JSON:
+    if (args.format or dataio.FORMAT_JSON) == dataio.FORMAT_JSON:
+        with dataio.text_stream(args.output or sys.stdout, "w") as out:
             out.write(json.dumps(report.to_dict(), indent=2, sort_keys=False))
             out.write("\n")
-        else:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["kind", "query_id", "day", "line", "message"])
-            for issue in report.parse_issues:
-                writer.writerow(["parse", "", "", issue.line, issue.message])
-            for issue in report.integrity_issues:
-                writer.writerow(["integrity", issue.query_id, issue.day, issue.line, issue.message])
-            for query_id, day in report.quarantined:
-                writer.writerow(["quarantined", query_id, day, "", ""])
+    else:
+        rows = [
+            *(("parse", "", "", issue.line, issue.message) for issue in report.parse_issues),
+            *(("integrity", issue.query_id, issue.day, issue.line, issue.message)
+              for issue in report.integrity_issues),
+            *(("quarantined", query_id, day, "", "") for query_id, day in report.quarantined),
+        ]
+        _emit_long(args, rows, dataio.ISSUE_HEADER)
     return 0 if report.ok else 1
 
 
@@ -319,8 +312,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     for snap in labeled:
         regrouped.setdefault(snap.query_id, {})[snap.day] = snap
     out_series = [QuerySeries(query_id=qid, snapshots=days) for qid, days in sorted(regrouped.items())]
-    with _output(args) as out:
-        dataio.write_snapshots(out_series, out)
+    dataio.write_snapshots(out_series, args.output or sys.stdout)
     print(
         f"labeled {coverage.resolved}/{coverage.total} candidates (coverage {coverage.coverage:.4f})",
         file=sys.stderr,
@@ -414,25 +406,17 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
         targets = PrefixCounts(codes, scheme.labels).proportions(scheme)
     result = detgreedy_rerank(pool, targets)
     by_id = {cand.candidate_id: cand for cand in pool}
-    fmt = args.format or dataio.FORMAT_CSV
-    with _output(args) as out:
-        if fmt == dataio.FORMAT_CSV:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["rank", "candidate_id", "label", "score"])
-            for rank, cid in enumerate(result.order, start=1):
-                cand = by_id[cid]
-                writer.writerow([rank, cid, cand.label, dataio.format_real(cand.score)])
-        else:
-            out.write(
-                json.dumps(
-                    {
-                        "order": list(result.order),
-                        "feasible": result.feasible,
-                        "violations": [[k, label] for k, label in result.violation_positions],
-                    },
-                    ensure_ascii=False,
-                )
-            )
+    if (args.format or dataio.FORMAT_CSV) == dataio.FORMAT_CSV:
+        rows = [(rank, cid, by_id[cid].label, by_id[cid].score) for rank, cid in enumerate(result.order, 1)]
+        _emit_long(args, rows, dataio.RERANK_HEADER)
+    else:
+        summary = {
+            "order": list(result.order),
+            "feasible": result.feasible,
+            "violations": [[k, label] for k, label in result.violation_positions],
+        }
+        with dataio.text_stream(args.output or sys.stdout, "w") as out:
+            out.write(json.dumps(summary, ensure_ascii=False))
             out.write("\n")
     if not result.feasible:
         print(f"warning: {len(result.violation_positions)} prefix-constraint violations", file=sys.stderr)
@@ -443,12 +427,12 @@ def _read_pool(path: str) -> list[ScoredCandidate]:
     """Read a ``candidate_id,label,score`` CSV; bad rows raise
     :class:`MalformedRow` with their line number."""
     pool: list[ScoredCandidate] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+    with dataio.text_stream(path, "r") as handle:
+        rows = dataio.csv_rows(handle)
+        _, header = next(rows, (1, None))
         if header is None or tuple(h.strip() for h in header) != ("candidate_id", "label", "score"):
             raise ValueError("pool CSV must have header candidate_id,label,score")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != 3:
@@ -500,8 +484,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     # One line per failed cutoff; churn has two rows per cutoff.
     for k, reason in dict.fromkeys((row.k, row.reason) for row in rows if row.reason):
         print(f"warning: k={k}: {reason}", file=sys.stderr)
-    with _output(args) as out:
-        dataio.write_protocol_table(rows, out, args.format or dataio.FORMAT_CSV)
+    dataio.write_protocol_table(rows, args.output or sys.stdout, args.format or dataio.FORMAT_CSV)
     # A run in which no cutoff could be tested has failed, rows or not.
     untested = bool(rows) and all(row.reason for row in rows)
     return 0 if report.ok and not untested else 1
@@ -550,8 +533,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             series, scheme, args.inject_label, strength, inject_seed, page
         )
         print(json.dumps(record, ensure_ascii=False), file=sys.stderr)
-    with _output(args) as out:
-        dataio.write_snapshots(series, out)
+    dataio.write_snapshots(series, args.output or sys.stdout)
     if args.ledger:
         dataio.write_ledger(result.truth, args.ledger)
     return 0
@@ -600,8 +582,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
             )
             for (query_id, day), values in sorted(grouped.items())
         ]
-    with _output(args) as out:
-        dataio.export_heatmap(source, out)
+    dataio.export_heatmap(source, args.output or sys.stdout)
     return 0
 
 
@@ -613,7 +594,10 @@ def _read_long_table(path: str) -> list[tuple[int, dict]]:
         rows = list(dataio.json_objects(text.splitlines()))
     else:
         reader = csv.DictReader(io.StringIO(text))
-        rows = [(reader.line_num, raw) for raw in reader]
+        try:
+            rows = [(reader.line_num, raw) for raw in reader]
+        except csv.Error as exc:
+            raise MalformedRow(f"line {reader.reader.line_num}: {exc}") from None
     for lineno, raw in rows:
         raw["value"] = _cell(lineno, raw, "value", _parse_cell, required=False)
     return rows

@@ -2,17 +2,22 @@
 
 Snapshot datasets travel as JSONL, one object per ranked entry; baselines as
 CSV; metric curves and churn grids as long-format tables (CSV or JSONL);
-heatmaps as rectangular CSV matrices.  All text output is UTF-8 with LF line
-endings, CSV quoting is RFC-4180 (via the stdlib writer), and reals are
-formatted with 10 significant digits so identical analyses produce
-byte-identical files.  Undefined cells serialize as ``"undefined"`` in long
-tables and as empty cells in matrices; negative infinity as ``"-inf"``.
+heatmaps as rectangular CSV matrices.  Paths and open streams both pass
+through :func:`text_stream`; every fixed-schema table goes through
+:func:`write_long_table`.  All text output is UTF-8 with LF line endings,
+CSV quoting is RFC-4180 (via the stdlib writer), and cells of the
+:data:`REAL_COLUMNS` are formatted with 10 significant digits so identical
+analyses produce byte-identical files.  Undefined cells serialize as
+``"undefined"`` in long tables and as empty cells in matrices; negative
+infinity as ``"-inf"``.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -37,6 +42,12 @@ CURVE_HEADER = ("query_id", "day", "attribute", "label", "k", "metric", "value")
 CHURN_HEADER = ("query_id", "attribute", "label", "k", "metric", "start_day", "end_day", "value")
 LEDGER_KEYS = ("query_id", "weights", "composition", "labels", "scores", "departures")
 PROTOCOL_HEADER = ("k", "coef", "estimate", "se", "z", "p", "ci_lo", "ci_hi")
+# The JSON protocol table also carries the size of each fit.
+PROTOCOL_JSON_HEADER = (*PROTOCOL_HEADER, "n_obs", "n_groups", "n_excluded")
+RERANK_HEADER = ("rank", "candidate_id", "label", "score")
+ISSUE_HEADER = ("kind", "query_id", "day", "line", "message")
+# Columns whose cells are reals, written with ``format_cell`` / ``_json_value``.
+REAL_COLUMNS = frozenset({"value", "estimate", "se", "z", "p", "ci_lo", "ci_hi", "score"})
 
 UNDEFINED = "undefined"
 NEG_INF = "-inf"
@@ -58,32 +69,60 @@ def format_cell(value: float | None, undefined: str = UNDEFINED) -> str:
     return format_real(value)
 
 
+# One JSONL line: compact separators, non-ASCII kept (``json.dumps`` with
+# these keywords would build a new encoder per call).
+_json_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+@contextmanager
+def text_stream(target: str | Path | TextIO, mode: str) -> Iterator[TextIO]:
+    """``target`` itself when it is an open stream; a path opened as UTF-8
+    with ``newline=""`` (no newline translation) and closed on exit."""
+    if isinstance(target, (str, Path)):
+        with open(target, mode, encoding="utf-8", newline="") as handle:
+            yield handle
+    else:
+        yield target
+
+
+def csv_rows(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(row number from 1, fields) for each row of a CSV stream; a row the
+    ``csv`` module cannot split, such as one with an overlong field, raises
+    :class:`MalformedRow` with its row number."""
+    reader = csv.reader(stream)
+    for lineno in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise MalformedRow(f"line {lineno}: {exc}") from None
+        yield lineno, row
+
+
 # ---------------------------------------------------------------------------
 # snapshot JSONL
 
 
 def write_snapshots(series: Iterable[QuerySeries], destination: str | Path | TextIO) -> None:
     """Write a dataset as snapshot JSONL, sorted by query, day, rank."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-            write_snapshots(series, handle)
-            return
-    for one in sorted(series, key=lambda s: s.query_id):
-        for day in sorted(one.snapshots):
-            snap = one.snapshots[day]
-            for rank, record in enumerate(snap.entries, start=1):
-                row = {
-                    "query_id": snap.query_id,
-                    "day": snap.day,
-                    "rank": rank,
-                    "candidate_id": record.candidate_id,
-                    "first_name": record.first_name,
-                    "last_name": record.last_name,
-                    "groups": None if record.missing else dict(sorted(record.group_labels.items())),
-                    "missing": record.missing,
-                }
-                destination.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
-                destination.write("\n")
+    with text_stream(destination, "w") as out:
+        for one in sorted(series, key=lambda s: s.query_id):
+            for day in sorted(one.snapshots):
+                snap = one.snapshots[day]
+                for rank, record in enumerate(snap.entries, start=1):
+                    row = {
+                        "query_id": snap.query_id,
+                        "day": snap.day,
+                        "rank": rank,
+                        "candidate_id": record.candidate_id,
+                        "first_name": record.first_name,
+                        "last_name": record.last_name,
+                        "groups": None if record.missing else dict(sorted(record.group_labels.items())),
+                        "missing": record.missing,
+                    }
+                    out.write(_json_line(row))
+                    out.write("\n")
 
 
 @dataclass(frozen=True)
@@ -274,21 +313,18 @@ def _rank_gap(ranks: Sequence[int]) -> str:
 
 
 def write_ledger(truths: Iterable[QueryTruth], destination: str | Path | TextIO) -> None:
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-            write_ledger(truths, handle)
-            return
-    for truth in sorted(truths, key=lambda t: t.query_id):
-        row = {
-            "query_id": truth.query_id,
-            "weights": {k: truth.weights[k] for k in sorted(truth.weights)},
-            "composition": {k: truth.composition[k] for k in sorted(truth.composition)},
-            "labels": {k: truth.labels[k] for k in sorted(truth.labels)},
-            "scores": {k: truth.scores[k] for k in sorted(truth.scores)},
-            "departures": [[day, cid] for day, cid in truth.departures],
-        }
-        destination.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
-        destination.write("\n")
+    with text_stream(destination, "w") as out:
+        for truth in sorted(truths, key=lambda t: t.query_id):
+            row = {
+                "query_id": truth.query_id,
+                "weights": {k: truth.weights[k] for k in sorted(truth.weights)},
+                "composition": {k: truth.composition[k] for k in sorted(truth.composition)},
+                "labels": {k: truth.labels[k] for k in sorted(truth.labels)},
+                "scores": {k: truth.scores[k] for k in sorted(truth.scores)},
+                "departures": [[day, cid] for day, cid in truth.departures],
+            }
+            out.write(_json_line(row))
+            out.write("\n")
 
 
 def load_ledger(path: str | Path) -> list[QueryTruth]:
@@ -345,40 +381,35 @@ def load_baseline(
     Every (query, attribute) block must cover the scheme's labels exactly
     and sum to 1 within 1e-6; shares are renormalized to sum exactly 1.
     """
-    if isinstance(path, (str, Path)):
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            return load_baseline(handle, schemes)
-
-    reader = csv.reader(path)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow("line 1: empty baseline file") from None
-    if tuple(h.strip() for h in header) != BASELINE_HEADER:
-        raise MalformedRow(f"line 1: expected header {','.join(BASELINE_HEADER)}, got {header!r}")
-
     shares: dict[tuple[str, str], dict[str, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise MalformedRow(f"line {lineno}: expected 4 fields, got {len(row)}")
-        query_id, attribute, label, raw_share = (f.strip() for f in row)
-        scheme = schemes.get(attribute)
-        if scheme is None:
-            raise UnknownLabel(f"line {lineno}: no scheme for attribute {attribute!r}")
-        if label not in scheme.labels:
-            raise UnknownLabel(f"line {lineno}: label {label!r} not in scheme {attribute!r}")
-        try:
-            share = float(raw_share)
-        except ValueError:
-            raise MalformedRow(f"line {lineno}: share {raw_share!r} is not a number") from None
-        if not 0.0 <= share <= 1.0:
-            raise MalformedRow(f"line {lineno}: share must be in [0, 1]")
-        bucket = shares.setdefault((query_id, attribute), {})
-        if label in bucket:
-            raise MalformedRow(f"line {lineno}: duplicate label {label!r} for {query_id!r}/{attribute!r}")
-        bucket[label] = share
+    with text_stream(path, "r") as handle:
+        rows = csv_rows(handle)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise MalformedRow("line 1: empty baseline file")
+        if tuple(h.strip() for h in header) != BASELINE_HEADER:
+            raise MalformedRow(f"line 1: expected header {','.join(BASELINE_HEADER)}, got {header!r}")
+        for lineno, row in rows:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise MalformedRow(f"line {lineno}: expected 4 fields, got {len(row)}")
+            query_id, attribute, label, raw_share = (f.strip() for f in row)
+            scheme = schemes.get(attribute)
+            if scheme is None:
+                raise UnknownLabel(f"line {lineno}: no scheme for attribute {attribute!r}")
+            if label not in scheme.labels:
+                raise UnknownLabel(f"line {lineno}: label {label!r} not in scheme {attribute!r}")
+            try:
+                share = float(raw_share)
+            except ValueError:
+                raise MalformedRow(f"line {lineno}: share {raw_share!r} is not a number") from None
+            if not 0.0 <= share <= 1.0:
+                raise MalformedRow(f"line {lineno}: share must be in [0, 1]")
+            bucket = shares.setdefault((query_id, attribute), {})
+            if label in bucket:
+                raise MalformedRow(f"line {lineno}: duplicate label {label!r} for {query_id!r}/{attribute!r}")
+            bucket[label] = share
 
     out: dict[tuple[str, str], GroupProportions] = {}
     for (query_id, attribute), bucket in shares.items():
@@ -477,24 +508,30 @@ def write_long_table(
     destination: str | Path | TextIO,
     fmt: str = FORMAT_CSV,
 ) -> None:
-    """Write long-format rows as CSV or JSONL; the last column is the value."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            write_long_table(rows, header, handle, fmt)
-            return
-    if fmt == FORMAT_CSV:
-        writer = csv.writer(destination, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([*row[:-1], format_cell(row[-1])])
-    elif fmt == FORMAT_JSON:
-        for row in rows:
-            obj = dict(zip(header, row))
-            obj[header[-1]] = _json_value(row[-1])
-            destination.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
-            destination.write("\n")
-    else:
+    """Write fixed-schema rows as CSV (with a header line) or JSONL (one
+    object per row); cells of :data:`REAL_COLUMNS` are formatted as reals,
+    all others written as they are.  An unknown ``fmt`` raises
+    ``ValueError`` before ``destination`` is opened."""
+    if fmt not in (FORMAT_CSV, FORMAT_JSON):
         raise ValueError(f"unrecognized format {fmt!r}")
+    reals = [i for i, name in enumerate(header) if name in REAL_COLUMNS]
+    with text_stream(destination, "w") as out:
+        if fmt == FORMAT_CSV:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                cells = list(row)
+                for i in reals:
+                    cells[i] = format_cell(cells[i])
+                writer.writerow(cells)
+        else:
+            names = [header[i] for i in reals]
+            for row in rows:
+                obj = dict(zip(header, row))
+                for name in names:
+                    obj[name] = _json_value(obj[name])
+                out.write(_json_line(obj))
+                out.write("\n")
 
 
 def _json_value(value: float | None) -> float | str | None:
@@ -510,47 +547,16 @@ def write_protocol_table(
     destination: str | Path | TextIO,
     fmt: str = FORMAT_CSV,
 ) -> None:
-    """Write protocol results in the fixed k,coef,estimate,... layout; the
-    test fields of a failed fit are ``undefined`` in CSV, ``null`` in JSON."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            write_protocol_table(rows, handle, fmt)
-            return
-    if fmt == FORMAT_CSV:
-        writer = csv.writer(destination, lineterminator="\n")
-        writer.writerow(PROTOCOL_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.k,
-                    row.coefficient,
-                    format_cell(row.estimate),
-                    format_cell(row.se),
-                    format_cell(row.z),
-                    format_cell(row.p_value),
-                    format_cell(row.ci_lo),
-                    format_cell(row.ci_hi),
-                ]
-            )
-    elif fmt == FORMAT_JSON:
-        for row in rows:
-            obj = {
-                "k": row.k,
-                "coef": row.coefficient,
-                "estimate": _json_value(row.estimate),
-                "se": _json_value(row.se),
-                "z": _json_value(row.z),
-                "p": _json_value(row.p_value),
-                "ci_lo": _json_value(row.ci_lo),
-                "ci_hi": _json_value(row.ci_hi),
-                "n_obs": row.n_obs,
-                "n_groups": row.n_groups,
-                "n_excluded": row.n_excluded,
-            }
-            destination.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
-            destination.write("\n")
-    else:
-        raise ValueError(f"unrecognized format {fmt!r}")
+    """Write protocol results in the fixed k,coef,estimate,... layout (JSON
+    adds the fit sizes); the test fields of a failed fit are ``undefined``
+    in CSV, ``null`` in JSON."""
+    header = PROTOCOL_HEADER if fmt == FORMAT_CSV else PROTOCOL_JSON_HEADER
+    table = [
+        (row.k, row.coefficient, row.estimate, row.se, row.z, row.p_value, row.ci_lo, row.ci_hi,
+         row.n_obs, row.n_groups, row.n_excluded)[: len(header)]
+        for row in rows
+    ]
+    write_long_table(table, header, destination, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -622,11 +628,8 @@ def _write_matrix(
     cells: Sequence[Sequence[float | None]],
     destination: str | Path | TextIO,
 ) -> None:
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            _write_matrix(row_labels, grid, cells, handle)
-            return
-    writer = csv.writer(destination, lineterminator="\n")
-    writer.writerow(["row", *grid])
-    for label, row in zip(row_labels, cells):
-        writer.writerow([label, *(format_cell(v, undefined="") for v in row)])
+    with text_stream(destination, "w") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["row", *grid])
+        for label, row in zip(row_labels, cells):
+            writer.writerow([label, *(format_cell(v, undefined="") for v in row)])

@@ -8,11 +8,11 @@ rather than guessing.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
+from .dataio import csv_rows, text_stream, write_long_table
 from .errors import MalformedRow, UnknownLabel
 from .model import CandidateRecord, GroupScheme, RankingSnapshot
 
@@ -74,21 +74,16 @@ def load_name_table(source: str | Path | TextIO, scheme: GroupScheme) -> NameFre
     rows accumulate.  Raises :class:`MalformedRow` (with the line number) on
     unparsable rows and :class:`UnknownLabel` on labels outside the scheme.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return load_name_table(handle, scheme)
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow("line 1: empty table, expected header name,label,count") from None
-    if tuple(h.strip() for h in header) != _TABLE_COLUMNS:
-        raise MalformedRow(f"line 1: expected header name,label,count, got {header!r}")
-
     counts: dict[str, dict[str, int]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        _add_row(counts, scheme, lineno, row)
+    with text_stream(source, "r") as handle:
+        rows = csv_rows(handle)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise MalformedRow("line 1: empty table, expected header name,label,count")
+        if tuple(h.strip() for h in header) != _TABLE_COLUMNS:
+            raise MalformedRow(f"line 1: expected header name,label,count, got {header!r}")
+        for lineno, row in rows:
+            _add_row(counts, scheme, lineno, row)
     return NameFrequencyTable(scheme=scheme, counts=counts)
 
 
@@ -165,17 +160,13 @@ def _lookup_key(record: CandidateRecord, full_name: bool) -> str | None:
 
 def save_name_table(table: NameFrequencyTable, destination: str | Path | TextIO) -> None:
     """Write a frequency table back to ``name,label,count`` CSV, sorted."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            save_name_table(table, handle)
-            return
-    writer = csv.writer(destination, lineterminator="\n")
-    writer.writerow(_TABLE_COLUMNS)
-    for name in sorted(table.counts):
-        entry = table.counts[name]
-        for label in table.scheme.labels:
-            if entry.get(label, 0):
-                writer.writerow([name, label, entry[label]])
+    rows = [
+        (name, label, table.counts[name][label])
+        for name in sorted(table.counts)
+        for label in table.scheme.labels
+        if table.counts[name].get(label, 0)
+    ]
+    write_long_table(rows, _TABLE_COLUMNS, destination)
 
 
 def table_from_rows(rows: Iterable[tuple[str, str, int]], scheme: GroupScheme) -> NameFrequencyTable:

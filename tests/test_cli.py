@@ -13,7 +13,7 @@ from rankaudit import MissingBaselineEntry, ZeroTargetProportion, cli, exposure,
 from rankaudit.cli import _targets_for, main
 from rankaudit.dataio import load_dataset, load_ledger
 
-from conftest import GENDER, child_env, snapshot
+from conftest import GENDER, child_env, snapshot, write_cli_inputs
 
 
 def run(*argv: str) -> int:
@@ -559,3 +559,57 @@ class TestConfigFile:
     def test_missing_config_is_a_clean_error(self, tmp_path, capsys) -> None:
         assert run("simulate", "--config", str(tmp_path / "nope.cfg"), "--seed", "5") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, argv", [
+        ("format = parquet", ["rerank", "pool.csv"]),
+        ("format = parquet", ["validate", "raw.jsonl"]),
+        ("format = parquet", ["audit", "raw.jsonl", "--labels", "F,M"]),
+        ("postprocess = shuffle", ["simulate", "--seed", "1", "--queries", "1"]),
+    ])
+    def test_config_value_outside_the_choices_is_an_error(self, tmp_path, capsys, monkeypatch,
+                                                          setting, argv) -> None:
+        write_cli_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(setting + "\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        out.write_text("earlier output\n", encoding="utf-8")
+        assert run(*argv, "--config", "run.cfg", "-o", str(out)) == 1
+        key, _, value = setting.partition(" = ")
+        assert capsys.readouterr().err.startswith(f"error: config {key} = {value!r}")
+        assert out.read_text(encoding="utf-8") == "earlier output\n"
+
+
+class TestOverlongCsvField:
+    """A field past the csv module's size limit is a line-numbered error in
+    every CSV reader, not a traceback."""
+
+    LONG = "x" * (csv.field_size_limit() + 1)
+    ERROR = f"error: line 3: field larger than field limit ({csv.field_size_limit()})\n"
+
+    def test_rerank_pool(self, tmp_path, capsys) -> None:
+        pool = tmp_path / "pool.csv"
+        pool.write_text(f"candidate_id,label,score\nc1,F,0.5\n{self.LONG},M,0.4\n", encoding="utf-8")
+        assert run("rerank", str(pool)) == 1
+        assert capsys.readouterr().err == self.ERROR
+
+    def test_name_table(self, tmp_path, capsys) -> None:
+        write_cli_inputs(tmp_path)
+        names = tmp_path / "long.csv"
+        names.write_text(f"name,label,count\nada,F,3\n{self.LONG},M,1\n", encoding="utf-8")
+        assert run("label", str(tmp_path / "raw.jsonl"), "--names", str(names)) == 1
+        assert capsys.readouterr().err == self.ERROR
+
+    def test_baseline(self, dataset, tmp_path, capsys) -> None:
+        baseline = tmp_path / "baseline.csv"
+        baseline.write_text(f"query_id,attribute,label,share\nq00000,gender,F,0.5\n{self.LONG},gender,M,0.5\n",
+                            encoding="utf-8")
+        assert run("audit", str(dataset), "--baseline", str(baseline)) == 1
+        assert capsys.readouterr().err == self.ERROR
+
+    def test_export_long_table(self, tmp_path, capsys) -> None:
+        table = tmp_path / "curves.csv"
+        table.write_text("query_id,day,attribute,label,k,metric,value\n"
+                         f"q1,1,gender,,25,minskew,-0.1\n{self.LONG},1,gender,,25,minskew,-0.1\n",
+                         encoding="utf-8")
+        assert run("export", str(table), "--metric", "minskew") == 1
+        assert capsys.readouterr().err == self.ERROR
