@@ -53,7 +53,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     logger.addHandler(handler)
     try:
         config = _load_config(args.config) if args.config else {}
-        _apply_config(args, config)
+        _apply_config(args, config, _append_options(parser))
         status = args.handler(args)
         sys.stdout.flush()
         return status
@@ -195,7 +195,23 @@ def _coerce(text: str) -> object:
     return text
 
 
-def _apply_config(args: argparse.Namespace, config: dict) -> None:
+def _append_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Destinations of the options that ``parser`` and its subcommands
+    declare with ``action="append"``."""
+    dests: set[str] = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._AppendAction):
+            dests.add(action.dest)
+        elif isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests |= _append_options(sub)
+    return dests
+
+
+def _apply_config(args: argparse.Namespace, config: dict, appended: set[str]) -> None:
+    """Fill the options left unset on the command line from ``config``; a
+    value for an option in ``appended`` becomes a one-element list, as one
+    use of the flag gives."""
     for key, value in config.items():
         if not hasattr(args, key):
             continue
@@ -203,7 +219,7 @@ def _apply_config(args: argparse.Namespace, config: dict) -> None:
         if current is None:
             if key in _CHOICES and value not in _CHOICES[key]:
                 raise ValueError(f"config {key} = {value!r}: choose from {', '.join(_CHOICES[key])}")
-            setattr(args, key, value)
+            setattr(args, key, [value] if key in appended else value)
         elif current is False and value is True:
             setattr(args, key, True)
 

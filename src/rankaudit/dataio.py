@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +38,8 @@ from .model import (
 from .simulate import QueryTruth
 
 SNAPSHOT_FIELDS = ("query_id", "day", "rank", "candidate_id", "first_name", "last_name", "groups", "missing")
+# A row's values in ``SNAPSHOT_FIELDS`` order.
+_snapshot_fields = operator.itemgetter(*SNAPSHOT_FIELDS)
 BASELINE_HEADER = ("query_id", "attribute", "label", "share")
 CURVE_HEADER = ("query_id", "day", "attribute", "label", "k", "metric", "value")
 CHURN_HEADER = ("query_id", "attribute", "label", "k", "metric", "start_day", "end_day", "value")
@@ -48,6 +51,9 @@ RERANK_HEADER = ("rank", "candidate_id", "label", "score")
 ISSUE_HEADER = ("kind", "query_id", "day", "line", "message")
 # Columns whose cells are reals, written with ``format_cell`` / ``_json_value``.
 REAL_COLUMNS = frozenset({"value", "estimate", "se", "z", "p", "ci_lo", "ci_hi", "score"})
+
+# The parse issue of a line nested deeper than the JSON decoder recurses.
+NESTING_TOO_DEEP = "invalid JSON: nesting too deep"
 
 UNDEFINED = "undefined"
 NEG_INF = "-inf"
@@ -177,30 +183,41 @@ def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]
     Rows that do not parse are reported line by line; snapshots with rank
     gaps, rank duplicates, or duplicate candidate ids are quarantined whole.
     Everything that survives is grouped into QuerySeries sorted by query id.
+
+    The file is read :data:`_CHUNK_LINES` lines at a time, and the lines
+    of a chunk that hold no ``[`` are parsed with one ``json.loads`` (see
+    :func:`_bulk_values`).  A line with a ``[``, or every line of a chunk
+    whose bulk parse fails, is parsed on its own.  Only that per-line parse
+    reports invalid JSON, and every row goes through :func:`_row_problem`,
+    so every message and line number is the one a line-by-line load gives.
     """
     report = ValidationReport()
-    grouped: dict[tuple[str, int], list[tuple[int, int, dict]]] = {}
+    grouped: dict[tuple[str, int], list[tuple[int, int, CandidateRecord]]] = {}
     tainted: dict[tuple[str, int], int] = {}
 
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            report.n_rows += 1
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                report.parse_issues.append(ParseIssue(lineno, f"invalid JSON: {exc.msg}"))
-                continue
-            problem = _row_problem(raw)
-            if problem is not None:
-                report.parse_issues.append(ParseIssue(lineno, problem))
-                key = _row_key(raw)
-                if key is not None:
-                    tainted.setdefault(key, lineno)
-                continue
-            key = (raw["query_id"], raw["day"])
-            grouped.setdefault(key, []).append((lineno, raw["rank"], raw))
+        for linenos, lines in _chunks(handle):
+            report.n_rows += len(lines)
+            for lineno, line, raw in zip(linenos, lines, _bulk_values(lines)):
+                if raw is _UNPARSED:
+                    try:
+                        raw = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        report.parse_issues.append(ParseIssue(lineno, f"invalid JSON: {exc.msg}"))
+                        continue
+                    except RecursionError:
+                        report.parse_issues.append(ParseIssue(lineno, NESTING_TOO_DEEP))
+                        continue
+                problem = _row_problem(raw)
+                if problem is not None:
+                    report.parse_issues.append(ParseIssue(lineno, problem))
+                    key = _row_key(raw)
+                    if key is not None:
+                        tainted.setdefault(key, lineno)
+                    continue
+                query_id, day, rank, candidate_id, first_name, last_name, groups, missing = _snapshot_fields(raw)
+                record = CandidateRecord._trusted(candidate_id, first_name, last_name, groups or {}, missing)
+                grouped.setdefault((query_id, day), []).append((lineno, rank, record))
 
     snapshots: dict[str, dict[int, RankingSnapshot]] = {}
     for key in sorted(grouped):
@@ -217,7 +234,8 @@ def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]
             )
             report.quarantined.append(key)
             continue
-        ids = [raw["candidate_id"] for _, _, raw in rows]
+        entries = tuple(record for _, _, record in rows)
+        ids = [record.candidate_id for record in entries]
         if len(set(ids)) != len(ids):
             dupe = next(cid for cid in ids if ids.count(cid) > 1)
             report.integrity_issues.append(
@@ -225,16 +243,6 @@ def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]
             )
             report.quarantined.append(key)
             continue
-        entries = tuple(
-            CandidateRecord(
-                candidate_id=raw["candidate_id"],
-                first_name=raw["first_name"],
-                last_name=raw["last_name"],
-                group_labels=raw["groups"] or {},
-                missing=raw["missing"],
-            )
-            for _, _, raw in rows
-        )
         snapshots.setdefault(query_id, {})[day] = RankingSnapshot(
             query_id=query_id, day=day, entries=entries
         )
@@ -255,6 +263,58 @@ def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]
     return series, report
 
 
+# Lines of the file per bulk parse.  A chunk's text and its parsed rows are
+# alive together, so the chunk size bounds the loader's extra memory.
+_CHUNK_LINES = 2048
+
+
+def _chunks(handle: Iterable[str]) -> Iterator[tuple[Sequence[int], list[str]]]:
+    """(line numbers from 1, lines) of the non-blank lines of ``handle``,
+    read :data:`_CHUNK_LINES` lines at a time."""
+    start = 1
+    while lines := list(itertools.islice(handle, _CHUNK_LINES)):
+        linenos: Sequence[int] = range(start, start + len(lines))
+        start += len(lines)
+        # ``isspace`` and ``strip`` share one definition of whitespace, and
+        # a line read from a file is never empty.
+        if any(map(str.isspace, lines)):
+            kept = [(n, line) for n, line in zip(linenos, lines) if not line.isspace()]
+            linenos = [n for n, _ in kept]
+            lines = [line for _, line in kept]
+        if lines:
+            yield linenos, lines
+
+
+# Marks a line that :func:`_bulk_values` left to be parsed on its own.
+_UNPARSED = object()
+
+
+def _bulk_values(lines: list[str]) -> list:
+    """The JSON value of each line from one ``json.loads``, with
+    :data:`_UNPARSED` for a line that holds a ``[`` and for every line when
+    the parse fails or does not give one value per line.
+
+    The lines are joined as ``[[line],[line],...]``.  With no ``[`` in any
+    of them, the joiner's brackets are the only ones that open a list: a
+    line cannot leave a list open, and a line's own ``]`` outside a string
+    closes more lists than were opened, which does not parse.  A string
+    cannot span two lines, since every line but the file's last ends in a
+    newline and no JSON string may hold one, and an object cannot take in
+    the joiner's ``],[``.  So when the text parses into one list per line,
+    each list holds exactly its own line's content, and a list of length
+    one holds the value ``json.loads`` gives that line alone.
+    """
+    plain = [line for line in lines if "[" not in line]
+    try:
+        rows = json.loads("[[" + "],[".join(plain) + "]]")
+    except (ValueError, RecursionError):
+        return [_UNPARSED] * len(lines)
+    if len(rows) != len(plain) or set(map(len, rows)) != {1}:
+        return [_UNPARSED] * len(lines)
+    values = iter(rows)
+    return [_UNPARSED if "[" in line else next(values)[0] for line in lines]
+
+
 def _row_key(raw: object) -> tuple[str, int] | None:
     if (
         isinstance(raw, dict)
@@ -267,31 +327,41 @@ def _row_key(raw: object) -> tuple[str, int] | None:
 
 
 def _row_problem(raw: object) -> str | None:
-    if not isinstance(raw, dict):
+    """The first rule a parsed row breaks, or None when it is a valid row.
+
+    ``json.loads`` gives exact ``dict``, ``list``, ``str``, ``int``,
+    ``bool``, ``float`` and ``None`` values, and only string keys, so exact
+    type tests say what ``isinstance`` would, save that a ``bool`` is not an
+    ``int`` here.
+    """
+    if type(raw) is not dict:
         return "row is not a JSON object"
-    for name in SNAPSHOT_FIELDS:
-        if name not in raw:
-            return f"required field {name!r} absent"
-    if not isinstance(raw["query_id"], str) or not raw["query_id"]:
+    try:
+        query_id, day, rank, candidate_id, first_name, last_name, groups, missing = _snapshot_fields(raw)
+    except KeyError:
+        absent = next(name for name in SNAPSHOT_FIELDS if name not in raw)
+        return f"required field {absent!r} absent"
+    if type(query_id) is not str or not query_id:
         return "query_id must be a non-empty string"
-    for name in ("day", "rank"):
-        value = raw[name]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            return f"{name} must be an integer >= 1"
-    if not isinstance(raw["candidate_id"], str) or not raw["candidate_id"]:
+    if type(day) is not int or day < 1:
+        return "day must be an integer >= 1"
+    if type(rank) is not int or rank < 1:
+        return "rank must be an integer >= 1"
+    if type(candidate_id) is not str or not candidate_id:
         return "candidate_id must be a non-empty string"
-    for name in ("first_name", "last_name"):
-        if raw[name] is not None and not isinstance(raw[name], str):
-            return f"{name} must be a string or null"
-    groups = raw["groups"]
+    if first_name is not None and type(first_name) is not str:
+        return "first_name must be a string or null"
+    if last_name is not None and type(last_name) is not str:
+        return "last_name must be a string or null"
     if groups is not None:
-        if not isinstance(groups, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in groups.items()
-        ):
+        if type(groups) is not dict:
             return "groups must be a string-to-string object or null"
-    if not isinstance(raw["missing"], bool):
+        for label in groups.values():
+            if type(label) is not str:
+                return "groups must be a string-to-string object or null"
+    if missing is not True and missing is not False:
         return "missing must be a boolean"
-    if raw["missing"] and not (raw["first_name"] is None and raw["last_name"] is None and groups is None):
+    if missing and not (first_name is None and last_name is None and groups is None):
         return "missing entries must have null names and groups"
     return None
 
@@ -363,6 +433,8 @@ def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRow(f"line {lineno}: invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise MalformedRow(f"line {lineno}: {NESTING_TOO_DEEP}") from None
         if not isinstance(raw, dict):
             raise MalformedRow(f"line {lineno}: row is not a JSON object")
         yield lineno, raw

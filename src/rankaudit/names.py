@@ -132,6 +132,9 @@ def label_dataset(
     """
     total = 0
     resolved = 0
+    # ``infer_label`` is a function of the lookup key alone, and a scrape
+    # repeats first names far more often than it brings new ones.
+    results: dict[str | None, InferenceResult] = {}
     relabeled: list[RankingSnapshot] = []
     for snapshot in snapshots:
         entries: list[CandidateRecord] = []
@@ -141,12 +144,16 @@ def label_dataset(
                 continue
             total += 1
             key = _lookup_key(record, full_name)
-            result = infer_label(key, chain)
+            result = results.get(key)
+            if result is None:
+                result = results[key] = infer_label(key, chain)
             if result.label != scheme.unknown_label:
                 resolved += 1
             labels = dict(record.group_labels)
             labels[scheme.attribute_name] = result.label
-            entries.append(replace(record, group_labels=labels))
+            entries.append(
+                CandidateRecord._trusted(record.candidate_id, record.first_name, record.last_name, labels, False)
+            )
         relabeled.append(replace(snapshot, entries=tuple(entries)))
     return relabeled, CoverageReport(total=total, resolved=resolved)
 

@@ -287,15 +287,16 @@ def _snapshot(
     scheme: GroupScheme,
     labels: tuple[str, ...],
 ) -> RankingSnapshot:
+    # Generated ids are non-empty and masked entries get no labels, so the
+    # records need no checks.
     entries = []
     for cand in order:
         if cand.masked:
-            entries.append(CandidateRecord(candidate_id=cand.candidate_id, missing=True))
+            entries.append(CandidateRecord._trusted(cand.candidate_id, None, None, {}, True))
         else:
             entries.append(
-                CandidateRecord(
-                    candidate_id=cand.candidate_id,
-                    group_labels={scheme.attribute_name: labels[cand.group]},
+                CandidateRecord._trusted(
+                    cand.candidate_id, None, None, {scheme.attribute_name: labels[cand.group]}, False
                 )
             )
     return RankingSnapshot(query_id=query_id, day=day, entries=tuple(entries))

@@ -560,6 +560,15 @@ class TestConfigFile:
         assert run("simulate", "--config", str(tmp_path / "nope.cfg"), "--seed", "5") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_list_option_from_the_config(self, tmp_path, capsys, monkeypatch) -> None:
+        write_cli_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "label.cfg").write_text("names = names.csv\n", encoding="utf-8")
+        assert run("label", "raw.jsonl", "--config", "label.cfg", "-o", "from_config.jsonl") == 0
+        assert run("label", "raw.jsonl", "--names", "names.csv", "-o", "from_flag.jsonl") == 0
+        assert "error" not in capsys.readouterr().err
+        assert (tmp_path / "from_config.jsonl").read_bytes() == (tmp_path / "from_flag.jsonl").read_bytes()
+
     @pytest.mark.parametrize("setting, argv", [
         ("format = parquet", ["rerank", "pool.csv"]),
         ("format = parquet", ["validate", "raw.jsonl"]),

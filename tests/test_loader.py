@@ -1,0 +1,447 @@
+"""The chunked snapshot loader against a reference copy of the line-by-line
+loader it replaced.
+
+``ref_load_dataset`` below is ``dataio.load_dataset`` as it stood before
+the bulk parse: one ``json.loads`` and one ``ref_row_problem`` (the
+``isinstance`` checks the exact-type ``_row_problem`` replaced) per line,
+and records built through the public constructor.  The hypothesis tests write
+the same lines to a file, load it with both (under chunk sizes small enough
+that chunk boundaries fall on bad lines) and require equal reports and
+series, or the same exception.
+"""
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankaudit import dataio
+from rankaudit.dataio import (
+    IntegrityIssue,
+    ParseIssue,
+    ValidationReport,
+    load_dataset,
+    write_snapshots,
+)
+from rankaudit.model import CandidateRecord, QuerySeries, RankingSnapshot
+
+# ---------------------------------------------------------------------------
+# reference loader
+
+
+def ref_load_dataset(path):
+    report = ValidationReport()
+    grouped = {}
+    tainted = {}
+
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            report.n_rows += 1
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                report.parse_issues.append(ParseIssue(lineno, f"invalid JSON: {exc.msg}"))
+                continue
+            problem = ref_row_problem(raw)
+            if problem is not None:
+                report.parse_issues.append(ParseIssue(lineno, problem))
+                key = dataio._row_key(raw)
+                if key is not None:
+                    tainted.setdefault(key, lineno)
+                continue
+            key = (raw["query_id"], raw["day"])
+            grouped.setdefault(key, []).append((lineno, raw["rank"], raw))
+
+    snapshots = {}
+    for key in sorted(grouped):
+        query_id, day = key
+        rows = sorted(grouped[key], key=lambda item: item[1])
+        first_line = rows[0][0]
+        if key in tainted:
+            report.quarantined.append(key)
+            continue
+        ranks = [rank for _, rank, _ in rows]
+        if ranks != list(range(1, len(rows) + 1)):
+            report.integrity_issues.append(
+                IntegrityIssue(query_id, day, first_line,
+                               f"ranks not contiguous 1..{len(rows)}: {dataio._rank_gap(ranks)}")
+            )
+            report.quarantined.append(key)
+            continue
+        ids = [raw["candidate_id"] for _, _, raw in rows]
+        if len(set(ids)) != len(ids):
+            dupe = next(cid for cid in ids if ids.count(cid) > 1)
+            report.integrity_issues.append(
+                IntegrityIssue(query_id, day, first_line, f"duplicate candidate_id {dupe!r}")
+            )
+            report.quarantined.append(key)
+            continue
+        entries = tuple(
+            CandidateRecord(
+                candidate_id=raw["candidate_id"],
+                first_name=raw["first_name"],
+                last_name=raw["last_name"],
+                group_labels=raw["groups"] or {},
+                missing=raw["missing"],
+            )
+            for _, _, raw in rows
+        )
+        snapshots.setdefault(query_id, {})[day] = RankingSnapshot(query_id=query_id, day=day, entries=entries)
+
+    for key in sorted(tainted):
+        if key not in grouped:
+            report.quarantined.append(key)
+    report.quarantined.sort()
+
+    series = [QuerySeries(query_id=query_id, snapshots=days) for query_id, days in sorted(snapshots.items())]
+    report.n_series = len(series)
+    report.n_snapshots = sum(len(s.snapshots) for s in series)
+    for one in series:
+        report.missing_rates[one.query_id] = one.snapshots[one.first_day].missing_rate
+    return series, report
+
+
+def ref_row_problem(raw):
+    if not isinstance(raw, dict):
+        return "row is not a JSON object"
+    for name in dataio.SNAPSHOT_FIELDS:
+        if name not in raw:
+            return f"required field {name!r} absent"
+    if not isinstance(raw["query_id"], str) or not raw["query_id"]:
+        return "query_id must be a non-empty string"
+    for name in ("day", "rank"):
+        value = raw[name]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            return f"{name} must be an integer >= 1"
+    if not isinstance(raw["candidate_id"], str) or not raw["candidate_id"]:
+        return "candidate_id must be a non-empty string"
+    for name in ("first_name", "last_name"):
+        if raw[name] is not None and not isinstance(raw[name], str):
+            return f"{name} must be a string or null"
+    groups = raw["groups"]
+    if groups is not None:
+        if not isinstance(groups, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in groups.items()
+        ):
+            return "groups must be a string-to-string object or null"
+    if not isinstance(raw["missing"], bool):
+        return "missing must be a boolean"
+    if raw["missing"] and not (raw["first_name"] is None and raw["last_name"] is None and groups is None):
+        return "missing entries must have null names and groups"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def row(**overrides) -> dict:
+    obj = {"query_id": "q1", "day": 1, "rank": 1, "candidate_id": "c1", "first_name": "Ana",
+           "last_name": None, "groups": {"gender": "F"}, "missing": False}
+    obj.update(overrides)
+    return obj
+
+
+def line(obj: dict) -> str:
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # both loaders must fail the same way
+        return type(exc), str(exc)
+
+
+def load_both(path: Path, text: str, chunk: int):
+    """(bulk outcome, reference outcome) for a file holding ``text``, loaded
+    ``chunk`` lines at a time."""
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(dataio, "_CHUNK_LINES", chunk):
+        got = outcome(load_dataset, path)
+    return got, outcome(ref_load_dataset, path)
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("loader")
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+NAMES = st.one_of(st.none(), st.sampled_from(["Ana", "José", "Łucja", "  ", "Zoë Ö", "王芳", ""]), st.integers(0, 3))
+GROUPS = st.one_of(
+    st.none(),
+    st.dictionaries(st.sampled_from(["gender", "ä"]), st.sampled_from(["F", "é"]), max_size=2),
+    st.just({"gender": 1}),
+    st.just(["F"]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.just(10**30), st.just(float("nan")),
+    st.floats(allow_nan=False, allow_infinity=True), st.sampled_from(["", "1", "q1", "c2"]),
+)
+EXTRA = st.one_of(SCALARS, st.lists(SCALARS, max_size=2), st.dictionaries(st.just("k"), SCALARS, max_size=1))
+
+QUERY_IDS = st.sampled_from(["q1", "q2", "é"])
+DAYS = st.integers(1, 2)
+RANKS = st.integers(1, 4)
+CANDIDATE_IDS = st.sampled_from(["c1", "c2", "c3", "ç"])
+GROUP_LABELS = st.dictionaries(st.sampled_from(["gender", "region", "ä"]), st.sampled_from(["F", "M", "unknown", "é"]),
+                               max_size=2)
+
+ROWS = st.builds(
+    lambda obj, absent: {name: value for name, value in obj.items() if name != absent},
+    st.fixed_dictionaries(
+        {
+            "query_id": st.one_of(QUERY_IDS, SCALARS),
+            "day": st.one_of(DAYS, SCALARS),
+            "rank": st.one_of(RANKS, SCALARS),
+            "candidate_id": st.one_of(CANDIDATE_IDS, SCALARS),
+            "first_name": NAMES,
+            "last_name": NAMES,
+            "groups": GROUPS,
+            "missing": st.one_of(st.booleans(), SCALARS),
+        },
+        optional={"extra": EXTRA, "zz": EXTRA},
+    ),
+    st.one_of(st.none(), st.sampled_from(dataio.SNAPSHOT_FIELDS)),
+)
+KEYS = {"query_id": QUERY_IDS, "day": DAYS, "rank": RANKS, "candidate_id": CANDIDATE_IDS}
+NAME_TEXT = st.one_of(st.none(), st.text(max_size=4))
+VALID_ROWS = st.one_of(
+    st.fixed_dictionaries(
+        {**KEYS, "first_name": NAME_TEXT, "last_name": NAME_TEXT, "groups": st.one_of(st.none(), GROUP_LABELS),
+         "missing": st.just(False)},
+        optional={"extra": EXTRA},
+    ),
+    st.fixed_dictionaries(
+        {**KEYS, "first_name": st.none(), "last_name": st.none(), "groups": st.none(), "missing": st.just(True)},
+        optional={"extra": EXTRA},
+    ),
+)
+
+
+@st.composite
+def row_lines(draw, rows) -> str:
+    """A row from ``rows`` as JSON text, escaped to ASCII or not, sometimes
+    with a duplicate key ahead of or after the others, holding a scalar, a
+    list or an object (the later value wins in both loaders)."""
+    obj = draw(rows)
+    text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    if obj and draw(st.booleans()):
+        pair = json.dumps(draw(st.sampled_from(sorted(obj)))) + ":" + json.dumps(draw(EXTRA))
+        text = "{" + pair + "," + text[1:] if draw(st.booleans()) else text[:-1] + "," + pair + "}"
+    return text
+
+
+VALID = row_lines(VALID_ROWS)
+# Pairs of lines, each invalid JSON alone, that joined as "[[first],[second]]"
+# parse as two one-element lists holding valid rows: the first leaves a list
+# open and the second closes it, then (from the second pair on) overwrites
+# the list with a duplicate key.
+OPEN_LIST_PAIRS = [
+    (line(row())[:-1] + ',"x":[[1', "2]]}],[" + line(row(rank=2, candidate_id="c2"))),
+    (line(row())[:-1] + ',"x":[[1', '2]],"x":0}],[' + line(row(rank=2, candidate_id="c2"))),
+    (line(row())[:-1] + ',"groups":[[1', '2]],"groups":{"gender":"F"}}],[' + line(row(rank=2, candidate_id="c2"))),
+]
+ADVERSARIAL = st.sampled_from([
+    "1,2", "[", "]", "1],[2", "],[", "[[", "]]", "{", "}", "]},{", '"', '"abc', "", "   ", "\t", "　",
+    "﻿" + line(row()), line(row())[:17], line(row())[:-1], line(row()) + ",", line(row()) + " x",
+    "null", "[]", "{}", '{"a":[[1', '2]]}],[{"b":1}', "NaN", "1e999", "-", "\x0c",
+    *(text for pair in OPEN_LIST_PAIRS for text in pair),
+])
+LINES = st.one_of(row_lines(ROWS), VALID, VALID, ADVERSARIAL, row_lines(ROWS).map(lambda text: text[: len(text) // 2]),
+                  st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+
+
+# ---------------------------------------------------------------------------
+# bulk load against the line-by-line reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(LINES, max_size=12), chunk=st.integers(1, 5), newline=st.sampled_from(["\n", "\r\n"]),
+       last_newline=st.booleans())
+def test_bulk_load_matches_line_by_line(data_dir, lines, chunk, newline, last_newline) -> None:
+    text = newline.join(lines) + (newline if last_newline else "")
+    got, expected = load_both(data_dir / "mixed.jsonl", text, chunk)
+    assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(VALID, min_size=1, max_size=12), chunk=st.integers(1, 13))
+def test_valid_rows_load_in_bulk_like_line_by_line(data_dir, lines, chunk) -> None:
+    got, expected = load_both(data_dir / "valid.jsonl", "".join(text + "\n" for text in lines), chunk)
+    assert got == expected
+
+
+@pytest.mark.parametrize("first, second", OPEN_LIST_PAIRS)
+def test_open_list_cannot_pass_the_next_line_off_as_a_row(tmp_path, first, second) -> None:
+    path = _write(tmp_path, [first, second, line(row(rank=3, candidate_id="c3"))])
+    series, report = load_dataset(path)
+    assert [issue.line for issue in report.parse_issues] == [1, 2]
+    assert all(issue.message.startswith("invalid JSON") for issue in report.parse_issues)
+    assert series == [] and report.quarantined == [("q1", 1)]
+    assert (series, report) == ref_load_dataset(path)
+
+
+def test_bracket_in_a_name_loads_like_line_by_line(tmp_path) -> None:
+    lines = [line(row(first_name="[Ana]")), line(row(rank=2, candidate_id="c2", last_name="]")),
+             line(row(rank=3, candidate_id="c3", groups={"gender": "F", "note": "[x"}))]
+    path = _write(tmp_path, lines)
+    series, report = load_dataset(path)
+    assert report.ok and (series, report) == ref_load_dataset(path)
+    assert [r.first_name for r in series[0].snapshots[1].entries] == ["[Ana]", "Ana", "Ana"]
+
+
+def test_chunk_boundary_on_a_bad_line(tmp_path) -> None:
+    lines = [line(row(rank=r, candidate_id=f"c{r}")) for r in range(1, 8)]
+    lines[3] = '{"query_id":"q1",'
+    lines[5] = line(row(rank="6", candidate_id="c6"))
+    path = _write(tmp_path, lines)
+    for chunk in range(1, 9):
+        with mock.patch.object(dataio, "_CHUNK_LINES", chunk):
+            got = load_dataset(path)
+        assert got == ref_load_dataset(path)
+        assert [issue.line for issue in got[1].parse_issues] == [4, 6]
+
+
+@pytest.mark.parametrize("bad_line", [0, 2])
+def test_invalid_utf8_fails_like_line_by_line(tmp_path, bad_line) -> None:
+    lines = [line(row(rank=r, candidate_id=f"c{r}")).encode() for r in range(1, 4)]
+    lines[bad_line] = lines[bad_line][:-2] + b"\xff" + lines[bad_line][-2:]
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    for chunk in (1, 2, 4):
+        with mock.patch.object(dataio, "_CHUNK_LINES", chunk):
+            got = outcome(load_dataset, path)
+        assert got[0] is UnicodeDecodeError and got == outcome(ref_load_dataset, path)
+
+
+def test_big_ints_nan_and_boolean_day(tmp_path) -> None:
+    lines = [
+        line(row(rank=10**30)),
+        '{"query_id":"q1","day":NaN,"rank":1,"candidate_id":"c1","first_name":null,'
+        '"last_name":null,"groups":null,"missing":true}',
+        line(row(day=True)),
+        line(row(query_id="q2", extra=10**40)),
+    ]
+    path = _write(tmp_path, lines)
+    series, report = load_dataset(path)
+    assert (series, report) == ref_load_dataset(path)
+    assert [issue.message for issue in report.parse_issues] == ["day must be an integer >= 1"] * 2
+    assert report.integrity_issues[0].message.startswith("ranks not contiguous")
+    assert [one.query_id for one in series] == ["q2"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(ROWS, SCALARS, st.lists(SCALARS, max_size=2)))
+def test_row_problem_matches_the_isinstance_checks(value) -> None:
+    raw = json.loads(json.dumps(value))
+    assert dataio._row_problem(raw) == ref_row_problem(raw)
+
+
+FIELD_VALUES = [None, True, False, 0, 1, -1, 2, 10**30, 1.0, float("nan"), "", "q1", "Ana", [], ["F"], {},
+                {"gender": "F"}, {"gender": 1}, {"gender": None}, {"gender": ["F"]}]
+
+
+@pytest.mark.parametrize("base", [row(), row(missing=True, first_name=None, last_name=None, groups=None)])
+def test_row_problem_matches_the_isinstance_checks_field_by_field(base) -> None:
+    for name in dataio.SNAPSHOT_FIELDS:
+        absent = {key: value for key, value in base.items() if key != name}
+        assert dataio._row_problem(absent) == ref_row_problem(absent)
+        for value in FIELD_VALUES:
+            raw = json.loads(json.dumps({**base, name: value}))
+            assert dataio._row_problem(raw) == ref_row_problem(raw), (name, value)
+
+
+ONE_RULE_BROKEN = [
+    row(query_id=""), row(query_id=1), row(day=0), row(day=1.0), row(rank=0), row(rank=-1), row(rank=None),
+    row(candidate_id=""), row(candidate_id=5), row(first_name=1), row(last_name=False), row(groups=[]),
+    row(groups={"gender": None}), row(groups="F"), row(missing=None), row(missing=0),
+    row(missing=True, first_name=None, last_name=None, groups={}),
+    row(missing=True, first_name=None, last_name="Ng", groups=None),
+    row(missing=True, first_name="Ana", last_name=None, groups=None),
+    row(extra=[1]), row(extra={"k": 1}), row(extra={}),
+]
+
+
+def test_each_broken_rule_reads_like_line_by_line(tmp_path) -> None:
+    lines = []
+    for n, obj in enumerate(ONE_RULE_BROKEN):
+        lines += [line(row(query_id=f"ok{n}")), line(obj)]
+    path = _write(tmp_path, lines)
+    for chunk in (1, 2, 3, 4096):
+        with mock.patch.object(dataio, "_CHUNK_LINES", chunk):
+            got = load_dataset(path)
+        assert got == ref_load_dataset(path)
+    assert len(got[1].parse_issues) == len(ONE_RULE_BROKEN) - 3  # the three extras are valid
+
+
+# ---------------------------------------------------------------------------
+# nesting
+
+
+def test_too_deep_a_line_is_a_parse_issue(tmp_path) -> None:
+    lines = [line(row()), "[" * 200_000, line(row(rank=2, candidate_id="c2")), ' {"a":' * 100_000]
+    series, report = load_dataset(_write(tmp_path, lines))
+    assert report.parse_issues == [ParseIssue(2, "invalid JSON: nesting too deep"),
+                                   ParseIssue(4, "invalid JSON: nesting too deep")]
+    assert [r.candidate_id for r in series[0].snapshots[1].entries] == ["c1", "c2"]
+
+
+def test_too_deep_a_line_is_a_malformed_ledger_row(tmp_path) -> None:
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("\n" + '{"query_id":' + "[" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(dataio.MalformedRow, match=r"^line 2: invalid JSON: nesting too deep$"):
+        dataio.load_ledger(path)
+
+
+# ---------------------------------------------------------------------------
+# round trip
+
+
+RECORD_NAMES = st.one_of(st.none(), st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6))
+LABELED = st.builds(
+    lambda first, last, groups: ("labeled", first, last, groups),
+    RECORD_NAMES, RECORD_NAMES,
+    st.dictionaries(st.sampled_from(["gender", "région", "年齢"]), st.sampled_from(["F", "M", "ü", "unknown"]),
+                    max_size=3),
+)
+ENTRIES = st.lists(st.one_of(LABELED, st.just(("missing",))), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(days=st.lists(ENTRIES, min_size=1, max_size=3), query_id=st.sampled_from(["q1", "Zürich", "東京"]))
+def test_write_load_write_is_byte_identical(data_dir, days, query_id) -> None:
+    snapshots = {}
+    for day, entries in enumerate(days, start=1):
+        records = []
+        for i, entry in enumerate(entries):
+            cid = f"{query_id}-{day}-{i}ß"
+            if entry[0] == "missing":
+                records.append(CandidateRecord(candidate_id=cid, missing=True))
+            else:
+                _, first, last, groups = entry
+                records.append(CandidateRecord(candidate_id=cid, first_name=first, last_name=last,
+                                               group_labels=groups))
+        snapshots[day] = RankingSnapshot(query_id=query_id, day=day, entries=tuple(records))
+    first = data_dir / "first.jsonl"
+    second = data_dir / "second.jsonl"
+    write_snapshots([QuerySeries(query_id=query_id, snapshots=snapshots)], first)
+    series, report = load_dataset(first)
+    assert report.ok
+    write_snapshots(series, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _write(directory: Path, lines: list[str]) -> Path:
+    path = directory / "data.jsonl"
+    path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+    return path

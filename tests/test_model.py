@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +76,37 @@ class TestCandidateRecord:
         rec = CandidateRecord("c1", group_labels={"gender": "nonbinary"})
         assert rec.label_for(gender) == "nonbinary"
         assert not rec.is_labeled(gender)
+
+    def test_records_are_slotted(self) -> None:
+        rec = CandidateRecord("c1", first_name="Ada")
+        assert CandidateRecord.__slots__ == ("candidate_id", "first_name", "last_name", "group_labels", "missing")
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.first_name = "Eve"
+
+    def test_public_constructor_still_checks(self) -> None:
+        with pytest.raises(ValueError, match="candidate_id must be non-empty"):
+            CandidateRecord("")
+        with pytest.raises(ValueError, match="cannot expose names"):
+            CandidateRecord("c1", last_name="Lovelace", missing=True)
+        with pytest.raises(ValueError, match="cannot expose group labels"):
+            CandidateRecord("c1", group_labels={"gender": "F"}, missing=True)
+
+    def test_trusted_constructor_builds_an_equal_record(self) -> None:
+        fields = ("c1", "Ada", None, {"gender": "F"}, False)
+        assert CandidateRecord._trusted(*fields) == CandidateRecord(*fields)
+        # It skips the checks: callers check the fields themselves.
+        assert CandidateRecord._trusted("", None, None, {}, True).candidate_id == ""
+
+    def test_replace_and_copy_still_work(self) -> None:
+        rec = CandidateRecord("c1", first_name="Ada", group_labels={"gender": "F"})
+        assert dataclasses.replace(rec, group_labels={"gender": "M"}) == CandidateRecord(
+            "c1", first_name="Ada", group_labels={"gender": "M"}
+        )
+        with pytest.raises(ValueError):
+            dataclasses.replace(rec, missing=True)
+        for clone in (copy.copy(rec), copy.deepcopy(rec)):
+            assert clone == rec and clone is not rec
 
 
 class TestRankingSnapshot:

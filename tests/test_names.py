@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankaudit import (
     CandidateRecord,
+    CoverageReport,
     MalformedRow,
     RankingSnapshot,
     UnknownLabel,
@@ -161,6 +165,58 @@ class TestLabelDataset:
         _, coverage = label_dataset([snap], GENDER, [BASIC])
         assert coverage.total == 0
         assert coverage.coverage == 0.0
+
+
+def ref_label_dataset(snapshots, scheme, chain, full_name=False):
+    """The labeling loop as it stood before ``label_dataset`` kept one
+    inference per lookup key: ``infer_label`` and ``dataclasses.replace``
+    for every record."""
+    total = resolved = 0
+    relabeled = []
+    for snap in snapshots:
+        entries = []
+        for rec in snap.entries:
+            if rec.missing:
+                entries.append(rec)
+                continue
+            total += 1
+            key = rec.first_name
+            if full_name:
+                key = " ".join(part for part in (rec.first_name, rec.last_name) if part) or None
+            result = infer_label(key, chain)
+            resolved += result.label != scheme.unknown_label
+            entries.append(dataclasses.replace(rec, group_labels={**rec.group_labels, scheme.attribute_name: result.label}))
+        relabeled.append(dataclasses.replace(snap, entries=tuple(entries)))
+    return relabeled, CoverageReport(total=total, resolved=resolved)
+
+
+FIRST = st.sampled_from(["Ada", " ADA ", "Omar", "Zelda", "", "Łucja"])
+LAST = st.sampled_from([None, "Ng", "Lovelace", ""])
+TABLE_ROWS = st.lists(st.tuples(st.sampled_from(["ada", "omar", "łucja", "ada ng", "ada lovelace", "omar ng"]),
+                                st.sampled_from(GENDER.labels), st.integers(0, 3)), max_size=8)
+
+
+@st.composite
+def labeling_snapshots(draw) -> list[RankingSnapshot]:
+    snaps = []
+    for day in range(1, draw(st.integers(1, 3)) + 1):
+        entries = []
+        for i, kind in enumerate(draw(st.lists(st.sampled_from(["named", "named", "missing"]), max_size=6))):
+            if kind == "missing":
+                entries.append(CandidateRecord(f"c{i}", missing=True))
+            else:
+                groups = draw(st.sampled_from([{}, {"region": "EU"}, {"gender": "M"}]))
+                entries.append(CandidateRecord(f"c{i}", first_name=draw(st.one_of(st.none(), FIRST)),
+                                               last_name=draw(LAST), group_labels=groups))
+        snaps.append(RankingSnapshot("q1", day, tuple(entries)))
+    return snaps
+
+
+@settings(max_examples=150, deadline=None)
+@given(snaps=labeling_snapshots(), tables=st.lists(TABLE_ROWS, min_size=1, max_size=2), full_name=st.booleans())
+def test_label_dataset_matches_the_per_record_loop(snaps, tables, full_name) -> None:
+    chain = [table_from_rows(rows, GENDER) for rows in tables]
+    assert label_dataset(snaps, GENDER, chain, full_name) == ref_label_dataset(snaps, GENDER, chain, full_name)
 
 
 class TestSaveNameTable:
