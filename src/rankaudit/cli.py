@@ -37,9 +37,6 @@ from .names import label_dataset, load_name_table
 _PROTOCOLS = ("minskew-protocol", "churn-protocol")
 _FORMATS = (dataio.FORMAT_CSV, dataio.FORMAT_JSON)
 _POSTPROCESS = (simulate.POSTPROCESS_NONE, simulate.POSTPROCESS_DETGREEDY)
-# The allowed values of each option with ``choices``; config values are
-# checked against them too, since argparse checks only the command line.
-_CHOICES = {"format": _FORMATS, "postprocess": _POSTPROCESS}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -53,7 +50,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     logger.addHandler(handler)
     try:
         config = _load_config(args.config) if args.config else {}
-        _apply_config(args, config, _append_options(parser))
+        _apply_config(args, config, _subcommand_actions(parser, args.command))
         status = args.handler(args)
         sys.stdout.flush()
         return status
@@ -164,9 +161,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # config file
 
 
-def _load_config(path: str) -> dict:
-    """Parse flat ``key = value`` lines; quotes optional, # starts a comment."""
-    values: dict[str, object] = {}
+def _load_config(path: str) -> dict[str, str]:
+    """Parse flat ``key = value`` lines; quotes optional, # starts a comment.
+    Values stay strings, as the same option on the command line gives."""
+    values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -174,54 +172,41 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = _coerce(value.strip())
+        value = value.strip()
+        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+            value = value[1:-1]
+        values[key.strip().replace("-", "_")] = value
     return values
 
 
-def _coerce(text: str) -> object:
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def _append_options(parser: argparse.ArgumentParser) -> set[str]:
-    """Destinations of the options that ``parser`` and its subcommands
-    declare with ``action="append"``."""
-    dests: set[str] = set()
+def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """The actions of subcommand ``command`` by destination."""
     for action in parser._actions:
-        if isinstance(action, argparse._AppendAction):
-            dests.add(action.dest)
-        elif isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                dests |= _append_options(sub)
-    return dests
+        if isinstance(action, argparse._SubParsersAction):
+            return {one.dest: one for one in action.choices[command]._actions}
+    return {}
 
 
-def _apply_config(args: argparse.Namespace, config: dict, appended: set[str]) -> None:
-    """Fill the options left unset on the command line from ``config``; a
-    value for an option in ``appended`` becomes a one-element list, as one
-    use of the flag gives."""
+def _apply_config(args: argparse.Namespace, config: dict[str, str], actions: dict[str, argparse.Action]) -> None:
+    """Fill the options left unset on the command line from ``config``.
+
+    A value for a flag (``store_true``) must be ``true`` or ``false``; one
+    for a repeatable option becomes a one-element list, as one use of the
+    flag gives; one for an option with ``choices`` must be among them,
+    since argparse checks only the command line."""
     for key, value in config.items():
-        if not hasattr(args, key):
+        action = actions.get(key)
+        if action is None or not action.option_strings or not hasattr(args, key):
             continue
-        current = getattr(args, key)
-        if current is None:
-            if key in _CHOICES and value not in _CHOICES[key]:
-                raise ValueError(f"config {key} = {value!r}: choose from {', '.join(_CHOICES[key])}")
-            setattr(args, key, [value] if key in appended else value)
-        elif current is False and value is True:
-            setattr(args, key, True)
+        if isinstance(action, argparse._StoreTrueAction):
+            if value.lower() not in ("true", "false"):
+                raise ValueError(f"config {key} = {value!r}: expected true or false")
+            if value.lower() == "true":
+                setattr(args, key, True)
+        elif getattr(args, key) is None:
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"config {key} = {value!r}: choose from {', '.join(action.choices)}")
+            setattr(args, key, [value] if isinstance(action, argparse._AppendAction) else value)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +589,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _read_long_table(path: str) -> list[tuple[int, dict]]:
     """Read back a long-format table, CSV or JSONL, as (line number, row)
-    pairs with the value cell typed."""
-    text = Path(path).read_text(encoding="utf-8")
+    pairs with the value cell typed.  The text is read without newline
+    translation and JSONL lines end at ``\\n`` alone: a string cell may hold
+    U+2028, U+0085 or a quoted CSV ``\\r``, which ``str.splitlines`` and
+    universal newlines would take for line ends."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        text = handle.read()
     if text.lstrip()[:1] == "{":
-        rows = list(dataio.json_objects(text.splitlines()))
+        rows = list(dataio.json_objects(text.split("\n")))
     else:
         reader = csv.DictReader(io.StringIO(text))
         try:

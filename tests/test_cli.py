@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from rankaudit import MissingBaselineEntry, ZeroTargetProportion, cli, exposure, model
+from rankaudit import MissingBaselineEntry, ZeroTargetProportion, cli, dataio, exposure, model
 from rankaudit.cli import _targets_for, main
 from rankaudit.dataio import load_dataset, load_ledger
 
@@ -487,6 +487,24 @@ class TestExportCommand:
         assert run("export", str(table), "--metric", "sparkle") == 1
         assert "no rows for metric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_jsonl_cells_may_hold_line_separators(self, tmp_path, separator) -> None:
+        table = tmp_path / "curves.jsonl"
+        query_id = f"q{separator}1"
+        dataio.write_long_table([(query_id, 1, "gender", "", 10, "minskew", -0.25)], dataio.CURVE_HEADER,
+                                table, "json")
+        heat = tmp_path / "heat.csv"
+        assert run("export", str(table), "--metric", "minskew", "-o", str(heat)) == 0
+        assert heat.read_bytes().decode("utf-8") == f"row,10\n{query_id}:1,-0.25\n"
+
+    def test_jsonl_line_numbers_count_line_feeds_only(self, tmp_path, capsys) -> None:
+        table = tmp_path / "curves.jsonl"
+        good = '{"query_id":"q\u2028\u20291","day":1,"attribute":"gender","label":"","k":10,' \
+               '"metric":"minskew","value":0.5}\n'
+        table.write_text(good + good.replace('"k":10', '"k":"ten"'), encoding="utf-8")
+        assert run("export", str(table), "--metric", "minskew") == 1
+        assert capsys.readouterr().err == "error: line 2: k 'ten' does not parse\n"
+
     def test_table_without_day_column_is_a_clean_error(self, tmp_path, capsys) -> None:
         table = tmp_path / "curves.csv"
         table.write_text("query_id,attribute,label,k,metric,value\nq1,gender,,25,minskew,-0.1\n",
@@ -569,11 +587,38 @@ class TestConfigFile:
         assert "error" not in capsys.readouterr().err
         assert (tmp_path / "from_config.jsonl").read_bytes() == (tmp_path / "from_flag.jsonl").read_bytes()
 
+    def test_number_for_a_table_option_names_a_file(self, tmp_path, capsys, monkeypatch) -> None:
+        write_cli_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "label.cfg").write_text("names = 7\n", encoding="utf-8")
+        assert run("label", "raw.jsonl", "--config", "label.cfg", "-o", "out.jsonl") == 1
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '7'\n"
+        (tmp_path / "7").write_text((tmp_path / "names.csv").read_text(encoding="utf-8"), encoding="utf-8")
+        assert run("label", "raw.jsonl", "--config", "label.cfg", "-o", "out.jsonl") == 0
+        assert run("label", "raw.jsonl", "--names", "names.csv", "-o", "flag.jsonl") == 0
+        assert (tmp_path / "out.jsonl").read_bytes() == (tmp_path / "flag.jsonl").read_bytes()
+
+    def test_number_for_the_output_option_names_a_file(self, tmp_path, monkeypatch) -> None:
+        write_cli_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("output = 3\nformat = csv\n", encoding="utf-8")
+        assert run("validate", "raw.jsonl", "--config", "run.cfg") == 0
+        assert (tmp_path / "3").read_text(encoding="utf-8") == "kind,query_id,day,line,message\n"
+
+    @pytest.mark.parametrize("value, expected", [("TRUE", True), ("true", True), ("false", False)])
+    def test_flag_from_the_config(self, value, expected) -> None:
+        parser = cli._build_parser()
+        args = parser.parse_args(["label", "raw.jsonl"])
+        cli._apply_config(args, {"full_name": value, "queries": "3"}, cli._subcommand_actions(parser, "label"))
+        assert args.full_name is expected
+        assert not hasattr(args, "queries")
+
     @pytest.mark.parametrize("setting, argv", [
         ("format = parquet", ["rerank", "pool.csv"]),
         ("format = parquet", ["validate", "raw.jsonl"]),
         ("format = parquet", ["audit", "raw.jsonl", "--labels", "F,M"]),
         ("postprocess = shuffle", ["simulate", "--seed", "1", "--queries", "1"]),
+        ("full_name = 1", ["label", "raw.jsonl", "--names", "names.csv"]),
     ])
     def test_config_value_outside_the_choices_is_an_error(self, tmp_path, capsys, monkeypatch,
                                                           setting, argv) -> None:

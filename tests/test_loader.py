@@ -12,6 +12,7 @@ series, or the same exception.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankaudit import dataio
+from rankaudit import cli, dataio
 from rankaudit.dataio import (
     IntegrityIssue,
     ParseIssue,
@@ -401,6 +402,37 @@ def test_too_deep_a_line_is_a_malformed_ledger_row(tmp_path) -> None:
     path.write_text("\n" + '{"query_id":' + "[" * 200_000 + "\n", encoding="utf-8")
     with pytest.raises(dataio.MalformedRow, match=r"^line 2: invalid JSON: nesting too deep$"):
         dataio.load_ledger(path)
+
+
+# ---------------------------------------------------------------------------
+# integers past the int-string conversion limit
+
+
+LIMIT_MESSAGE = r"invalid number: Exceeds the limit \(4300 digits\) for integer string conversion"
+
+
+def test_too_long_an_integer_is_a_parse_issue(tmp_path) -> None:
+    lines = [line(row()), line(row(rank=2, candidate_id="c2")).replace('"rank":2', '"rank":' + "2" * 5000),
+             line(row(rank=2, candidate_id="c3"))]
+    series, report = load_dataset(_write(tmp_path, lines))
+    assert [issue.line for issue in report.parse_issues] == [2]
+    assert re.match(LIMIT_MESSAGE, report.parse_issues[0].message)
+    assert [r.candidate_id for r in series[0].snapshots[1].entries] == ["c1", "c3"]
+
+
+def test_too_long_an_integer_is_a_malformed_ledger_row(tmp_path) -> None:
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("\n" + '{"query_id":' + "9" * 5000 + "}\n", encoding="utf-8")
+    with pytest.raises(dataio.MalformedRow, match="^line 2: " + LIMIT_MESSAGE):
+        dataio.load_ledger(path)
+
+
+def test_validate_reports_too_long_an_integer_on_its_line(tmp_path, capsys) -> None:
+    path = _write(tmp_path, [line(row()), line(row(rank=2)).replace('"rank":2', '"rank":' + "1" * 5000)])
+    assert cli.main(["validate", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [issue["line"] for issue in report["parse_issues"]] == [2]
+    assert report["n_series"] == 1
 
 
 # ---------------------------------------------------------------------------

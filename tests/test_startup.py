@@ -1,5 +1,6 @@
-"""Start-up cost: only the simulator loads scipy, and only it and the model
-fits load numpy.
+"""Start-up cost: only the simulator loads scipy, only it and the model
+fits load numpy, and only writing a table or dataset loads the line
+encoders.
 
 Importing scipy costs about half a second per process and numpy about
 0.15 s, and the daily audit chain starts the CLI once per stage; the model
@@ -101,3 +102,20 @@ def test_simulating_does_load_scipy(workdir) -> None:
                    "-o", "sim.jsonl"]], workdir)
     assert seen["scipy"] != []
     assert seen["numpy"] != []
+
+
+def test_import_leaves_the_line_encoders_unloaded() -> None:
+    """The table writers load their encoders when they first write: a fresh
+    import neither compiles that module nor generates an encoder, and
+    writing one table generates one."""
+    code = (
+        "import io, sys, rankaudit.cli\n"
+        "from rankaudit import dataio\n"
+        "before = 'rankaudit.encoders' in sys.modules\n"
+        "dataio.write_long_table([('q', 1, 'g', 'F', 5, 'skew', 0.5)], dataio.CURVE_HEADER, io.StringIO())\n"
+        "from rankaudit import encoders\n"
+        "print(before, encoders.line_encoder.cache_info().currsize)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "1"]
