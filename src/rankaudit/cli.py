@@ -9,11 +9,8 @@ deterministic (sorted by query, day, cutoff).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -21,8 +18,8 @@ from typing import Sequence
 
 from . import churn as churn_mod
 from . import dataio, exposure, mixedlm, simulate
-from .detgreedy import ScoredCandidate, detgreedy_rerank
-from .errors import AuditError, MalformedRow, MissingBaselineEntry
+from .detgreedy import detgreedy_rerank
+from .errors import AuditError, MissingBaselineEntry
 from .model import (
     GroupProportions,
     GroupScheme,
@@ -393,7 +390,7 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
-    pool = _read_pool(args.pool)
+    pool = dataio.read_pool(args.pool)
     if args.proportions:
         shares = {}
         for part in _csv_list(args.proportions):
@@ -422,27 +419,6 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     if not result.feasible:
         print(f"warning: {len(result.violation_positions)} prefix-constraint violations", file=sys.stderr)
     return 0
-
-
-def _read_pool(path: str) -> list[ScoredCandidate]:
-    """Read a ``candidate_id,label,score`` CSV; bad rows raise
-    :class:`MalformedRow` with their line number."""
-    pool: list[ScoredCandidate] = []
-    with dataio.text_stream(path, "r") as handle:
-        rows = dataio.csv_rows(handle)
-        _, header = next(rows, (1, None))
-        if header is None or tuple(h.strip() for h in header) != ("candidate_id", "label", "score"):
-            raise ValueError("pool CSV must have header candidate_id,label,score")
-        for lineno, row in rows:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedRow(f"line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                pool.append(ScoredCandidate(row[0].strip(), row[1].strip(), float(row[2])))
-            except ValueError as exc:
-                raise MalformedRow(f"line {lineno}: {exc}") from None
-    return pool
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -541,7 +517,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    rows = _read_long_table(args.table)
+    rows = dataio.read_long_table(args.table)
     wanted = [(n, r) for n, r in rows if r.get("metric") == args.metric]
     if args.label is not None:
         wanted = [(n, r) for n, r in wanted if r.get("label") == args.label]
@@ -551,15 +527,16 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if len(labels) > 1:
         raise ValueError(f"rows span labels {sorted(labels)}; pass --label to pick one")
 
+    cell = dataio.table_cell
     if "start_day" in wanted[0][1]:
         cells = [
             churn_mod.ChurnCell(
-                query_id=_cell(n, r, "query_id", str),
+                query_id=cell(n, r, "query_id", str),
                 attribute=r.get("attribute", ""),
                 label=r.get("label", ""),
-                k=_cell(n, r, "k", int),
-                start_day=_cell(n, r, "start_day", int),
-                end_day=_cell(n, r, "end_day", int),
+                k=cell(n, r, "k", int),
+                start_day=cell(n, r, "start_day", int),
+                end_day=cell(n, r, "end_day", int),
                 churn=r["value"],
                 base_count=1 if r["value"] is not None else 0,
             )
@@ -570,8 +547,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
         grouped: dict[tuple[str, int], dict[int, float | None]] = {}
         attr = wanted[0][1].get("attribute", "")
         for n, r in wanted:
-            key = (_cell(n, r, "query_id", str), _cell(n, r, "day", int))
-            grouped.setdefault(key, {})[_cell(n, r, "k", int)] = r["value"]
+            key = (cell(n, r, "query_id", str), cell(n, r, "day", int))
+            grouped.setdefault(key, {})[cell(n, r, "k", int)] = r["value"]
         source = [
             exposure.MetricCurve(
                 query_id=query_id,
@@ -585,47 +562,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         ]
     dataio.export_heatmap(source, args.output or sys.stdout)
     return 0
-
-
-def _read_long_table(path: str) -> list[tuple[int, dict]]:
-    """Read back a long-format table, CSV or JSONL, as (line number, row)
-    pairs with the value cell typed.  The text is read without newline
-    translation and JSONL lines end at ``\\n`` alone: a string cell may hold
-    U+2028, U+0085 or a quoted CSV ``\\r``, which ``str.splitlines`` and
-    universal newlines would take for line ends."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        text = handle.read()
-    if text.lstrip()[:1] == "{":
-        rows = list(dataio.json_objects(text.split("\n")))
-    else:
-        reader = csv.DictReader(io.StringIO(text))
-        try:
-            rows = [(reader.line_num, raw) for raw in reader]
-        except csv.Error as exc:
-            raise MalformedRow(f"line {reader.reader.line_num}: {exc}") from None
-    for lineno, raw in rows:
-        raw["value"] = _cell(lineno, raw, "value", _parse_cell, required=False)
-    return rows
-
-
-def _cell(lineno: int, row: dict, column: str, parse, required: bool = True):
-    """One cell of a long-table row passed through ``parse``; an absent or
-    unparsable cell raises :class:`MalformedRow` with the line number."""
-    value = row.get(column)
-    if value is None and required:
-        raise MalformedRow(f"line {lineno}: no {column!r} value")
-    try:
-        return parse(value)
-    except (TypeError, ValueError):
-        raise MalformedRow(f"line {lineno}: {column} {value!r} does not parse") from None
-
-
-def _parse_cell(value) -> float | None:
-    if value is None or value == dataio.UNDEFINED or value == "":
-        return None
-    if value == dataio.NEG_INF:
-        return -math.inf
-    return float(value)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """File formats, dataset validation, and tabular exports.
 
-Snapshot datasets travel as JSONL, one object per ranked entry; baselines as
-CSV; metric curves and churn grids as long-format tables (CSV or JSONL);
-heatmaps as rectangular CSV matrices.  Paths and open streams both pass
-through :func:`text_stream`; every fixed-schema table goes through
+Snapshot datasets travel as JSONL, one object per ranked entry; baselines,
+name tables and scored pools as CSV; metric curves and churn grids as
+long-format tables (CSV or JSONL); heatmaps as rectangular CSV matrices.
+Paths and open streams both pass through :func:`text_stream`.  Headed CSV
+inputs (:func:`load_baseline`, :func:`read_pool`, ``names.load_name_table``)
+are read through :func:`csv_table`, long tables through
+:func:`read_long_table`, JSONL through :func:`load_dataset` and
+:func:`json_objects`; every fixed-schema table is written by
 :func:`write_long_table`.  All text output is UTF-8 with LF line endings,
 and cells of the :data:`REAL_COLUMNS` are formatted with 10 significant
 digits so identical analyses produce byte-identical files.  Undefined cells
@@ -20,6 +24,7 @@ the f-string could render differently from ``json`` goes through ``json``.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -30,6 +35,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .churn import ChurnCell, mean_churn_by
+from .detgreedy import ScoredCandidate
 from .errors import InconsistentGrid, MalformedRow, UnknownLabel
 from .exposure import CHURN, MetricCurve
 from .mixedlm import ProtocolRow
@@ -47,6 +53,7 @@ SNAPSHOT_FIELDS = ("query_id", "day", "rank", "candidate_id", "first_name", "las
 # A row's values in ``SNAPSHOT_FIELDS`` order.
 _snapshot_fields = operator.itemgetter(*SNAPSHOT_FIELDS)
 BASELINE_HEADER = ("query_id", "attribute", "label", "share")
+POOL_HEADER = ("candidate_id", "label", "score")
 CURVE_HEADER = ("query_id", "day", "attribute", "label", "k", "metric", "value")
 CHURN_HEADER = ("query_id", "attribute", "label", "k", "metric", "start_day", "end_day", "value")
 LEDGER_KEYS = ("query_id", "weights", "composition", "labels", "scores", "departures")
@@ -101,18 +108,36 @@ def text_stream(target: str | Path | TextIO, mode: str) -> Iterator[TextIO]:
 
 
 def csv_rows(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """(row number from 1, fields) for each row of a CSV stream; a row the
-    ``csv`` module cannot split, such as one with an overlong field, raises
-    :class:`MalformedRow` with its row number."""
+    """(line number, fields) for each row of a CSV stream, numbered by the
+    physical line the row ends on; a row the ``csv`` module cannot split,
+    such as one with an overlong field, raises :class:`MalformedRow` with
+    the line it stopped at."""
     reader = csv.reader(stream)
-    for lineno in itertools.count(1):
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise MalformedRow(f"line {lineno}: {exc}") from None
-        yield lineno, row
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+
+
+def csv_table(source: str | Path | TextIO, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) for each non-blank row of a CSV table whose
+    first row, stripped, must be ``header``; a missing or different header
+    and a row of the wrong width raise :class:`MalformedRow`."""
+    expected, width = ",".join(header), len(header)
+    with text_stream(source, "r") as handle:
+        rows = csv_rows(handle)
+        _, first = next(rows, (1, None))
+        if first is None:
+            raise MalformedRow(f"line 1: empty file, expected header {expected}")
+        if tuple(h.strip() for h in first) != tuple(header):
+            raise MalformedRow(f"line 1: expected header {expected}, got {first!r}")
+        for lineno, row in rows:
+            if not row:
+                continue
+            if len(row) != width:
+                raise MalformedRow(f"line {lineno}: expected {width} fields, got {len(row)}")
+            yield lineno, row
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +246,7 @@ def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]
     Rows that do not parse are reported line by line; snapshots with rank
     gaps, rank duplicates, or duplicate candidate ids are quarantined whole.
     Everything that survives is grouped into QuerySeries sorted by query id.
+    Lines end at LF alone: a CR is JSON whitespace, not a line end.
 
     The file is read :data:`_CHUNK_LINES` lines at a time, and the lines
     of a chunk that hold no ``[`` are parsed with one ``json.loads`` (see
@@ -233,21 +259,14 @@ def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]
     grouped: dict[tuple[str, int], list[tuple[int, int, CandidateRecord]]] = {}
     tainted: dict[tuple[str, int], int] = {}
 
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for linenos, lines in _chunks(handle):
             report.n_rows += len(lines)
             for lineno, line, raw in zip(linenos, lines, _bulk_values(lines)):
                 if raw is _UNPARSED:
-                    try:
-                        raw = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        report.parse_issues.append(ParseIssue(lineno, f"invalid JSON: {exc.msg}"))
-                        continue
-                    except ValueError as exc:
-                        report.parse_issues.append(ParseIssue(lineno, f"{INVALID_NUMBER}: {exc}"))
-                        continue
-                    except RecursionError:
-                        report.parse_issues.append(ParseIssue(lineno, NESTING_TOO_DEEP))
+                    raw, problem = _parse_json_line(line)
+                    if problem is not None:
+                        report.parse_issues.append(ParseIssue(lineno, problem))
                         continue
                 problem = _row_problem(raw)
                 if problem is not None:
@@ -356,6 +375,19 @@ def _bulk_values(lines: list[str]) -> list:
     return [_UNPARSED if "[" in line else next(values)[0] for line in lines]
 
 
+def _parse_json_line(line: str) -> tuple[object, str | None]:
+    """(value, None) for a line holding one JSON value, else (None, the
+    parse issue that says why it does not parse)."""
+    try:
+        return json.loads(line), None
+    except json.JSONDecodeError as exc:
+        return None, f"invalid JSON: {exc.msg}"
+    except ValueError as exc:
+        return None, f"{INVALID_NUMBER}: {exc}"
+    except RecursionError:
+        return None, NESTING_TOO_DEEP
+
+
 def _row_key(raw: object) -> tuple[str, int] | None:
     if (
         isinstance(raw, dict)
@@ -440,9 +472,10 @@ def write_ledger(truths: Iterable[QueryTruth], destination: str | Path | TextIO)
 
 def load_ledger(path: str | Path) -> list[QueryTruth]:
     """Read a ledger written by :func:`write_ledger`; a line that is not a
-    ledger object raises :class:`MalformedRow` with its line number."""
+    ledger object raises :class:`MalformedRow` with its line number.  Lines
+    end at LF alone."""
     truths = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for lineno, raw in json_objects(handle):
             for key in LEDGER_KEYS:
                 if key not in raw:
@@ -470,16 +503,11 @@ def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRow(f"line {lineno}: invalid JSON: {exc.msg}") from None
-        except ValueError as exc:
-            raise MalformedRow(f"line {lineno}: {INVALID_NUMBER}: {exc}") from None
-        except RecursionError:
-            raise MalformedRow(f"line {lineno}: {NESTING_TOO_DEEP}") from None
-        if not isinstance(raw, dict):
-            raise MalformedRow(f"line {lineno}: row is not a JSON object")
+        raw, problem = _parse_json_line(line)
+        if problem is None and not isinstance(raw, dict):
+            problem = "row is not a JSON object"
+        if problem is not None:
+            raise MalformedRow(f"line {lineno}: {problem}")
         yield lineno, raw
 
 
@@ -497,34 +525,23 @@ def load_baseline(
     and sum to 1 within 1e-6; shares are renormalized to sum exactly 1.
     """
     shares: dict[tuple[str, str], dict[str, float]] = {}
-    with text_stream(path, "r") as handle:
-        rows = csv_rows(handle)
-        _, header = next(rows, (1, None))
-        if header is None:
-            raise MalformedRow("line 1: empty baseline file")
-        if tuple(h.strip() for h in header) != BASELINE_HEADER:
-            raise MalformedRow(f"line 1: expected header {','.join(BASELINE_HEADER)}, got {header!r}")
-        for lineno, row in rows:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise MalformedRow(f"line {lineno}: expected 4 fields, got {len(row)}")
-            query_id, attribute, label, raw_share = (f.strip() for f in row)
-            scheme = schemes.get(attribute)
-            if scheme is None:
-                raise UnknownLabel(f"line {lineno}: no scheme for attribute {attribute!r}")
-            if label not in scheme.labels:
-                raise UnknownLabel(f"line {lineno}: label {label!r} not in scheme {attribute!r}")
-            try:
-                share = float(raw_share)
-            except ValueError:
-                raise MalformedRow(f"line {lineno}: share {raw_share!r} is not a number") from None
-            if not 0.0 <= share <= 1.0:
-                raise MalformedRow(f"line {lineno}: share must be in [0, 1]")
-            bucket = shares.setdefault((query_id, attribute), {})
-            if label in bucket:
-                raise MalformedRow(f"line {lineno}: duplicate label {label!r} for {query_id!r}/{attribute!r}")
-            bucket[label] = share
+    for lineno, row in csv_table(path, BASELINE_HEADER):
+        query_id, attribute, label, raw_share = (f.strip() for f in row)
+        scheme = schemes.get(attribute)
+        if scheme is None:
+            raise UnknownLabel(f"line {lineno}: no scheme for attribute {attribute!r}")
+        if label not in scheme.labels:
+            raise UnknownLabel(f"line {lineno}: label {label!r} not in scheme {attribute!r}")
+        try:
+            share = float(raw_share)
+        except ValueError:
+            raise MalformedRow(f"line {lineno}: share {raw_share!r} is not a number") from None
+        if not 0.0 <= share <= 1.0:
+            raise MalformedRow(f"line {lineno}: share must be in [0, 1]")
+        bucket = shares.setdefault((query_id, attribute), {})
+        if label in bucket:
+            raise MalformedRow(f"line {lineno}: duplicate label {label!r} for {query_id!r}/{attribute!r}")
+        bucket[label] = share
 
     out: dict[tuple[str, str], GroupProportions] = {}
     for (query_id, attribute), bucket in shares.items():
@@ -541,6 +558,22 @@ def load_baseline(
             source=EXTERNAL_BASELINE,
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# scored pool CSV
+
+
+def read_pool(source: str | Path | TextIO) -> list[ScoredCandidate]:
+    """Read a ``candidate_id,label,score`` CSV; bad rows raise
+    :class:`MalformedRow` with their line number."""
+    pool: list[ScoredCandidate] = []
+    for lineno, (candidate_id, label, score) in csv_table(source, POOL_HEADER):
+        try:
+            pool.append(ScoredCandidate(candidate_id.strip(), label.strip(), float(score)))
+        except ValueError as exc:
+            raise MalformedRow(f"line {lineno}: {exc}") from None
+    return pool
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +721,48 @@ def _json_value(value: float | None) -> float | str | None:
     if value == -math.inf:
         return NEG_INF
     return float(format_real(value))
+
+
+def read_long_table(source: str | Path | TextIO) -> list[tuple[int, dict]]:
+    """Read back a long-format table, CSV or JSONL, as (line number, row)
+    pairs with the value cell typed.  The text is read without newline
+    translation and its lines end at ``\\n`` alone: a string cell may hold
+    U+2028, U+0085 or a quoted CSV ``\\r``, which ``str.splitlines`` and
+    universal newlines would take for line ends.  A CSV row's cells are
+    keyed by the header; a short row's absent cells read as None."""
+    with text_stream(source, "r") as handle:
+        text = handle.read()
+    lines = io.StringIO(text)
+    if text.lstrip()[:1] == "{":
+        rows = list(json_objects(lines))
+    else:
+        table = csv_rows(lines)
+        _, header = next(table, (1, []))
+        rows = [(n, dict(itertools.zip_longest(header, row[:len(header)]))) for n, row in table if row]
+    for lineno, raw in rows:
+        raw["value"] = table_cell(lineno, raw, "value", _parse_cell, required=False)
+    return rows
+
+
+def table_cell(lineno: int, row: dict, column: str, parse, required: bool = True):
+    """One cell of a long-table row passed through ``parse``; an absent or
+    unparsable cell raises :class:`MalformedRow` with the line number."""
+    value = row.get(column)
+    if value is None and required:
+        raise MalformedRow(f"line {lineno}: no {column!r} value")
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedRow(f"line {lineno}: {column} {value!r} does not parse") from None
+
+
+def _parse_cell(value) -> float | None:
+    """A real cell as :func:`format_cell` or :func:`_json_value` wrote it."""
+    if value is None or value == UNDEFINED or value == "":
+        return None
+    if value == NEG_INF:
+        return -math.inf
+    return float(value)
 
 
 def write_protocol_table(

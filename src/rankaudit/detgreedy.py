@@ -88,9 +88,10 @@ def detgreedy_rerank(pool: Sequence[ScoredCandidate], proportions: GroupProporti
     heads = [queue[0].score if queue else 0.0 for queue in queues]
     nexts = [0] * m
     counts = [0] * m
-    active = [i for i in range(m) if queues[i]]
+    groups = range(m)
+    active = [i for i in groups if queues[i]]
     order: list[str] = []
-    out_labels: list[int] = []
+    violations: list[tuple[int, str]] = []
 
     for k in range(1, len(pool) + 1):
         pick = -1
@@ -122,7 +123,6 @@ def detgreedy_rerank(pool: Sequence[ScoredCandidate], proportions: GroupProporti
                         pick = i
         queue = queues[pick]
         order.append(queue[nexts[pick]].candidate_id)
-        out_labels.append(pick)
         counts[pick] += 1
         nexts[pick] += 1
         if nexts[pick] == len(queue):
@@ -130,9 +130,13 @@ def detgreedy_rerank(pool: Sequence[ScoredCandidate], proportions: GroupProporti
             heads[pick] = -math.inf
         else:
             heads[pick] = queue[nexts[pick]].score
+        # The prefix constraints at k, tested as in _violations_by_index.
+        for i in groups:
+            count = counts[i]
+            if not count - 1 < targets[i] * k < count + 1:
+                violations.append((k, labels[i]))
 
-    violations = _violations_by_index(out_labels, targets, labels)
-    return RerankResult(order=tuple(order), feasible=not violations, violation_positions=violations)
+    return RerankResult(order=tuple(order), feasible=not violations, violation_positions=tuple(violations))
 
 
 def check_feasibility(

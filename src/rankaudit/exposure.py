@@ -98,8 +98,11 @@ def deviation_at_k(
     k: int,
 ) -> float:
     """Target share minus observed labeled share of ``label`` in the top k."""
-    share = _observed_share(snapshot, scheme, proportions, label, k)
-    return proportions.shares[label] - share
+    _check_cutoff(snapshot, k)
+    _check_label(scheme, label)
+    if label not in proportions.shares:
+        raise UnknownLabel(f"label {label!r} has no target proportion")
+    return _point(deviation_curve(snapshot, scheme, proportions, label, [k]), snapshot, k)
 
 
 def skew_at_k(
@@ -116,11 +119,8 @@ def skew_at_k(
     not strictly positive and :class:`EmptyLabeledPrefix` when no labeled
     candidate sits above the cutoff.
     """
-    target = _positive_target(proportions, label)
-    share = _observed_share(snapshot, scheme, proportions, label, k)
-    if share == 0.0:
-        return -math.inf
-    return math.log(share / target)
+    _check_cutoff(snapshot, k)
+    return _point(skew_curve(snapshot, scheme, proportions, label, [k]), snapshot, k)
 
 
 def min_skew_at_k(
@@ -130,7 +130,8 @@ def min_skew_at_k(
     k: int,
 ) -> float:
     """Minimum skew over all labels of the scheme; at most zero."""
-    return min(skew_at_k(snapshot, scheme, proportions, label, k) for label in scheme.labels)
+    _check_cutoff(snapshot, k)
+    return _point(minskew_curve(snapshot, scheme, proportions, [k]), snapshot, k)
 
 
 def best_attainable_skew(p_star: float, k: int) -> float:
@@ -267,6 +268,15 @@ def _skew_cell(table: PrefixCounts, label: str, target: float, k: int) -> float 
     return math.log(share / target)
 
 
+def _point(curve: MetricCurve, snapshot: RankingSnapshot, k: int) -> float:
+    """The cell of a one-cutoff curve at a cutoff already checked: it is
+    undefined only when no labeled candidate sits above the cutoff."""
+    value = curve.values[k]
+    if value is None:
+        raise EmptyLabeledPrefix(f"no labeled candidates in top {k} of {snapshot.query_id!r} day {snapshot.day}")
+    return value
+
+
 def _curve(snapshot, scheme, label, metric, grid, cell):
     return MetricCurve(
         query_id=snapshot.query_id,
@@ -302,21 +312,3 @@ def _positive_target(proportions: GroupProportions, label: str) -> float:
     if target <= 0.0:
         raise ZeroTargetProportion(f"target share for {label!r} must be positive, got {target!r}")
     return target
-
-
-def _observed_share(
-    snapshot: RankingSnapshot,
-    scheme: GroupScheme,
-    proportions: GroupProportions,
-    label: str,
-    k: int,
-) -> float:
-    _check_label(scheme, label)
-    if label not in proportions.shares:
-        raise UnknownLabel(f"label {label!r} has no target proportion")
-    tally = topk_counts(snapshot, scheme, k)
-    if tally.labeled_total == 0:
-        raise EmptyLabeledPrefix(
-            f"no labeled candidates in top {k} of {snapshot.query_id!r} day {snapshot.day}"
-        )
-    return tally.counts[label] / tally.labeled_total

@@ -111,15 +111,12 @@ _set_candidate_id, _set_first_name, _set_last_name, _set_group_labels, _set_miss
 class RankingSnapshot:
     """An ordered candidate list for one query on one day.
 
-    ``entries`` is rank order: ``entries[0]`` is rank 1.  ``pool_size`` is the
-    total number of candidates the source reported for the query, when known;
-    it may exceed ``len(entries)`` for truncated scrapes.
+    ``entries`` is rank order: ``entries[0]`` is rank 1.
     """
 
     query_id: str
     day: int
     entries: tuple[CandidateRecord, ...]
-    pool_size: int | None = None
 
     def __post_init__(self) -> None:
         if not self.query_id:
@@ -129,8 +126,6 @@ class RankingSnapshot:
         ids = [e.candidate_id for e in self.entries]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate candidate_id in snapshot {self.query_id!r} day {self.day}")
-        if self.pool_size is not None and self.pool_size < len(self.entries):
-            raise ValueError("pool_size cannot be smaller than the entry list")
 
     @property
     def missing_count(self) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .dataio import csv_rows, text_stream, write_long_table
+from .dataio import csv_table, write_long_table
 from .errors import MalformedRow, UnknownLabel
 from .model import CandidateRecord, GroupScheme, RankingSnapshot
 
@@ -75,15 +75,8 @@ def load_name_table(source: str | Path | TextIO, scheme: GroupScheme) -> NameFre
     unparsable rows and :class:`UnknownLabel` on labels outside the scheme.
     """
     counts: dict[str, dict[str, int]] = {}
-    with text_stream(source, "r") as handle:
-        rows = csv_rows(handle)
-        _, header = next(rows, (1, None))
-        if header is None:
-            raise MalformedRow("line 1: empty table, expected header name,label,count")
-        if tuple(h.strip() for h in header) != _TABLE_COLUMNS:
-            raise MalformedRow(f"line 1: expected header name,label,count, got {header!r}")
-        for lineno, row in rows:
-            _add_row(counts, scheme, lineno, row)
+    for lineno, row in csv_table(source, _TABLE_COLUMNS):
+        _add_row(counts, scheme, lineno, row)
     return NameFrequencyTable(scheme=scheme, counts=counts)
 
 

@@ -335,9 +335,7 @@ def inject_topk_bias(
             if moved:
                 demotions += moved
                 snapshots_touched += 1
-                new_snaps[day] = RankingSnapshot(
-                    query_id=snap.query_id, day=snap.day, entries=entries, pool_size=snap.pool_size
-                )
+                new_snaps[day] = RankingSnapshot(query_id=snap.query_id, day=snap.day, entries=entries)
             else:
                 new_snaps[day] = snap
         modified.append(QuerySeries(query_id=one.query_id, snapshots=new_snaps))

@@ -513,6 +513,15 @@ class TestExportCommand:
         assert capsys.readouterr().err == "error: line 2: no 'day' value\n"
 
 
+    @pytest.mark.parametrize("k", ["Infinity", "1e400"])
+    def test_cutoff_too_large_for_an_int_is_a_clean_error(self, tmp_path, capsys, k) -> None:
+        table = tmp_path / "curves.jsonl"
+        table.write_text('{"query_id":"q1","day":1,"attribute":"gender","label":"","k":' + k
+                         + ',"metric":"minskew","value":0.5}\n', encoding="utf-8")
+        assert run("export", str(table), "--metric", "minskew") == 1
+        assert capsys.readouterr().err == "error: line 1: k inf does not parse\n"
+
+
 class TestLabelCommand:
     def test_labels_from_name_tables(self, tmp_path, capsys) -> None:
         names = tmp_path / "names.csv"

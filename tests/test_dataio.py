@@ -290,7 +290,7 @@ class TestBaseline:
     def test_rejects_bad_header_and_empty_file(self, tmp_path) -> None:
         with pytest.raises(MalformedRow, match="line 1"):
             load_baseline(self.write(tmp_path, "query,attr,label,share\nq1,gender,F,1\n"), {"gender": GENDER})
-        with pytest.raises(MalformedRow, match="empty baseline"):
+        with pytest.raises(MalformedRow, match="line 1: empty file, expected header query_id,attribute"):
             load_baseline(self.write(tmp_path, ""), {"gender": GENDER})
 
     def test_rejects_unknown_attribute_and_label(self, tmp_path) -> None:

@@ -193,3 +193,30 @@ class TestInvariants:
     def test_affine_score_maps_leave_order_unchanged(self, pool, a, b) -> None:
         mapped = [ScoredCandidate(c.candidate_id, c.label, a * c.score + b) for c in pool]
         assert detgreedy_rerank(mapped, HALF).order == detgreedy_rerank(pool, HALF).order
+
+
+@st.composite
+def lopsided_pools(draw):
+    """2-4 labels with arbitrary targets and group sizes, some of them too
+    small (or empty) for their share, so groups run out mid-ranking."""
+    labels = ("a", "b", "c", "d")[: draw(st.integers(min_value=2, max_value=4))]
+    weights = draw(st.lists(st.integers(min_value=0, max_value=10), min_size=len(labels), max_size=len(labels))
+                   .filter(any))
+    props = GroupProportions(GroupScheme("tier", labels),
+                             {label: w / sum(weights) for label, w in zip(labels, weights)})
+    pool = [
+        ScoredCandidate(f"{label}{i}", label, float(draw(st.integers(min_value=0, max_value=5))))
+        for label in labels
+        for i in range(draw(st.integers(min_value=0, max_value=8)))
+    ]
+    return pool, props
+
+
+@given(lopsided_pools().filter(lambda case: case[0]))
+@settings(max_examples=300)
+def test_violations_match_check_feasibility(case) -> None:
+    pool, props = case
+    result = detgreedy_rerank(pool, props)
+    labels = {c.candidate_id: c.label for c in pool}
+    assert result.violation_positions == check_feasibility([labels[cid] for cid in result.order], props)
+    assert result.feasible == (result.violation_positions == ())

@@ -4,7 +4,8 @@ loader it replaced.
 ``ref_load_dataset`` below is ``dataio.load_dataset`` as it stood before
 the bulk parse: one ``json.loads`` and one ``ref_row_problem`` (the
 ``isinstance`` checks the exact-type ``_row_problem`` replaced) per line,
-and records built through the public constructor.  The hypothesis tests write
+and records built through the public constructor.  It reads lines that end
+at LF alone, as the loader has since a bare CR stopped splitting lines.  The hypothesis tests write
 the same lines to a file, load it with both (under chunk sizes small enough
 that chunk boundaries fall on bad lines) and require equal reports and
 series, or the same exception.
@@ -39,7 +40,7 @@ def ref_load_dataset(path):
     grouped = {}
     tainted = {}
 
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -383,6 +384,41 @@ def test_each_broken_rule_reads_like_line_by_line(tmp_path) -> None:
             got = load_dataset(path)
         assert got == ref_load_dataset(path)
     assert len(got[1].parse_issues) == len(ONE_RULE_BROKEN) - 3  # the three extras are valid
+
+
+# ---------------------------------------------------------------------------
+# line ends
+
+
+def cr_lines() -> list[str]:
+    """Two valid rows with a CR (JSON whitespace) before ``"missing"``."""
+    return [line(row(rank=r, candidate_id=f"c{r}")).replace(',"missing"', ',\r"missing"') for r in (1, 2)]
+
+
+def test_carriage_return_inside_a_line_is_whitespace(tmp_path) -> None:
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join([*cr_lines(), line(row())[:20]]) + "\n", encoding="utf-8", newline="")
+    series, report = load_dataset(path)
+    assert report.n_rows == 3
+    assert [(issue.line, issue.message[:21]) for issue in report.parse_issues] == [(3, "invalid JSON: Invalid")]
+    assert [r.candidate_id for r in series[0].snapshots[1].entries] == ["c1", "c2"]
+
+
+def test_crlf_lines_still_load(tmp_path) -> None:
+    path = tmp_path / "data.jsonl"
+    path.write_text("\r\n".join(cr_lines()) + "\r\n", encoding="utf-8", newline="")
+    series, report = load_dataset(path)
+    assert report.ok and report.n_rows == 2
+
+
+def test_carriage_return_inside_a_ledger_line_is_whitespace(tmp_path) -> None:
+    truth = {"query_id": "q1", "weights": {"F": 0.5}, "composition": {"F": 1}, "labels": {"f1": "F"},
+             "scores": {"f1": 0.5}, "departures": []}
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(json.dumps(truth).replace(', "departures"', ',\r"departures"') + "\r\n",
+                    encoding="utf-8", newline="")
+    (loaded,) = dataio.load_ledger(path)
+    assert loaded.query_id == "q1" and loaded.departures == ()
 
 
 # ---------------------------------------------------------------------------

@@ -119,12 +119,6 @@ class TestRankingSnapshot:
         with pytest.raises(ValueError):
             RankingSnapshot("q1", 0, ())
 
-    def test_pool_size_cannot_undercut_entries(self) -> None:
-        entries = (CandidateRecord("c1"), CandidateRecord("c2"))
-        with pytest.raises(ValueError):
-            RankingSnapshot("q1", 1, entries, pool_size=1)
-        assert RankingSnapshot("q1", 1, entries, pool_size=50).pool_size == 50
-
     def test_missing_rate_counts_hidden_positions(self) -> None:
         snap = snapshot("FxMx")
         assert snap.missing_count == 2

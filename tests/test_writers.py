@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankaudit import cli, dataio, names
+from rankaudit import dataio, names
 from rankaudit.dataio import format_cell, format_real
 from rankaudit.mixedlm import ProtocolRow
 from rankaudit.model import CandidateRecord, GroupScheme, QuerySeries, RankingSnapshot
@@ -556,7 +556,7 @@ ROUND_TRIP_ALPHABET = {"csv": 'ab ,";\n\u2028\u2029\u0085é中', "json": 'ab ,";
 def _round_trip(out_dir, rows, header, fmt) -> tuple[bytes, bytes]:
     first, second = out_dir / "first", out_dir / "second"
     dataio.write_long_table(rows, header, first, fmt)
-    read = [tuple(raw[name] for name in header) for _, raw in cli._read_long_table(str(first))]
+    read = [tuple(raw[name] for name in header) for _, raw in dataio.read_long_table(first)]
     assert len(read) == len(rows)
     dataio.write_long_table(read, header, second, fmt)
     return first.read_bytes(), second.read_bytes()
