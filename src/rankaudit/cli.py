@@ -159,10 +159,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; quotes optional, # starts a comment.
-    Values stay strings, as the same option on the command line gives."""
+    """Parse flat ``key = value`` lines; quotes optional, # outside quotes
+    starts a comment.  Values stay strings, as the same option on the
+    command line gives."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        key, equals, value = raw.partition("=")
+        value = value.strip()
+        if equals and "#" not in key and value[:1] in ("'", '"'):
+            # A quoted value may hold "#"; only a comment may follow it.
+            end = value.find(value[0], 1)
+            if end > 0 and value[end + 1:].lstrip()[:1] in ("", "#"):
+                values[key.strip().replace("-", "_")] = value[1:end]
+                continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -79,8 +79,13 @@ FORMAT_JSON = "json"
 
 
 def format_real(value: float) -> str:
-    """Decimal form with 10 significant digits; stable across runs."""
-    return f"{value:.10g}"
+    """Decimal form with 10 significant digits; stable across runs.  A float
+    so large that those digits round past the float range keeps its
+    ``repr``, so it reads back as itself and not as infinity."""
+    text = f"{value:.10g}"
+    if text.endswith("e+308") and math.isinf(float(text)):
+        return repr(float(value))
+    return text
 
 
 def format_cell(value: float | None, undefined: str = UNDEFINED) -> str:
@@ -700,11 +705,22 @@ def _write_rows(rows: Iterable[tuple], header: tuple[str, ...], out: TextIO, fmt
     reals = [i for i, name in enumerate(header) if name in REAL_COLUMNS]
     if fmt == FORMAT_CSV:
         writer = csv.writer(out, lineterminator="\n")
+        # The csv module quotes a cell holding CR only when CR is in the line
+        # terminator; a row with such a cell is written with CRLF, which
+        # quotes it and nothing else, and its CR LF becomes LF.
+        line = io.StringIO()
+        crlf_writer = csv.writer(line, lineterminator="\r\n")
         for row in rows:
             cells = list(row)
             for i in reals:
                 cells[i] = format_cell(cells[i])
-            writer.writerow(cells)
+            if any("\r" in cell for cell in cells if isinstance(cell, str)):
+                line.seek(0)
+                line.truncate()
+                crlf_writer.writerow(cells)
+                out.write(line.getvalue()[:-2] + "\n")
+            else:
+                writer.writerow(cells)
     else:
         names = [header[i] for i in reals]
         for row in rows:

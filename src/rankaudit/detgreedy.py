@@ -16,19 +16,22 @@ proportion.  DetGreedy walks the positions in order and, at each one:
 Scores order candidates only within their own group and at the competing
 heads; they are never summed or compared otherwise, so any order-preserving
 rescaling leaves the output unchanged.  With at most three groups and no
-group exhausted, the produced ranking satisfies every prefix constraint.
+group exhausted, the produced ranking satisfies every prefix constraint
+(Geyik et al., KDD 2019, arXiv:1905.01989, prove this for DetGreedy only up
+to three groups; with four, a prefix can break while every group still has
+candidates).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import EmptyPool, LabelWithoutProportion
 from .model import GroupProportions, prefix_table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredCandidate:
     """Pool entry for re-ranking: id, group label, relevance score."""
 
@@ -43,6 +46,28 @@ class ScoredCandidate:
             raise ValueError("label must be non-empty")
         if not math.isfinite(self.score):
             raise ValueError(f"score must be finite, got {self.score!r}")
+
+    @classmethod
+    def _trusted(cls, candidate_id: str, label: str, score: float) -> ScoredCandidate:
+        """Build an entry from a non-empty id and label and a finite score,
+        skipping ``__post_init__``."""
+        entry = object.__new__(cls)
+        _set_candidate_id(entry, candidate_id)
+        _set_label(entry, label)
+        _set_score(entry, score)
+        return entry
+
+
+# Each slot descriptor's ``__set__`` writes one field past the frozen
+# ``__setattr__``, as for ``CandidateRecord``.
+_set_candidate_id, _set_label, _set_score = (
+    getattr(ScoredCandidate, one.name).__set__ for one in fields(ScoredCandidate)
+)
+
+# A hair below 1, so that a due position computed as ``(count + 1) * _EARLY /
+# target`` is never later than the first k whose rounded ``target * k``
+# reaches ``count + 1``.
+_EARLY = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,22 +85,17 @@ def detgreedy_rerank(pool: Sequence[ScoredCandidate], proportions: GroupProporti
 
     Within a group, candidates always appear in descending score order
     (score ties broken by candidate id).  The returned result carries the
-    full permutation plus any (position, label) constraint violations, which
-    can only arise when some group's supply runs out.
+    full permutation plus any (position, label) constraint violations.  As
+    the module docstring says, none arises with at most three groups while
+    every group still has candidates; with four or more, one can.
     """
     if not pool:
         raise EmptyPool("cannot re-rank an empty pool")
     labels = proportions.scheme.labels
     label_index = {label: i for i, label in enumerate(labels)}
-    seen: set[str] = set()
-    for cand in pool:
-        if cand.label not in label_index:
-            raise LabelWithoutProportion(
-                f"candidate {cand.candidate_id!r} has label {cand.label!r} with no target proportion"
-            )
-        if cand.candidate_id in seen:
-            raise ValueError(f"duplicate candidate_id {cand.candidate_id!r} in pool")
-        seen.add(cand.candidate_id)
+    ids = {cand.candidate_id for cand in pool}
+    if len(ids) != len(pool) or not {cand.label for cand in pool} <= label_index.keys():
+        _raise_first_bad_candidate(pool, label_index)
 
     m = len(labels)
     queues: list[list[ScoredCandidate]] = [[] for _ in range(m)]
@@ -86,57 +106,81 @@ def detgreedy_rerank(pool: Sequence[ScoredCandidate], proportions: GroupProporti
     targets = [proportions.shares[label] for label in labels]
 
     heads = [queue[0].score if queue else 0.0 for queue in queues]
-    nexts = [0] * m
-    counts = [0] * m
+    counts = [0] * m  # also the index of each group's next candidate
     groups = range(m)
     active = [i for i in groups if queues[i]]
     order: list[str] = []
     violations: list[tuple[int, str]] = []
+    # Group i reaches a positive floor deficit (target * k >= count + 1)
+    # no earlier than position due[i]; before the first due position every
+    # deficit is at most 0, so pass 1 and the lower prefix bounds are skipped.
+    below = [_EARLY / t if t > 0.0 else math.inf for t in targets]
+    due = below.copy()
+    first_due = min(due)
+    # An upper bound (count - 1 < target * k) can only break on a pass-3
+    # pick; from the first one on, every position is checked.
+    overflowed = False
 
     for k in range(1, len(pool) + 1):
         pick = -1
-        # pass 1: largest floor deficit, ties by head score then label order
-        best_deficit = 0
         best_score = -math.inf
-        for i in active:
-            x = targets[i] * k
-            deficit = int(x) - counts[i]
-            if deficit > best_deficit or (deficit == best_deficit > 0 and heads[i] > best_score):
-                best_deficit = deficit
-                best_score = heads[i]
-                pick = i
-        if pick < 0:
-            # pass 2: best head still below its ceiling
-            best_score = -math.inf
+        if k >= first_due:
+            # pass 1: largest floor deficit, ties by head score then label order
+            best_deficit = 0
             for i in active:
-                x = targets[i] * k
-                fl = int(x)
-                ceiling = fl + (fl < x)
-                if counts[i] < ceiling and heads[i] > best_score:
+                if k >= due[i]:
+                    deficit = int(targets[i] * k) - counts[i]
+                    if deficit > best_deficit or (deficit == best_deficit > 0 and heads[i] > best_score):
+                        best_deficit = deficit
+                        best_score = heads[i]
+                        pick = i
+        if pick < 0:
+            # pass 2: best head still below its ceiling (an int count is
+            # below ceil(x) exactly when it is below x)
+            for i in active:
+                if counts[i] < targets[i] * k and heads[i] > best_score:
                     best_score = heads[i]
                     pick = i
             if pick < 0:
                 # pass 3: every remaining group at/over ceiling; overflow knowingly
+                overflowed = True
                 for i in active:
                     if heads[i] > best_score:
                         best_score = heads[i]
                         pick = i
         queue = queues[pick]
-        order.append(queue[nexts[pick]].candidate_id)
-        counts[pick] += 1
-        nexts[pick] += 1
-        if nexts[pick] == len(queue):
+        taken = counts[pick]
+        order.append(queue[taken].candidate_id)
+        counts[pick] = taken = taken + 1
+        if taken == len(queue):
             active.remove(pick)
             heads[pick] = -math.inf
         else:
-            heads[pick] = queue[nexts[pick]].score
-        # The prefix constraints at k, tested as in _violations_by_index.
-        for i in groups:
-            count = counts[i]
-            if not count - 1 < targets[i] * k < count + 1:
-                violations.append((k, labels[i]))
+            heads[pick] = queue[taken].score
+        due[pick] = (taken + 1) * below[pick]
+        first_due = min(due)
+        if k >= first_due or overflowed:
+            # The prefix constraints at k, tested as in _violations_by_index.
+            for i in groups:
+                count = counts[i]
+                if not count - 1 < targets[i] * k < count + 1:
+                    violations.append((k, labels[i]))
 
     return RerankResult(order=tuple(order), feasible=not violations, violation_positions=tuple(violations))
+
+
+def _raise_first_bad_candidate(pool: Sequence[ScoredCandidate], label_index: dict[str, int]) -> None:
+    """Raise for the first candidate, in pool order, whose label has no
+    target or whose id repeats an earlier one."""
+    seen: set[str] = set()
+    for cand in pool:
+        if cand.label not in label_index:
+            raise LabelWithoutProportion(
+                f"candidate {cand.candidate_id!r} has label {cand.label!r} with no target proportion"
+            )
+        if cand.candidate_id in seen:
+            raise ValueError(f"duplicate candidate_id {cand.candidate_id!r} in pool")
+        seen.add(cand.candidate_id)
 
 
 def check_feasibility(

@@ -27,21 +27,23 @@ def encoded_rows(chunk: Sequence[tuple], header: tuple[str, ...], fmt: str, stri
 
     CSV: the encoder writes every cell unquoted, so the text must hold one
     comma fewer than the header has columns, one line feed per row, no
-    ``"`` and no CR, leaving no cell the ``csv`` module would quote (it
-    leaves a bare CR unquoted only because the line terminator is LF; the
-    encoder does not rely on that).  It writes ``None`` as ``None`` where
-    ``csv`` writes an empty cell, so no ``None`` may appear either (a string
-    holding it only costs the slower path).
+    ``"`` and no CR, leaving no cell the ``csv`` path would quote.  It
+    writes ``None`` as ``None`` where ``csv`` writes an empty cell, so no
+    ``None`` may appear either, and it writes the largest floats rounded
+    past the float range, where :func:`.dataio.format_real` keeps their
+    ``repr``, so no ``e+308`` may appear (a string holding either only
+    costs the slower path).
 
     JSONL: each non-real column must hold only exact ``str`` or only exact
     ``int`` cells (a ``bool`` would print as ``True``), and each real column
     only ``None`` and exact ``float`` cells.  A real cell other than
     ``None`` and -inf is the float that :func:`.dataio._json_value` gives,
     written with ``repr``, which agrees with ``json`` except on NaN and
-    infinities (including the largest floats, which round to 10 digits
-    past the float range): there it writes ``nan``, ``inf`` and ``-inf``
-    where ``json`` writes ``NaN``, ``Infinity`` and ``-Infinity``, and only
-    there can a colon be followed by one of these words.
+    infinities (including the largest floats, which the inline rule rounds
+    to 10 digits past the float range): there it writes ``nan``, ``inf``
+    and ``-inf`` where ``json`` writes ``NaN``, ``Infinity`` and
+    ``-Infinity``, and only there can a colon be followed by one of these
+    words.
     """
     try:
         if fmt == FORMAT_CSV:
@@ -55,6 +57,7 @@ def encoded_rows(chunk: Sequence[tuple], header: tuple[str, ...], fmt: str, stri
                 or '"' in text
                 or "\r" in text
                 or "None" in text
+                or "e+308" in text
             ):
                 return None
             return text

@@ -184,8 +184,8 @@ class GroupProportions:
             raise ValueError(f"unrecognized proportions source {self.source!r}")
         if set(self.shares) != set(self.scheme.labels):
             raise ValueError("shares must cover the scheme labels exactly")
-        if any(s < 0.0 for s in self.shares.values()):
-            raise ValueError("shares must be non-negative")
+        if not all(s >= 0.0 for s in self.shares.values()):
+            raise ValueError("shares must be non-negative numbers")
         total = sum(self.shares.values())
         if abs(total - 1.0) > _SHARE_SUM_TOL:
             raise ValueError(f"shares sum to {total!r}, expected 1")

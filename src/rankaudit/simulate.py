@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .detgreedy import ScoredCandidate, detgreedy_rerank
@@ -171,6 +172,7 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
     mask_rng = _substream(config.seed, index, _MASK_STREAM)
     scheme = config.scheme
     labels = scheme.labels
+    attribute = scheme.attribute_name
     query_id = f"q{index:05d}"
 
     lo, hi = config.pool_size
@@ -187,63 +189,77 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
     scores = _truncated_scores(rng, means[group_idx], spreads[group_idx])
     masked = mask_rng.random(n) < config.missing_prob
 
-    serial = 0
-    pool: list[_Candidate] = []
-    truth_labels: dict[str, str] = {}
-    truth_scores: dict[str, float] = {}
-    for g, score, hide in zip(group_idx, scores, masked):
-        cid = f"{query_id}-c{serial:06d}"
-        serial += 1
-        cand = _Candidate(cid, int(g), float(score), bool(hide))
-        pool.append(cand)
-        truth_labels[cid] = labels[int(g)]
-        truth_scores[cid] = float(score)
-    composition = PrefixCounts(group_idx.tolist(), labels).tally(n)
+    # Each draw becomes Python values once, through ``tolist``, which gives
+    # the same ints, doubles and bools as converting element by element.
+    groups = group_idx.tolist()
+    pool_counts = PrefixCounts(groups, labels)
+    proportions = None
+    if config.postprocess == POSTPROCESS_DETGREEDY:
+        if config.postprocess_targets is not None:
+            proportions = GroupProportions(
+                scheme=scheme, shares=dict(config.postprocess_targets), source=EXTERNAL_BASELINE
+            )
+        else:
+            # Departures are replaced from their own group, so the pool's
+            # observed proportions hold for every day.
+            proportions = pool_counts.proportions(scheme)
+    by_id: dict[str, tuple] = {}
 
-    departure = np.array([config.departure_probs.get(label, 0.0) for label in labels])
-    snapshots: dict[int, RankingSnapshot] = {}
+    def join(drawn_groups: list[int], drawn_scores: list[float], hidden: list[bool]) -> list[tuple]:
+        """New candidates, numbered on from those the query already has.
+        Generated ids are non-empty, scores finite and masked entries get no
+        labels, so records and DetGreedy entries need no checks."""
+        fresh = []
+        for serial, group, score, hide in zip(count(len(by_id)), drawn_groups, drawn_scores, hidden):
+            cid = f"{query_id}-c{serial:06d}"
+            label = labels[group]
+            if hide:
+                record = CandidateRecord._trusted(cid, None, None, {}, True)
+            else:
+                record = CandidateRecord._trusted(cid, None, None, {attribute: label}, False)
+            scored = ScoredCandidate._trusted(cid, label, score) if proportions is not None else None
+            cand = by_id[cid] = (-score, cid, group, record, scored)
+            fresh.append(cand)
+        return fresh
+
+    order = _rank(join(groups, scores.tolist(), masked.tolist()), proportions, by_id)
+    snapshots = {1: _snapshot(query_id, 1, order)}
+    departure = [config.departure_probs.get(label, 0.0) for label in labels]
     departures: list[tuple[int, str]] = []
-    order = _rank(pool, config, scheme, labels)
-    snapshots[1] = _snapshot(query_id, 1, order, scheme, labels)
-
     for day in range(2, config.days + 1):
-        u = rng.random(len(order))
-        survivors = [cand for cand, draw in zip(order, u) if draw >= departure[cand.group]]
-        departed = [cand for cand, draw in zip(order, u) if draw < departure[cand.group]]
-        replacements: list[_Candidate] = []
+        survivors: list[tuple] = []
+        departed: list[tuple] = []
+        for cand, draw in zip(order, rng.random(len(order)).tolist()):
+            if draw < departure[cand[_GROUP]]:
+                departed.append(cand)
+            else:
+                survivors.append(cand)
         if departed:
-            groups = np.array([cand.group for cand in departed])
-            fresh = _truncated_scores(rng, means[groups], spreads[groups])
+            lost = [cand[_GROUP] for cand in departed]
+            fresh = _truncated_scores(rng, means[lost], spreads[lost])
             hidden = mask_rng.random(len(departed)) < config.missing_prob
-            for cand, score, hide in zip(departed, fresh, hidden):
-                departures.append((day, cand.candidate_id))
-                cid = f"{query_id}-c{serial:06d}"
-                serial += 1
-                newcomer = _Candidate(cid, cand.group, float(score), bool(hide))
-                replacements.append(newcomer)
-                truth_labels[cid] = labels[cand.group]
-                truth_scores[cid] = float(score)
-        order = _rank(survivors + replacements, config, scheme, labels)
-        snapshots[day] = _snapshot(query_id, day, order, scheme, labels)
+            departures.extend((day, cand[_ID]) for cand in departed)
+            survivors += join(lost, fresh.tolist(), hidden.tolist())
+        order = _rank(survivors, proportions, by_id)
+        snapshots[day] = _snapshot(query_id, day, order)
 
     series = QuerySeries(query_id=query_id, snapshots=snapshots)
     truth = QueryTruth(
         query_id=query_id,
         weights={label: float(w) for label, w in zip(labels, weights)},
-        composition=composition,
-        labels=truth_labels,
-        scores=truth_scores,
+        composition=pool_counts.tally(n),
+        labels={cid: labels[cand[_GROUP]] for cid, cand in by_id.items()},
+        scores={cid: -cand[_NEG_SCORE] for cid, cand in by_id.items()},
         departures=tuple(departures),
     )
     return series, truth
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    candidate_id: str
-    group: int
-    score: float
-    masked: bool
+# A generated candidate is the tuple (-score, id, group index, snapshot
+# record, DetGreedy entry or None).  Ids are unique within a query, so the
+# tuples sort by descending score, ties by id, without a key; each snapshot
+# that lists the candidate reuses its frozen record.
+_NEG_SCORE, _ID, _GROUP, _RECORD, _SCORED = 0, 1, 2, 3, 4
 
 
 def _truncated_scores(rng: np.random.Generator, means: np.ndarray, spreads: np.ndarray) -> np.ndarray:
@@ -257,49 +273,16 @@ def _truncated_scores(rng: np.random.Generator, means: np.ndarray, spreads: np.n
     return np.clip(means + spreads * ndtri(lo + u * (hi - lo)), 0.0, 1.0)
 
 
-def _rank(
-    pool: Sequence[_Candidate],
-    config: SimConfig,
-    scheme: GroupScheme,
-    labels: tuple[str, ...],
-) -> list[_Candidate]:
-    by_score = sorted(pool, key=lambda c: (-c.score, c.candidate_id))
-    if config.postprocess != POSTPROCESS_DETGREEDY:
+def _rank(pool: list[tuple], proportions: GroupProportions | None, by_id: dict[str, tuple]) -> list[tuple]:
+    by_score = sorted(pool)
+    if proportions is None:
         return by_score
-    if config.postprocess_targets is not None:
-        proportions = GroupProportions(
-            scheme=scheme,
-            shares=dict(config.postprocess_targets),
-            source=EXTERNAL_BASELINE,
-        )
-    else:
-        proportions = PrefixCounts([cand.group for cand in pool], labels).proportions(scheme)
-    scored = [ScoredCandidate(c.candidate_id, labels[c.group], c.score) for c in by_score]
-    result = detgreedy_rerank(scored, proportions)
-    by_id = {c.candidate_id: c for c in pool}
+    result = detgreedy_rerank([cand[_SCORED] for cand in by_score], proportions)
     return [by_id[cid] for cid in result.order]
 
 
-def _snapshot(
-    query_id: str,
-    day: int,
-    order: Sequence[_Candidate],
-    scheme: GroupScheme,
-    labels: tuple[str, ...],
-) -> RankingSnapshot:
-    # Generated ids are non-empty and masked entries get no labels, so the
-    # records need no checks.
-    entries = []
-    for cand in order:
-        if cand.masked:
-            entries.append(CandidateRecord._trusted(cand.candidate_id, None, None, {}, True))
-        else:
-            entries.append(
-                CandidateRecord._trusted(
-                    cand.candidate_id, None, None, {scheme.attribute_name: labels[cand.group]}, False
-                )
-            )
-    return RankingSnapshot(query_id=query_id, day=day, entries=tuple(entries))
+def _snapshot(query_id: str, day: int, order: list[tuple]) -> RankingSnapshot:
+    return RankingSnapshot(query_id=query_id, day=day, entries=tuple([cand[_RECORD] for cand in order]))
 
 
 def inject_topk_bias(

@@ -577,6 +577,18 @@ class TestConfigFile:
         series, _ = load_dataset(out)
         assert len(series) == 5
 
+    def test_quoted_value_may_hold_a_hash(self, tmp_path, monkeypatch) -> None:
+        write_cli_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(
+            'output = "out#1.csv"  # the report\nformat = \'csv\' # table\nattribute = gender#x\n',
+            encoding="utf-8",
+        )
+        assert cli._load_config("run.cfg") == {"output": "out#1.csv", "format": "csv", "attribute": "gender"}
+        assert run("validate", "raw.jsonl", "--config", "run.cfg") == 0
+        assert (tmp_path / "out#1.csv").read_text(encoding="utf-8") == "kind,query_id,day,line,message\n"
+        assert not (tmp_path / '"out').exists()
+
     def test_malformed_config_is_a_clean_error(self, tmp_path, capsys) -> None:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("queries 3\n", encoding="utf-8")

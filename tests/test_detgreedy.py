@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,10 @@ from rankaudit import (
     detgreedy_rerank,
 )
 
+from rankaudit import MalformedRow, dataio
+
 from conftest import GENDER
+from reference_simulate import reference_rerank
 
 HALF = GroupProportions(GENDER, {"F": 0.5, "M": 0.5})
 
@@ -98,6 +102,54 @@ class TestRerankEdgeCases:
             ScoredCandidate("c1", "F", math.nan)
         with pytest.raises(ValueError):
             ScoredCandidate("c1", "F", math.inf)
+
+    def test_empty_id_or_label_rejected_at_construction(self) -> None:
+        with pytest.raises(ValueError, match="candidate_id must be non-empty"):
+            ScoredCandidate("", "F", 0.5)
+        with pytest.raises(ValueError, match="label must be non-empty"):
+            ScoredCandidate("c1", "", 0.5)
+
+    @pytest.mark.parametrize("row, message", [
+        (" ,F,0.5", "line 2: candidate_id must be non-empty"),
+        ("c1, ,0.5", "line 2: label must be non-empty"),
+        ("c1,F,nan", "line 2: score must be finite, got nan"),
+        ("c1,F,-inf", "line 2: score must be finite, got -inf"),
+    ])
+    def test_read_pool_keeps_the_checks(self, tmp_path, row, message) -> None:
+        path = tmp_path / "pool.csv"
+        path.write_text(f"candidate_id,label,score\n{row}\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=f"^{message}$"):
+            dataio.read_pool(path)
+
+    def test_entries_are_slotted(self) -> None:
+        entry = ScoredCandidate("c1", "F", 0.5)
+        assert ScoredCandidate.__slots__ == ("candidate_id", "label", "score")
+        assert not hasattr(entry, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.score = 0.9
+
+    def test_trusted_constructor_builds_an_equal_entry(self) -> None:
+        entry = ScoredCandidate._trusted("c1", "F", 0.5)
+        assert entry == ScoredCandidate("c1", "F", 0.5)
+        assert repr(entry) == "ScoredCandidate(candidate_id='c1', label='F', score=0.5)"
+
+    def test_nan_target_rejected(self) -> None:
+        with pytest.raises(ValueError, match="shares must be non-negative numbers"):
+            GroupProportions(GENDER, {"F": math.nan, "M": 0.5})
+
+    def test_four_groups_can_violate_with_every_group_supplied(self) -> None:
+        # The at-most-three-groups guarantee does not extend to four: here a
+        # falls below its floor at position 7 while all 24 of each group are
+        # still on hand.
+        labels = ("a", "b", "c", "d")
+        props = GroupProportions(GroupScheme("tier", labels),
+                                 {label: w / 21 for label, w in zip(labels, (9, 5, 1, 6))})
+        pool = [ScoredCandidate(f"{label}{i:02d}", label, float(24 - i)) for label in labels for i in range(24)]
+        result = detgreedy_rerank(pool, props)
+        assert not result.feasible
+        assert result.violation_positions[0] == (7, "a")
+        placed = result.order[:7]
+        assert all(sum(cid.startswith(label) for cid in placed) < 24 for label in labels)
 
     def test_exhausted_group_overflows_knowingly(self) -> None:
         # One M for four slots: the tail must violate both groups' bounds,
@@ -220,3 +272,48 @@ def test_violations_match_check_feasibility(case) -> None:
     labels = {c.candidate_id: c.label for c in pool}
     assert result.violation_positions == check_feasibility([labels[cid] for cid in result.order], props)
     assert result.feasible == (result.violation_positions == ())
+
+
+@st.composite
+def scored_pools(draw):
+    """2-5 labels, targets with zeros and uneven splits, float scores with
+    ties, and group sizes from empty to well past their share."""
+    labels = ("a", "b", "c", "d", "e")[: draw(st.integers(min_value=2, max_value=5))]
+    weights = draw(st.lists(st.integers(min_value=0, max_value=30), min_size=len(labels), max_size=len(labels))
+                   .filter(any))
+    props = GroupProportions(GroupScheme("tier", labels),
+                             {label: w / sum(weights) for label, w in zip(labels, weights)})
+    score = st.one_of(st.integers(min_value=0, max_value=3).map(float), st.floats(min_value=-1e6, max_value=1e6))
+    pool = [
+        ScoredCandidate(f"{label}{i}", label, draw(score))
+        for label in labels
+        for i in range(draw(st.integers(min_value=0, max_value=40)))
+    ]
+    return draw(st.permutations(pool)), props
+
+
+@given(scored_pools().filter(lambda case: case[0]))
+@settings(max_examples=400)
+def test_matches_the_full_scan_reference(case) -> None:
+    """Skipping pass 1 and the prefix check before a group can be due picks
+    and flags exactly what scanning every group at every position does."""
+    pool, props = case
+    assert detgreedy_rerank(pool, props) == reference_rerank(pool, props)
+
+
+@given(lopsided_pools(), st.sampled_from(["x", "a"]), st.integers(min_value=0, max_value=20))
+@settings(max_examples=200)
+def test_bad_pools_raise_as_the_reference_does(case, label, at) -> None:
+    """A foreign label or a repeated id is named as the one-pass check named
+    it: the first offending candidate in pool order."""
+    pool, props = case
+    bad = ScoredCandidate(pool[0].candidate_id if pool and label == "a" else "z9", label, 1.0)
+    pool = pool[:at] + [bad] + pool[at:]
+    errors = []
+    for rerank in (detgreedy_rerank, reference_rerank):
+        try:
+            rerank(pool, props)
+            errors.append(None)
+        except (ValueError, LabelWithoutProportion) as exc:
+            errors.append((type(exc), str(exc)))
+    assert errors[0] == errors[1]
