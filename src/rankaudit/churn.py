@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import CutoffOutOfRange, DayMissing, UnknownLabel
 from .model import GroupScheme, QuerySeries, RankingSnapshot, label_codes, prefix_table
@@ -119,19 +119,18 @@ def mean_churn_by_gap(cells: Iterable[ChurnCell]) -> dict[tuple[str, int, int], 
     Keyed by (label, k, end_day - start_day); pools all queries present in
     ``cells``.  Pairs whose churn is undefined are left out of the average.
     """
-    return mean_churn_by(cells, lambda c: (c.label, c.k, c.end_day - c.start_day))
+    return mean_churn_by(((c.label, c.k, c.end_day - c.start_day), c.churn) for c in cells)
 
 
-def mean_churn_by(cells: Iterable[ChurnCell], key: Callable[[ChurnCell], tuple]) -> dict[tuple, float]:
-    """Mean of the defined churn values of the cells sharing ``key(cell)``,
-    summed in cell order; keys with no defined cell are absent."""
-    sums: dict[tuple, float] = {}
-    counts: dict[tuple, int] = {}
-    for cell in cells:
-        if cell.churn is None:
+def mean_churn_by(pairs: Iterable[tuple[Hashable, float | None]]) -> dict:
+    """Mean of the defined values sharing each key of the (key, value)
+    ``pairs``, summed in pair order; keys with no defined value are absent."""
+    sums: dict = {}
+    counts: dict = {}
+    for group, value in pairs:
+        if value is None:
             continue
-        group = key(cell)
-        sums[group] = sums.get(group, 0.0) + cell.churn
+        sums[group] = sums.get(group, 0.0) + value
         counts[group] = counts.get(group, 0) + 1
     return {group: sums[group] / counts[group] for group in sums}
 

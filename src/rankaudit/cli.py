@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import churn as churn_mod
 from . import dataio, exposure, mixedlm, simulate
@@ -25,6 +25,7 @@ from .model import (
     GroupScheme,
     PrefixCounts,
     QuerySeries,
+    RankingSnapshot,
     label_codes,
     observed_proportions,
     snapshot_counts,
@@ -32,6 +33,8 @@ from .model import (
 from .names import label_dataset, load_name_table
 
 _PROTOCOLS = ("minskew-protocol", "churn-protocol")
+# The metrics of ``audit``, in the order their curves are built.
+_METRICS = (exposure.DEVIATION, exposure.SKEW, exposure.MINSKEW, exposure.CORRECTED_SKEW)
 _FORMATS = (dataio.FORMAT_CSV, dataio.FORMAT_JSON)
 _POSTPROCESS = (simulate.POSTPROCESS_NONE, simulate.POSTPROCESS_DETGREEDY)
 
@@ -286,6 +289,35 @@ def _targets_for(
     return observed_proportions(snapshot, scheme, counts=counts)
 
 
+def _curves(
+    grids: Iterable[tuple[RankingSnapshot, list[int]]],
+    scheme: GroupScheme,
+    baseline: dict[tuple[str, str], GroupProportions] | None,
+    metrics: Sequence[str],
+) -> list[exposure.MetricCurve]:
+    """The curves of ``metrics`` for each (snapshot, grid), built in
+    :data:`_METRICS` order from one prefix table per snapshot, one per
+    label for the labeled metrics.  A snapshot whose targets or curve raise
+    an :class:`AuditError` gets a ``warning:`` line and keeps the curves
+    built before the failure."""
+    ordered = [metric for metric in _METRICS if metric in metrics]
+    curves = []
+    for snap, grid in grids:
+        counts = snapshot_counts(snap, scheme)
+        try:
+            targets = _targets_for(snap, scheme, baseline, counts=counts)
+            for metric in ordered:
+                # Looked up per call, so a rebinding of the module attribute is seen.
+                build = getattr(exposure, f"{metric}_curve")
+                if metric == exposure.MINSKEW:
+                    curves.append(build(snap, scheme, targets, grid, counts=counts))
+                else:
+                    curves.extend(build(snap, scheme, targets, label, grid, counts=counts) for label in scheme.labels)
+        except AuditError as exc:
+            print(f"warning: {snap.query_id} day {snap.day}: {exc}", file=sys.stderr)
+    return curves
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -331,10 +363,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
     series, report = _load_or_fail(args.dataset)
     baseline = dataio.load_baseline(args.baseline, {scheme.attribute_name: scheme}) if args.baseline else None
-    metrics = _csv_list(args.metrics) if args.metrics else [
-        exposure.DEVIATION, exposure.SKEW, exposure.MINSKEW, exposure.CORRECTED_SKEW
-    ]
-    unknown = set(metrics) - {exposure.DEVIATION, exposure.SKEW, exposure.MINSKEW, exposure.CORRECTED_SKEW}
+    metrics = _csv_list(args.metrics) if args.metrics else _METRICS
+    unknown = set(metrics) - set(_METRICS)
     if unknown:
         raise ValueError(f"unrecognized metrics: {sorted(unknown)}")
     only_day = int(args.day) if args.day is not None else None
@@ -350,27 +380,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.k_grid is None and snaps:
         run_grid = _parse_grid(None, max(len(snap.entries) for snap in snaps))
 
-    curves: list[exposure.MetricCurve] = []
-    for snap in snaps:
-        grid = run_grid or _parse_grid(args.k_grid, len(snap.entries))
-        counts = snapshot_counts(snap, scheme)
-        try:
-            targets = _targets_for(snap, scheme, baseline, counts=counts)
-            if exposure.DEVIATION in metrics:
-                for label in scheme.labels:
-                    curves.append(exposure.deviation_curve(snap, scheme, targets, label, grid, counts=counts))
-            if exposure.SKEW in metrics:
-                for label in scheme.labels:
-                    curves.append(exposure.skew_curve(snap, scheme, targets, label, grid, counts=counts))
-            if exposure.MINSKEW in metrics:
-                curves.append(exposure.minskew_curve(snap, scheme, targets, grid, counts=counts))
-            if exposure.CORRECTED_SKEW in metrics:
-                for label in scheme.labels:
-                    curves.append(
-                        exposure.corrected_skew_curve(snap, scheme, targets, label, grid, counts=counts)
-                    )
-        except AuditError as exc:
-            print(f"warning: {snap.query_id} day {snap.day}: {exc}", file=sys.stderr)
+    grids = ((snap, run_grid or _parse_grid(args.k_grid, len(snap.entries))) for snap in snaps)
+    curves = _curves(grids, scheme, baseline, metrics)
     _emit_long(args, dataio.curve_rows(curves), dataio.CURVE_HEADER)
     return 0 if report.ok else 1
 
@@ -445,18 +456,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         baseline = (
             dataio.load_baseline(args.baseline, {scheme.attribute_name: scheme}) if args.baseline else None
         )
-        curves = []
-        for one in kept:
-            for day in one.days:
-                snap = one.snapshots[day]
-                if not snap.entries:
-                    continue
-                counts = snapshot_counts(snap, scheme)
-                try:
-                    targets = _targets_for(snap, scheme, baseline, counts=counts)
-                    curves.append(exposure.minskew_curve(snap, scheme, targets, cutoffs, counts=counts))
-                except AuditError as exc:
-                    print(f"warning: {one.query_id} day {day}: {exc}", file=sys.stderr)
+        snaps = (one.snapshots[day] for one in kept for day in one.days)
+        curves = _curves(((snap, cutoffs) for snap in snaps if snap.entries), scheme, baseline, [exposure.MINSKEW])
         null = float(args.null) if args.null is not None else mixedlm.DEFAULT_MINSKEW_NULL
         rows = mixedlm.minskew_protocol(curves, null, cutoffs)
     else:
@@ -526,50 +527,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    rows = dataio.read_long_table(args.table)
-    wanted = [(n, r) for n, r in rows if r.get("metric") == args.metric]
-    if args.label is not None:
-        wanted = [(n, r) for n, r in wanted if r.get("label") == args.label]
-    if not wanted:
-        raise ValueError(f"no rows for metric {args.metric!r}" + (f" label {args.label!r}" if args.label else ""))
-    labels = {r.get("label", "") for _, r in wanted}
-    if len(labels) > 1:
-        raise ValueError(f"rows span labels {sorted(labels)}; pass --label to pick one")
-
-    cell = dataio.table_cell
-    if "start_day" in wanted[0][1]:
-        cells = [
-            churn_mod.ChurnCell(
-                query_id=cell(n, r, "query_id", str),
-                attribute=r.get("attribute", ""),
-                label=r.get("label", ""),
-                k=cell(n, r, "k", int),
-                start_day=cell(n, r, "start_day", int),
-                end_day=cell(n, r, "end_day", int),
-                churn=r["value"],
-                base_count=1 if r["value"] is not None else 0,
-            )
-            for n, r in wanted
-        ]
-        source: list = cells
-    else:
-        grouped: dict[tuple[str, int], dict[int, float | None]] = {}
-        attr = wanted[0][1].get("attribute", "")
-        for n, r in wanted:
-            key = (cell(n, r, "query_id", str), cell(n, r, "day", int))
-            grouped.setdefault(key, {})[cell(n, r, "k", int)] = r["value"]
-        source = [
-            exposure.MetricCurve(
-                query_id=query_id,
-                day=day,
-                attribute=attr,
-                label=args.label,
-                metric=args.metric,
-                values=values,
-            )
-            for (query_id, day), values in sorted(grouped.items())
-        ]
-    dataio.export_heatmap(source, args.output or sys.stdout)
+    dataio.export_heatmap(dataio.read_long_table(args.table), args.metric, args.label, args.output or sys.stdout)
     return 0
 
 

@@ -7,19 +7,20 @@ Paths and open streams both pass through :func:`text_stream`.  Headed CSV
 inputs (:func:`load_baseline`, :func:`read_pool`, ``names.load_name_table``)
 are read through :func:`csv_table`, long tables through
 :func:`read_long_table`, JSONL through :func:`load_dataset` and
-:func:`json_objects`; every fixed-schema table is written by
-:func:`write_long_table`.  All text output is UTF-8 with LF line endings,
-and cells of the :data:`REAL_COLUMNS` are formatted with 10 significant
-digits so identical analyses produce byte-identical files.  Undefined cells
-serialize as ``"undefined"`` in long tables and as empty cells in matrices;
-negative infinity as ``"-inf"``.
+:func:`json_objects`; every fixed-schema table, heatmap matrices included
+(:func:`export_heatmap`), is written by :func:`write_long_table`.  All
+text output is UTF-8 with LF line endings, and cells of the
+:data:`REAL_COLUMNS` are formatted with 10 significant digits so identical
+analyses produce byte-identical files.  Undefined cells serialize as
+``"undefined"`` in long tables and as empty cells in matrices; negative
+infinity as ``"-inf"``.
 
 Long tables and snapshots are written from per-row f-strings, a chunk of
-rows at a time.  CSV quoting is RFC-4180 (a cell holding a comma, a quote
-or a line feed is quoted, its quotes doubled), done by the stdlib ``csv``
-writer for any chunk that needs quoting; with the LF line terminator that
-writer leaves a cell holding a bare CR unquoted.  A JSONL chunk whose cells
-the f-string could render differently from ``json`` goes through ``json``.
+rows at a time.  CSV quoting is RFC-4180 (a cell holding a comma, a quote,
+a line feed or a carriage return is quoted, its quotes doubled), done by
+the stdlib ``csv`` writer for any chunk that needs quoting.  A JSONL chunk
+whose cells the f-string could render differently from ``json`` goes
+through ``json``.
 """
 from __future__ import annotations
 
@@ -88,9 +89,9 @@ def format_real(value: float) -> str:
     return text
 
 
-def format_cell(value: float | None, undefined: str = UNDEFINED) -> str:
+def format_cell(value: float | None) -> str:
     if value is None:
-        return undefined
+        return UNDEFINED
     if value == -math.inf:
         return NEG_INF
     return format_real(value)
@@ -803,72 +804,68 @@ def write_protocol_table(
 
 
 def export_heatmap(
-    source: Sequence[MetricCurve] | Sequence[ChurnCell],
+    rows: Iterable[tuple[int, dict]],
+    metric: str,
+    label: str | None,
     destination: str | Path | TextIO,
 ) -> None:
-    """Write a rectangular matrix: curve rows by query-day, churn rows by
-    day pair; columns are the cutoff grid.
+    """Pivot the ``metric`` rows of a long table, the (line number, row)
+    pairs of :func:`read_long_table`, into a CSV matrix whose columns are
+    the cutoff grid.
 
-    Curves must share one metric, label, and cutoff grid.  Churn cells must
-    share one label; with several queries present, each (pair, k) cell is
-    the mean of the defined per-query cells.  Undefined cells come out
-    empty, negative infinity as ``-inf``.
+    The rows kept (those of ``label`` too, when it is given) must share one
+    label; an absent or null label reads as ``""``, and any other that is
+    not a string is a :class:`MalformedRow`.  Curve rows pivot to one row
+    per ``query_id:day``; every grid must be a prefix of the longest, and
+    cells past a shorter one are empty.  Churn rows (a table with a
+    ``start_day`` column) pivot to one row per ``start->end`` day pair, all
+    pairs over one grid, each cell the mean of the defined per-query
+    values.  Undefined cells come out empty, negative infinity as ``-inf``.
     """
-    items = list(source)
-    if not items:
-        raise ValueError("nothing to export")
-    if isinstance(items[0], MetricCurve):
-        row_labels, grid, cells = _matrix_from_curves(items)
-    elif isinstance(items[0], ChurnCell):
-        row_labels, grid, cells = _matrix_from_churn(items)
-    else:
-        raise TypeError(f"cannot export {type(items[0]).__name__} objects")
-    _write_matrix(row_labels, grid, cells, destination)
-
-
-def _matrix_from_curves(curves: Sequence[MetricCurve]):
-    metrics = {c.metric for c in curves}
-    labels = {c.label for c in curves}
-    if len(metrics) > 1 or len(labels) > 1:
-        raise ValueError("heatmap needs curves of one metric and one label")
-    # Lists of different lengths (`audit --k-grid full`) give grids that
-    # are prefixes of the longest one; cells past a shorter list are empty.
-    grids = {tuple(sorted(c.values)) for c in curves}
-    grid = list(max(grids, key=len))
-    if any(list(g) != grid[: len(g)] for g in grids):
-        raise InconsistentGrid("curves carry different cutoff grids")
-    ordered = sorted(curves, key=lambda c: (c.query_id, c.day))
-    row_labels = [f"{c.query_id}:{c.day}" for c in ordered]
-    cells = [[c.values.get(k) for k in grid] for c in ordered]
-    return row_labels, grid, cells
-
-
-def _matrix_from_churn(cells_in: Sequence[ChurnCell]):
-    labels = {c.label for c in cells_in}
+    wanted = []
+    for lineno, row in rows:
+        if row.get("metric") == metric:
+            row_label = table_cell(lineno, row, "label", _label, required=False)
+            if label is None or row_label == label:
+                wanted.append((lineno, row, row_label))
+    if not wanted:
+        raise ValueError(f"no rows for metric {metric!r}" + (f" label {label!r}" if label else ""))
+    labels = {row_label for _, _, row_label in wanted}
     if len(labels) > 1:
-        raise ValueError("heatmap needs churn cells of one label")
-    pairs = sorted({(c.start_day, c.end_day) for c in cells_in})
-    grids = {}
-    for cell in cells_in:
-        grids.setdefault((cell.start_day, cell.end_day), set()).add(cell.k)
-    grid_sets = {tuple(sorted(ks)) for ks in grids.values()}
-    if len(grid_sets) > 1:
-        raise InconsistentGrid("day pairs carry different cutoff grids")
-    grid = list(grid_sets.pop())
-    means = mean_churn_by(cells_in, lambda c: ((c.start_day, c.end_day), c.k))
-    matrix = [[means.get((pair, k)) for k in grid] for pair in pairs]
-    row_labels = [f"{s}->{e}" for s, e in pairs]
-    return row_labels, grid, matrix
+        raise ValueError(f"rows span labels {sorted(labels)}; pass --label to pick one")
+
+    cell = table_cell
+    if "start_day" in wanted[0][1]:
+        values, grids = [], {}
+        for n, r, _ in wanted:
+            cell(n, r, "query_id", str)  # required, though the matrix averages over queries
+            k = cell(n, r, "k", int)
+            pair = (cell(n, r, "start_day", int), cell(n, r, "end_day", int))
+            grids.setdefault(pair, set()).add(k)
+            values.append(((pair, k), r["value"]))
+        if len({frozenset(ks) for ks in grids.values()}) > 1:
+            raise InconsistentGrid("day pairs carry different cutoff grids")
+        grid = sorted(next(iter(grids.values())))
+        means = mean_churn_by(values)
+        matrix = [(f"{s}->{e}", [means.get(((s, e), k)) for k in grid]) for s, e in sorted(grids)]
+    else:
+        curves: dict[tuple[str, int], dict[int, float | None]] = {}
+        for n, r, _ in wanted:
+            key = (cell(n, r, "query_id", str), cell(n, r, "day", int))
+            curves.setdefault(key, {})[cell(n, r, "k", int)] = r["value"]
+        # Lists of different lengths (`audit --k-grid full`) give grids that
+        # are prefixes of the longest one; cells past a shorter list are empty.
+        shapes = {tuple(sorted(curve)) for curve in curves.values()}
+        grid = list(max(shapes, key=len))
+        if any(list(shape) != grid[: len(shape)] for shape in shapes):
+            raise InconsistentGrid("curves carry different cutoff grids")
+        matrix = [(f"{q}:{d}", [curve.get(k) for k in grid]) for (q, d), curve in sorted(curves.items())]
+    table = [(name, *("" if v is None else format_cell(v) for v in cells)) for name, cells in matrix]
+    write_long_table(table, ("row", *map(str, grid)), destination)
 
 
-def _write_matrix(
-    row_labels: Sequence[str],
-    grid: Sequence[int],
-    cells: Sequence[Sequence[float | None]],
-    destination: str | Path | TextIO,
-) -> None:
-    with text_stream(destination, "w") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["row", *grid])
-        for label, row in zip(row_labels, cells):
-            writer.writerow([label, *(format_cell(v, undefined="") for v in row)])
+def _label(value) -> str:
+    """A long table's label cell; absent or null reads as ``""``."""
+    if value is None or isinstance(value, str):
+        return value or ""
+    raise TypeError(value)

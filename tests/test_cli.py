@@ -176,6 +176,28 @@ class TestAuditCommand:
         assert run("audit", str(dataset), "--k-grid", "10,20", "-o", str(tmp_path / "curves.csv")) == 0
         assert built == [(q, day) for q in ("q00000", "q00001", "q00002") for day in (1, 2)]
 
+    def test_curves_are_built_through_the_module_attributes(self, dataset, tmp_path, monkeypatch) -> None:
+        # The bench's tracer rebinds the builders on the module, so both
+        # curve-building commands must look each one up there per call.
+        built = []
+
+        def counting(name, real):
+            def build(snap, *args, **kwargs):
+                built.append((name, snap.query_id, snap.day))
+                return real(snap, *args, **kwargs)
+            return build
+
+        for name in ("deviation", "skew", "minskew", "corrected_skew"):
+            monkeypatch.setattr(exposure, f"{name}_curve", counting(name, getattr(exposure, f"{name}_curve")))
+        assert run("audit", str(dataset), "--k-grid", "10,20", "-o", str(tmp_path / "curves.csv")) == 0
+        snaps = [(q, day) for q in ("q00000", "q00001", "q00002") for day in (1, 2)]
+        per_snapshot = ["deviation"] * 2 + ["skew"] * 2 + ["minskew"] + ["corrected_skew"] * 2
+        assert built == [(name, q, day) for q, day in snaps for name in per_snapshot]
+        built.clear()
+        assert run("stats", "minskew-protocol", str(dataset), "--min-pool", "1", "--cutoffs", "10",
+                   "-o", str(tmp_path / "protocol.csv")) == 0
+        assert built == [("minskew", q, day) for q, day in snaps]
+
     def test_default_grid_is_shared_by_the_run(self, tmp_path) -> None:
         # Lists of 120-140 entries: per-list page grids would end at 100 or
         # at 125 and leave export with differing grids.
@@ -496,6 +518,26 @@ class TestExportCommand:
         heat = tmp_path / "heat.csv"
         assert run("export", str(table), "--metric", "minskew", "-o", str(heat)) == 0
         assert heat.read_bytes().decode("utf-8") == f"row,10\n{query_id}:1,-0.25\n"
+
+    def test_row_label_holding_a_carriage_return_reads_back(self, tmp_path) -> None:
+        table, heat = tmp_path / "curves.csv", tmp_path / "heat.csv"
+        dataio.write_long_table([("q\r1", 1, "gender", "", 5, "minskew", 0.5)], dataio.CURVE_HEADER, table)
+        assert run("export", str(table), "--metric", "minskew", "-o", str(heat)) == 0
+        assert heat.read_bytes() == b'row,5\n"q\r1:1",0.5\n'
+        with heat.open(encoding="utf-8", newline="") as handle:
+            assert list(csv.reader(handle)) == [["row", "5"], ["q\r1:1", "0.5"]]
+
+    @pytest.mark.parametrize("label, message", [
+        ("1", "error: line 2: label 1 does not parse\n"),
+        ('["F"]', "error: line 2: label ['F'] does not parse\n"),
+        ("null", "error: rows span labels ['', 'F']; pass --label to pick one\n"),
+    ])
+    def test_label_that_is_not_a_string_is_a_clean_error(self, tmp_path, capsys, label, message) -> None:
+        table = tmp_path / "curves.jsonl"
+        row = '{"query_id":"q1","day":1,"attribute":"gender","label":%s,"k":10,"metric":"minskew","value":0.5}\n'
+        table.write_text(row % '"F"' + row % label, encoding="utf-8")
+        assert run("export", str(table), "--metric", "minskew") == 1
+        assert capsys.readouterr().err == message
 
     def test_jsonl_line_numbers_count_line_feeds_only(self, tmp_path, capsys) -> None:
         table = tmp_path / "curves.jsonl"

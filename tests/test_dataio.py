@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -31,6 +33,7 @@ from rankaudit.dataio import (
     load_baseline,
     load_dataset,
     load_ledger,
+    read_long_table,
     write_ledger,
     write_long_table,
     write_protocol_table,
@@ -87,7 +90,6 @@ class TestFormatting:
 
     def test_sentinels(self) -> None:
         assert format_cell(None) == "undefined"
-        assert format_cell(None, undefined="") == ""
         assert format_cell(-math.inf) == "-inf"
         assert format_cell(0.25) == "0.25"
 
@@ -443,19 +445,27 @@ class TestProtocolTable:
         assert row["n_obs"] == 200 and row["n_groups"] == 200 and row["n_excluded"] == 3
 
 
+def long_rows(rows, header=CURVE_HEADER, fmt="csv"):
+    """``rows`` written as a long table and read back as (line, row) pairs."""
+    out = io.StringIO()
+    write_long_table(rows, header, out, fmt)
+    return read_long_table(io.StringIO(out.getvalue()))
+
+
+def heatmap(rows, metric="minskew", label=None) -> str:
+    out = io.StringIO()
+    export_heatmap(rows, metric, label, out)
+    return out.getvalue()
+
+
 class TestHeatmap:
     def test_curve_matrix(self) -> None:
-        curves = [
-            MetricCurve(query_id="q1", day=1, attribute="gender", label=None, metric="minskew",
-                        values={25: -0.1, 50: None}),
-            MetricCurve(query_id="q1", day=2, attribute="gender", label=None, metric="minskew",
-                        values={25: -math.inf, 50: -0.2}),
-            MetricCurve(query_id="q2", day=1, attribute="gender", label=None, metric="minskew",
-                        values={25: 0.0, 50: -0.3}),
-        ]
-        out = io.StringIO()
-        export_heatmap(curves, out)
-        assert out.getvalue() == (
+        rows = long_rows([
+            ("q1", 1, "gender", "", 25, "minskew", -0.1), ("q1", 1, "gender", "", 50, "minskew", None),
+            ("q2", 1, "gender", "", 25, "minskew", 0.0), ("q2", 1, "gender", "", 50, "minskew", -0.3),
+            ("q1", 2, "gender", "", 25, "minskew", -math.inf), ("q1", 2, "gender", "", 50, "minskew", -0.2),
+        ])
+        assert heatmap(rows) == (
             "row,25,50\n"
             "q1:1,-0.1,\n"
             "q1:2,-inf,-0.2\n"
@@ -463,73 +473,85 @@ class TestHeatmap:
         )
 
     def test_curves_must_share_a_grid(self) -> None:
-        curves = [
-            MetricCurve(query_id="q1", day=1, attribute="gender", label=None, metric="minskew",
-                        values={25: -0.1}),
-            MetricCurve(query_id="q2", day=1, attribute="gender", label=None, metric="minskew",
-                        values={50: -0.1}),
-        ]
+        rows = long_rows([("q1", 1, "gender", "", 25, "minskew", -0.1), ("q2", 1, "gender", "", 50, "minskew", -0.1)])
         with pytest.raises(InconsistentGrid):
-            export_heatmap(curves, io.StringIO())
+            heatmap(rows)
 
-    def test_curves_must_share_metric_and_label(self) -> None:
-        mixed = [
-            MetricCurve(query_id="q1", day=1, attribute="gender", label="F", metric="skew",
-                        values={25: -0.1}),
-            MetricCurve(query_id="q2", day=1, attribute="gender", label="M", metric="skew",
-                        values={25: -0.1}),
-        ]
-        with pytest.raises(ValueError, match="one metric and one label"):
-            export_heatmap(mixed, io.StringIO())
+    def test_other_metrics_and_labels_are_left_out(self) -> None:
+        rows = long_rows([
+            ("q1", 1, "gender", "F", 25, "skew", -0.1), ("q1", 1, "gender", "M", 25, "skew", 0.1),
+            ("q1", 1, "gender", "F", 25, "deviation", 0.5),
+        ])
+        with pytest.raises(ValueError, match=r"rows span labels \['F', 'M'\]; pass --label to pick one"):
+            heatmap(rows, "skew")
+        assert heatmap(rows, "skew", "M") == "row,25\nq1:1,0.1\n"
+        assert heatmap(rows, "deviation") == "row,25\nq1:1,0.5\n"
 
     def test_churn_matrix_averages_defined_cells(self) -> None:
-        def cell(qid, start, end, k, churn):
-            return ChurnCell(query_id=qid, attribute="gender", label="F", k=k,
-                             start_day=start, end_day=end, churn=churn, base_count=5)
+        def row(qid, start, end, k, churn):
+            return (qid, "gender", "F", k, "churn", start, end, churn)
 
-        cells = [
-            cell("q1", 1, 2, 25, 0.2), cell("q1", 1, 2, 50, 0.4),
-            cell("q2", 1, 2, 25, 0.4), cell("q2", 1, 2, 50, None),
-            cell("q1", 1, 3, 25, 0.5), cell("q1", 1, 3, 50, 0.1),
-            cell("q2", 1, 3, 25, None), cell("q2", 1, 3, 50, None),
-        ]
-        out = io.StringIO()
-        export_heatmap(cells, out)
-        assert out.getvalue() == (
+        rows = long_rows([
+            row("q1", 1, 2, 25, 0.2), row("q1", 1, 2, 50, 0.4),
+            row("q2", 1, 2, 25, 0.4), row("q2", 1, 2, 50, None),
+            row("q1", 1, 3, 25, 0.5), row("q1", 1, 3, 50, 0.1),
+            row("q2", 1, 3, 25, None), row("q2", 1, 3, 50, None),
+        ], CHURN_HEADER)
+        assert heatmap(rows, "churn") == (
             "row,25,50\n"
             "1->2,0.3,0.4\n"
             "1->3,0.5,0.1\n"
         )
 
-    def test_churn_cells_must_share_one_label(self) -> None:
-        cells = [
-            ChurnCell(query_id="q1", attribute="gender", label="F", k=25, start_day=1, end_day=2,
-                      churn=0.1, base_count=5),
-            ChurnCell(query_id="q1", attribute="gender", label="M", k=25, start_day=1, end_day=2,
-                      churn=0.1, base_count=5),
-        ]
-        with pytest.raises(ValueError, match="one label"):
-            export_heatmap(cells, io.StringIO())
+    def test_churn_day_pairs_must_share_a_grid(self) -> None:
+        rows = long_rows([("q1", "gender", "F", 25, "churn", 1, 2, 0.1), ("q1", "gender", "F", 50, "churn", 1, 3, 0.1)],
+                         CHURN_HEADER)
+        with pytest.raises(InconsistentGrid, match="day pairs carry different cutoff grids"):
+            heatmap(rows, "churn")
+
+    def test_churn_rows_must_share_one_label(self) -> None:
+        rows = long_rows([("q1", "gender", "F", 25, "churn", 1, 2, 0.1), ("q1", "gender", "M", 25, "churn", 1, 2, 0.1)],
+                         CHURN_HEADER)
+        with pytest.raises(ValueError, match="rows span labels"):
+            heatmap(rows, "churn")
 
     def test_empty_export_rejected(self) -> None:
-        with pytest.raises(ValueError, match="nothing to export"):
-            export_heatmap([], io.StringIO())
+        with pytest.raises(ValueError, match="^no rows for metric 'minskew'$"):
+            heatmap([])
+        with pytest.raises(ValueError, match="^no rows for metric 'skew' label 'F'$"):
+            heatmap(long_rows([("q1", 1, "gender", "M", 25, "skew", 0.1)]), "skew", "F")
+
+    def test_absent_or_null_label_reads_as_empty(self) -> None:
+        rows = [(1, {"query_id": "q1", "day": 1, "k": 25, "metric": "minskew", "value": 0.5}),
+                (2, {"query_id": "q2", "day": 1, "k": 25, "metric": "minskew", "label": None, "value": 0.25}),
+                (3, {"query_id": "q3", "day": 1, "k": 25, "metric": "minskew", "label": "", "value": None})]
+        assert heatmap(rows) == heatmap(rows, label="") == "row,25\nq1:1,0.5\nq2:1,0.25\nq3:1,\n"
+
+    @pytest.mark.parametrize("label", [1, True, 0.5, ["F"], {"F": 1}])
+    def test_label_that_is_not_a_string_is_a_malformed_row(self, label) -> None:
+        rows = [(1, {"query_id": "q1", "day": 1, "k": 25, "metric": "minskew", "label": "F", "value": 0.5}),
+                (2, {"query_id": "q2", "day": 1, "k": 25, "metric": "minskew", "label": label, "value": 0.5})]
+        with pytest.raises(MalformedRow, match=re.escape(f"line 2: label {label!r} does not parse")):
+            heatmap(rows)
+        with pytest.raises(MalformedRow, match="^line 2: "):
+            heatmap(rows, label="F")
+
+    def test_row_label_holding_a_carriage_return_is_quoted(self) -> None:
+        rows = long_rows([("q\r1", 1, "gender", "", 5, "minskew", 0.5)])
+        text = heatmap(rows)
+        assert text == 'row,5\n"q\r1:1",0.5\n'
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [["row", "5"], ["q\r1:1", "0.5"]]
 
     def test_matrix_reparse_reproduces_the_bytes(self, tmp_path) -> None:
-        curves = [
-            MetricCurve(query_id="q1", day=1, attribute="gender", label=None, metric="minskew",
-                        values={25: -1 / 3, 50: -2 / 7}),
-        ]
         path = tmp_path / "heatmap.csv"
-        export_heatmap(curves, path)
+        export_heatmap(long_rows([("q1", 1, "gender", "", 25, "minskew", -1 / 3),
+                                  ("q1", 1, "gender", "", 50, "minskew", -2 / 7)]), "minskew", None, path)
         first = path.read_text(encoding="utf-8")
         header, data = first.splitlines()
         cells = data.split(",")
-        reparsed = MetricCurve(
-            query_id="q1", day=1, attribute="gender", label=None, metric="minskew",
-            values={25: float(cells[1]), 50: float(cells[2])},
-        )
-        export_heatmap([reparsed], path)
+        reparsed = long_rows([("q1", 1, "gender", "", 25, "minskew", float(cells[1])),
+                              ("q1", 1, "gender", "", 50, "minskew", float(cells[2]))])
+        export_heatmap(reparsed, "minskew", None, path)
         assert path.read_text(encoding="utf-8") == first
 
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from rankaudit import cli, dataio, names
 from rankaudit.detgreedy import ScoredCandidate
 from rankaudit.errors import AuditError, MalformedRow, UnknownLabel
-from rankaudit.model import EXTERNAL_BASELINE, GroupProportions
+from rankaudit.model import EXTERNAL_BASELINE, GroupProportions, GroupScheme
 
 from conftest import GENDER
 
@@ -382,6 +382,40 @@ def test_row_after_a_quoted_line_break_names_its_physical_line(tmp_path) -> None
         ref_read_pool(path)
 
 
+BASELINE_SCHEMES = {"gender": GENDER, "age": GroupScheme("age", ("young", "mid", "old"))}
+BASELINE_IDS = st.text(alphabet=',"\r\n éq1\u00df\u4e2d', max_size=6).filter(lambda q: q == q.strip())
+
+
+@FUZZ
+@given(data=st.data())
+def test_baseline_round_trips_through_a_reference_writer(tmp_path, data) -> None:
+    """Blocks written by ``csv.writer`` (CRLF, quoting as needed), shares
+    with ``repr``, rows of the blocks interleaved: each block reads back
+    with every share divided by the block's total, summed in row order."""
+    keys = data.draw(st.lists(st.tuples(BASELINE_IDS, st.sampled_from(sorted(BASELINE_SCHEMES))),
+                              unique=True, max_size=4))
+    rows = []
+    for query_id, attribute in keys:
+        labels = BASELINE_SCHEMES[attribute].labels
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(labels), max_size=len(labels))
+                            .filter(lambda w: sum(w) > 0))
+        rows += [(query_id, attribute, label, w / sum(weights)) for label, w in zip(labels, weights)]
+    rows = data.draw(st.permutations(rows))
+    path = tmp_path / "baseline.csv"
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(dataio.BASELINE_HEADER)
+        writer.writerows((query_id, attribute, label, repr(share)) for query_id, attribute, label, share in rows)
+    blocks: dict = {}
+    for query_id, attribute, label, share in rows:
+        blocks.setdefault((query_id, attribute), {})[label] = share
+    got = dataio.load_baseline(path, BASELINE_SCHEMES)
+    assert {key: (p.source, dict(p.shares)) for key, p in got.items()} == {
+        key: (EXTERNAL_BASELINE, {label: share / sum(shares.values()) for label, share in shares.items()})
+        for key, shares in blocks.items()
+    }
+
+
 @pytest.mark.parametrize("read, header", [
     (lambda p: dataio.load_baseline(p, {"gender": GENDER}), "query_id,attribute,label,share"),
     (lambda p: names.load_name_table(p, GENDER), "name,label,count"),
@@ -438,6 +472,22 @@ def test_json_objects_of_any_shape_raise_only_reported_errors(tmp_path, text) ->
     path.write_text(text, encoding="utf-8", newline="")
     for read in (dataio.load_ledger, dataio.load_dataset, dataio.read_long_table):
         read_fuzz(read, path)
+
+
+@FUZZ
+@given(text=st.one_of(csv_texts(dataio.CURVE_HEADER), csv_texts(dataio.CHURN_HEADER),
+                      jsonl_texts(dataio.CURVE_HEADER), jsonl_texts(dataio.CHURN_HEADER)))
+def test_export_of_any_long_table_raises_only_reported_errors(tmp_path, text) -> None:
+    # The metric of the first row, so that rows reach the label check and
+    # the pivot, whatever their cells hold.
+    path = tmp_path / "table"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        rows = dataio.read_long_table(path)
+        metric = rows[0][1].get("metric") if rows else "minskew"
+        dataio.export_heatmap(rows, metric, None, io.StringIO())
+    except (AuditError, ValueError, OSError):
+        pass
 
 
 def test_value_too_large_for_a_float_is_a_malformed_row(tmp_path) -> None:

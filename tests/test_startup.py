@@ -1,6 +1,7 @@
 """Start-up cost: only the simulator loads scipy, only it and the model
 fits load numpy, and only writing a table or dataset loads the line
-encoders.
+encoders.  Also what the start must load: every function the bench's
+tracer wraps.
 
 Importing scipy costs about half a second per process and numpy about
 0.15 s, and the daily audit chain starts the CLI once per stage; the model
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +121,28 @@ def test_import_leaves_the_line_encoders_unloaded() -> None:
     done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "1"]
+
+
+# Loads bench/tracer.py (without running it) and prints the (module,
+# function) pairs of its TRACED list that do not resolve after the CLI's import.
+TRACED_PROBE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import rankaudit.cli
+print(json.dumps([[m, f] for m, f in tracer.TRACED
+                  if not callable(getattr(sys.modules.get(f"rankaudit.{m}"), f, None))]))
+"""
+
+
+def test_every_traced_name_resolves_after_the_cli_import() -> None:
+    """The bench's tracer wraps each function it lists by rebinding the
+    attribute of an already-imported module; a name that is renamed, moved
+    or left unloaded silently loses its span.  ``parallel.ordered_map`` is
+    a known dead entry: its module was deleted and the list still names it."""
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    done = subprocess.run([sys.executable, "-c", TRACED_PROBE, str(tracer)], env=child_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [["parallel", "ordered_map"]]
