@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: validate, label, audit, churn, rerank, stats, simulate,
-export.  A key/value config file can set defaults for any long option
-(``key = value`` lines, ``#`` comments); explicit flags win.  Every
-randomized subcommand requires an explicit ``--seed``.  Output ordering is
-deterministic (sorted by query, day, cutoff).
+export.  A key/value config file can set defaults for any long option of
+the subcommand (``key = value`` lines, ``#`` comments); explicit flags win.
+Every randomized subcommand requires an explicit ``--seed``.  Output
+ordering is deterministic (sorted by query, day, cutoff).
 """
 from __future__ import annotations
 
@@ -36,12 +36,10 @@ _PROTOCOLS = ("minskew-protocol", "churn-protocol")
 # The metrics of ``audit``, in the order their curves are built.
 _METRICS = (exposure.DEVIATION, exposure.SKEW, exposure.MINSKEW, exposure.CORRECTED_SKEW)
 _FORMATS = (dataio.FORMAT_CSV, dataio.FORMAT_JSON)
-_POSTPROCESS = (simulate.POSTPROCESS_NONE, simulate.POSTPROCESS_DETGREEDY)
+_CUTOFFS = ",".join(map(str, mixedlm.DEFAULT_CUTOFFS))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     # Library warnings (``logging``) reach stderr like the CLI's own.
     handler = logging.StreamHandler(sys.stderr)
     handler.setLevel(logging.WARNING)
@@ -49,8 +47,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     logger = logging.getLogger("rankaudit")
     logger.addHandler(handler)
     try:
-        config = _load_config(args.config) if args.config else {}
-        _apply_config(args, config, _subcommand_actions(parser, args.command))
+        args = _parse_args(_build_parser(), argv)
         status = args.handler(args)
         sys.stdout.flush()
         return status
@@ -60,10 +57,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # ``signal`` module docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except AuditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (AuditError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -74,85 +68,130 @@ def main(argv: Sequence[str] | None = None) -> int:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Raise, so that ``main`` prints one ``error:`` line and returns 1."""
+        raise ValueError(message)
+
+
+def _list_of(item, name: str):
+    """An option type, ``name`` in argparse's errors: a non-empty comma list."""
+    def parse(text: str) -> list:
+        values = [item(part.strip()) for part in text.split(",") if part.strip()]
+        if not values:
+            raise ValueError(f"expected a comma-separated list, got {text!r}")
+        return values
+    parse.__name__ = name
+    return parse
+
+
+_texts = _list_of(str, "list")
+_ints = _list_of(int, "int list")
+_floats = _list_of(float, "float list")
+
+
+def _day_pairs(spec: str) -> str | list[tuple[int, int]]:
+    """``anchored``, ``consecutive``, or explicit ``S-E,S-E,...`` pairs."""
+    if spec.strip() in ("anchored", "consecutive"):
+        return spec.strip()
+    return [(int(s), int(e)) for s, _, e in (part.partition("-") for part in _texts(spec))]
+
+
+def _pool_range(spec: str) -> tuple[int, int]:
+    lo, _, hi = spec.partition(":")
+    return int(lo), int(hi or lo)
+
+
+def _shares(text: str) -> dict[str, float]:
+    return {label.strip(): float(share) for label, _, share in (part.partition("=") for part in _texts(text))}
+
+
+_day_pairs.__name__, _pool_range.__name__, _shares.__name__ = "day pairs", "pool range", "proportions"
+
+
+def _build_parser() -> _Parser:
+    """The parser; ``commands`` maps each subcommand to its own parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file with option defaults")
-    common.add_argument("--format", choices=_FORMATS, default=None)
-    common.add_argument("--output", "-o", help="output path (default: stdout)")
+    common.add_argument("--output", "-o", default=sys.stdout, help="output path (default: stdout)")
 
     scheme = argparse.ArgumentParser(add_help=False)
-    scheme.add_argument("--attribute", default=None, help="protected attribute name (default gender)")
-    scheme.add_argument("--labels", default=None, help="comma-separated group labels (default F,M)")
-    scheme.add_argument("--unknown-label", default=None, help="label for unresolved candidates")
+    scheme.add_argument("--attribute", default="gender", help="protected attribute name (default %(default)s)")
+    scheme.add_argument("--labels", type=_texts, default="F,M", help="comma list of group labels (default %(default)s)")
 
-    parser = argparse.ArgumentParser(prog="rankaudit", description=__doc__)
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=_FORMATS, default=dataio.FORMAT_CSV, help="(default %(default)s)")
+
+    parser = _Parser(prog="rankaudit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    p = sub.add_parser("validate", parents=[common], help="check a snapshot file and report problems")
-    p.add_argument("dataset")
-    p.set_defaults(handler=_cmd_validate)
+    def command(name: str, handler, help: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("label", parents=[common, scheme], help="infer group labels from name tables")
+    p = command("validate", _cmd_validate, "check a snapshot file and report problems")
     p.add_argument("dataset")
-    p.add_argument("--names", action="append", default=None, metavar="CSV",
-                   help="name,label,count table; repeat to build a chain")
+    p.add_argument("--format", choices=_FORMATS, default=dataio.FORMAT_JSON, help="(default %(default)s)")
+
+    p = command("label", _cmd_label, "infer group labels from name tables", scheme)
+    p.add_argument("dataset")
+    p.add_argument("--unknown-label", default=GroupScheme.unknown_label,
+                   help="label for unresolved candidates (default %(default)s)")
+    p.add_argument("--names", action="append", metavar="CSV", help="name,label,count table; repeat to build a chain")
     p.add_argument("--full-name", action="store_true", help="look up 'first last' instead of first name")
-    p.set_defaults(handler=_cmd_label)
 
-    p = sub.add_parser("audit", parents=[common, scheme], help="exposure metrics per query, day, and cutoff")
+    p = command("audit", _cmd_audit, "exposure metrics per query, day, and cutoff", scheme, table)
     p.add_argument("dataset")
     p.add_argument("--baseline", help="external target proportions CSV")
-    p.add_argument("--k-grid", default=None, help="cutoffs: 'N', 'A,B,C', 'LO:HI[:STEP]', or 'full'")
-    p.add_argument("--metrics", default=None, help="comma list from deviation,skew,minskew,corrected_skew")
-    p.add_argument("--day", default=None, help="restrict to one day (default: all days)")
-    p.set_defaults(handler=_cmd_audit)
+    p.add_argument("--k-grid", help="cutoffs: 'N', 'A,B,C', 'LO:HI[:STEP]' or 'full' (default: page cutoffs)")
+    p.add_argument("--metrics", type=_texts, default=",".join(_METRICS), help="comma list (default %(default)s)")
+    p.add_argument("--day", type=int, help="restrict to one day (default: all days)")
 
-    p = sub.add_parser("churn", parents=[common, scheme], help="top-k membership churn between days")
+    p = command("churn", _cmd_churn, "top-k membership churn between days", scheme, table)
     p.add_argument("dataset")
-    p.add_argument("--k-grid", default=None, help="cutoffs (default 25,50,75,100)")
-    p.add_argument("--pairs", default=None,
-                   help="'anchored', 'consecutive', or explicit 'S-E,S-E,...' day pairs")
-    p.set_defaults(handler=_cmd_churn)
+    p.add_argument("--k-grid", default=_CUTOFFS, help="cutoffs, as for audit (default %(default)s)")
+    p.add_argument("--pairs", type=_day_pairs, default="anchored",
+                   help="'anchored', 'consecutive', or explicit 'S-E,S-E,...' day pairs (default %(default)s)")
 
-    p = sub.add_parser("rerank", parents=[common, scheme], help="apply DetGreedy to a scored pool")
+    p = command("rerank", _cmd_rerank, "apply DetGreedy to a scored pool", scheme, table)
     p.add_argument("pool", help="CSV candidate_id,label,score")
-    p.add_argument("--proportions", default=None, help="targets like 'F=0.5,M=0.5' (default: pool shares)")
-    p.set_defaults(handler=_cmd_rerank)
+    p.add_argument("--proportions", type=_shares, help="targets like 'F=0.5,M=0.5' (default: pool shares)")
 
-    p = sub.add_parser("stats", parents=[common, scheme], help="mixed-model significance protocols")
+    p = command("stats", _cmd_stats, "mixed-model significance protocols", scheme, table)
     p.add_argument("protocol", choices=_PROTOCOLS)
     p.add_argument("dataset")
-    p.add_argument("--null", default=None, help="null value for the MinSkew intercept test")
-    p.add_argument("--cutoffs", default=None, help="comma-separated cutoffs (default 25,50,75,100)")
-    p.add_argument("--max-missing", default=None, help="inclusion threshold on day-1 missing rate")
-    p.add_argument("--min-pool", default=None, help="inclusion threshold on day-1 list length")
+    p.add_argument("--null", type=float, default=mixedlm.DEFAULT_MINSKEW_NULL,
+                   help="null value for the MinSkew intercept test (default %(default)s)")
+    p.add_argument("--cutoffs", type=_ints, default=_CUTOFFS, help="comma-separated cutoffs (default %(default)s)")
+    p.add_argument("--max-missing", type=float, default=0.15, help="max day-1 missing rate (default %(default)s)")
+    p.add_argument("--min-pool", type=int, default=101, help="min day-1 list length (default %(default)s)")
     p.add_argument("--baseline", help="external target proportions CSV (minskew protocol)")
-    p.set_defaults(handler=_cmd_stats)
 
-    p = sub.add_parser("simulate", parents=[common, scheme], help="generate a synthetic dataset")
-    p.add_argument("--seed", default=None, required=False, help="RNG seed (required)")
-    p.add_argument("--queries", default=None, help="number of queries")
-    p.add_argument("--pool", default=None, help="pool size range MIN:MAX")
-    p.add_argument("--weights", default=None, help="group mix, e.g. '0.45,0.55'")
-    p.add_argument("--score-means", default=None, help="per-group score means")
-    p.add_argument("--score-spreads", default=None, help="per-group score spreads")
-    p.add_argument("--days", default=None)
-    p.add_argument("--departures", default=None, help="per-group daily departure probabilities")
-    p.add_argument("--missing-prob", default=None)
-    p.add_argument("--postprocess", default=None, choices=_POSTPROCESS)
-    p.add_argument("--weights-concentration", default=None)
-    p.add_argument("--ledger", default=None, help="path for the ground-truth ledger JSONL")
-    p.add_argument("--inject-label", default=None, help="demote this group from the top page")
-    p.add_argument("--inject-strength", default=None)
-    p.add_argument("--inject-seed", default=None)
-    p.add_argument("--page-size", default=None)
-    p.set_defaults(handler=_cmd_simulate)
+    p = command("simulate", _cmd_simulate, "generate a synthetic dataset", scheme)
+    p.add_argument("--seed", type=int, help="RNG seed (required)")
+    p.add_argument("--queries", type=int, default=100, help="number of queries (default %(default)s)")
+    p.add_argument("--pool", type=_pool_range, default="100:200", help="pool size range MIN:MAX (default %(default)s)")
+    p.add_argument("--weights", type=_floats, help="group mix, e.g. '0.45,0.55' (default: equal)")
+    p.add_argument("--score-means", type=_floats, help="per-group score means")
+    p.add_argument("--score-spreads", type=_floats, help="per-group score spreads")
+    p.add_argument("--days", type=int, default=1, help="(default %(default)s)")
+    p.add_argument("--departures", type=_floats, help="per-group daily departure probabilities")
+    p.add_argument("--missing-prob", type=float, default=0.0, help="(default %(default)s)")
+    p.add_argument("--postprocess", choices=(simulate.POSTPROCESS_NONE, simulate.POSTPROCESS_DETGREEDY),
+                   default=simulate.POSTPROCESS_NONE, help="(default %(default)s)")
+    p.add_argument("--weights-concentration", type=float, help="Dirichlet concentration of per-query mixes")
+    p.add_argument("--ledger", help="path for the ground-truth ledger JSONL")
+    p.add_argument("--inject-label", help="demote this group from the top page")
+    p.add_argument("--inject-strength", type=float, default=1.0, help="(default %(default)s)")
+    p.add_argument("--inject-seed", type=int, help="(default: --seed)")
+    p.add_argument("--page-size", type=int, default=exposure.DEFAULT_PAGE_SIZE, help="(default %(default)s)")
 
-    p = sub.add_parser("export", parents=[common], help="pivot a long metric table into a matrix")
+    p = command("export", _cmd_export, "pivot a long metric table into a matrix")
     p.add_argument("table", help="long-format CSV or JSONL produced by audit/churn")
     p.add_argument("--metric", required=True)
-    p.add_argument("--label", default=None, help="group label filter (required for labeled metrics)")
-    p.set_defaults(handler=_cmd_export)
+    p.add_argument("--label", help="group label filter (required for labeled metrics)")
 
     return parser
 
@@ -188,34 +227,39 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
-    """The actions of subcommand ``command`` by destination."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return {one.dest: one for one in action.choices[command]._actions}
-    return {}
-
-
-def _apply_config(args: argparse.Namespace, config: dict[str, str], actions: dict[str, argparse.Action]) -> None:
-    """Fill the options left unset on the command line from ``config``.
-
-    A value for a flag (``store_true``) must be ``true`` or ``false``; one
-    for a repeatable option becomes a one-element list, as one use of the
-    flag gives; one for an option with ``choices`` must be among them,
-    since argparse checks only the command line."""
-    for key, value in config.items():
-        action = actions.get(key)
-        if action is None or not action.option_strings or not hasattr(args, key):
+def _parse_args(parser: _Parser, argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse ``argv``, then again with the ``--config`` values as the
+    subcommand's defaults: argparse converts them with each option's
+    ``type``, and a flag wins.  Argparse checks no default against a flag
+    (``true`` or ``false``) or ``choices``, and would append a repeatable
+    option's uses to it, so those three are handled here.  Keys of options
+    the subcommand lacks are ignored."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    command = parser.commands[args.command]
+    options = {action.dest: action for action in command._actions if action.option_strings}
+    defaults: dict[str, object] = {}
+    for key, value in _load_config(args.config).items():
+        action = options.get(key)
+        if action is None or not hasattr(args, key):
             continue
         if isinstance(action, argparse._StoreTrueAction):
             if value.lower() not in ("true", "false"):
                 raise ValueError(f"config {key} = {value!r}: expected true or false")
-            if value.lower() == "true":
-                setattr(args, key, True)
-        elif getattr(args, key) is None:
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"config {key} = {value!r}: choose from {', '.join(action.choices)}")
-            setattr(args, key, [value] if isinstance(action, argparse._AppendAction) else value)
+            defaults[key] = value.lower() == "true"
+        elif isinstance(action, argparse._AppendAction):
+            if getattr(args, key) is None:
+                defaults[key] = [value]
+        else:
+            defaults[key] = value
+    command.set_defaults(**defaults)
+    args = parser.parse_args(argv)
+    for action in options.values():
+        value = getattr(args, action.dest, None)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config {action.dest} = {value!r}: choose from {', '.join(action.choices)}")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -223,32 +267,17 @@ def _apply_config(args: argparse.Namespace, config: dict[str, str], actions: dic
 
 
 def _scheme(args: argparse.Namespace) -> GroupScheme:
-    labels = tuple(_csv_list(args.labels or "F,M"))
-    return GroupScheme(
-        attribute_name=args.attribute or "gender",
-        labels=labels,
-        unknown_label=args.unknown_label or "unknown",
-    )
+    return GroupScheme(args.attribute, tuple(args.labels))
 
 
-def _csv_list(text: str) -> list[str]:
-    return [part.strip() for part in str(text).split(",") if part.strip()]
+def _baseline(args: argparse.Namespace, scheme: GroupScheme) -> dict[tuple[str, str], GroupProportions] | None:
+    """The ``--baseline`` targets; None means each query's pool shares."""
+    return None if args.baseline is None else dataio.load_baseline(args.baseline, {scheme.attribute_name: scheme})
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in _csv_list(text)]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in _csv_list(text)]
-
-
-def _parse_grid(spec: str | None, limit: int) -> list[int]:
+def _parse_grid(spec: str, limit: int) -> list[int]:
     """Cutoff grid spec: 'full', single int, comma list, or LO:HI[:STEP]."""
-    if spec is None:
-        grid = list(exposure.page_cutoffs(limit))
-        return grid if grid else [limit]
-    spec = str(spec).strip()
+    spec = spec.strip()
     if spec == "full":
         return list(range(1, limit + 1))
     if ":" in spec:
@@ -256,11 +285,7 @@ def _parse_grid(spec: str | None, limit: int) -> list[int]:
         lo, hi = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
         return list(range(lo, hi + 1, step))
-    return _int_list(spec)
-
-
-def _emit_long(args, rows, header) -> None:
-    dataio.write_long_table(rows, header, args.output or sys.stdout, args.format or dataio.FORMAT_CSV)
+    return _ints(spec)
 
 
 def _load_or_fail(path: str):
@@ -268,10 +293,7 @@ def _load_or_fail(path: str):
     for issue in report.parse_issues:
         print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
     for issue in report.integrity_issues:
-        print(
-            f"warning: {issue.query_id} day {issue.day} (line {issue.line}): {issue.message}",
-            file=sys.stderr,
-        )
+        print(f"warning: {issue.query_id} day {issue.day} (line {issue.line}): {issue.message}", file=sys.stderr)
     return series, report
 
 
@@ -324,10 +346,9 @@ def _curves(
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     series, report = dataio.load_dataset(args.dataset)
-    if (args.format or dataio.FORMAT_JSON) == dataio.FORMAT_JSON:
-        with dataio.text_stream(args.output or sys.stdout, "w") as out:
-            out.write(json.dumps(report.to_dict(), indent=2, sort_keys=False))
-            out.write("\n")
+    if args.format == dataio.FORMAT_JSON:
+        with dataio.text_stream(args.output, "w") as out:
+            out.write(json.dumps(report.to_dict(), indent=2) + "\n")
     else:
         rows = [
             *(("parse", "", "", issue.line, issue.message) for issue in report.parse_issues),
@@ -335,88 +356,71 @@ def _cmd_validate(args: argparse.Namespace) -> int:
               for issue in report.integrity_issues),
             *(("quarantined", query_id, day, "", "") for query_id, day in report.quarantined),
         ]
-        _emit_long(args, rows, dataio.ISSUE_HEADER)
+        dataio.write_long_table(rows, dataio.ISSUE_HEADER, args.output, args.format)
     return 0 if report.ok else 1
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
     if not args.names:
         raise ValueError("at least one --names table is required")
-    scheme = _scheme(args)
+    scheme = GroupScheme(args.attribute, tuple(args.labels), args.unknown_label)
     chain = [load_name_table(path, scheme) for path in args.names]
     series, report = _load_or_fail(args.dataset)
     snapshots = [series_one.snapshots[day] for series_one in series for day in series_one.days]
-    labeled, coverage = label_dataset(snapshots, scheme, chain, full_name=bool(args.full_name))
+    labeled, coverage = label_dataset(snapshots, scheme, chain, full_name=args.full_name)
     regrouped: dict[str, dict[int, object]] = {}
     for snap in labeled:
         regrouped.setdefault(snap.query_id, {})[snap.day] = snap
     out_series = [QuerySeries(query_id=qid, snapshots=days) for qid, days in sorted(regrouped.items())]
-    dataio.write_snapshots(out_series, args.output or sys.stdout)
-    print(
-        f"labeled {coverage.resolved}/{coverage.total} candidates (coverage {coverage.coverage:.4f})",
-        file=sys.stderr,
-    )
+    dataio.write_snapshots(out_series, args.output)
+    print(f"labeled {coverage.resolved}/{coverage.total} candidates (coverage {coverage.coverage:.4f})",
+          file=sys.stderr)
     return 0 if report.ok else 1
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
     series, report = _load_or_fail(args.dataset)
-    baseline = dataio.load_baseline(args.baseline, {scheme.attribute_name: scheme}) if args.baseline else None
-    metrics = _csv_list(args.metrics) if args.metrics else _METRICS
-    unknown = set(metrics) - set(_METRICS)
+    unknown = set(args.metrics) - set(_METRICS)
     if unknown:
         raise ValueError(f"unrecognized metrics: {sorted(unknown)}")
-    only_day = int(args.day) if args.day is not None else None
     snaps = [
         one.snapshots[day]
         for one in series
         for day in one.days
-        if (only_day is None or day == only_day) and one.snapshots[day].entries
+        if (args.day is None or day == args.day) and one.snapshots[day].entries
     ]
     # The default page grid follows the longest list, so every curve of the
     # run shares it; cells past a shorter list are undefined.
-    run_grid = None
-    if args.k_grid is None and snaps:
-        run_grid = _parse_grid(None, max(len(snap.entries) for snap in snaps))
+    longest = max((len(snap.entries) for snap in snaps), default=0)
+    run_grid = (list(exposure.page_cutoffs(longest)) or [longest]) if args.k_grid is None else None
 
     grids = ((snap, run_grid or _parse_grid(args.k_grid, len(snap.entries))) for snap in snaps)
-    curves = _curves(grids, scheme, baseline, metrics)
-    _emit_long(args, dataio.curve_rows(curves), dataio.CURVE_HEADER)
+    curves = _curves(grids, scheme, _baseline(args, scheme), args.metrics)
+    dataio.write_long_table(dataio.curve_rows(curves), dataio.CURVE_HEADER, args.output, args.format)
     return 0 if report.ok else 1
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
     series, report = _load_or_fail(args.dataset)
-    spec = (args.pairs or "anchored").strip()
-
     cells = []
     for one in series:
-        if spec == "anchored":
-            pairs = churn_mod.anchored_pairs(one)
-        elif spec == "consecutive":
-            pairs = churn_mod.consecutive_pairs(one)
-        else:
-            pairs = [(int(s), int(e)) for s, _, e in (p.partition("-") for p in _csv_list(spec))]
+        # ``anchored_pairs`` or ``consecutive_pairs`` of the query, or the explicit pairs.
+        pairs = getattr(churn_mod, f"{args.pairs}_pairs")(one) if isinstance(args.pairs, str) else args.pairs
         if not pairs:
             continue
-        max_len = max(len(one.snapshots[d].entries) for d in one.days)
-        grid = _parse_grid(args.k_grid, max_len) if args.k_grid else list(mixedlm.DEFAULT_CUTOFFS)
+        grid = _parse_grid(args.k_grid, max(len(one.snapshots[d].entries) for d in one.days))
         cells.extend(churn_mod.churn_grid(one, scheme, grid, pairs))
-    _emit_long(args, dataio.churn_rows(cells), dataio.CHURN_HEADER)
+    dataio.write_long_table(dataio.churn_rows(cells), dataio.CHURN_HEADER, args.output, args.format)
     return 0 if report.ok else 1
 
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
     pool = dataio.read_pool(args.pool)
-    if args.proportions:
-        shares = {}
-        for part in _csv_list(args.proportions):
-            label, _, share = part.partition("=")
-            shares[label.strip()] = float(share)
-        targets = GroupProportions(scheme=scheme, shares=shares)
+    if args.proportions is not None:
+        targets = GroupProportions(scheme=scheme, shares=args.proportions)
     else:
         codes = label_codes((cand.label for cand in pool), scheme)
         if -1 in codes:
@@ -424,18 +428,17 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
         targets = PrefixCounts(codes, scheme.labels).proportions(scheme)
     result = detgreedy_rerank(pool, targets)
     by_id = {cand.candidate_id: cand for cand in pool}
-    if (args.format or dataio.FORMAT_CSV) == dataio.FORMAT_CSV:
+    if args.format == dataio.FORMAT_CSV:
         rows = [(rank, cid, by_id[cid].label, by_id[cid].score) for rank, cid in enumerate(result.order, 1)]
-        _emit_long(args, rows, dataio.RERANK_HEADER)
+        dataio.write_long_table(rows, dataio.RERANK_HEADER, args.output, args.format)
     else:
         summary = {
             "order": list(result.order),
             "feasible": result.feasible,
             "violations": [[k, label] for k, label in result.violation_positions],
         }
-        with dataio.text_stream(args.output or sys.stdout, "w") as out:
-            out.write(json.dumps(summary, ensure_ascii=False))
-            out.write("\n")
+        with dataio.text_stream(args.output, "w") as out:
+            out.write(json.dumps(summary, ensure_ascii=False) + "\n")
     if not result.feasible:
         print(f"warning: {len(result.violation_positions)} prefix-constraint violations", file=sys.stderr)
     return 0
@@ -444,34 +447,28 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
     series, report = _load_or_fail(args.dataset)
-    max_missing = float(args.max_missing) if args.max_missing is not None else 0.15
-    min_pool = int(args.min_pool) if args.min_pool is not None else 101
-    kept, manifest = dataio.filter_queries(series, max_missing, min_pool)
+    kept, manifest = dataio.filter_queries(series, args.max_missing, args.min_pool)
     dropped = sum(1 for line in manifest if not line["kept"])
     if dropped:
         print(f"filtered out {dropped}/{len(manifest)} queries", file=sys.stderr)
-    cutoffs = _int_list(args.cutoffs) if args.cutoffs else list(mixedlm.DEFAULT_CUTOFFS)
 
     if args.protocol == "minskew-protocol":
-        baseline = (
-            dataio.load_baseline(args.baseline, {scheme.attribute_name: scheme}) if args.baseline else None
-        )
         snaps = (one.snapshots[day] for one in kept for day in one.days)
-        curves = _curves(((snap, cutoffs) for snap in snaps if snap.entries), scheme, baseline, [exposure.MINSKEW])
-        null = float(args.null) if args.null is not None else mixedlm.DEFAULT_MINSKEW_NULL
-        rows = mixedlm.minskew_protocol(curves, null, cutoffs)
+        grids = ((snap, args.cutoffs) for snap in snaps if snap.entries)
+        curves = _curves(grids, scheme, _baseline(args, scheme), [exposure.MINSKEW])
+        rows = mixedlm.minskew_protocol(curves, args.null, args.cutoffs)
     else:
         cells = []
         for one in kept:
             pairs = churn_mod.anchored_pairs(one)
             if pairs:
-                cells.extend(churn_mod.churn_grid(one, scheme, cutoffs, pairs))
-        rows = mixedlm.churn_protocol(cells, scheme, cutoffs)
+                cells.extend(churn_mod.churn_grid(one, scheme, args.cutoffs, pairs))
+        rows = mixedlm.churn_protocol(cells, scheme, args.cutoffs)
 
     # One line per failed cutoff; churn has two rows per cutoff.
     for k, reason in dict.fromkeys((row.k, row.reason) for row in rows if row.reason):
         print(f"warning: k={k}: {reason}", file=sys.stderr)
-    dataio.write_protocol_table(rows, args.output or sys.stdout, args.format or dataio.FORMAT_CSV)
+    dataio.write_protocol_table(rows, args.output, args.format)
     # A run in which no cutoff could be tested has failed, rows or not.
     untested = bool(rows) and all(row.reason for row in rows)
     return 0 if report.ok and not untested else 1
@@ -482,52 +479,46 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("--seed is required (no time-based default)")
     scheme = _scheme(args)
     labels = scheme.labels
-    weights = _float_list(args.weights) if args.weights else [1.0 / len(labels)] * len(labels)
-    means = _float_list(args.score_means) if args.score_means else [0.6] * len(labels)
-    spreads = _float_list(args.score_spreads) if args.score_spreads else [0.15] * len(labels)
-    departures = _float_list(args.departures) if args.departures else [0.0] * len(labels)
+    weights = args.weights or [1.0 / len(labels)] * len(labels)
+    means = args.score_means or [0.6] * len(labels)
+    spreads = args.score_spreads or [0.15] * len(labels)
+    departures = args.departures or [0.0] * len(labels)
     for name, values in (("weights", weights), ("score-means", means),
                          ("score-spreads", spreads), ("departures", departures)):
         if len(values) != len(labels):
             raise ValueError(f"--{name} needs one value per label ({len(labels)})")
-    pool_spec = str(args.pool or "100:200")
-    lo, _, hi = pool_spec.partition(":")
     config = simulate.SimConfig(
-        seed=int(args.seed),
-        n_queries=int(args.queries or 100),
-        pool_size=(int(lo), int(hi or lo)),
+        seed=args.seed,
+        n_queries=args.queries,
+        pool_size=args.pool,
         scheme=scheme,
         group_weights=dict(zip(labels, weights)),
         score_models={
             label: simulate.ScoreModel(mean, spread)
             for label, mean, spread in zip(labels, means, spreads)
         },
-        days=int(args.days or 1),
+        days=args.days,
         departure_probs=dict(zip(labels, departures)),
-        missing_prob=float(args.missing_prob or 0.0),
-        postprocess=args.postprocess or simulate.POSTPROCESS_NONE,
-        weights_concentration=(
-            float(args.weights_concentration) if args.weights_concentration is not None else None
-        ),
+        missing_prob=args.missing_prob,
+        postprocess=args.postprocess,
+        weights_concentration=args.weights_concentration,
     )
     result = simulate.generate(config)
     series = result.series
     if args.inject_label is not None:
-        strength = float(args.inject_strength) if args.inject_strength is not None else 1.0
-        inject_seed = int(args.inject_seed) if args.inject_seed is not None else int(args.seed)
-        page = int(args.page_size) if args.page_size is not None else exposure.DEFAULT_PAGE_SIZE
+        inject_seed = args.seed if args.inject_seed is None else args.inject_seed
         series, record = simulate.inject_topk_bias(
-            series, scheme, args.inject_label, strength, inject_seed, page
+            series, scheme, args.inject_label, args.inject_strength, inject_seed, args.page_size
         )
         print(json.dumps(record, ensure_ascii=False), file=sys.stderr)
-    dataio.write_snapshots(series, args.output or sys.stdout)
-    if args.ledger:
+    dataio.write_snapshots(series, args.output)
+    if args.ledger is not None:
         dataio.write_ledger(result.truth, args.ledger)
     return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    dataio.export_heatmap(dataio.read_long_table(args.table), args.metric, args.label, args.output or sys.stdout)
+    dataio.export_heatmap(dataio.read_long_table(args.table), args.metric, args.label, args.output)
     return 0
 
 

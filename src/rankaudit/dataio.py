@@ -839,8 +839,8 @@ def export_heatmap(
         values, grids = [], {}
         for n, r, _ in wanted:
             cell(n, r, "query_id", str)  # required, though the matrix averages over queries
-            k = cell(n, r, "k", int)
-            pair = (cell(n, r, "start_day", int), cell(n, r, "end_day", int))
+            k = cell(n, r, "k", _integer)
+            pair = (cell(n, r, "start_day", _integer), cell(n, r, "end_day", _integer))
             grids.setdefault(pair, set()).add(k)
             values.append(((pair, k), r["value"]))
         if len({frozenset(ks) for ks in grids.values()}) > 1:
@@ -851,8 +851,8 @@ def export_heatmap(
     else:
         curves: dict[tuple[str, int], dict[int, float | None]] = {}
         for n, r, _ in wanted:
-            key = (cell(n, r, "query_id", str), cell(n, r, "day", int))
-            curves.setdefault(key, {})[cell(n, r, "k", int)] = r["value"]
+            key = (cell(n, r, "query_id", str), cell(n, r, "day", _integer))
+            curves.setdefault(key, {})[cell(n, r, "k", _integer)] = r["value"]
         # Lists of different lengths (`audit --k-grid full`) give grids that
         # are prefixes of the longest one; cells past a shorter list are empty.
         shapes = {tuple(sorted(curve)) for curve in curves.values()}
@@ -862,6 +862,14 @@ def export_heatmap(
         matrix = [(f"{q}:{d}", [curve.get(k) for k in grid]) for (q, d), curve in sorted(curves.items())]
     table = [(name, *("" if v is None else format_cell(v) for v in cells)) for name, cells in matrix]
     write_long_table(table, ("row", *map(str, grid)), destination)
+
+
+def _integer(value) -> int:
+    """A cutoff or day cell: a JSON integer (``int()`` would truncate 10.7
+    and take ``true``) or CSV text of an optional minus and ASCII digits."""
+    if type(value) is int or isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
+        return int(value)
+    raise ValueError(value)
 
 
 def _label(value) -> str:

@@ -99,8 +99,8 @@ class SimConfig:
         for label, model in self.score_models.items():
             if not math.isfinite(model.mean):
                 raise InvalidConfig(f"score mean for {label!r} must be finite")
-            if not model.spread > 0.0:
-                raise InvalidConfig(f"score spread for {label!r} must be positive")
+            if not 0.0 < model.spread < math.inf:
+                raise InvalidConfig(f"score spread for {label!r} must be positive and finite")
         extra = set(self.departure_probs) - labels
         if extra:
             raise InvalidConfig(f"departure_probs for labels outside the scheme: {sorted(extra)}")
@@ -120,8 +120,8 @@ class SimConfig:
                 raise InvalidConfig("postprocess targets must lie in [0, 1]")
             if abs(sum(self.postprocess_targets.values()) - 1.0) > 1e-9:
                 raise InvalidConfig("postprocess targets must sum to 1")
-        if self.weights_concentration is not None and not self.weights_concentration > 0.0:
-            raise InvalidConfig("weights_concentration must be positive")
+        if self.weights_concentration is not None and not 0.0 < self.weights_concentration < math.inf:
+            raise InvalidConfig("weights_concentration must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,18 @@ class TestSimulateCommand:
                    "-o", str(tmp_path / "x.jsonl")) == 1
         assert capsys.readouterr().err == "error: group weights must be finite\n"
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--score-spreads", "inf,inf", "score spread for 'F' must be positive and finite"),
+        ("--weights-concentration", "inf", "weights_concentration must be positive and finite"),
+    ])
+    def test_non_finite_spread_or_concentration_is_rejected(self, tmp_path, capsys, option, value,
+                                                            message) -> None:
+        out = tmp_path / "x.jsonl"
+        assert run("simulate", "--seed", "1", "--queries", "1", "--pool", "5:5", option, value,
+                   "-o", str(out), "--ledger", str(tmp_path / "truth.jsonl")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_writes_dataset_and_ledger(self, tmp_path) -> None:
         data = tmp_path / "data.jsonl"
         truth = tmp_path / "truth.jsonl"
@@ -563,6 +575,45 @@ class TestExportCommand:
         assert run("export", str(table), "--metric", "minskew") == 1
         assert capsys.readouterr().err == "error: line 1: k inf does not parse\n"
 
+    @pytest.mark.parametrize("cells, message", [
+        ('"day":1,"k":10.7', "k 10.7"),
+        ('"day":1,"k":true', "k True"),
+        ('"day":true,"k":10', "day True"),
+        ('"day":1,"k":"1e1"', "k '1e1'"),
+    ])
+    def test_jsonl_cutoff_or_day_that_is_not_an_integer_is_an_error(self, tmp_path, capsys, cells,
+                                                                    message) -> None:
+        # int() used to truncate 10.7 and read true as 1, moving the cell
+        # into another column with exit status 0.
+        table = tmp_path / "curves.jsonl"
+        row = '{"query_id":"q1",%s,"attribute":"gender","label":"","metric":"minskew","value":0.5}\n'
+        table.write_text(row % '"day":1,"k":10' + row % cells, encoding="utf-8")
+        assert run("export", str(table), "--metric", "minskew") == 1
+        assert capsys.readouterr().err == f"error: line 2: {message} does not parse\n"
+
+    @pytest.mark.parametrize("k", ["10.0", "+10", " 10", "1_0", "١٠", "-", "0x10"])
+    def test_csv_cutoff_that_is_not_minus_and_ascii_digits_is_an_error(self, tmp_path, capsys, k) -> None:
+        table = tmp_path / "curves.csv"
+        table.write_text("query_id,day,attribute,label,k,metric,value\n"
+                         f"q1,1,gender,,5,minskew,0.5\nq1,1,gender,,{k},minskew,0.25\n", encoding="utf-8")
+        assert run("export", str(table), "--metric", "minskew") == 1
+        assert capsys.readouterr().err == f"error: line 3: k {k!r} does not parse\n"
+
+    def test_churn_day_pair_that_is_a_bool_is_an_error(self, tmp_path, capsys) -> None:
+        table = tmp_path / "churn.jsonl"
+        row = '{"query_id":"q1","start_day":1,"end_day":%s,"attribute":"gender","label":"F","k":5,' \
+              '"metric":"churn","value":0.5}\n'
+        table.write_text(row % "2" + row % "true", encoding="utf-8")
+        assert run("export", str(table), "--metric", "churn") == 1
+        assert capsys.readouterr().err == "error: line 2: end_day True does not parse\n"
+
+    def test_negative_and_zero_padded_integers_still_read(self, tmp_path) -> None:
+        table, heat = tmp_path / "curves.csv", tmp_path / "heat.csv"
+        table.write_text("query_id,day,attribute,label,k,metric,value\n"
+                         "q1,-1,gender,,05,minskew,0.5\n", encoding="utf-8")
+        assert run("export", str(table), "--metric", "minskew", "-o", str(heat)) == 0
+        assert heat.read_text(encoding="utf-8") == "row,5\nq1:-1,0.5\n"
+
 
 class TestLabelCommand:
     def test_labels_from_name_tables(self, tmp_path, capsys) -> None:
@@ -669,12 +720,32 @@ class TestConfigFile:
         assert (tmp_path / "3").read_text(encoding="utf-8") == "kind,query_id,day,line,message\n"
 
     @pytest.mark.parametrize("value, expected", [("TRUE", True), ("true", True), ("false", False)])
-    def test_flag_from_the_config(self, value, expected) -> None:
-        parser = cli._build_parser()
-        args = parser.parse_args(["label", "raw.jsonl"])
-        cli._apply_config(args, {"full_name": value, "queries": "3"}, cli._subcommand_actions(parser, "label"))
-        assert args.full_name is expected
-        assert not hasattr(args, "queries")
+    def test_flag_from_the_config(self, tmp_path, monkeypatch, capsys, value, expected) -> None:
+        # The full name "Ada King" resolves to M, the first name alone to F.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "names.csv").write_text("name,label,count\nada,F,9\nada king,M,5\n", encoding="utf-8")
+        (tmp_path / "raw.jsonl").write_text(json.dumps(
+            {"query_id": "q1", "day": 1, "rank": 1, "candidate_id": "a", "first_name": "Ada",
+             "last_name": "King", "groups": None, "missing": False}) + "\n", encoding="utf-8")
+        # ``queries`` is not an option of ``label``, so it is ignored.
+        (tmp_path / "label.cfg").write_text(f"full_name = {value}\nqueries = 3\n", encoding="utf-8")
+        assert run("label", "raw.jsonl", "--names", "names.csv", "--config", "label.cfg", "-o", "cfg.jsonl") == 0
+        flag = ["--full-name"] if expected else []
+        assert run("label", "raw.jsonl", "--names", "names.csv", *flag, "-o", "flag.jsonl") == 0
+        assert "error" not in capsys.readouterr().err
+        assert (tmp_path / "cfg.jsonl").read_bytes() == (tmp_path / "flag.jsonl").read_bytes()
+        labeled, _ = load_dataset(tmp_path / "cfg.jsonl")
+        assert labeled[0].snapshots[1].entries[0].group_labels == {"gender": "M" if expected else "F"}
+
+    def test_key_of_an_option_the_command_lacks_is_ignored(self, tmp_path, capsys) -> None:
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("format = csv\nunknown-label = u\nmetric = skew\n", encoding="utf-8")
+        argv = ("simulate", "--seed", "2", "--queries", "1", "--pool", "5:5")
+        assert run(*argv, "--config", str(cfg)) == 0
+        from_config = capsys.readouterr()
+        assert run(*argv) == 0
+        assert from_config == capsys.readouterr()
+        assert from_config.err == ""
 
     @pytest.mark.parametrize("setting, argv", [
         ("format = parquet", ["rerank", "pool.csv"]),
@@ -730,3 +801,106 @@ class TestOverlongCsvField:
                          encoding="utf-8")
         assert run("export", str(table), "--metric", "minskew") == 1
         assert capsys.readouterr().err == self.ERROR
+
+
+# A sample command-line value per option type, and a second, different one.
+OPTION_SAMPLES = {
+    None: ("a.csv", "b.csv"),
+    int: ("7", "9"),
+    float: ("0.5", "0.25"),
+    cli._texts: ("A,B", "C,D"),
+    cli._ints: ("5,10", "20"),
+    cli._floats: ("0.5,0.5", "0.2,0.8"),
+    cli._day_pairs: ("1-2", "consecutive"),
+    cli._pool_range: ("5:9", "3"),
+    cli._shares: ("F=0.5,M=0.5", "F=1,M=0"),
+}
+
+
+def option_cases():
+    """(command, base argv, option) for every option of every subcommand
+    that a config file may set: all but ``--help``, ``--config`` and the
+    required ones, which the base argv supplies."""
+    for command, parser in cli._build_parser().commands.items():
+        options = [action for action in parser._actions if action.option_strings and action.dest != "help"]
+        base = [command, *(action.choices[0] if action.choices else "data.jsonl"
+                           for action in parser._actions if not action.option_strings)]
+        for action in options:
+            if action.required:
+                base += [action.option_strings[0], "x"]
+        for action in options:
+            if not action.required and action.dest != "config":
+                yield pytest.param(base, action, id=f"{command}-{action.dest}")
+
+
+@pytest.mark.parametrize("base, action", option_cases())
+def test_config_value_parses_like_the_flag(tmp_path, base, action) -> None:
+    """``key = value`` in a config file gives the namespace ``--key value``
+    gives, and an explicit flag beats the config."""
+    option = next(name for name in action.option_strings if name.startswith("--"))
+    if action.nargs == 0:
+        flag, value, other = [option], "true", "false"
+    elif action.choices:
+        value = next(choice for choice in action.choices if choice != action.default)
+        flag, other = [option, value], action.default
+    else:
+        value, other = OPTION_SAMPLES[action.type]
+        flag = [option, value]
+    cfg = tmp_path / "run.cfg"
+
+    def parse(*argv: str, setting: str | None = None) -> dict:
+        if setting is not None:
+            cfg.write_text(f"{option[2:]} = {setting}\n", encoding="utf-8")
+            argv += ("--config", str(cfg))
+        args = vars(cli._parse_args(cli._build_parser(), [*base, *argv]))
+        del args["config"]
+        return args
+
+    from_flag = parse(*flag)
+    assert from_flag != parse()
+    assert parse(setting=value) == from_flag
+    assert parse(*flag, setting=other) == from_flag
+
+
+class TestUsageErrors:
+    """A usage error is one ``error:`` line on stderr and exit status 1."""
+
+    @pytest.mark.parametrize("argv, setting, message", [
+        (["audit", "data.jsonl", "--queries", "3"], None, "unrecognized arguments: --queries 3"),
+        (["simulate", "--seed", "1", "--format", "json"], None, "unrecognized arguments: --format json"),
+        (["export", "t.csv", "--metric", "skew", "--format", "json"], None,
+         "unrecognized arguments: --format json"),
+        (["churn", "data.jsonl", "--unknown-label", "u"], None, "unrecognized arguments: --unknown-label u"),
+        (["stats", "minskew", "data.jsonl"], None, "argument protocol: invalid choice: 'minskew'"),
+        (["simulate", "--seed", "1", "--queries", "abc"], None, "argument --queries: invalid int value: 'abc'"),
+        (["simulate", "--seed", "1"], "queries = abc", "argument --queries: invalid int value: 'abc'"),
+        (["simulate", "--seed", "1", "--queries", ""], None, "argument --queries: invalid int value: ''"),
+        (["audit", "data.jsonl"], "labels =", "argument --labels: invalid list value: ''"),
+        (["churn", "data.jsonl", "--pairs", "1-x"], None, "argument --pairs: invalid day pairs value: '1-x'"),
+        (["audit"], None, "the following arguments are required: dataset"),
+        ([], None, "the following arguments are required: command"),
+    ])
+    def test_one_error_line_and_exit_status_1(self, tmp_path, capsys, argv, setting, message) -> None:
+        if setting is not None:
+            (tmp_path / "run.cfg").write_text(setting + "\n", encoding="utf-8")
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        assert run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("command", ["validate", "label", "audit", "churn", "rerank", "stats", "simulate",
+                                         "export"])
+    def test_help_renders(self, capsys, command) -> None:
+        with pytest.raises(SystemExit) as done:
+            run(command, "--help")
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: rankaudit {command} ")
+
+    def test_help_states_the_protocol_defaults(self, capsys) -> None:
+        with pytest.raises(SystemExit):
+            run("stats", "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        for default in ("(default -0.011)", "(default 25,50,75,100)", "(default 0.15)", "(default 101)",
+                        "(default csv)", "(default F,M)"):
+            assert default in text

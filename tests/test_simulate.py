@@ -76,6 +76,17 @@ class TestConfigValidation:
                 score_models={"F": ScoreModel(0.6, 0.0), "M": ScoreModel(0.6, 0.15)}
             )
 
+    @pytest.mark.parametrize("spread", [math.inf, math.nan])
+    def test_rejects_a_non_finite_spread(self, spread) -> None:
+        # An infinite spread used to pass and give NaN scores in the ledger.
+        with pytest.raises(InvalidConfig, match="score spread for 'M' must be positive and finite"):
+            cfg(score_models={"F": ScoreModel(0.6, 0.15), "M": ScoreModel(0.6, spread)})
+
+    @pytest.mark.parametrize("concentration", [math.inf, math.nan])
+    def test_rejects_a_non_finite_weights_concentration(self, concentration) -> None:
+        with pytest.raises(InvalidConfig, match="weights_concentration must be positive and finite"):
+            cfg(weights_concentration=concentration)
+
     def test_rejects_bad_departures(self) -> None:
         with pytest.raises(InvalidConfig):
             cfg(departure_probs={"X": 0.1})
