@@ -106,7 +106,31 @@ def _shares(text: str) -> dict[str, float]:
     return {label.strip(): float(share) for label, _, share in (part.partition("=") for part in _texts(text))}
 
 
+def _k_grid(spec: str) -> str | list[int]:
+    """``full`` (every cutoff of each list), or cutoffs of at least 1 given
+    as ``N``, ``A,B,C`` or ``LO:HI[:STEP]``."""
+    spec = spec.strip()
+    if spec == "full":
+        return spec
+    parts = spec.split(":")
+    if len(parts) == 1:
+        grid = _ints(spec)
+    elif len(parts) <= 3:
+        lo, hi, step = int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) == 3 else 1
+        if step < 1:
+            raise argparse.ArgumentTypeError(f"step must be at least 1 in {spec!r}")
+        grid = list(range(lo, hi + 1, step))
+        if not grid:
+            raise argparse.ArgumentTypeError(f"empty range {spec!r}")
+    else:
+        raise argparse.ArgumentTypeError(f"expected N, A,B,C, LO:HI[:STEP] or full, got {spec!r}")
+    if min(grid) < 1:
+        raise argparse.ArgumentTypeError(f"cutoffs must be at least 1, got {spec!r}")
+    return grid
+
+
 _day_pairs.__name__, _pool_range.__name__, _shares.__name__ = "day pairs", "pool range", "proportions"
+_k_grid.__name__ = "k grid"
 
 
 def _build_parser() -> _Parser:
@@ -145,13 +169,14 @@ def _build_parser() -> _Parser:
     p = command("audit", _cmd_audit, "exposure metrics per query, day, and cutoff", scheme, table)
     p.add_argument("dataset")
     p.add_argument("--baseline", help="external target proportions CSV")
-    p.add_argument("--k-grid", help="cutoffs: 'N', 'A,B,C', 'LO:HI[:STEP]' or 'full' (default: page cutoffs)")
+    p.add_argument("--k-grid", type=_k_grid,
+                   help="cutoffs: 'N', 'A,B,C', 'LO:HI[:STEP]' or 'full' (default: page cutoffs)")
     p.add_argument("--metrics", type=_texts, default=",".join(_METRICS), help="comma list (default %(default)s)")
     p.add_argument("--day", type=int, help="restrict to one day (default: all days)")
 
     p = command("churn", _cmd_churn, "top-k membership churn between days", scheme, table)
     p.add_argument("dataset")
-    p.add_argument("--k-grid", default=_CUTOFFS, help="cutoffs, as for audit (default %(default)s)")
+    p.add_argument("--k-grid", type=_k_grid, default=_CUTOFFS, help="cutoffs, as for audit (default %(default)s)")
     p.add_argument("--pairs", type=_day_pairs, default="anchored",
                    help="'anchored', 'consecutive', or explicit 'S-E,S-E,...' day pairs (default %(default)s)")
 
@@ -275,17 +300,9 @@ def _baseline(args: argparse.Namespace, scheme: GroupScheme) -> dict[tuple[str, 
     return None if args.baseline is None else dataio.load_baseline(args.baseline, {scheme.attribute_name: scheme})
 
 
-def _parse_grid(spec: str, limit: int) -> list[int]:
-    """Cutoff grid spec: 'full', single int, comma list, or LO:HI[:STEP]."""
-    spec = spec.strip()
-    if spec == "full":
-        return list(range(1, limit + 1))
-    if ":" in spec:
-        parts = [int(p) for p in spec.split(":")]
-        lo, hi = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return list(range(lo, hi + 1, step))
-    return _ints(spec)
+def _grid_for(k_grid: str | list[int], limit: int) -> list[int]:
+    """The cutoffs of a parsed ``--k-grid`` for lists of at most ``limit``."""
+    return list(range(1, limit + 1)) if k_grid == "full" else k_grid
 
 
 def _load_or_fail(path: str):
@@ -395,7 +412,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     longest = max((len(snap.entries) for snap in snaps), default=0)
     run_grid = (list(exposure.page_cutoffs(longest)) or [longest]) if args.k_grid is None else None
 
-    grids = ((snap, run_grid or _parse_grid(args.k_grid, len(snap.entries))) for snap in snaps)
+    grids = ((snap, run_grid or _grid_for(args.k_grid, len(snap.entries))) for snap in snaps)
     curves = _curves(grids, scheme, _baseline(args, scheme), args.metrics)
     dataio.write_long_table(dataio.curve_rows(curves), dataio.CURVE_HEADER, args.output, args.format)
     return 0 if report.ok else 1
@@ -410,7 +427,7 @@ def _cmd_churn(args: argparse.Namespace) -> int:
         pairs = getattr(churn_mod, f"{args.pairs}_pairs")(one) if isinstance(args.pairs, str) else args.pairs
         if not pairs:
             continue
-        grid = _parse_grid(args.k_grid, max(len(one.snapshots[d].entries) for d in one.days))
+        grid = _grid_for(args.k_grid, max(len(one.snapshots[d].entries) for d in one.days))
         cells.extend(churn_mod.churn_grid(one, scheme, grid, pairs))
     dataio.write_long_table(dataio.churn_rows(cells), dataio.CHURN_HEADER, args.output, args.format)
     return 0 if report.ok else 1

@@ -182,16 +182,13 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
         weights = rng.dirichlet(config.weights_concentration * np.clip(base, 1e-12, None))
     else:
         weights = base
-    means = np.array([config.score_models[label].mean for label in labels])
-    spreads = np.array([config.score_models[label].spread for label in labels])
-
-    group_idx = rng.choice(len(labels), size=n, p=weights)
-    scores = _truncated_scores(rng, means[group_idx], spreads[group_idx])
-    masked = mask_rng.random(n) < config.missing_prob
+    bands = [_score_band(config.score_models[label]) for label in labels]
 
     # Each draw becomes Python values once, through ``tolist``, which gives
     # the same ints, doubles and bools as converting element by element.
-    groups = group_idx.tolist()
+    groups = rng.choice(len(labels), size=n, p=weights).tolist()
+    scores = _truncated_scores(rng, groups, bands)
+    masked = mask_rng.random(n) < config.missing_prob
     pool_counts = PrefixCounts(groups, labels)
     proportions = None
     if config.postprocess == POSTPROCESS_DETGREEDY:
@@ -222,7 +219,7 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
             fresh.append(cand)
         return fresh
 
-    order = _rank(join(groups, scores.tolist(), masked.tolist()), proportions, by_id)
+    order = _rank(join(groups, scores, masked.tolist()), proportions, by_id)
     snapshots = {1: _snapshot(query_id, 1, order)}
     departure = [config.departure_probs.get(label, 0.0) for label in labels]
     departures: list[tuple[int, str]] = []
@@ -236,10 +233,10 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
                 survivors.append(cand)
         if departed:
             lost = [cand[_GROUP] for cand in departed]
-            fresh = _truncated_scores(rng, means[lost], spreads[lost])
+            fresh = _truncated_scores(rng, lost, bands)
             hidden = mask_rng.random(len(departed)) < config.missing_prob
             departures.extend((day, cand[_ID]) for cand in departed)
-            survivors += join(lost, fresh.tolist(), hidden.tolist())
+            survivors += join(lost, fresh, hidden.tolist())
         order = _rank(survivors, proportions, by_id)
         snapshots[day] = _snapshot(query_id, day, order)
 
@@ -262,15 +259,148 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
 _NEG_SCORE, _ID, _GROUP, _RECORD, _SCORED = 0, 1, 2, 3, 4
 
 
-def _truncated_scores(rng: np.random.Generator, means: np.ndarray, spreads: np.ndarray) -> np.ndarray:
-    # Imported here: loading scipy costs ~0.5 s, and only generation needs it.
-    import numpy as np
-    from scipy.special import ndtr, ndtri
+def _score_band(model: ScoreModel) -> tuple[float, float, float, float]:
+    """Mean, spread and the normal CDF at the ends of [0, 1] for one group."""
+    mean, spread = model.mean, model.spread
+    return mean, spread, _ndtr((0.0 - mean) / spread), _ndtr((1.0 - mean) / spread)
 
-    lo = ndtr((0.0 - means) / spreads)
-    hi = ndtr((1.0 - means) / spreads)
-    u = rng.random(means.shape[0])
-    return np.clip(means + spreads * ndtri(lo + u * (hi - lo)), 0.0, 1.0)
+
+def _truncated_scores(rng: np.random.Generator, groups: list[int], bands: list[tuple]) -> list[float]:
+    """One score per group index by the inverse CDF, from one uniform draw,
+    clipped to [0, 1] the way ``np.clip`` clips (nan stays nan)."""
+    scores = []
+    for group, u in zip(groups, rng.random(len(groups)).tolist()):
+        mean, spread, lo, hi = bands[group]
+        x = mean + spread * _ndtri(lo + u * (hi - lo))
+        scores.append(0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
+    return scores
+
+
+# The standard normal CDF and its inverse, ported step for step from scipy
+# 1.17's cephes ``ndtr.h`` and ``ndtri.h`` (scipy: BSD-3-Clause; Cephes Math
+# Library, Copyright 1984-2000 Stephen L. Moshier), so scores keep their
+# bytes without importing scipy.  libm is reached only through ``math``:
+# numpy's vector exp/log may differ from it by an ulp.
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.70710678118654752440
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+# erfc for 1 <= x < 8, P/Q; for x >= 8, R/S; erf for |x| <= 1, T/U.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687, 4.86371970985681366614e1,
+      1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+      5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+      1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416, 5.01905042251180477414, 6.16021097993053585195,
+      7.40974269950448939160, 2.97886665372100240670)
+_S = (2.26052863220117276590, 9.39603524938001434673, 1.20489539808096656605e1, 1.70814450747565897222e1,
+      9.60896809063285878198, 3.36907645100081516050)
+_T = (9.60497373987051638749, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+      5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
+      4.92673942608635921086e4)
+# ndtri in the central band, P0/Q0; in the tails, P1/Q1 for x < 8 and P2/Q2
+# beyond, where x = sqrt(-2 log y).
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016)
+_Q0 = (1.95448858338141759834, 4.67627912898881538453, 8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1, 1.59056225126211695515e1, -1.18331621121330003142)
+_P1 = (4.05544892305962419923, 3.15251094599893866154e1, 5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539, -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979, -1.42182922854787788574e-1, -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970, 6.91522889068984211695, 3.93881025292474443415, 1.33303460815807542389,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2, 3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255, 3.67983563856160859403, 1.37702099489081330271, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4, 2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    """``_polevl`` with an implied leading coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr(a: float) -> float:
+    """The standard normal CDF at ``a``."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def _erf(x: float) -> float:
+    if math.isnan(x):
+        return math.nan
+    if x < 0.0:
+        return -_erf(-x)
+    if abs(x) > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _T) / _p1evl(z, _U)
+
+
+def _erfc(a: float) -> float:
+    if math.isnan(a):
+        return math.nan
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z >= -_MAXLOG:
+        z = math.exp(z)
+        if x < 8.0:
+            y = (z * _polevl(x, _P)) / _p1evl(x, _Q)
+        else:
+            y = (z * _polevl(x, _R)) / _p1evl(x, _S)
+        if a < 0:
+            y = 2.0 - y
+        if y != 0.0:
+            return y
+    return 2.0 if a < 0 else 0.0  # underflow
+
+
+def _ndtri(y0: float) -> float:
+    """The inverse of ``_ndtr``: -inf at 0, inf at 1, nan outside [0, 1]."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if y0 < 0.0 or y0 > 1.0:
+        return math.nan
+    negate = True
+    y = y0
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
 
 
 def _rank(pool: list[tuple], proportions: GroupProportions | None, by_id: dict[str, tuple]) -> list[tuple]:
@@ -306,6 +436,8 @@ def inject_topk_bias(
         raise ValueError(f"strength must be in [0, 1], got {strength!r}")
     if label not in scheme.labels:
         raise ValueError(f"label {label!r} not in scheme {scheme.attribute_name!r}")
+    if page_size < 1:
+        raise ValueError(f"page_size must be >= 1, got {page_size!r}")
     modified: list[QuerySeries] = []
     demotions = 0
     snapshots_touched = 0

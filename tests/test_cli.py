@@ -83,6 +83,13 @@ class TestSimulateCommand:
         assert record["label"] == "F" and record["strength"] == 1.0
         assert record["demotions"] > 0
 
+    def test_injection_page_below_one_is_rejected(self, tmp_path, capsys) -> None:
+        out = tmp_path / "biased.jsonl"
+        assert run("simulate", "--seed", "1", "--queries", "1", "--pool", "5", "--inject-label", "F",
+                   "--page-size", "0", "-o", str(out)) == 1
+        assert capsys.readouterr().err == "error: page_size must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_stdout_by_default(self, capsys) -> None:
         assert run("simulate", "--seed", "2", "--queries", "1", "--pool", "5:5") == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -274,6 +281,25 @@ class TestAuditCommand:
         child.stderr.close()
         assert child.wait(timeout=60) == 1
         assert err == b""
+
+
+@pytest.mark.parametrize("command", ["audit", "churn"])
+@pytest.mark.parametrize("spec, reason", [
+    ("10:5", "empty range '10:5'"),
+    ("0", "cutoffs must be at least 1, got '0'"),
+    ("-5,10", "cutoffs must be at least 1, got '-5,10'"),
+    ("0:10:5", "cutoffs must be at least 1, got '0:10:5'"),
+    ("5:10:0", "step must be at least 1 in '5:10:0'"),
+    ("1:10:2:3", "expected N, A,B,C, LO:HI[:STEP] or full, got '1:10:2:3'"),
+    ("a", "invalid k grid value: 'a'"),
+    ("5:x", "invalid k grid value: '5:x'"),
+    ("2.5", "invalid k grid value: '2.5'"),
+])
+def test_bad_k_grid_is_a_usage_error(dataset, tmp_path, capsys, command, spec, reason) -> None:
+    out = tmp_path / "table.csv"
+    assert run(command, str(dataset), f"--k-grid={spec}", "-o", str(out)) == 1
+    assert capsys.readouterr().err == f"error: argument --k-grid: {reason}\n"
+    assert not out.exists()
 
 
 class TestChurnCommand:
@@ -814,6 +840,7 @@ OPTION_SAMPLES = {
     cli._day_pairs: ("1-2", "consecutive"),
     cli._pool_range: ("5:9", "3"),
     cli._shares: ("F=0.5,M=0.5", "F=1,M=0"),
+    cli._k_grid: ("5:15:5", "full"),
 }
 
 

@@ -356,6 +356,11 @@ class TestInjectTopkBias:
         with pytest.raises(ValueError, match="label"):
             inject_topk_bias([], GENDER, "X", 0.5, seed=1)
 
+    @pytest.mark.parametrize("page_size", [0, -25])
+    def test_rejects_a_page_below_one(self, page_size: int) -> None:
+        with pytest.raises(ValueError, match="page_size must be >= 1"):
+            inject_topk_bias([series_from_days("FMFM")], GENDER, "F", 1.0, seed=1, page_size=page_size)
+
     def test_partial_strength_depresses_minskew(self) -> None:
         config = cfg(seed=47, n_queries=150, pool_size=(60, 100))
         result = generate(config)

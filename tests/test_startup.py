@@ -1,13 +1,13 @@
-"""Start-up cost: only the simulator loads scipy, only it and the model
-fits load numpy, and only writing a table or dataset loads the line
+"""Start-up cost: no subcommand loads scipy, only the simulator and the
+model fits load numpy, and only writing a table or dataset loads the line
 encoders.  Also what the start must load: every function the bench's
 tracer wraps.
 
-Importing scipy costs about half a second per process and numpy about
-0.15 s, and the daily audit chain starts the CLI once per stage; the model
-fits of `stats` run their ratio search without scipy, and the counting
-stages need neither.  Each check runs in a fresh interpreter, because this
-test process has imported both already.
+Importing numpy costs about 0.15 s per process, and the daily audit chain
+starts the CLI once per stage; the model fits of `stats` run their ratio
+search and the simulator its normal CDF and inverse in the package itself,
+and the counting stages need neither library.  Each check runs in a fresh
+interpreter, because this test process has imported both already.
 """
 from __future__ import annotations
 
@@ -75,16 +75,16 @@ def test_import_and_stages_without_a_fit_or_simulation_never_load_numpy(workdir)
     assert probe(COUNTING_STAGES, workdir)["numpy"] == []
 
 
+STATS_STAGES = [
+    ["stats", "minskew-protocol", "data.jsonl", "--min-pool", "1", "--cutoffs", "10",
+     "--format", "json", "-o", "minskew.jsonl"],
+    ["stats", "churn-protocol", "data.jsonl", "--min-pool", "1", "--cutoffs", "10",
+     "--format", "json", "-o", "churn_test.jsonl"],
+]
+
+
 def test_stats_protocols_never_load_scipy(workdir) -> None:
-    seen = probe(
-        [
-            ["stats", "minskew-protocol", "data.jsonl", "--min-pool", "1", "--cutoffs", "10",
-             "--format", "json", "-o", "minskew.jsonl"],
-            ["stats", "churn-protocol", "data.jsonl", "--min-pool", "1", "--cutoffs", "10",
-             "--format", "json", "-o", "churn_test.jsonl"],
-        ],
-        workdir,
-    )
+    seen = probe(STATS_STAGES, workdir)
     assert seen["scipy"] == []
     # Shows that the numpy check above would notice numpy being loaded.
     assert seen["numpy"] != []
@@ -98,12 +98,15 @@ def test_stats_protocols_never_load_scipy(workdir) -> None:
             assert int(row["n_obs"]) > int(row["n_groups"]) >= 2, (name, row)
 
 
-def test_simulating_does_load_scipy(workdir) -> None:
-    # Shows that the checks above would notice scipy or numpy being loaded.
-    seen = probe([["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10",
-                   "-o", "sim.jsonl"]], workdir)
-    assert seen["scipy"] != []
+def test_no_subcommand_loads_scipy(workdir) -> None:
+    simulating = ["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10", "--days", "2",
+                  "--departures", "0.5,0.5", "--postprocess", "detgreedy", "--ledger", "ledger.jsonl",
+                  "-o", "sim.jsonl"]
+    seen = probe(COUNTING_STAGES + STATS_STAGES + [simulating], workdir)
+    assert seen["scipy"] == []
+    # Shows that the probe would notice a library being loaded.
     assert seen["numpy"] != []
+    assert (workdir / "ledger.jsonl").read_text()
 
 
 def test_import_leaves_the_line_encoders_unloaded() -> None:
