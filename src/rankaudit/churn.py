@@ -16,7 +16,7 @@ labels and the retained count a running sum over a per-label histogram of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Hashable, Iterable, Sequence
 
@@ -24,7 +24,7 @@ from .errors import CutoffOutOfRange, DayMissing, UnknownLabel
 from .model import GroupScheme, QuerySeries, RankingSnapshot, label_codes, prefix_table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChurnCell:
     """One churn measurement; ``churn`` is ``None`` when no group member
     was in the day-s top k (rate undefined, not zero)."""
@@ -37,6 +37,37 @@ class ChurnCell:
     end_day: int
     churn: float | None
     base_count: int
+
+    @classmethod
+    def _trusted(
+        cls,
+        query_id: str,
+        attribute: str,
+        label: str,
+        k: int,
+        start_day: int,
+        end_day: int,
+        churn: float | None,
+        base_count: int,
+    ) -> ChurnCell:
+        """The cell ``ChurnCell(...)`` builds, with all eight fields
+        positional and written past the frozen ``__setattr__``."""
+        cell = object.__new__(cls)
+        _set_query_id(cell, query_id)
+        _set_attribute(cell, attribute)
+        _set_label(cell, label)
+        _set_k(cell, k)
+        _set_start_day(cell, start_day)
+        _set_end_day(cell, end_day)
+        _set_churn(cell, churn)
+        _set_base_count(cell, base_count)
+        return cell
+
+
+# Each slot descriptor's ``__set__`` writes one field past the frozen
+# ``__setattr__``, as for ``model.CandidateRecord``.
+(_set_query_id, _set_attribute, _set_label, _set_k, _set_start_day, _set_end_day, _set_churn,
+ _set_base_count) = (getattr(ChurnCell, one.name).__set__ for one in fields(ChurnCell))
 
 
 def churn_rate(
@@ -62,11 +93,11 @@ def churn_rate(
             )
     members = [r.candidate_id for r in start.entries[:k] if r.label_for(scheme) == label]
     base = len(members)
-    if base == 0:
-        return _cell(series, scheme, label, k, start_day, end_day, None, 0)
-    retained = {r.candidate_id for r in end.entries[:k]}
-    gone = sum(1 for cid in members if cid not in retained)
-    return _cell(series, scheme, label, k, start_day, end_day, gone / base, base)
+    churn = None
+    if base:
+        retained = {r.candidate_id for r in end.entries[:k]}
+        churn = sum(1 for cid in members if cid not in retained) / base
+    return ChurnCell(series.query_id, scheme.attribute_name, label, k, start_day, end_day, churn, base)
 
 
 def churn_grid(
@@ -88,6 +119,7 @@ def churn_grid(
         return []
     retention: dict[tuple[int, int], _Retention | None] = {}
     cells: list[ChurnCell] = []
+    new, query_id, attribute = ChurnCell._trusted, series.query_id, scheme.attribute_name
     for label in labels if labels is not None else scheme.labels:
         for start_day, end_day in day_pairs:
             _check_cell(scheme, label, start_day, end_day)
@@ -95,9 +127,16 @@ def churn_grid(
             if pair not in retention:
                 retention[pair] = _Retention.scan(series, scheme, start_day, end_day)
             table = retention[pair]
-            for k in grid:
-                churn, base = (None, 0) if table is None else table.cell(label, k)
-                cells.append(_cell(series, scheme, label, k, start_day, end_day, churn, base))
+            if table is None:
+                bases, retained = [0] * len(grid), None
+            else:
+                # A cutoff outside 1..n, or with no member, has base 0.
+                n, base, retained = table.n, table.base[label], table.retained[label]
+                bases = [base[k] if 0 < k <= n else 0 for k in grid]
+            cells.extend([
+                new(query_id, attribute, label, k, start_day, end_day, (b - retained[k]) / b if b else None, b)
+                for k, b in zip(grid, bases)
+            ])
     return cells
 
 
@@ -177,15 +216,6 @@ class _Retention:
         retained = [list(accumulate(row)) for row in hits]
         return cls(n, dict(zip(scheme.labels, base)), dict(zip(scheme.labels, retained)))
 
-    def cell(self, label: str, k: int) -> tuple[float | None, int]:
-        """(churn, base count) at cutoff ``k``; (None, 0) when undefined."""
-        if k < 1 or k > self.n:
-            return None, 0
-        base = self.base[label][k]
-        if base == 0:
-            return None, 0
-        return (base - self.retained[label][k]) / base, base
-
 
 def _check_cell(scheme: GroupScheme, label: str, start_day: int, end_day: int) -> None:
     if label not in scheme.labels:
@@ -200,15 +230,3 @@ def _snapshot_for(series: QuerySeries, day: int) -> RankingSnapshot:
         raise DayMissing(f"series {series.query_id!r} has no day {day}")
     return snap
 
-
-def _cell(series, scheme, label, k, start_day, end_day, churn, base) -> ChurnCell:
-    return ChurnCell(
-        query_id=series.query_id,
-        attribute=scheme.attribute_name,
-        label=label,
-        k=k,
-        start_day=start_day,
-        end_day=end_day,
-        churn=churn,
-        base_count=base,
-    )

@@ -520,13 +520,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         postprocess=args.postprocess,
         weights_concentration=args.weights_concentration,
     )
+    inject_seed = args.seed if args.inject_seed is None else args.inject_seed
+    inject = (scheme, args.inject_label, args.inject_strength, inject_seed, args.page_size)
+    if args.inject_label is not None:
+        # On no series, so that a bad option fails before generation.
+        simulate.inject_topk_bias([], *inject)
     result = simulate.generate(config)
     series = result.series
     if args.inject_label is not None:
-        inject_seed = args.seed if args.inject_seed is None else args.inject_seed
-        series, record = simulate.inject_topk_bias(
-            series, scheme, args.inject_label, args.inject_strength, inject_seed, args.page_size
-        )
+        series, record = simulate.inject_topk_bias(series, *inject)
         print(json.dumps(record, ensure_ascii=False), file=sys.stderr)
     dataio.write_snapshots(series, args.output)
     if args.ledger is not None:

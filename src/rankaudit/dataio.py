@@ -675,17 +675,21 @@ def write_long_table(
     """
     if fmt not in (FORMAT_CSV, FORMAT_JSON):
         raise ValueError(f"unrecognized format {fmt!r}")
-    # Imported here for the reason given in write_snapshots.
-    from .encoders import JsonStrings, encoded_rows
-
     header = tuple(header)
-    strings = JsonStrings()
+    encoders = None
+    # A header that is not all identifiers (an ``export`` matrix's) has no
+    # generated encoder, so its tables load none.  Imported here for the
+    # reason given in write_snapshots.
+    if all(name.isidentifier() for name in header):
+        from . import encoders
+
+        strings = encoders.JsonStrings()
     with text_stream(destination, "w") as out:
         if fmt == FORMAT_CSV:
             csv.writer(out, lineterminator="\n").writerow(header)
         for start in range(0, len(rows), _WRITE_ROWS):
             chunk = rows[start:start + _WRITE_ROWS]
-            text = encoded_rows(chunk, header, fmt, strings)
+            text = None if encoders is None else encoders.encoded_rows(chunk, header, fmt, strings)
             if text is None:
                 _write_rows(chunk, header, out, fmt)
             else:

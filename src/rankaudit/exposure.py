@@ -188,12 +188,9 @@ def deviation_curve(
     _check_label(scheme, label)
     target = proportions.shares[label]
     table = counts if counts is not None else snapshot_counts(snapshot, scheme)
-
-    def cell(k: int) -> float | None:
-        share = table.share(label, k)
-        return None if share is None else target - share
-
-    return _curve(snapshot, scheme, label, DEVIATION, _grid(snapshot, k_grid), cell)
+    grid = _grid(snapshot, k_grid)
+    values = [None if share is None else target - share for share in table.share_row(label, grid)]
+    return _curve(snapshot, scheme, label, DEVIATION, grid, values)
 
 
 def skew_curve(
@@ -209,11 +206,8 @@ def skew_curve(
     _check_label(scheme, label)
     target = _positive_target(proportions, label)
     table = counts if counts is not None else snapshot_counts(snapshot, scheme)
-
-    def cell(k: int) -> float | None:
-        return _skew_cell(table, label, target, k)
-
-    return _curve(snapshot, scheme, label, SKEW, _grid(snapshot, k_grid), cell)
+    grid = _grid(snapshot, k_grid)
+    return _curve(snapshot, scheme, label, SKEW, grid, _skew_row(table, label, target, grid))
 
 
 def minskew_curve(
@@ -227,14 +221,10 @@ def minskew_curve(
     """MinSkew traced over ``k_grid`` (default: every cutoff 1..n)."""
     targets = {label: _positive_target(proportions, label) for label in scheme.labels}
     table = counts if counts is not None else snapshot_counts(snapshot, scheme)
-
-    def cell(k: int) -> float | None:
-        skews = [_skew_cell(table, label, targets[label], k) for label in scheme.labels]
-        if any(s is None for s in skews):
-            return None
-        return min(skews)
-
-    return _curve(snapshot, scheme, None, MINSKEW, _grid(snapshot, k_grid), cell)
+    grid = _grid(snapshot, k_grid)
+    rows = [_skew_row(table, label, targets[label], grid) for label in scheme.labels]
+    values = [None if None in skews else min(skews) for skews in zip(*rows)]
+    return _curve(snapshot, scheme, None, MINSKEW, grid, values)
 
 
 def corrected_skew_curve(
@@ -252,20 +242,33 @@ def corrected_skew_curve(
     if not target < 1.0:
         raise DegenerateProportion(f"target proportion must be inside (0, 1), got {target!r}")
     table = counts if counts is not None else snapshot_counts(snapshot, scheme)
+    grid = _grid(snapshot, k_grid)
+    # corrected_skew of each cell, with best_attainable_skew's floor term
+    # computed inline by the same operations in the same order.
+    floor, ceil, log, minus_inf = math.floor, math.ceil, math.log, -math.inf
+    values = []
+    for k, skew in zip(grid, _skew_row(table, label, target, grid)):
+        if skew is None or skew == minus_inf or skew == 0.0:
+            values.append(skew)
+            continue
+        lo = floor(k * target)
+        hi = ceil(k * target)
+        if lo == hi:
+            floor_term = 0.0
+        else:
+            floor_term = abs(log((hi / k) / target))
+            if lo != 0:
+                floor_term = min(abs(log((lo / k) / target)), floor_term)
+        values.append((1.0 if skew > 0.0 else -1.0) * (abs(skew) - floor_term))
+    return _curve(snapshot, scheme, label, CORRECTED_SKEW, grid, values)
 
-    def cell(k: int) -> float | None:
-        return corrected_skew(_skew_cell(table, label, target, k), target, k)
 
-    return _curve(snapshot, scheme, label, CORRECTED_SKEW, _grid(snapshot, k_grid), cell)
-
-
-def _skew_cell(table: PrefixCounts, label: str, target: float, k: int) -> float | None:
-    share = table.share(label, k)
-    if share is None:
-        return None
-    if share == 0.0:
-        return -math.inf
-    return math.log(share / target)
+def _skew_row(table: PrefixCounts, label: str, target: float, grid: list[int]) -> list[float | None]:
+    log, minus_inf = math.log, -math.inf
+    return [
+        None if share is None else minus_inf if share == 0.0 else log(share / target)
+        for share in table.share_row(label, grid)
+    ]
 
 
 def _point(curve: MetricCurve, snapshot: RankingSnapshot, k: int) -> float:
@@ -277,14 +280,14 @@ def _point(curve: MetricCurve, snapshot: RankingSnapshot, k: int) -> float:
     return value
 
 
-def _curve(snapshot, scheme, label, metric, grid, cell):
+def _curve(snapshot, scheme, label, metric, grid, values):
     return MetricCurve(
         query_id=snapshot.query_id,
         day=snapshot.day,
         attribute=scheme.attribute_name,
         label=label,
         metric=metric,
-        values={k: cell(k) for k in grid},
+        values=dict(zip(grid, values)),
     )
 
 

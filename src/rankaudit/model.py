@@ -225,9 +225,14 @@ class PrefixCounts:
 
     def share(self, label: str, k: int) -> float | None:
         """Labeled share of ``label`` in the first ``k``; None when undefined."""
-        if k < 1 or k > self.n or self.labeled[k] == 0:
-            return None
-        return self.counts[label][k] / self.labeled[k]
+        return self.share_row(label, (k,))[0]
+
+    def share_row(self, label: str, grid: Iterable[int]) -> list[float | None]:
+        """The labeled share of ``label`` in the first ``k`` for each ``k`` of
+        ``grid``, in order: None unless ``1 <= k <= n`` and some entry of
+        the prefix is labeled."""
+        counts, labeled, n = self.counts[label], self.labeled, self.n
+        return [counts[k] / labeled[k] if 0 < k <= n and labeled[k] else None for k in grid]
 
     def proportions(self, scheme: GroupScheme, k: int | None = None) -> GroupProportions:
         """Observed shares among the labeled entries of the first ``k`` (all by

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +197,37 @@ def test_grid_matches_cell_by_cell_churn_rate(sweep) -> None:
         assert cell == want
         assert repr(cell.churn) == repr(want.churn)
         assert type(cell.churn) is type(want.churn) and type(cell.base_count) is int
+
+
+class TestChurnCell:
+    """Grid cells are built past ``__init__``; they must be the cells the
+    public constructor builds."""
+
+    @pytest.fixture()
+    def cells(self) -> list[ChurnCell]:
+        one = series({1: [("a", "F"), ("b", "M"), ("c", "F")], 2: [("c", "F"), ("d", "M"), ("e", "F")]})
+        return churn_grid(one, GENDER, [0, 1, 2, 3, 4], [(1, 2), (1, 3)])
+
+    def test_equal_and_hash_like_public_cells(self, cells) -> None:
+        assert {cell.churn for cell in cells} == {None, 0.5, 1.0}
+        for cell in cells:
+            public = ChurnCell(*(getattr(cell, one.name) for one in dataclasses.fields(ChurnCell)))
+            assert cell == public and hash(cell) == hash(public) and repr(cell) == repr(public)
+
+    def test_frozen_and_slotted(self, cells) -> None:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cells[0].churn = 0.0
+        assert not hasattr(cells[0], "__dict__")
+
+    def test_replace_asdict_and_pickle(self, cells) -> None:
+        cell = cells[3]
+        assert dataclasses.replace(cell, k=9) == ChurnCell("q1", "gender", "F", 9, 1, 2, 0.5, 2)
+        assert dataclasses.asdict(cell) == {
+            "query_id": "q1", "attribute": "gender", "label": "F", "k": 3, "start_day": 1, "end_day": 2,
+            "churn": 0.5, "base_count": 2,
+        }
+        for one in cells:
+            assert pickle.loads(pickle.dumps(one)) == one
 
 
 class TestDayPairs:

@@ -90,6 +90,22 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == "error: page_size must be >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("options, message", [
+        (["--inject-label", "X"], "label 'X' not in scheme 'gender'"),
+        (["--inject-label", "F", "--inject-strength", "1.5"], "strength must be in [0, 1], got 1.5"),
+        (["--inject-label", "F", "--page-size", "0"], "page_size must be >= 1, got 0"),
+    ])
+    def test_injection_options_are_checked_before_generating(self, tmp_path, capsys, monkeypatch, options,
+                                                             message) -> None:
+        def generate(config):
+            raise AssertionError("generated before the injection options were checked")
+
+        monkeypatch.setattr(cli.simulate, "generate", generate)
+        assert run("simulate", "--seed", "1", *options, "-o", str(tmp_path / "biased.jsonl"),
+                   "--ledger", str(tmp_path / "truth.jsonl")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_stdout_by_default(self, capsys) -> None:
         assert run("simulate", "--seed", "2", "--queries", "1", "--pool", "5:5") == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankaudit import (
     CutoffOutOfRange,
@@ -18,6 +18,7 @@ from rankaudit import (
     corrected_skew_curve,
     deviation_at_k,
     deviation_curve,
+    exposure,
     min_skew_at_k,
     minskew_curve,
     page_cutoffs,
@@ -238,3 +239,100 @@ class TestInvariants:
                     assert cell == -math.inf
                 else:
                     assert cell == pytest.approx(point)
+
+
+# Per-cell reference for the curve builders, written out from the formulas
+# rather than read from them: the point operations are themselves one-cell
+# curves, so they cannot stand in for a reference.
+THREE = GroupScheme("gender", ("A", "B", "C"))
+
+
+def ref_share(snap, scheme, label, k):
+    if k < 1 or k > len(snap.entries):
+        return None
+    window = [entry.label_for(scheme) for entry in snap.entries[:k]]
+    labeled = sum(1 for one in window if one in scheme.labels)
+    if labeled == 0:
+        return None
+    return sum(1 for one in window if one == label) / labeled
+
+
+def ref_skew(snap, scheme, label, target, k):
+    share = ref_share(snap, scheme, label, k)
+    if share is None:
+        return None
+    if share == 0.0:
+        return -math.inf
+    return math.log(share / target)
+
+
+def ref_corrected(snap, scheme, label, target, k):
+    observed = ref_skew(snap, scheme, label, target, k)
+    if observed is None or observed == -math.inf:
+        return observed
+    lo, hi = math.floor(k * target), math.ceil(k * target)
+    if lo == hi:
+        floor_term = 0.0
+    elif lo == 0:
+        floor_term = abs(math.log((hi / k) / target))
+    else:
+        floor_term = min(abs(math.log((lo / k) / target)), abs(math.log((hi / k) / target)))
+    if observed == 0.0:
+        return 0.0
+    return (1.0 if observed > 0.0 else -1.0) * (abs(observed) - floor_term)
+
+
+def ref_minskew(snap, scheme, props, k):
+    skews = [ref_skew(snap, scheme, label, props.shares[label], k) for label in scheme.labels]
+    return None if any(s is None for s in skews) else min(skews)
+
+
+# Targets a share can equal exactly (skew 0.0), and targets near 0 and 1.
+FIRST_TARGETS = [1 / 2, 1 / 3, 1 / 4, 2 / 3, 3 / 4, 2 / 5, 1e-9, 1e-4, 1 - 1e-4, 1 - 1e-9]
+
+
+@st.composite
+def curve_cases(draw):
+    scheme = draw(st.sampled_from([GENDER, THREE]))
+    # "?" is unlabeled, "x" hidden and "Z" outside the scheme.
+    labels = draw(st.text(alphabet="".join(scheme.labels) + "x?Z", max_size=30))
+    first = draw(st.one_of(st.sampled_from(FIRST_TARGETS), st.floats(1e-6, 1 - 1e-6)))
+    rest = (1.0 - first) / (len(scheme.labels) - 1)
+    props = GroupProportions(scheme, {label: first if i == 0 else rest for i, label in enumerate(scheme.labels)})
+    n = len(labels)
+    cutoffs = draw(st.lists(st.integers(-3, n + 3), max_size=12))
+    grid = draw(st.permutations(cutoffs + [0, -1, 1, n, n + 1] + cutoffs[:2]))
+    return snapshot(labels), scheme, props, draw(st.one_of(st.none(), st.just(grid)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_cases())
+# Shares on target (exact 0.0), an empty labeled prefix and an absent group.
+@example((snapshot("x?FMMF"), GENDER, HALF, [6, 0, 2, -1, 4, 2, 7, 1]))
+@example((snapshot("AAZB"), THREE, GroupProportions(THREE, {"A": 1 - 2e-9, "B": 1e-9, "C": 1e-9}), None))
+def test_curves_match_the_per_cell_formulas_bit_for_bit(case) -> None:
+    snap, scheme, props, grid = case
+    cutoffs = list(range(1, len(snap.entries) + 1)) if grid is None else grid
+    expected = {
+        (exposure.MINSKEW, None): {k: ref_minskew(snap, scheme, props, k) for k in cutoffs},
+    }
+    built = [minskew_curve(snap, scheme, props, grid)]
+    for label in scheme.labels:
+        target = props.shares[label]
+        expected[exposure.DEVIATION, label] = {
+            k: None if (share := ref_share(snap, scheme, label, k)) is None else target - share for k in cutoffs
+        }
+        expected[exposure.SKEW, label] = {k: ref_skew(snap, scheme, label, target, k) for k in cutoffs}
+        expected[exposure.CORRECTED_SKEW, label] = {
+            k: ref_corrected(snap, scheme, label, target, k) for k in cutoffs
+        }
+        built += [
+            deviation_curve(snap, scheme, props, label, grid),
+            skew_curve(snap, scheme, props, label, grid),
+            corrected_skew_curve(snap, scheme, props, label, grid),
+        ]
+    assert len(built) == len(expected)
+    for curve in built:
+        want = expected[curve.metric, curve.label]
+        assert list(curve.values) == list(want)
+        assert [repr(v) for v in curve.values.values()] == [repr(v) for v in want.values()], curve.metric

@@ -1,7 +1,7 @@
 """Start-up cost: no subcommand loads scipy, only the simulator and the
 model fits load numpy, and only writing a table or dataset loads the line
-encoders.  Also what the start must load: every function the bench's
-tracer wraps.
+encoders, never writing an ``export`` matrix.  Also what the start must
+load: every function the bench's tracer wraps.
 
 Importing numpy costs about 0.15 s per process, and the daily audit chain
 starts the CLI once per stage; the model fits of `stats` run their ratio
@@ -124,6 +124,16 @@ def test_import_leaves_the_line_encoders_unloaded() -> None:
     done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "1"]
+
+
+def test_export_leaves_the_line_encoders_unloaded(workdir) -> None:
+    """An ``export`` matrix header (``row``, ``5``, ...) is never all
+    identifiers, so it has no generated encoder and the module stays
+    unloaded; the audit table it reads is written in this process."""
+    assert main(["audit", str(workdir / "data.jsonl"), "--k-grid", "5,10", "-o", str(workdir / "curves.csv")]) == 0
+    seen = probe([["export", "curves.csv", "--metric", "minskew", "-o", "heatmap.csv"]], workdir)
+    assert "rankaudit.encoders" in seen["unloaded"]
+    assert (workdir / "heatmap.csv").read_text().startswith("row,5,10\n")
 
 
 # Loads bench/tracer.py (without running it) and prints the (module,
