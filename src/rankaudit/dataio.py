@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import operator
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -303,7 +304,8 @@ def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]
         entries = tuple(record for _, _, record in rows)
         ids = [record.candidate_id for record in entries]
         if len(set(ids)) != len(ids):
-            dupe = next(cid for cid in ids if ids.count(cid) > 1)
+            # A Counter keeps first-seen order: this is the first repeated id.
+            dupe = next(cid for cid, times in Counter(ids).items() if times > 1)
             report.integrity_issues.append(
                 IntegrityIssue(query_id, day, first_line, f"duplicate candidate_id {dupe!r}")
             )
@@ -448,7 +450,7 @@ def _row_problem(raw: object) -> str | None:
 def _rank_gap(ranks: Sequence[int]) -> str:
     expected = set(range(1, len(ranks) + 1))
     gaps = sorted(expected - set(ranks))
-    dupes = sorted({r for r in ranks if ranks.count(r) > 1})
+    dupes = sorted(r for r, times in Counter(ranks).items() if times > 1)
     parts = []
     if gaps:
         parts.append(f"absent {gaps}")

@@ -24,7 +24,7 @@ candidates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyPool, LabelWithoutProportion
@@ -47,22 +47,6 @@ class ScoredCandidate:
         if not math.isfinite(self.score):
             raise ValueError(f"score must be finite, got {self.score!r}")
 
-    @classmethod
-    def _trusted(cls, candidate_id: str, label: str, score: float) -> ScoredCandidate:
-        """Build an entry from a non-empty id and label and a finite score,
-        skipping ``__post_init__``."""
-        entry = object.__new__(cls)
-        _set_candidate_id(entry, candidate_id)
-        _set_label(entry, label)
-        _set_score(entry, score)
-        return entry
-
-
-# Each slot descriptor's ``__set__`` writes one field past the frozen
-# ``__setattr__``, as for ``CandidateRecord``.
-_set_candidate_id, _set_label, _set_score = (
-    getattr(ScoredCandidate, one.name).__set__ for one in fields(ScoredCandidate)
-)
 
 # A hair below 1, so that a due position computed as ``(count + 1) * _EARLY /
 # target`` is never later than the first k whose rounded ``target * k``
@@ -97,20 +81,33 @@ def detgreedy_rerank(pool: Sequence[ScoredCandidate], proportions: GroupProporti
     if len(ids) != len(pool) or not {cand.label for cand in pool} <= label_index.keys():
         _raise_first_bad_candidate(pool, label_index)
 
-    m = len(labels)
-    queues: list[list[ScoredCandidate]] = [[] for _ in range(m)]
-    for cand in pool:
-        queues[label_index[cand.label]].append(cand)
-    for queue in queues:
-        queue.sort(key=lambda c: (-c.score, c.candidate_id))
+    ranked = sorted(pool, key=lambda c: (-c.score, c.candidate_id))
     targets = [proportions.shares[label] for label in labels]
+    picks, violations = _walk([label_index[c.label] for c in ranked], [c.score for c in ranked], targets)
+    return RerankResult(
+        order=tuple([ranked[p].candidate_id for p in picks]),
+        feasible=not violations,
+        violation_positions=tuple([(k, labels[i]) for k, i in violations]),
+    )
 
-    heads = [queue[0].score if queue else 0.0 for queue in queues]
+
+def _walk(
+    codes: Sequence[int], scores: Sequence[float], targets: Sequence[float]
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """DetGreedy over a pool already in (descending score, id) order, given
+    as each entry's group index and score.  Returns the pool positions in
+    ranked order and the (k, group index) prefix-constraint violations."""
+    m = len(targets)
+    queues: list[list[int]] = [[] for _ in range(m)]
+    for position, code in enumerate(codes):
+        queues[code].append(position)
+
+    heads = [scores[queue[0]] if queue else 0.0 for queue in queues]
     counts = [0] * m  # also the index of each group's next candidate
     groups = range(m)
     active = [i for i in groups if queues[i]]
-    order: list[str] = []
-    violations: list[tuple[int, str]] = []
+    order: list[int] = []
+    violations: list[tuple[int, int]] = []
     # Group i reaches a positive floor deficit (target * k >= count + 1)
     # no earlier than position due[i]; before the first due position every
     # deficit is at most 0, so pass 1 and the lower prefix bounds are skipped.
@@ -121,7 +118,7 @@ def detgreedy_rerank(pool: Sequence[ScoredCandidate], proportions: GroupProporti
     # pick; from the first one on, every position is checked.
     overflowed = False
 
-    for k in range(1, len(pool) + 1):
+    for k in range(1, len(codes) + 1):
         pick = -1
         best_score = -math.inf
         if k >= first_due:
@@ -150,13 +147,13 @@ def detgreedy_rerank(pool: Sequence[ScoredCandidate], proportions: GroupProporti
                         pick = i
         queue = queues[pick]
         taken = counts[pick]
-        order.append(queue[taken].candidate_id)
+        order.append(queue[taken])
         counts[pick] = taken = taken + 1
         if taken == len(queue):
             active.remove(pick)
             heads[pick] = -math.inf
         else:
-            heads[pick] = queue[taken].score
+            heads[pick] = scores[queue[taken]]
         due[pick] = (taken + 1) * below[pick]
         first_due = min(due)
         if k >= first_due or overflowed:
@@ -164,9 +161,9 @@ def detgreedy_rerank(pool: Sequence[ScoredCandidate], proportions: GroupProporti
             for i in groups:
                 count = counts[i]
                 if not count - 1 < targets[i] * k < count + 1:
-                    violations.append((k, labels[i]))
+                    violations.append((k, i))
 
-    return RerankResult(order=tuple(order), feasible=not violations, violation_positions=tuple(violations))
+    return order, violations
 
 
 def _raise_first_bad_candidate(pool: Sequence[ScoredCandidate], label_index: dict[str, int]) -> None:

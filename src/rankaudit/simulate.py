@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .detgreedy import ScoredCandidate, detgreedy_rerank
+from .detgreedy import _walk
 from .errors import InvalidConfig
 from .model import (
-    EXTERNAL_BASELINE,
     CandidateRecord,
-    GroupProportions,
     GroupScheme,
     PrefixCounts,
     QuerySeries,
@@ -190,36 +188,33 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
     scores = _truncated_scores(rng, groups, bands)
     masked = mask_rng.random(n) < config.missing_prob
     pool_counts = PrefixCounts(groups, labels)
-    proportions = None
+    targets = None
     if config.postprocess == POSTPROCESS_DETGREEDY:
-        if config.postprocess_targets is not None:
-            proportions = GroupProportions(
-                scheme=scheme, shares=dict(config.postprocess_targets), source=EXTERNAL_BASELINE
-            )
-        else:
-            # Departures are replaced from their own group, so the pool's
-            # observed proportions hold for every day.
-            proportions = pool_counts.proportions(scheme)
+        # ``SimConfig`` has checked external targets as ``GroupProportions``
+        # would.  Departures are replaced from their own group, so the pool's
+        # observed proportions hold for every day.
+        shares = config.postprocess_targets
+        if shares is None:
+            shares = pool_counts.proportions(scheme).shares
+        targets = [shares[label] for label in labels]
     by_id: dict[str, tuple] = {}
 
     def join(drawn_groups: list[int], drawn_scores: list[float], hidden: list[bool]) -> list[tuple]:
         """New candidates, numbered on from those the query already has.
-        Generated ids are non-empty, scores finite and masked entries get no
-        labels, so records and DetGreedy entries need no checks."""
+        Generated ids are non-empty and masked entries get no labels, so
+        records need no checks."""
         fresh = []
         for serial, group, score, hide in zip(count(len(by_id)), drawn_groups, drawn_scores, hidden):
             cid = f"{query_id}-c{serial:06d}"
-            label = labels[group]
             if hide:
                 record = CandidateRecord._trusted(cid, None, None, {}, True)
             else:
-                record = CandidateRecord._trusted(cid, None, None, {attribute: label}, False)
-            scored = ScoredCandidate._trusted(cid, label, score) if proportions is not None else None
-            cand = by_id[cid] = (-score, cid, group, record, scored)
+                record = CandidateRecord._trusted(cid, None, None, {attribute: labels[group]}, False)
+            cand = by_id[cid] = (-score, cid, group, record)
             fresh.append(cand)
         return fresh
 
-    order = _rank(join(groups, scores, masked.tolist()), proportions, by_id)
+    order = _rank(join(groups, scores, masked.tolist()), targets)
     snapshots = {1: _snapshot(query_id, 1, order)}
     departure = [config.departure_probs.get(label, 0.0) for label in labels]
     departures: list[tuple[int, str]] = []
@@ -237,7 +232,7 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
             hidden = mask_rng.random(len(departed)) < config.missing_prob
             departures.extend((day, cand[_ID]) for cand in departed)
             survivors += join(lost, fresh, hidden.tolist())
-        order = _rank(survivors, proportions, by_id)
+        order = _rank(survivors, targets)
         snapshots[day] = _snapshot(query_id, day, order)
 
     series = QuerySeries(query_id=query_id, snapshots=snapshots)
@@ -253,10 +248,10 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
 
 
 # A generated candidate is the tuple (-score, id, group index, snapshot
-# record, DetGreedy entry or None).  Ids are unique within a query, so the
-# tuples sort by descending score, ties by id, without a key; each snapshot
-# that lists the candidate reuses its frozen record.
-_NEG_SCORE, _ID, _GROUP, _RECORD, _SCORED = 0, 1, 2, 3, 4
+# record).  Ids are unique within a query, so the tuples sort by descending
+# score, ties by id, without a key, the order DetGreedy's walk takes; each
+# snapshot that lists the candidate reuses its frozen record.
+_NEG_SCORE, _ID, _GROUP, _RECORD = 0, 1, 2, 3
 
 
 def _score_band(model: ScoreModel) -> tuple[float, float, float, float]:
@@ -403,12 +398,14 @@ def _ndtri(y0: float) -> float:
     return -x if negate else x
 
 
-def _rank(pool: list[tuple], proportions: GroupProportions | None, by_id: dict[str, tuple]) -> list[tuple]:
+def _rank(pool: list[tuple], targets: list[float] | None) -> list[tuple]:
+    """Candidates by descending score, re-ranked by DetGreedy toward the
+    per-group ``targets`` when given."""
     by_score = sorted(pool)
-    if proportions is None:
+    if targets is None:
         return by_score
-    result = detgreedy_rerank([cand[_SCORED] for cand in by_score], proportions)
-    return [by_id[cid] for cid in result.order]
+    picks, _ = _walk([cand[_GROUP] for cand in by_score], [-cand[_NEG_SCORE] for cand in by_score], targets)
+    return [by_score[p] for p in picks]
 
 
 def _snapshot(query_id: str, day: int, order: list[tuple]) -> RankingSnapshot:
@@ -486,7 +483,8 @@ def _demote_page(
         return entries, 0
     flagged = flagged[:moved]
     pulled = alternatives[:moved]
-    kept_page = [record for i, record in enumerate(page) if i not in set(flagged)]
+    flagged_set = set(flagged)
+    kept_page = [record for i, record in enumerate(page) if i not in flagged_set]
     new_page = kept_page + [below[i] for i in pulled]
     pulled_set = set(pulled)
     new_below = [page[i] for i in flagged] + [r for i, r in enumerate(below) if i not in pulled_set]

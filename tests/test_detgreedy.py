@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankaudit import (
     EmptyPool,
@@ -127,11 +128,6 @@ class TestRerankEdgeCases:
         assert not hasattr(entry, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             entry.score = 0.9
-
-    def test_trusted_constructor_builds_an_equal_entry(self) -> None:
-        entry = ScoredCandidate._trusted("c1", "F", 0.5)
-        assert entry == ScoredCandidate("c1", "F", 0.5)
-        assert repr(entry) == "ScoredCandidate(candidate_id='c1', label='F', score=0.5)"
 
     def test_nan_target_rejected(self) -> None:
         with pytest.raises(ValueError, match="shares must be non-negative numbers"):
@@ -292,8 +288,25 @@ def scored_pools(draw):
     return draw(st.permutations(pool)), props
 
 
+# Every group's head scores 2.0, and a9/a10, b9/b10 and c9/c10 tie on score
+# with ids whose string order (a10 first) is not their numeric order.  The
+# examples give this pool in (descending score, id) order, reversed and
+# shuffled.
+TIERS = GroupProportions(GroupScheme("tier", ("a", "b", "c")), {"a": 0.5, "b": 0.3, "c": 0.2})
+TIED = sorted(
+    (ScoredCandidate(cid, cid[0], score) for cid, score in (
+        ("a9", 2.0), ("a10", 2.0), ("b9", 2.0), ("b10", 2.0), ("c1", 2.0),
+        ("a2", 1.0), ("b2", 1.0), ("c9", 1.0), ("c10", 1.0), ("a1", 0.5),
+    )),
+    key=lambda c: (-c.score, c.candidate_id),
+)
+
+
 @given(scored_pools().filter(lambda case: case[0]))
 @settings(max_examples=400)
+@example((TIED, TIERS))
+@example((TIED[::-1], TIERS))
+@example((random.Random(4).sample(TIED, len(TIED)), TIERS))
 def test_matches_the_full_scan_reference(case) -> None:
     """Skipping pass 1 and the prefix check before a group can be due picks
     and flags exactly what scanning every group at every position does."""

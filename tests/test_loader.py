@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -340,6 +341,29 @@ def test_big_ints_nan_and_boolean_day(tmp_path) -> None:
     assert [issue.message for issue in report.parse_issues] == ["day must be an integer >= 1"] * 2
     assert report.integrity_issues[0].message.startswith("ranks not contiguous")
     assert [one.query_id for one in series] == ["q2"]
+
+
+def _late_duplicate_ids() -> list[str]:
+    # c49995 repeats before c49990 does, but c49990 comes first in entry
+    # order, so it is the one named.
+    ids = [f"c{i}" for i in range(50_000)]
+    ids[49_997], ids[49_999] = "c49995", "c49990"
+    return ids
+
+
+ONE_ABSENT_RANK = [rank for rank in range(1, 50_002) if rank != 25_000]
+
+
+@pytest.mark.parametrize("ranks, ids, message", [
+    (ONE_ABSENT_RANK, [f"c{rank}" for rank in ONE_ABSENT_RANK], "ranks not contiguous 1..50000: absent [25000]"),
+    (range(1, 50_001), _late_duplicate_ids(), "duplicate candidate_id 'c49990'"),
+], ids=["absent-rank", "late-duplicate-id"])
+def test_integrity_messages_of_a_long_snapshot_take_linear_time(tmp_path, ranks, ids, message) -> None:
+    path = _write(tmp_path, [line(row(rank=rank, candidate_id=cid)) for rank, cid in zip(ranks, ids)])
+    started = time.perf_counter()
+    series, report = load_dataset(path)
+    assert time.perf_counter() - started < 5.0
+    assert series == [] and [issue.message for issue in report.integrity_issues] == [message]
 
 
 @settings(max_examples=300, deadline=None)
