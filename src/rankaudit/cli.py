@@ -9,6 +9,7 @@ ordering is deterministic (sorted by query, day, cutoff).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 from . import churn as churn_mod
 from . import dataio, exposure, mixedlm, simulate
 from .detgreedy import detgreedy_rerank
-from .errors import AuditError, MissingBaselineEntry
+from .errors import AuditError, EmptyPool, MissingBaselineEntry
 from .model import (
     GroupProportions,
     GroupScheme,
@@ -40,12 +41,21 @@ _CUTOFFS = ",".join(map(str, mixedlm.DEFAULT_CUTOFFS))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; return its exit status.
+
+    For the length of the run the cyclic garbage collector is paused,
+    process-wide: a run builds many short-lived containers but leaves only
+    a few hundred cyclic objects, so collection passes are wasted work.
+    The collector's prior state comes back however the run ends.
+    """
     # Library warnings (``logging``) reach stderr like the CLI's own.
     handler = logging.StreamHandler(sys.stderr)
     handler.setLevel(logging.WARNING)
     handler.setFormatter(logging.Formatter("warning: %(message)s"))
     logger = logging.getLogger("rankaudit")
     logger.addHandler(handler)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = _parse_args(_build_parser(), argv)
         status = args.handler(args)
@@ -61,6 +71,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
+        if collecting:
+            gc.enable()
         logger.removeHandler(handler)
 
 
@@ -129,8 +141,17 @@ def _k_grid(spec: str) -> str | list[int]:
     return grid
 
 
+def _day(text: str) -> int:
+    """A day number; loaded days start at 1."""
+    day = int(text)
+    if day < 1:
+        raise argparse.ArgumentTypeError(f"day must be at least 1, got {text!r}")
+    return day
+
+
 _day_pairs.__name__, _pool_range.__name__, _shares.__name__ = "day pairs", "pool range", "proportions"
 _k_grid.__name__ = "k grid"
+_day.__name__ = "int"  # a non-number reads "invalid int value"
 
 
 def _build_parser() -> _Parser:
@@ -172,7 +193,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-grid", type=_k_grid,
                    help="cutoffs: 'N', 'A,B,C', 'LO:HI[:STEP]' or 'full' (default: page cutoffs)")
     p.add_argument("--metrics", type=_texts, default=",".join(_METRICS), help="comma list (default %(default)s)")
-    p.add_argument("--day", type=int, help="restrict to one day (default: all days)")
+    p.add_argument("--day", type=_day, help="restrict to one day (default: all days)")
 
     p = command("churn", _cmd_churn, "top-k membership churn between days", scheme, table)
     p.add_argument("dataset")
@@ -436,6 +457,8 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 def _cmd_rerank(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
     pool = dataio.read_pool(args.pool)
+    if not pool:
+        raise EmptyPool("cannot re-rank an empty pool")
     if args.proportions is not None:
         targets = GroupProportions(scheme=scheme, shares=args.proportions)
     else:

@@ -631,27 +631,23 @@ def curve_rows(curves: Iterable[MetricCurve]) -> list[tuple]:
     """Long-format rows for metric curves, deterministically ordered."""
     ordered = sorted(curves, key=lambda c: (c.query_id, c.day, c.attribute, c.metric, c.label or ""))
     rows = []
+    repeat = itertools.repeat
     for curve in ordered:
-        for k in sorted(curve.values):
-            rows.append(
-                (
-                    curve.query_id,
-                    curve.day,
-                    curve.attribute,
-                    curve.label or "",
-                    k,
-                    curve.metric,
-                    curve.values[k],
-                )
-            )
+        values = curve.values
+        cutoffs = sorted(values)
+        rows.extend(zip(
+            repeat(curve.query_id), repeat(curve.day), repeat(curve.attribute), repeat(curve.label or ""),
+            cutoffs, repeat(curve.metric), map(values.__getitem__, cutoffs),
+        ))
     return rows
+
+
+_CHURN_ORDER = operator.attrgetter("query_id", "attribute", "label", "start_day", "end_day", "k")
 
 
 def churn_rows(cells: Iterable[ChurnCell]) -> list[tuple]:
     """Long-format rows for churn cells, deterministically ordered."""
-    ordered = sorted(
-        cells, key=lambda c: (c.query_id, c.attribute, c.label, c.start_day, c.end_day, c.k)
-    )
+    ordered = sorted(cells, key=_CHURN_ORDER)
     return [
         (cell.query_id, cell.attribute, cell.label, cell.k, CHURN, cell.start_day, cell.end_day, cell.churn)
         for cell in ordered

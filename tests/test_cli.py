@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import logging
@@ -379,6 +380,13 @@ class TestRerankCommand:
         pool = self.write_pool(tmp_path, [("f1", "F", 0.9), ("x1", "X", 0.8), ("y1", "Y", 0.7)])
         assert run("rerank", str(pool)) == 1
         assert capsys.readouterr().err == "error: pool label 'X' not in scheme\n"
+
+    @pytest.mark.parametrize("options", [[], ["--proportions", "F=0.5,M=0.5"]])
+    def test_empty_pool_is_named_with_or_without_proportions(self, tmp_path, capsys, options) -> None:
+        pool = tmp_path / "pool.csv"
+        pool.write_text("candidate_id,label,score\n", encoding="utf-8")
+        assert run("rerank", str(pool), *options) == 1
+        assert capsys.readouterr() == ("", "error: cannot re-rank an empty pool\n")
 
     def test_header_is_checked(self, tmp_path, capsys) -> None:
         bad = tmp_path / "pool.csv"
@@ -853,6 +861,7 @@ OPTION_SAMPLES = {
     cli._texts: ("A,B", "C,D"),
     cli._ints: ("5,10", "20"),
     cli._floats: ("0.5,0.5", "0.2,0.8"),
+    cli._day: ("2", "3"),
     cli._day_pairs: ("1-2", "consecutive"),
     cli._pool_range: ("5:9", "3"),
     cli._shares: ("F=0.5,M=0.5", "F=1,M=0"),
@@ -905,6 +914,48 @@ def test_config_value_parses_like_the_flag(tmp_path, base, action) -> None:
     assert parse(*flag, setting=other) == from_flag
 
 
+class TestCollectorPause:
+    """``main`` runs with the cyclic garbage collector paused and gives the
+    caller back the collector's state, however the run ends."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        gc.enable() if request.param else gc.disable()
+        yield request.param
+        gc.enable() if before else gc.disable()
+
+    @pytest.mark.parametrize("outcome", ["success", "error", "exception", "usage"])
+    def test_paused_in_the_handler_and_restored_after(self, monkeypatch, collecting, outcome) -> None:
+        seen = []
+
+        def handler(args) -> int:
+            seen.append(gc.isenabled())
+            if outcome == "error":
+                raise ValueError("bad input")
+            if outcome == "exception":
+                raise RuntimeError("not caught by main")
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_export", handler)
+        argv = ["export"] if outcome == "usage" else ["export", "table.csv", "--metric", "skew"]
+        if outcome == "exception":
+            with pytest.raises(RuntimeError):
+                run(*argv)
+        else:
+            assert run(*argv) == (0 if outcome == "success" else 1)
+        assert seen == ([] if outcome == "usage" else [False])
+        assert gc.isenabled() is collecting
+
+    def test_import_leaves_the_collector_alone(self) -> None:
+        code = ("import gc, json; before = [gc.isenabled(), gc.get_threshold()]; import rankaudit, rankaudit.cli; "
+                "print(json.dumps([before, [gc.isenabled(), gc.get_threshold()]]))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(),
+                              check=True)
+        before, after = json.loads(done.stdout)
+        assert before[0] is True and after == before
+
+
 class TestUsageErrors:
     """A usage error is one ``error:`` line on stderr and exit status 1."""
 
@@ -920,6 +971,10 @@ class TestUsageErrors:
         (["simulate", "--seed", "1", "--queries", ""], None, "argument --queries: invalid int value: ''"),
         (["audit", "data.jsonl"], "labels =", "argument --labels: invalid list value: ''"),
         (["churn", "data.jsonl", "--pairs", "1-x"], None, "argument --pairs: invalid day pairs value: '1-x'"),
+        (["audit", "data.jsonl", "--day", "0"], None, "argument --day: day must be at least 1, got '0'"),
+        (["audit", "data.jsonl", "--day=-1"], None, "argument --day: day must be at least 1, got '-1'"),
+        (["audit", "data.jsonl"], "day = 0", "argument --day: day must be at least 1, got '0'"),
+        (["audit", "data.jsonl", "--day", "x"], None, "argument --day: invalid int value: 'x'"),
         (["audit"], None, "the following arguments are required: dataset"),
         ([], None, "the following arguments are required: command"),
     ])

@@ -7,6 +7,8 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankaudit import (
     EXTERNAL_BASELINE,
@@ -421,6 +423,70 @@ class TestLongTables:
     def test_unknown_format_rejected(self) -> None:
         with pytest.raises(ValueError, match="format"):
             write_long_table([], CURVE_HEADER, io.StringIO(), fmt="parquet")
+
+
+def reference_curve_rows(curves) -> list[tuple]:
+    """``curve_rows`` as it was written before it built each curve's rows in one ``zip``."""
+    ordered = sorted(curves, key=lambda c: (c.query_id, c.day, c.attribute, c.metric, c.label or ""))
+    rows = []
+    for curve in ordered:
+        for k in sorted(curve.values):
+            rows.append((curve.query_id, curve.day, curve.attribute, curve.label or "", k, curve.metric,
+                         curve.values[k]))
+    return rows
+
+
+def reference_churn_rows(cells) -> list[tuple]:
+    """``churn_rows`` as it was written before it sorted with an ``attrgetter`` key."""
+    ordered = sorted(cells, key=lambda c: (c.query_id, c.attribute, c.label, c.start_day, c.end_day, c.k))
+    return [
+        (cell.query_id, cell.attribute, cell.label, cell.k, "churn", cell.start_day, cell.end_day, cell.churn)
+        for cell in ordered
+    ]
+
+
+# Few distinct keys, so that sort keys tie often; a tie must keep input order.
+_curves = st.lists(st.builds(
+    MetricCurve,
+    query_id=st.sampled_from(["q1", "q2"]),
+    day=st.integers(1, 2),
+    attribute=st.just("gender"),
+    label=st.sampled_from([None, "", "F", "M"]),
+    metric=st.sampled_from(["minskew", "skew"]),
+    values=st.dictionaries(st.integers(1, 40), st.none() | st.floats(allow_nan=False), max_size=8),
+), max_size=8)
+_cells = st.lists(st.builds(
+    ChurnCell,
+    query_id=st.sampled_from(["q1", "q2"]),
+    attribute=st.just("gender"),
+    label=st.sampled_from(["F", "M"]),
+    k=st.integers(1, 3),
+    start_day=st.integers(1, 2),
+    end_day=st.integers(2, 3),
+    churn=st.none() | st.floats(0, 1),
+    base_count=st.integers(0, 5),
+), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_curves)
+@example([  # unsorted cutoffs; a None and an empty label tie on the sort key
+    MetricCurve("q1", 1, "gender", None, "minskew", {50: 0.5, 25: None, 75: -math.inf}),
+    MetricCurve("q1", 1, "gender", "", "minskew", {3: 1.0, 1: 2.0}),
+])
+def test_curve_rows_match_the_per_cell_reference(curves) -> None:
+    assert curve_rows(curves) == reference_curve_rows(curves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cells)
+@example([  # the same sort key twice, with different values
+    ChurnCell("q1", "gender", "M", 25, 1, 2, 0.5, 4),
+    ChurnCell("q1", "gender", "F", 25, 1, 2, None, 0),
+    ChurnCell("q1", "gender", "M", 25, 1, 2, 0.25, 4),
+])
+def test_churn_rows_match_the_lambda_key_reference(cells) -> None:
+    assert churn_rows(cells) == reference_churn_rows(cells)
 
 
 class TestProtocolTable:
