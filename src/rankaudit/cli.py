@@ -149,9 +149,19 @@ def _day(text: str) -> int:
     return day
 
 
+def _metrics(text: str) -> list[str]:
+    """A comma list of :data:`_METRICS` names."""
+    metrics = _texts(text)
+    unknown = set(metrics) - set(_METRICS)
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unrecognized metrics: {sorted(unknown)}")
+    return metrics
+
+
 _day_pairs.__name__, _pool_range.__name__, _shares.__name__ = "day pairs", "pool range", "proportions"
 _k_grid.__name__ = "k grid"
 _day.__name__ = "int"  # a non-number reads "invalid int value"
+_metrics.__name__ = "list"
 
 
 def _build_parser() -> _Parser:
@@ -192,7 +202,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--baseline", help="external target proportions CSV")
     p.add_argument("--k-grid", type=_k_grid,
                    help="cutoffs: 'N', 'A,B,C', 'LO:HI[:STEP]' or 'full' (default: page cutoffs)")
-    p.add_argument("--metrics", type=_texts, default=",".join(_METRICS), help="comma list (default %(default)s)")
+    p.add_argument("--metrics", type=_metrics, default=",".join(_METRICS), help="comma list (default %(default)s)")
     p.add_argument("--day", type=_day, help="restrict to one day (default: all days)")
 
     p = command("churn", _cmd_churn, "top-k membership churn between days", scheme, table)
@@ -419,9 +429,11 @@ def _cmd_label(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
     series, report = _load_or_fail(args.dataset)
-    unknown = set(args.metrics) - set(_METRICS)
-    if unknown:
-        raise ValueError(f"unrecognized metrics: {sorted(unknown)}")
+    if args.day is not None:
+        days = sorted({day for one in series for day in one.days})
+        if args.day not in days:
+            print(f"warning: no snapshot has day {args.day} (days in the file: {', '.join(map(str, days)) or 'none'})",
+                  file=sys.stderr)
     snaps = [
         one.snapshots[day]
         for one in series

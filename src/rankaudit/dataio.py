@@ -15,12 +15,14 @@ analyses produce byte-identical files.  Undefined cells serialize as
 ``"undefined"`` in long tables and as empty cells in matrices; negative
 infinity as ``"-inf"``.
 
-Long tables and snapshots are written from per-row f-strings, a chunk of
-rows at a time.  CSV quoting is RFC-4180 (a cell holding a comma, a quote,
-a line feed or a carriage return is quoted, its quotes doubled), done by
-the stdlib ``csv`` writer for any chunk that needs quoting.  A JSONL chunk
-whose cells the f-string could render differently from ``json`` goes
-through ``json``.
+Long tables are written a run at a time: the cells a run of rows shares
+(one curve's, or one day pair's churn cells) become text once, and each row
+then costs one f-string of its cutoff and value; snapshots are written
+from one f-string per record.  CSV quoting is RFC-4180 (a cell holding a
+comma, a quote, a line feed or a carriage return is quoted, its quotes
+doubled), done by the stdlib ``csv`` writer for any run that needs
+quoting.  A JSONL run whose cells the f-string could render differently
+from ``json`` goes through ``json``.
 """
 from __future__ import annotations
 
@@ -627,31 +629,47 @@ def filter_queries(
 # long-format tables
 
 
-def curve_rows(curves: Iterable[MetricCurve]) -> list[tuple]:
-    """Long-format rows for metric curves, deterministically ordered."""
+def curve_rows(curves: Iterable[MetricCurve]) -> Sequence[tuple]:
+    """Long-format rows for metric curves, deterministically ordered: a
+    :class:`.encoders.Runs` of one run per curve."""
+    # Imported here for the reason given in write_snapshots.
+    from .encoders import Runs
+
     ordered = sorted(curves, key=lambda c: (c.query_id, c.day, c.attribute, c.metric, c.label or ""))
-    rows = []
-    repeat = itertools.repeat
+    runs = []
     for curve in ordered:
         values = curve.values
         cutoffs = sorted(values)
-        rows.extend(zip(
-            repeat(curve.query_id), repeat(curve.day), repeat(curve.attribute), repeat(curve.label or ""),
-            cutoffs, repeat(curve.metric), map(values.__getitem__, cutoffs),
-        ))
-    return rows
+        shared = (curve.query_id, curve.day, curve.attribute, curve.label or "", curve.metric)
+        runs.append((shared, (cutoffs, list(map(values.__getitem__, cutoffs)))))
+    return Runs(CURVE_HEADER, (4, 6), runs)
 
 
-_CHURN_ORDER = operator.attrgetter("query_id", "attribute", "label", "start_day", "end_day", "k")
+# A churn cell's run: the cells of one label and day pair of a query.
+_CHURN_RUN = operator.attrgetter("query_id", "attribute", "label", "start_day", "end_day")
+_k, _churn = operator.attrgetter("k"), operator.attrgetter("churn")
 
 
-def churn_rows(cells: Iterable[ChurnCell]) -> list[tuple]:
-    """Long-format rows for churn cells, deterministically ordered."""
-    ordered = sorted(cells, key=_CHURN_ORDER)
-    return [
-        (cell.query_id, cell.attribute, cell.label, cell.k, CHURN, cell.start_day, cell.end_day, cell.churn)
-        for cell in ordered
-    ]
+def churn_rows(cells: Iterable[ChurnCell]) -> Sequence[tuple]:
+    """Long-format rows for churn cells, deterministically ordered: a
+    :class:`.encoders.Runs` of one run per query, label and day pair."""
+    from .encoders import Runs
+
+    # A stable sort by run and k, from runs sorted by key and each run's
+    # cells, in input order, sorted by k (``churn_grid`` gives them sorted).
+    groups: dict[tuple, list[ChurnCell]] = {}
+    for key, run in itertools.groupby(cells, _CHURN_RUN):
+        groups.setdefault(key, []).extend(run)
+    runs = []
+    for key in sorted(groups):
+        query_id, attribute, label, start_day, end_day = key
+        group = groups[key]
+        ks = list(map(_k, group))
+        if ks != sorted(ks):
+            group = sorted(group, key=_k)
+            ks = list(map(_k, group))
+        runs.append(((query_id, attribute, label, CHURN, start_day, end_day), (ks, list(map(_churn, group)))))
+    return Runs(CHURN_HEADER, (3, 7), runs)
 
 
 def write_long_table(
@@ -665,33 +683,29 @@ def write_long_table(
     all others written as they are.  An unknown ``fmt`` raises
     ``ValueError`` before ``destination`` is opened.
 
-    Rows go out :data:`_WRITE_ROWS` at a time.  Each chunk's lines come from
-    the header's generated encoder (:func:`.encoders.line_encoder`), unless
-    :func:`.encoders.encoded_rows` finds that they could differ from what
-    the ``csv``/``json`` path, :func:`_write_rows`, writes; then that path
-    writes the chunk.
+    ``rows`` is a :class:`.encoders.Runs` (from :func:`curve_rows` and
+    :func:`churn_rows`) or plain rows.  They go out a run at a time
+    through the header's generated encoder (:func:`.encoders.write_runs`),
+    and any run whose lines could differ from what the ``csv``/``json``
+    path, :func:`_write_rows`, writes goes through that path.
     """
     if fmt not in (FORMAT_CSV, FORMAT_JSON):
         raise ValueError(f"unrecognized format {fmt!r}")
     header = tuple(header)
-    encoders = None
-    # A header that is not all identifiers (an ``export`` matrix's) has no
-    # generated encoder, so its tables load none.  Imported here for the
-    # reason given in write_snapshots.
-    if all(name.isidentifier() for name in header):
-        from . import encoders
-
-        strings = encoders.JsonStrings()
     with text_stream(destination, "w") as out:
         if fmt == FORMAT_CSV:
             csv.writer(out, lineterminator="\n").writerow(header)
-        for start in range(0, len(rows), _WRITE_ROWS):
-            chunk = rows[start:start + _WRITE_ROWS]
-            text = None if encoders is None else encoders.encoded_rows(chunk, header, fmt, strings)
-            if text is None:
-                _write_rows(chunk, header, out, fmt)
-            else:
-                out.write(text)
+        # A header that is not all identifiers (an ``export`` matrix's) has
+        # no generated encoder, so its tables load none; nor has an empty
+        # header, or a CSV header of one column, where ``csv`` quotes an
+        # empty cell.
+        if all(name.isidentifier() for name in header) and len(header) >= (2 if fmt == FORMAT_CSV else 1):
+            # Imported here for the reason given in write_snapshots.
+            from .encoders import write_runs
+
+            write_runs(rows, header, out, fmt)
+        else:
+            _write_rows(rows, header, out, fmt)
 
 
 # Rows (or snapshot records) per write.  A chunk's lines and its text are

@@ -161,6 +161,12 @@ class TestAuditCommand:
                    "--k-grid", "10", "-o", str(out)) == 0
         assert {r["day"] for r in read_csv(out)} == {"2"}
 
+    def test_a_day_no_snapshot_has_is_named_in_a_warning(self, dataset, tmp_path, capsys) -> None:
+        out = tmp_path / "curves.csv"
+        assert run("audit", str(dataset), "--day", "7", "--k-grid", "10", "-o", str(out)) == 0
+        assert capsys.readouterr().err == "warning: no snapshot has day 7 (days in the file: 1, 2)\n"
+        assert out.read_text(encoding="utf-8") == ",".join(dataio.CURVE_HEADER) + "\n"
+
     def test_unknown_metric_rejected(self, dataset, capsys) -> None:
         assert run("audit", str(dataset), "--metrics", "sparkle") == 1
         assert "unrecognized metrics" in capsys.readouterr().err
@@ -862,6 +868,7 @@ OPTION_SAMPLES = {
     cli._ints: ("5,10", "20"),
     cli._floats: ("0.5,0.5", "0.2,0.8"),
     cli._day: ("2", "3"),
+    cli._metrics: ("skew", "minskew,deviation"),
     cli._day_pairs: ("1-2", "consecutive"),
     cli._pool_range: ("5:9", "3"),
     cli._shares: ("F=0.5,M=0.5", "F=1,M=0"),
@@ -975,6 +982,9 @@ class TestUsageErrors:
         (["audit", "data.jsonl", "--day=-1"], None, "argument --day: day must be at least 1, got '-1'"),
         (["audit", "data.jsonl"], "day = 0", "argument --day: day must be at least 1, got '0'"),
         (["audit", "data.jsonl", "--day", "x"], None, "argument --day: invalid int value: 'x'"),
+        (["audit", "data.jsonl", "--metrics", "skew,sparkle"], None,
+         "argument --metrics: unrecognized metrics: ['sparkle']"),
+        (["audit", "data.jsonl"], "metrics = sparkle", "argument --metrics: unrecognized metrics: ['sparkle']"),
         (["audit"], None, "the following arguments are required: dataset"),
         ([], None, "the following arguments are required: command"),
     ])

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from rankaudit import dataio, names
 from rankaudit.dataio import format_cell, format_real
+from rankaudit.encoders import Runs
 from rankaudit.mixedlm import ProtocolRow
 from rankaudit.model import CandidateRecord, GroupScheme, QuerySeries, RankingSnapshot
 from rankaudit.simulate import QueryTruth
@@ -490,6 +491,77 @@ def test_header_names_that_are_not_identifiers(out_dir, name, fmt) -> None:
     assert_same(out_dir,
                 lambda d: ref_write_table(rows, header, d, fmt),
                 lambda d: dataio.write_long_table(rows, header, d, fmt))
+
+
+@pytest.mark.parametrize("header, rows", [(("name",), [("",), ("a",), (7,)]), ((), [(), ()])],
+                         ids=["one-column", "no-column"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tables_of_one_column_and_of_none(out_dir, header, rows, fmt) -> None:
+    """``csv`` quotes the empty cell of a one-column row, which would
+    otherwise read back as a blank line."""
+    assert_same(out_dir,
+                lambda d: ref_write_table(rows, header, d, fmt),
+                lambda d: dataio.write_long_table(rows, header, d, fmt))
+
+
+# ---------------------------------------------------------------------------
+# tables written a run at a time
+
+# Cells a run shares, by kind: clean, or hostile (delimiters, quotes, CR,
+# LF and U+2028 in ids and labels, a ``None`` label, a ``bool`` day).
+HOSTILE = st.text(alphabet=st.sampled_from(list('ab,"\r\n\u2028é')), max_size=4)
+SHARED = {
+    "text": (PLAIN, HOSTILE),
+    "label": (PLAIN, st.one_of(HOSTILE, st.none())),
+    "day": (DAYS, st.booleans()),
+}
+# Values that repeat, both zeros, NaN, the infinities and the largest float
+# (whose 10 digits round past the float range); a hostile run may also
+# hold an int.
+RUN_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 0.5, -0.25, math.nan, math.inf, -math.inf,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e-300]),
+    st.floats(),
+)
+# (header, varying columns, kinds of the shared cells, the row of shared
+# cells ``s`` with cutoff ``k`` and value ``v``).
+RUN_TABLES = {
+    "curve": (dataio.CURVE_HEADER, (4, 6), ["text", "day", "text", "label", "text"],
+              lambda s, k, v: (*s[:4], k, s[4], v)),
+    "churn": (dataio.CHURN_HEADER, (3, 7), ["text", "text", "label", "text", "day", "day"],
+              lambda s, k, v: (*s[:3], k, *s[3:], v)),
+}
+
+
+@st.composite
+def run_tables(draw, shared_kinds):
+    """Up to four runs of up to five rows, each run clean or hostile.  A
+    value is often one already drawn, so that ``0.0`` follows ``-0.0``."""
+    runs, drawn = [], [-0.0]
+    for _ in range(draw(st.integers(0, 4))):
+        hostile = draw(st.booleans())
+        shared = tuple(draw(st.one_of(SHARED[kind][:1 + hostile])) for kind in shared_kinds)
+        values = st.one_of(st.sampled_from(drawn), RUN_VALUES, *[st.integers(-3, 3)] * hostile)
+        ks = draw(st.lists(INTS, max_size=5))
+        runs.append((shared, (ks, [draw(values) for _ in ks])))
+        drawn += runs[-1][1][1]
+    return runs
+
+
+@pytest.mark.parametrize("table", RUN_TABLES)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), fmt=FORMATS, chunk=st.integers(min_value=1, max_value=4))
+def test_runs_match_the_reference_over_their_rows(out_dir, table, data, fmt, chunk) -> None:
+    header, varying, shared_kinds, row = RUN_TABLES[table]
+    runs = data.draw(run_tables(shared_kinds))
+    rows = [row(shared, k, v) for shared, columns in runs for k, v in zip(*columns)]
+    written = Runs(header, varying, runs)
+    assert len(written) == len(rows) and list(written) == rows
+    with mock.patch.object(dataio, "_WRITE_ROWS", chunk):
+        assert_same(out_dir,
+                    lambda d: ref_write_long_table(rows, header, d, fmt),
+                    lambda d: dataio.write_long_table(written, header, d, fmt))
 
 
 # Records the public constructor would refuse or that ``json`` writes
