@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Hashable, Iterable, Sequence
 
-from .errors import CutoffOutOfRange, DayMissing, UnknownLabel
-from .model import GroupScheme, QuerySeries, RankingSnapshot, label_codes, prefix_table
+from .errors import DayMissing, UnknownLabel
+from .model import GroupScheme, QuerySeries, RankingSnapshot, check_cutoff, label_codes, prefix_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,10 +87,7 @@ def churn_rate(
     start = _snapshot_for(series, start_day)
     end = _snapshot_for(series, end_day)
     for snap in (start, end):
-        if k < 1 or k > len(snap.entries):
-            raise CutoffOutOfRange(
-                f"cutoff {k} outside 1..{len(snap.entries)} for {series.query_id!r} day {snap.day}"
-            )
+        check_cutoff(snap, k)
     members = [r.candidate_id for r in start.entries[:k] if r.label_for(scheme) == label]
     base = len(members)
     churn = None

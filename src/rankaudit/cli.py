@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import churn as churn_mod
@@ -118,27 +117,36 @@ def _shares(text: str) -> dict[str, float]:
     return {label.strip(): float(share) for label, _, share in (part.partition("=") for part in _texts(text))}
 
 
-def _k_grid(spec: str) -> str | list[int]:
-    """``full`` (every cutoff of each list), or cutoffs of at least 1 given
-    as ``N``, ``A,B,C`` or ``LO:HI[:STEP]``."""
-    spec = spec.strip()
-    if spec == "full":
-        return spec
-    parts = spec.split(":")
-    if len(parts) == 1:
-        grid = _ints(spec)
-    elif len(parts) <= 3:
-        lo, hi, step = int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) == 3 else 1
-        if step < 1:
-            raise argparse.ArgumentTypeError(f"step must be at least 1 in {spec!r}")
-        grid = list(range(lo, hi + 1, step))
-        if not grid:
-            raise argparse.ArgumentTypeError(f"empty range {spec!r}")
-    else:
-        raise argparse.ArgumentTypeError(f"expected N, A,B,C, LO:HI[:STEP] or full, got {spec!r}")
-    if min(grid) < 1:
-        raise argparse.ArgumentTypeError(f"cutoffs must be at least 1, got {spec!r}")
-    return grid
+def _cutoff_list(full: bool, name: str):
+    """An option type, ``name`` in argparse's errors: cutoffs of at least 1
+    as ``N``, ``A,B,C`` or ``LO:HI[:STEP]``, kept once each in increasing
+    order; with ``full``, also ``full`` (every cutoff of each list)."""
+    def parse(spec: str) -> str | list[int]:
+        spec = spec.strip()
+        if full and spec == "full":
+            return spec
+        parts = spec.split(":")
+        if len(parts) == 1:
+            grid = _ints(spec)
+        elif len(parts) <= 3:
+            lo, hi, step = int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) == 3 else 1
+            if step < 1:
+                raise argparse.ArgumentTypeError(f"step must be at least 1 in {spec!r}")
+            grid = list(range(lo, hi + 1, step))
+            if not grid:
+                raise argparse.ArgumentTypeError(f"empty range {spec!r}")
+        else:
+            forms = "N, A,B,C, LO:HI[:STEP] or full" if full else "N, A,B,C or LO:HI[:STEP]"
+            raise argparse.ArgumentTypeError(f"expected {forms}, got {spec!r}")
+        if min(grid) < 1:
+            raise argparse.ArgumentTypeError(f"cutoffs must be at least 1, got {spec!r}")
+        return sorted(set(grid))
+    parse.__name__ = name
+    return parse
+
+
+_k_grid = _cutoff_list(True, "k grid")
+_cutoffs = _cutoff_list(False, "int list")
 
 
 def _day(text: str) -> int:
@@ -159,7 +167,6 @@ def _metrics(text: str) -> list[str]:
 
 
 _day_pairs.__name__, _pool_range.__name__, _shares.__name__ = "day pairs", "pool range", "proportions"
-_k_grid.__name__ = "k grid"
 _day.__name__ = "int"  # a non-number reads "invalid int value"
 _metrics.__name__ = "list"
 
@@ -220,7 +227,8 @@ def _build_parser() -> _Parser:
     p.add_argument("dataset")
     p.add_argument("--null", type=float, default=mixedlm.DEFAULT_MINSKEW_NULL,
                    help="null value for the MinSkew intercept test (default %(default)s)")
-    p.add_argument("--cutoffs", type=_ints, default=_CUTOFFS, help="comma-separated cutoffs (default %(default)s)")
+    p.add_argument("--cutoffs", type=_cutoffs, default=_CUTOFFS,
+                   help="cutoffs, as for audit's --k-grid but not 'full' (default %(default)s)")
     p.add_argument("--max-missing", type=float, default=0.15, help="max day-1 missing rate (default %(default)s)")
     p.add_argument("--min-pool", type=int, default=101, help="min day-1 list length (default %(default)s)")
     p.add_argument("--baseline", help="external target proportions CSV (minskew protocol)")
@@ -261,25 +269,27 @@ def _load_config(path: str) -> dict[str, str]:
     starts a comment.  Values stay strings, as the same option on the
     command line gives."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        key, equals, value = raw.partition("=")
-        value = value.strip()
-        if equals and "#" not in key and value[:1] in ("'", '"'):
-            # A quoted value may hold "#"; only a comment may follow it.
-            end = value.find(value[0], 1)
-            if end > 0 and value[end + 1:].lstrip()[:1] in ("", "#"):
-                values[key.strip().replace("-", "_")] = value[1:end]
+    # A file ends lines at LF, CRLF or CR only, unlike str.splitlines.
+    with open(path, encoding="utf-8") as lines:
+        for lineno, raw in enumerate(lines, start=1):
+            key, equals, value = raw.partition("=")
+            value = value.strip()
+            if equals and "#" not in key and value[:1] in ("'", '"'):
+                # A quoted value may hold "#"; only a comment may follow it.
+                end = value.find(value[0], 1)
+                if end > 0 and value[end + 1:].lstrip()[:1] in ("", "#"):
+                    values[key.strip().replace("-", "_")] = value[1:end]
+                    continue
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        value = value.strip()
-        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-            value = value[1:-1]
-        values[key.strip().replace("-", "_")] = value
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            value = value.strip()
+            if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+                value = value[1:-1]
+            values[key.strip().replace("-", "_")] = value
     return values
 
 

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import EmptyPool, LabelWithoutProportion
-from .model import GroupProportions, prefix_table
+from .model import GroupProportions, label_codes, prefix_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,22 +82,24 @@ def detgreedy_rerank(pool: Sequence[ScoredCandidate], proportions: GroupProporti
     if len(ids) != len(pool) or not {cand.label for cand in pool} <= label_index.keys():
         _raise_first_bad_candidate(pool, label_index)
 
-    ranked = sorted(pool, key=lambda c: (-c.score, c.candidate_id))
+    # Descending score, ties by id: the sort is stable, also with ``reverse``.
+    ranked = sorted(pool, key=attrgetter("candidate_id"))
+    ranked.sort(key=attrgetter("score"), reverse=True)
     targets = [proportions.shares[label] for label in labels]
-    picks, violations = _walk([label_index[c.label] for c in ranked], [c.score for c in ranked], targets)
+    codes = [label_index[c.label] for c in ranked]
+    picks = _walk(codes, [c.score for c in ranked], targets)
+    violations = _violations_by_index([codes[p] for p in picks], targets, labels)
     return RerankResult(
         order=tuple([ranked[p].candidate_id for p in picks]),
         feasible=not violations,
-        violation_positions=tuple([(k, labels[i]) for k, i in violations]),
+        violation_positions=violations,
     )
 
 
-def _walk(
-    codes: Sequence[int], scores: Sequence[float], targets: Sequence[float]
-) -> tuple[list[int], list[tuple[int, int]]]:
+def _walk(codes: Sequence[int], scores: Sequence[float], targets: Sequence[float]) -> list[int]:
     """DetGreedy over a pool already in (descending score, id) order, given
     as each entry's group index and score.  Returns the pool positions in
-    ranked order and the (k, group index) prefix-constraint violations."""
+    ranked order."""
     m = len(targets)
     queues: list[list[int]] = [[] for _ in range(m)]
     for position, code in enumerate(codes):
@@ -104,19 +107,14 @@ def _walk(
 
     heads = [scores[queue[0]] if queue else 0.0 for queue in queues]
     counts = [0] * m  # also the index of each group's next candidate
-    groups = range(m)
-    active = [i for i in groups if queues[i]]
+    active = [i for i in range(m) if queues[i]]
     order: list[int] = []
-    violations: list[tuple[int, int]] = []
     # Group i reaches a positive floor deficit (target * k >= count + 1)
     # no earlier than position due[i]; before the first due position every
-    # deficit is at most 0, so pass 1 and the lower prefix bounds are skipped.
+    # deficit is at most 0, so pass 1 is skipped.
     below = [_EARLY / t if t > 0.0 else math.inf for t in targets]
     due = below.copy()
     first_due = min(due)
-    # An upper bound (count - 1 < target * k) can only break on a pass-3
-    # pick; from the first one on, every position is checked.
-    overflowed = False
 
     for k in range(1, len(codes) + 1):
         pick = -1
@@ -140,7 +138,6 @@ def _walk(
                     pick = i
             if pick < 0:
                 # pass 3: every remaining group at/over ceiling; overflow knowingly
-                overflowed = True
                 for i in active:
                     if heads[i] > best_score:
                         best_score = heads[i]
@@ -156,14 +153,8 @@ def _walk(
             heads[pick] = scores[queue[taken]]
         due[pick] = (taken + 1) * below[pick]
         first_due = min(due)
-        if k >= first_due or overflowed:
-            # The prefix constraints at k, tested as in _violations_by_index.
-            for i in groups:
-                count = counts[i]
-                if not count - 1 < targets[i] * k < count + 1:
-                    violations.append((k, i))
 
-    return order, violations
+    return order
 
 
 def _raise_first_bad_candidate(pool: Sequence[ScoredCandidate], label_index: dict[str, int]) -> None:
@@ -191,14 +182,10 @@ def check_feasibility(
     Empty means the ranking is feasible.
     """
     labels = proportions.scheme.labels
-    label_index = {label: i for i, label in enumerate(labels)}
-    indexed: list[int] = []
-    for lbl in order:
-        if lbl not in label_index:
-            raise LabelWithoutProportion(f"ranked label {lbl!r} has no target proportion")
-        indexed.append(label_index[lbl])
-    targets = [proportions.shares[label] for label in labels]
-    return _violations_by_index(indexed, targets, labels)
+    indexed = label_codes(order, proportions.scheme)
+    if -1 in indexed:
+        raise LabelWithoutProportion(f"ranked label {order[indexed.index(-1)]!r} has no target proportion")
+    return _violations_by_index(indexed, [proportions.shares[label] for label in labels], labels)
 
 
 def _violations_by_index(

@@ -32,7 +32,7 @@ from .errors import (
     UnknownLabel,
     ZeroTargetProportion,
 )
-from .model import GroupProportions, GroupScheme, PrefixCounts, RankingSnapshot, snapshot_counts
+from .model import GroupProportions, GroupScheme, PrefixCounts, RankingSnapshot, check_cutoff, snapshot_counts
 
 DEVIATION = "deviation"
 SKEW = "skew"
@@ -85,7 +85,7 @@ def topk_counts(snapshot: RankingSnapshot, scheme: GroupScheme, k: int) -> TopKC
 
     Raises :class:`CutoffOutOfRange` unless ``1 <= k <= len(entries)``.
     """
-    _check_cutoff(snapshot, k)
+    check_cutoff(snapshot, k)
     table = snapshot_counts(snapshot, scheme)
     return TopKCounts(k=k, counts=table.tally(k), labeled_total=table.labeled[k])
 
@@ -98,7 +98,7 @@ def deviation_at_k(
     k: int,
 ) -> float:
     """Target share minus observed labeled share of ``label`` in the top k."""
-    _check_cutoff(snapshot, k)
+    check_cutoff(snapshot, k)
     _check_label(scheme, label)
     if label not in proportions.shares:
         raise UnknownLabel(f"label {label!r} has no target proportion")
@@ -119,7 +119,7 @@ def skew_at_k(
     not strictly positive and :class:`EmptyLabeledPrefix` when no labeled
     candidate sits above the cutoff.
     """
-    _check_cutoff(snapshot, k)
+    check_cutoff(snapshot, k)
     return _point(skew_curve(snapshot, scheme, proportions, label, [k]), snapshot, k)
 
 
@@ -130,7 +130,7 @@ def min_skew_at_k(
     k: int,
 ) -> float:
     """Minimum skew over all labels of the scheme; at most zero."""
-    _check_cutoff(snapshot, k)
+    check_cutoff(snapshot, k)
     return _point(minskew_curve(snapshot, scheme, proportions, [k]), snapshot, k)
 
 
@@ -295,13 +295,6 @@ def _grid(snapshot: RankingSnapshot, k_grid: Sequence[int] | None) -> list[int]:
     if k_grid is None:
         return list(range(1, len(snapshot.entries) + 1))
     return [int(k) for k in k_grid]
-
-
-def _check_cutoff(snapshot: RankingSnapshot, k: int) -> None:
-    if k < 1 or k > len(snapshot.entries):
-        raise CutoffOutOfRange(
-            f"cutoff {k} outside 1..{len(snapshot.entries)} for {snapshot.query_id!r} day {snapshot.day}"
-        )
 
 
 def _check_label(scheme: GroupScheme, label: str) -> None:

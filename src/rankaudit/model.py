@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyLabeledPool
+from .errors import CutoffOutOfRange, EmptyLabeledPool
 
 OBSERVED_POOL = "observed_pool"
 EXTERNAL_BASELINE = "external_baseline"
@@ -137,6 +137,14 @@ class RankingSnapshot:
         if not self.entries:
             return 0.0
         return self.missing_count / len(self.entries)
+
+
+def check_cutoff(snapshot: RankingSnapshot, k: int) -> None:
+    """Raise :class:`CutoffOutOfRange` unless ``1 <= k <= len(snapshot.entries)``."""
+    if k < 1 or k > len(snapshot.entries):
+        raise CutoffOutOfRange(
+            f"cutoff {k} outside 1..{len(snapshot.entries)} for {snapshot.query_id!r} day {snapshot.day}"
+        )
 
 
 @dataclass(frozen=True)
@@ -269,11 +277,14 @@ def observed_proportions(
 
     Missing and unknown-labeled candidates are excluded from both numerator
     and denominator.  ``max_rank`` of ``None`` (or beyond the list) uses the
-    whole list.  Raises :class:`EmptyLabeledPool` when no labeled candidate
-    falls inside the window.  ``counts`` passes in the snapshot's
-    :func:`snapshot_counts` when the caller already has them.
+    whole list.  Raises :class:`CutoffOutOfRange` for a negative ``max_rank``
+    and :class:`EmptyLabeledPool` when no labeled candidate falls inside the
+    window.  ``counts`` passes in the snapshot's :func:`snapshot_counts` when
+    the caller already has them.
     """
-    window = len(snapshot.entries if max_rank is None else snapshot.entries[:max_rank])
+    if max_rank is not None and max_rank < 0:
+        raise CutoffOutOfRange(f"max_rank must be >= 0, got {max_rank}")
+    window = len(snapshot.entries) if max_rank is None else min(max_rank, len(snapshot.entries))
     table = counts if counts is not None else snapshot_counts(snapshot, scheme)
     if table.labeled[window] == 0:
         raise EmptyLabeledPool(

@@ -404,7 +404,7 @@ def _rank(pool: list[tuple], targets: list[float] | None) -> list[tuple]:
     by_score = sorted(pool)
     if targets is None:
         return by_score
-    picks, _ = _walk([cand[_GROUP] for cand in by_score], [-cand[_NEG_SCORE] for cand in by_score], targets)
+    picks = _walk([cand[_GROUP] for cand in by_score], [-cand[_NEG_SCORE] for cand in by_score], targets)
     return [by_score[p] for p in picks]
 
 

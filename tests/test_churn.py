@@ -94,7 +94,7 @@ class TestChurnRate:
         one = series({1: [("a", "F"), ("b", "M")], 3: [("a", "F")]})
         with pytest.raises(DayMissing):
             churn_rate(one, GENDER, "F", 1, 1, 2)
-        with pytest.raises(CutoffOutOfRange):
+        with pytest.raises(CutoffOutOfRange, match=r"^cutoff 2 outside 1\.\.1 for 'q1' day 3$"):
             churn_rate(one, GENDER, "F", 2, 1, 3)  # day-3 list is shorter than k
         with pytest.raises(ValueError):
             churn_rate(one, GENDER, "F", 1, 3, 1)

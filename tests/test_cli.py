@@ -342,6 +342,13 @@ class TestChurnCommand:
         assert {(r["start_day"], r["end_day"]) for r in rows} == {("1", "2")}
         assert {r["k"] for r in rows} == {"5", "10"}
 
+    def test_k_grid_cutoffs_are_written_once_in_increasing_order(self, dataset, tmp_path) -> None:
+        ordered, given = tmp_path / "ordered.csv", tmp_path / "given.csv"
+        assert run("churn", str(dataset), "--k-grid", "5,10", "-o", str(ordered)) == 0
+        assert run("churn", str(dataset), "--k-grid", "10,5,10,5", "-o", str(given)) == 0
+        assert given.read_bytes() == ordered.read_bytes()
+        assert [r["k"] for r in read_csv(ordered)] == ["5", "10"] * 6  # 3 queries x 2 labels
+
 
 class TestRerankCommand:
     def write_pool(self, tmp_path, rows):
@@ -449,6 +456,15 @@ class TestStatsCommand:
         assert [r["coef"] for r in rows] == ["is_M", "day"]
         # Group F departs four times as often, so the M indicator is negative.
         assert float(rows[0]["estimate"]) < 0
+
+    @pytest.mark.parametrize("protocol, coefs", [("minskew-protocol", 1), ("churn-protocol", 2)])
+    def test_cutoffs_are_written_once_in_increasing_order(self, wide_dataset, tmp_path, protocol, coefs) -> None:
+        ordered, given = tmp_path / "ordered.csv", tmp_path / "given.csv"
+        common = ("stats", protocol, str(wide_dataset))
+        assert run(*common, "--cutoffs", "10,25", "-o", str(ordered)) == 0
+        assert run(*common, "--cutoffs", "25,10,25", "-o", str(given)) == 0
+        assert given.read_bytes() == ordered.read_bytes()
+        assert [r["k"] for r in read_csv(ordered)] == ["10"] * coefs + ["25"] * coefs
 
     def test_failed_cutoff_keeps_the_other_rows(self, tmp_path, capsys) -> None:
         data, one, two = tmp_path / "d.jsonl", tmp_path / "one.csv", tmp_path / "two.csv"
@@ -738,6 +754,17 @@ class TestConfigFile:
         assert (tmp_path / "out#1.csv").read_text(encoding="utf-8") == "kind,query_id,day,line,message\n"
         assert not (tmp_path / '"out').exists()
 
+    def test_only_lf_crlf_and_cr_end_a_line(self, tmp_path, monkeypatch) -> None:
+        """A value may hold U+2028, U+0085 or a form feed, as on the command line."""
+        write_cli_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        name = "out\u2028x\u0085y\x0cz.csv"
+        (tmp_path / "run.cfg").write_bytes(f"format = csv\r\noutput = {name}\rattribute = gender\n".encode("utf-8"))
+        assert cli._load_config("run.cfg") == {"format": "csv", "output": name, "attribute": "gender"}
+        assert run("validate", "raw.jsonl", "--config", "run.cfg") == 0
+        assert run("validate", "raw.jsonl", "--format", "csv", "-o", "flag.csv") == 0
+        assert (tmp_path / name).read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
     def test_malformed_config_is_a_clean_error(self, tmp_path, capsys) -> None:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("queries 3\n", encoding="utf-8")
@@ -865,7 +892,7 @@ OPTION_SAMPLES = {
     int: ("7", "9"),
     float: ("0.5", "0.25"),
     cli._texts: ("A,B", "C,D"),
-    cli._ints: ("5,10", "20"),
+    cli._cutoffs: ("5,10", "20:30:5"),
     cli._floats: ("0.5,0.5", "0.2,0.8"),
     cli._day: ("2", "3"),
     cli._metrics: ("skew", "minskew,deviation"),
@@ -987,6 +1014,14 @@ class TestUsageErrors:
         (["audit", "data.jsonl"], "metrics = sparkle", "argument --metrics: unrecognized metrics: ['sparkle']"),
         (["audit"], None, "the following arguments are required: dataset"),
         ([], None, "the following arguments are required: command"),
+        (["stats", "minskew-protocol", "data.jsonl", "--cutoffs", "0"], None,
+         "argument --cutoffs: cutoffs must be at least 1, got '0'"),
+        (["stats", "churn-protocol", "data.jsonl"], "cutoffs = 25,-5",
+         "argument --cutoffs: cutoffs must be at least 1, got '25,-5'"),
+        (["stats", "minskew-protocol", "data.jsonl", "--cutoffs", "full"], None,
+         "argument --cutoffs: invalid int list value: 'full'"),
+        (["stats", "minskew-protocol", "data.jsonl", "--cutoffs", "1:10:2:3"], None,
+         "argument --cutoffs: expected N, A,B,C or LO:HI[:STEP], got '1:10:2:3'"),
     ])
     def test_one_error_line_and_exit_status_1(self, tmp_path, capsys, argv, setting, message) -> None:
         if setting is not None:

@@ -308,8 +308,8 @@ TIED = sorted(
 @example((TIED[::-1], TIERS))
 @example((random.Random(4).sample(TIED, len(TIED)), TIERS))
 def test_matches_the_full_scan_reference(case) -> None:
-    """Skipping pass 1 and the prefix check before a group can be due picks
-    and flags exactly what scanning every group at every position does."""
+    """Skipping pass 1 before a group can be due picks exactly what scanning
+    every group at every position does, and the violations flagged match."""
     pool, props = case
     assert detgreedy_rerank(pool, props) == reference_rerank(pool, props)
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from rankaudit import (
     CandidateRecord,
+    CutoffOutOfRange,
     EmptyLabeledPool,
     GroupProportions,
     GroupScheme,
@@ -16,7 +17,7 @@ from rankaudit import (
     RankingSnapshot,
     observed_proportions,
 )
-from rankaudit.model import PrefixCounts, label_codes, prefix_table, snapshot_counts
+from rankaudit.model import PrefixCounts, check_cutoff, label_codes, prefix_table, snapshot_counts
 
 from conftest import GENDER, snapshot
 
@@ -190,11 +191,28 @@ class TestObservedProportions:
         props = observed_proportions(snapshot("FM"), gender, max_rank=100)
         assert props.shares == {"F": 0.5, "M": 0.5}
 
+    def test_negative_max_rank_raises(self, gender: GroupScheme) -> None:
+        """A negative window is an error, not a slice that drops the tail."""
+        with pytest.raises(CutoffOutOfRange, match=r"^max_rank must be >= 0, got -1$"):
+            observed_proportions(snapshot("FFFM"), gender, max_rank=-1)
+        with pytest.raises(EmptyLabeledPool):
+            observed_proportions(snapshot("FFFM"), gender, max_rank=0)
+
     def test_raises_when_window_has_no_labeled_candidates(self, gender: GroupScheme) -> None:
         with pytest.raises(EmptyLabeledPool):
             observed_proportions(snapshot("xx??"), gender)
         with pytest.raises(EmptyLabeledPool):
             observed_proportions(snapshot("xxFM"), gender, max_rank=2)
+
+
+def test_check_cutoff_names_the_range_and_the_snapshot() -> None:
+    snap = snapshot("FM")
+    check_cutoff(snap, 1)
+    check_cutoff(snap, 2)
+    for k in (0, 3):
+        with pytest.raises(CutoffOutOfRange) as raised:
+            check_cutoff(snap, k)
+        assert str(raised.value) == f"cutoff {k} outside 1..2 for {snap.query_id!r} day {snap.day}"
 
 
 class TestPrefixCounts:
