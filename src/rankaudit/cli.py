@@ -264,32 +264,37 @@ def _build_parser() -> _Parser:
 # config file
 
 
+# What a config line's keys and values are trimmed of: any other
+# whitespace stays in the value, as it would on the command line.
+_BLANKS = " \t\n"
+
+
 def _load_config(path: str) -> dict[str, str]:
     """Parse flat ``key = value`` lines; quotes optional, # outside quotes
-    starts a comment.  Values stay strings, as the same option on the
-    command line gives."""
+    starts a comment, a line of whitespace alone is blank.  Values stay
+    strings, as the same option on the command line gives."""
     values: dict[str, str] = {}
     # A file ends lines at LF, CRLF or CR only, unlike str.splitlines.
     with open(path, encoding="utf-8") as lines:
         for lineno, raw in enumerate(lines, start=1):
             key, equals, value = raw.partition("=")
-            value = value.strip()
+            value = value.strip(_BLANKS)
             if equals and "#" not in key and value[:1] in ("'", '"'):
                 # A quoted value may hold "#"; only a comment may follow it.
                 end = value.find(value[0], 1)
-                if end > 0 and value[end + 1:].lstrip()[:1] in ("", "#"):
-                    values[key.strip().replace("-", "_")] = value[1:end]
+                if end > 0 and value[end + 1:].lstrip(_BLANKS)[:1] in ("", "#"):
+                    values[key.strip(_BLANKS).replace("-", "_")] = value[1:end]
                     continue
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.split("#", 1)[0]
+            if not line.strip():
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            value = value.strip()
+            value = value.strip(_BLANKS)
             if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
                 value = value[1:-1]
-            values[key.strip().replace("-", "_")] = value
+            values[key.strip(_BLANKS).replace("-", "_")] = value
     return values
 
 
@@ -520,6 +525,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         curves = _curves(grids, scheme, _baseline(args, scheme), [exposure.MINSKEW])
         rows = mixedlm.minskew_protocol(curves, args.null, args.cutoffs)
     else:
+        if args.baseline is not None:
+            print("warning: --baseline is not used by churn-protocol", file=sys.stderr)
         cells = []
         for one in kept:
             pairs = churn_mod.anchored_pairs(one)

@@ -159,12 +159,9 @@ def write_snapshots(series: Iterable[QuerySeries], destination: str | Path | Tex
     Each record's line comes from one f-string, with every distinct string
     and group mapping JSON-encoded once per query (ids rarely recur across
     queries, so a cache for the whole call would only grow); lines are
-    written :data:`_WRITE_ROWS` at a time.  A snapshot with a record that this
-    encoding could render differently from ``json`` (a field that is not
-    an exact ``str`` where one is expected, a ``missing`` that is not a
-    ``bool``, a group label that is not hashable) is written by
-    :func:`_snapshot_lines` instead, one ``json`` object per record.  The
-    f-string is :func:`.encoders.encoded_snapshot`.
+    written :data:`_WRITE_ROWS` at a time.  The f-string is
+    :func:`.encoders.encoded_snapshot`; it writes what ``json`` would for
+    the field types the :mod:`.model` constructors check.
     """
     # Imported when a writer runs, so a start that writes nothing does not
     # compile the encoders.
@@ -175,32 +172,11 @@ def write_snapshots(series: Iterable[QuerySeries], destination: str | Path | Tex
         for one in sorted(series, key=lambda s: s.query_id):
             strings, groups = JsonStrings(), JsonGroups()
             for day in sorted(one.snapshots):
-                snap = one.snapshots[day]
-                try:
-                    lines += encoded_snapshot(snap, strings, groups)
-                except TypeError:
-                    lines += _snapshot_lines(snap)
+                lines += encoded_snapshot(one.snapshots[day], strings, groups)
                 if len(lines) >= _WRITE_ROWS:
                     out.write("".join(lines))
                     lines.clear()
         out.write("".join(lines))
-
-
-def _snapshot_lines(snap: RankingSnapshot) -> list[str]:
-    """The JSONL lines of ``snap``, one ``json``-encoded object per record."""
-    return [
-        _json_line({
-            "query_id": snap.query_id,
-            "day": snap.day,
-            "rank": rank,
-            "candidate_id": record.candidate_id,
-            "first_name": record.first_name,
-            "last_name": record.last_name,
-            "groups": None if record.missing else dict(sorted(record.group_labels.items())),
-            "missing": record.missing,
-        }) + "\n"
-        for rank, record in enumerate(snap.entries, start=1)
-    ]
 
 
 @dataclass(frozen=True)

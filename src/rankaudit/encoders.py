@@ -4,11 +4,13 @@
 the cells a run's rows share become text once, and each row then costs one
 f-string of its other cells; a plain row list is written as runs of
 :data:`.dataio._WRITE_ROWS` rows that share nothing.  ``dataio.write_snapshots``
-writes one f-string per record.  A run or snapshot these encoders could
-render differently from the ``csv``/``json`` modules goes to those modules
-instead.  Table encoders are generated from the header on first use.  The
-writers import this module when they run, so a CLI start that writes
-nothing does not compile it.
+writes one f-string per record.  A run these encoders could render
+differently from the ``csv``/``json`` modules goes to those modules
+instead; the public constructors of :mod:`.model` check each snapshot
+field's type, so the f-string writes every record as ``json`` would.
+Table encoders are generated from the header on first use.  The writers
+import this module when they run, so a CLI start that writes nothing does
+not compile it.
 """
 from __future__ import annotations
 
@@ -214,33 +216,27 @@ _record_fields = operator.attrgetter("candidate_id", "first_name", "last_name", 
 
 
 def encoded_snapshot(snap: RankingSnapshot, strings: JsonStrings, groups: JsonGroups) -> list[str]:
-    """The JSONL lines of ``snap``; raises ``TypeError`` where they could
-    differ from :func:`.dataio._snapshot_lines`, discarding them all.  A
-    ``missing`` that is neither ``True`` nor ``False`` raises in
-    :func:`_not_a_bool`, so the ``groups`` cell of a kept line saw a
-    ``bool``."""
+    """The JSONL lines of ``snap``, one ``json`` object per record with
+    compact separators and non-ASCII kept, for fields of the types the
+    :mod:`.model` constructors check."""
     head = f'{{"query_id":{_json_line(snap.query_id)},"day":{_json_line(snap.day)},"rank":'
     return [
         f'{head}{rank},"candidate_id":{strings[candidate_id]},'
         f'"first_name":{"null" if first is None else strings[first]},'
         f'"last_name":{"null" if last is None else strings[last]},'
         f'"groups":{"null" if missing else groups[tuple(labels.items())]},'
-        f'"missing":{"true" if missing is True else "false" if missing is False else _not_a_bool(missing)}}}\n'
+        f'"missing":{"true" if missing else "false"}}}\n'
         for rank, (candidate_id, first, last, labels, missing) in enumerate(map(_record_fields, snap.entries), 1)
     ]
 
 
-def _not_a_bool(value: object) -> str:
-    raise TypeError(f"missing is {value!r}, not a bool")
-
-
 class JsonStrings(dict):
     """The JSON text of each string looked up, encoded on first use.  Keys
-    are exact ``str`` only: a non-string equal to a cached key (``1`` and
+    are strings only: a non-string equal to a cached key (``1`` and
     ``True``) would share its text, so looking one up raises ``TypeError``."""
 
     def __missing__(self, key: object) -> str:
-        if type(key) is not str:
+        if not isinstance(key, str):
             raise TypeError(f"{key!r} is not a str")
         text = self[key] = _json_line(key)
         return text
@@ -248,12 +244,8 @@ class JsonStrings(dict):
 
 class JsonGroups(dict):
     """The JSON text of a group mapping, sorted by attribute, keyed by the
-    tuple of its items in any order; items that are not exact ``str`` pairs
-    raise ``TypeError``, as in :class:`JsonStrings`."""
+    tuple of its string items in any order."""
 
     def __missing__(self, items: tuple) -> str:
-        for attribute, label in items:
-            if type(attribute) is not str or type(label) is not str:
-                raise TypeError(f"group label {attribute!r}: {label!r} is not a str pair")
         text = self[items] = _json_line(dict(sorted(items)))
         return text

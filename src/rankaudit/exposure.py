@@ -99,9 +99,6 @@ def deviation_at_k(
 ) -> float:
     """Target share minus observed labeled share of ``label`` in the top k."""
     check_cutoff(snapshot, k)
-    _check_label(scheme, label)
-    if label not in proportions.shares:
-        raise UnknownLabel(f"label {label!r} has no target proportion")
     return _point(deviation_curve(snapshot, scheme, proportions, label, [k]), snapshot, k)
 
 
@@ -146,6 +143,12 @@ def best_attainable_skew(p_star: float, k: int) -> float:
         raise DegenerateProportion(f"target proportion must be inside (0, 1), got {p_star!r}")
     if k < 1:
         raise CutoffOutOfRange(f"cutoff must be >= 1, got {k}")
+    return _attainable_floor(p_star, k)
+
+
+def _attainable_floor(p_star: float, k: int) -> float:
+    """:func:`best_attainable_skew` for a ``p_star`` inside (0, 1) and a
+    ``k`` of at least 1, already checked."""
     lo = math.floor(k * p_star)
     hi = math.ceil(k * p_star)
     if lo == hi:
@@ -186,7 +189,7 @@ def deviation_curve(
 ) -> MetricCurve:
     """Deviation traced over ``k_grid`` (default: every cutoff 1..n)."""
     _check_label(scheme, label)
-    target = proportions.shares[label]
+    target = _target(proportions, label)
     table = counts if counts is not None else snapshot_counts(snapshot, scheme)
     grid = _grid(snapshot, k_grid)
     values = [None if share is None else target - share for share in table.share_row(label, grid)]
@@ -243,23 +246,13 @@ def corrected_skew_curve(
         raise DegenerateProportion(f"target proportion must be inside (0, 1), got {target!r}")
     table = counts if counts is not None else snapshot_counts(snapshot, scheme)
     grid = _grid(snapshot, k_grid)
-    # corrected_skew of each cell, with best_attainable_skew's floor term
-    # computed inline by the same operations in the same order.
-    floor, ceil, log, minus_inf = math.floor, math.ceil, math.log, -math.inf
-    values = []
-    for k, skew in zip(grid, _skew_row(table, label, target, grid)):
-        if skew is None or skew == minus_inf or skew == 0.0:
-            values.append(skew)
-            continue
-        lo = floor(k * target)
-        hi = ceil(k * target)
-        if lo == hi:
-            floor_term = 0.0
-        else:
-            floor_term = abs(log((hi / k) / target))
-            if lo != 0:
-                floor_term = min(abs(log((lo / k) / target)), floor_term)
-        values.append((1.0 if skew > 0.0 else -1.0) * (abs(skew) - floor_term))
+    # corrected_skew of each cell; a defined cell has 1 <= k <= n.
+    minus_inf = -math.inf
+    values = [
+        skew if skew is None or skew == minus_inf or skew == 0.0
+        else (1.0 if skew > 0.0 else -1.0) * (abs(skew) - _attainable_floor(target, k))
+        for k, skew in zip(grid, _skew_row(table, label, target, grid))
+    ]
     return _curve(snapshot, scheme, label, CORRECTED_SKEW, grid, values)
 
 
@@ -302,9 +295,15 @@ def _check_label(scheme: GroupScheme, label: str) -> None:
         raise UnknownLabel(f"label {label!r} not in scheme {scheme.attribute_name!r}")
 
 
-def _positive_target(proportions: GroupProportions, label: str) -> float:
+def _target(proportions: GroupProportions, label: str) -> float:
+    """The target share of ``label``; :class:`UnknownLabel` when it is not
+    a label of the proportions' scheme."""
     _check_label(proportions.scheme, label)
-    target = proportions.shares[label]
+    return proportions.shares[label]
+
+
+def _positive_target(proportions: GroupProportions, label: str) -> float:
+    target = _target(proportions, label)
     if target <= 0.0:
         raise ZeroTargetProportion(f"target share for {label!r} must be positive, got {target!r}")
     return target

@@ -26,7 +26,7 @@ class GroupScheme:
     ``labels`` fixes the canonical label order used for deterministic
     tie-breaking and for column order in tabular output.  ``unknown_label``
     marks candidates whose group could not be resolved; it is never a member
-    of ``labels``.
+    of ``labels``.  All three are strings (``TypeError`` otherwise).
     """
 
     attribute_name: str
@@ -44,6 +44,9 @@ class GroupScheme:
             raise ValueError("labels must be non-empty strings")
         if self.unknown_label in self.labels:
             raise ValueError("unknown_label must not collide with a group label")
+        for value in (self.attribute_name, *self.labels, self.unknown_label):
+            if not isinstance(value, str):
+                raise TypeError(f"attribute_name, labels and unknown_label must be strings, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,7 +55,11 @@ class CandidateRecord:
 
     ``group_labels`` maps attribute name to the candidate's label under that
     attribute; an absent attribute reads as the scheme's unknown label.
-    Missing candidates carry no names and no labels at all.
+    Missing candidates carry no names and no labels at all.  The id, the
+    names that are not ``None`` and the labels' attributes and values are
+    strings (a subclass such as ``numpy.str_`` counts) and ``missing`` is a
+    ``bool``, the types the snapshot loader reads back; any other type
+    raises ``TypeError``.
     """
 
     candidate_id: str
@@ -69,6 +76,15 @@ class CandidateRecord:
                 raise ValueError("missing candidates cannot expose names")
             if self.group_labels:
                 raise ValueError("missing candidates cannot expose group labels")
+        if not isinstance(self.candidate_id, str):
+            raise TypeError(f"candidate_id must be a string, got {self.candidate_id!r}")
+        for name, value in (("first_name", self.first_name), ("last_name", self.last_name)):
+            if value is not None and not isinstance(value, str):
+                raise TypeError(f"{name} must be a string or None, got {value!r}")
+        if not all(isinstance(text, str) for item in self.group_labels.items() for text in item):
+            raise TypeError(f"group_labels must map strings to strings, got {dict(self.group_labels)!r}")
+        if type(self.missing) is not bool:
+            raise TypeError(f"missing must be a bool, got {self.missing!r}")
 
     @classmethod
     def _trusted(
@@ -111,7 +127,9 @@ _set_candidate_id, _set_first_name, _set_last_name, _set_group_labels, _set_miss
 class RankingSnapshot:
     """An ordered candidate list for one query on one day.
 
-    ``entries`` is rank order: ``entries[0]`` is rank 1.
+    ``entries`` is rank order: ``entries[0]`` is rank 1.  ``query_id`` is a
+    string and ``day`` an ``int`` other than a ``bool`` (``TypeError``
+    otherwise).
     """
 
     query_id: str
@@ -123,6 +141,10 @@ class RankingSnapshot:
             raise ValueError("query_id must be non-empty")
         if self.day < 1:
             raise ValueError("day must be >= 1")
+        if not isinstance(self.query_id, str):
+            raise TypeError(f"query_id must be a string, got {self.query_id!r}")
+        if not isinstance(self.day, int) or isinstance(self.day, bool):
+            raise TypeError(f"day must be an int, got {self.day!r}")
         ids = [e.candidate_id for e in self.entries]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate candidate_id in snapshot {self.query_id!r} day {self.day}")

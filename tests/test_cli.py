@@ -457,6 +457,24 @@ class TestStatsCommand:
         # Group F departs four times as often, so the M indicator is negative.
         assert float(rows[0]["estimate"]) < 0
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_churn_protocol_warns_that_it_ignores_a_baseline(self, wide_dataset, tmp_path, capsys,
+                                                               via_config) -> None:
+        plain, ignored = tmp_path / "plain.csv", tmp_path / "ignored.csv"
+        common = ("stats", "churn-protocol", str(wide_dataset), "--cutoffs", "25")
+        assert run(*common, "-o", str(plain)) == 0
+        assert "warning" not in capsys.readouterr().err
+        # The file is never opened, so one that does not exist is no error.
+        absent = str(tmp_path / "absent.csv")
+        if via_config:
+            (tmp_path / "stats.cfg").write_text(f"baseline = {absent}\n", encoding="utf-8")
+            given = ("--config", str(tmp_path / "stats.cfg"))
+        else:
+            given = ("--baseline", absent)
+        assert run(*common, *given, "-o", str(ignored)) == 0
+        assert capsys.readouterr().err == "warning: --baseline is not used by churn-protocol\n"
+        assert ignored.read_bytes() == plain.read_bytes()
+
     @pytest.mark.parametrize("protocol, coefs", [("minskew-protocol", 1), ("churn-protocol", 2)])
     def test_cutoffs_are_written_once_in_increasing_order(self, wide_dataset, tmp_path, protocol, coefs) -> None:
         ordered, given = tmp_path / "ordered.csv", tmp_path / "given.csv"
@@ -761,6 +779,18 @@ class TestConfigFile:
         name = "out\u2028x\u0085y\x0cz.csv"
         (tmp_path / "run.cfg").write_bytes(f"format = csv\r\noutput = {name}\rattribute = gender\n".encode("utf-8"))
         assert cli._load_config("run.cfg") == {"format": "csv", "output": name, "attribute": "gender"}
+        assert run("validate", "raw.jsonl", "--config", "run.cfg") == 0
+        assert run("validate", "raw.jsonl", "--format", "csv", "-o", "flag.csv") == 0
+        assert (tmp_path / name).read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+    @pytest.mark.parametrize("space", ["\u2028", "\u0085", "\x0c", "\u00a0", "\u3000"],
+                             ids=["U+2028", "U+0085", "form-feed", "U+00A0", "U+3000"])
+    def test_a_value_keeps_whitespace_other_than_spaces_and_tabs(self, tmp_path, monkeypatch, space) -> None:
+        write_cli_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        name = f"{space}out{space}.csv{space}"
+        (tmp_path / "run.cfg").write_text(f"format = csv\n \toutput =\t {name} \t\n{space}\n", encoding="utf-8")
+        assert cli._load_config("run.cfg") == {"format": "csv", "output": name}
         assert run("validate", "raw.jsonl", "--config", "run.cfg") == 0
         assert run("validate", "raw.jsonl", "--format", "csv", "-o", "flag.csv") == 0
         assert (tmp_path / name).read_bytes() == (tmp_path / "flag.csv").read_bytes()

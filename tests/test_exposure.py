@@ -195,6 +195,18 @@ class TestCurves:
         with pytest.raises(ZeroTargetProportion):
             corrected_skew_curve(snap, GENDER, proportions(1.0), "M")
 
+    @pytest.mark.parametrize("build", [
+        lambda snap, props: deviation_curve(snap, GENDER, props, "F"),
+        lambda snap, props: skew_curve(snap, GENDER, props, "F"),
+        lambda snap, props: minskew_curve(snap, GENDER, props),
+        lambda snap, props: corrected_skew_curve(snap, GENDER, props, "F"),
+        lambda snap, props: deviation_at_k(snap, GENDER, props, "F", 1),
+    ], ids=["deviation", "skew", "minskew", "corrected_skew", "deviation_at_k"])
+    def test_targets_of_another_scheme_raise_unknown_label(self, build) -> None:
+        race = GroupProportions(GroupScheme("race", ("A", "B")), {"A": 0.5, "B": 0.5})
+        with pytest.raises(UnknownLabel, match="^label 'F' not in scheme 'race'$"):
+            build(snapshot("FM"), race)
+
     def test_defined_filters_out_none_cells(self) -> None:
         curve = skew_curve(snapshot("xFM"), GENDER, HALF, "F", k_grid=(1, 2, 3))
         assert set(curve.defined()) == {2, 3}

@@ -50,6 +50,14 @@ class TestGroupScheme:
         scheme = GroupScheme("seniority", ("junior", "mid", "senior"))
         assert scheme.labels == ("junior", "mid", "senior")
 
+    @pytest.mark.parametrize("args", [(7, ("F", "M")), ("gender", ("F", 1)), ("gender", ("F", "M"), None)])
+    def test_rejects_fields_that_are_not_strings(self, args) -> None:
+        with pytest.raises(TypeError, match="must be strings"):
+            GroupScheme(*args)
+
+    def test_accepts_str_subclasses(self) -> None:
+        assert GroupScheme(np.str_("gender"), (np.str_("F"), "M")) == GroupScheme("gender", ("F", "M"))
+
 
 class TestCandidateRecord:
     def test_label_for_reads_scheme_attribute(self, gender: GroupScheme) -> None:
@@ -93,6 +101,29 @@ class TestCandidateRecord:
         with pytest.raises(ValueError, match="cannot expose group labels"):
             CandidateRecord("c1", group_labels={"gender": "F"}, missing=True)
 
+    @pytest.mark.parametrize("fields, message", [
+        ((7,), "candidate_id must be a string"),
+        (("c1", b"Ada"), "first_name must be a string or None"),
+        (("c1", None, 7), "last_name must be a string or None"),
+        (("c1", None, None, {"gender": 1}), "group_labels must map strings to strings"),
+        (("c1", None, None, {1: "F"}), "group_labels must map strings to strings"),
+        (("c1", None, None, {}, 1), "missing must be a bool"),
+        (("c1", None, None, {}, None), "missing must be a bool"),
+    ])
+    def test_rejects_fields_of_the_wrong_type(self, fields, message) -> None:
+        with pytest.raises(TypeError, match=message):
+            CandidateRecord(*fields)
+
+    def test_value_errors_come_before_type_errors(self) -> None:
+        with pytest.raises(ValueError, match="candidate_id must be non-empty"):
+            CandidateRecord(0)
+        with pytest.raises(ValueError, match="cannot expose names"):
+            CandidateRecord("c1", first_name=7, missing=True)
+
+    def test_accepts_str_subclasses(self) -> None:
+        rec = CandidateRecord(np.str_("c1"), np.str_("Ada"), None, {np.str_("gender"): np.str_("F")})
+        assert rec == CandidateRecord("c1", "Ada", None, {"gender": "F"})
+
     def test_trusted_constructor_builds_an_equal_record(self) -> None:
         fields = ("c1", "Ada", None, {"gender": "F"}, False)
         assert CandidateRecord._trusted(*fields) == CandidateRecord(*fields)
@@ -119,6 +150,11 @@ class TestRankingSnapshot:
     def test_rejects_day_below_one(self) -> None:
         with pytest.raises(ValueError):
             RankingSnapshot("q1", 0, ())
+
+    @pytest.mark.parametrize("query_id, day", [(7, 1), ("q1", True), ("q1", 2.0), ("q1", np.int64(2))])
+    def test_rejects_fields_of_the_wrong_type(self, query_id, day) -> None:
+        with pytest.raises(TypeError, match="query_id must be a string|day must be an int"):
+            RankingSnapshot(query_id, day, ())
 
     def test_missing_rate_counts_hidden_positions(self) -> None:
         snap = snapshot("FxMx")

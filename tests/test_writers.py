@@ -19,6 +19,7 @@ import math
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from rankaudit.dataio import format_cell, format_real
 from rankaudit.encoders import Runs
 from rankaudit.mixedlm import ProtocolRow
 from rankaudit.model import CandidateRecord, GroupScheme, QuerySeries, RankingSnapshot
-from rankaudit.simulate import QueryTruth
+from rankaudit.simulate import POSTPROCESS_DETGREEDY, QueryTruth, ScoreModel, SimConfig, generate
 
 # ---------------------------------------------------------------------------
 # reference writers
@@ -319,12 +320,12 @@ RECORDS = st.one_of(
 
 
 @st.composite
-def series_lists(draw, records=RECORDS) -> list[QuerySeries]:
+def series_lists(draw) -> list[QuerySeries]:
     out = []
     for query_id in draw(st.lists(NAME, max_size=3, unique=True)):
         snapshots = {}
         for day in draw(st.lists(DAYS, min_size=1, max_size=3, unique=True)):
-            entries = draw(st.lists(records, max_size=4, unique_by=lambda r: r.candidate_id))
+            entries = draw(st.lists(RECORDS, max_size=4, unique_by=lambda r: r.candidate_id))
             snapshots[day] = RankingSnapshot(query_id=query_id, day=day, entries=tuple(entries))
         out.append(QuerySeries(query_id=query_id, snapshots=snapshots))
     return out
@@ -564,30 +565,9 @@ def test_runs_match_the_reference_over_their_rows(out_dir, table, data, fmt, chu
                     lambda d: dataio.write_long_table(written, header, d, fmt))
 
 
-# Records the public constructor would refuse or that ``json`` writes
-# differently from the f-string: ids and names that are not strings, a
-# ``missing`` that is not a bool, labels that are ints or lists.
-ODD_RECORDS = st.builds(
-    CandidateRecord._trusted,
-    st.one_of(NAME, INTS),
-    st.one_of(st.none(), TEXT, INTS),
-    st.one_of(st.none(), TEXT, st.booleans()),
-    st.dictionaries(TEXT, st.one_of(TEXT, INTS, st.lists(TEXT, max_size=1)), max_size=2),
-    st.one_of(st.booleans(), st.sampled_from([0, 1, None])),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(series=series_lists(st.one_of(RECORDS, ODD_RECORDS)), chunk=st.integers(min_value=1, max_value=5))
-def test_snapshots_with_odd_fields_match_reference(out_dir, series, chunk) -> None:
-    with mock.patch.object(dataio, "_WRITE_ROWS", chunk):
-        assert_same(out_dir,
-                    lambda d: ref_write_snapshots(series, d),
-                    lambda d: dataio.write_snapshots(series, d))
-
-
-# (field, value): a record field each snapshot fallback rule catches.
-SNAPSHOT_FALLBACKS = [
+# (field, value): a record field the loader refuses to read back, and
+# which ``json`` writes differently from the f-string.
+LOADER_REFUSED_FIELDS = [
     ("candidate_id", 7),
     ("first_name", 7),
     ("last_name", True),
@@ -599,27 +579,97 @@ SNAPSHOT_FALLBACKS = [
 ]
 
 
-@pytest.mark.parametrize("field, value", SNAPSHOT_FALLBACKS)
-@pytest.mark.parametrize("day", [1, 2, 3])
-def test_a_snapshot_the_encoder_could_get_wrong_takes_the_slow_path(out_dir, field, value, day) -> None:
-    """Three three-record snapshots written two lines at a time; the bad
-    record is in the first, second or last snapshot, and only that one
-    goes through ``json``."""
-    snapshots = {}
-    for d in (1, 2, 3):
-        records = [CandidateRecord._trusted(f"c{i}\u2028", "Zoë", None, {"gender": "F"}, False) for i in range(3)]
-        if d == day:
-            fields = {"candidate_id": "bad", "first_name": None, "last_name": None,
-                      "group_labels": {"gender": "M"}, "missing": False, field: value}
-            records[1] = CandidateRecord._trusted(*fields.values())
-        snapshots[d] = RankingSnapshot(query_id="q1", day=d, entries=tuple(records))
-    series = [QuerySeries(query_id="q1", snapshots=snapshots)]
-    with mock.patch.object(dataio, "_WRITE_ROWS", 2), \
-            mock.patch.object(dataio, "_snapshot_lines", wraps=dataio._snapshot_lines) as slow:
+@pytest.mark.parametrize("field, value", LOADER_REFUSED_FIELDS)
+def test_a_field_the_loader_refuses_is_refused_when_built(field, value) -> None:
+    fields = {"candidate_id": "c1", "first_name": None, "last_name": None,
+              "group_labels": {"gender": "M"}, "missing": False, field: value}
+    with pytest.raises(TypeError, match=field):
+        CandidateRecord(**fields)
+
+
+class Text(str):
+    """A ``str`` subclass, as ``numpy.str_`` is."""
+
+
+# Strings of the round trip: line separators other than LF, quotes,
+# backslashes, braces, non-ASCII; plain, as ``Text`` or as ``numpy.str_``.
+_BUILT_TEXT = st.text(alphabet=st.sampled_from(list('ab ,";\r\n\t\u2028\u2029\u0085é中😀\\{}:')), max_size=6)
+BUILT_TEXT = st.one_of(_BUILT_TEXT, _BUILT_TEXT.map(Text), _BUILT_TEXT.map(np.str_))
+BUILT_ID = BUILT_TEXT.filter(bool)
+BUILT_RECORDS = st.one_of(
+    st.builds(CandidateRecord, candidate_id=BUILT_ID, first_name=st.one_of(st.none(), BUILT_TEXT),
+              last_name=st.one_of(st.none(), BUILT_TEXT), group_labels=st.dictionaries(BUILT_TEXT, BUILT_TEXT, max_size=3)),
+    st.builds(CandidateRecord, candidate_id=BUILT_ID, missing=st.just(True)),
+)
+
+
+@st.composite
+def built_datasets(draw) -> list[QuerySeries]:
+    """Series built through the public constructors.  Snapshots are never
+    empty, since the format has no line for an empty one."""
+    out = []
+    for query_id in draw(st.lists(BUILT_ID, min_size=1, max_size=3, unique=True)):
+        snapshots = {}
+        for day in draw(st.lists(st.integers(1, 2 ** 63 - 1), min_size=1, max_size=3, unique=True)):
+            entries = draw(st.lists(BUILT_RECORDS, min_size=1, max_size=4, unique_by=lambda r: r.candidate_id))
+            snapshots[day] = RankingSnapshot(query_id=query_id, day=day, entries=tuple(entries))
+        out.append(QuerySeries(query_id=query_id, snapshots=snapshots))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(series=built_datasets(), chunk=st.integers(min_value=1, max_value=5))
+def test_built_datasets_write_and_reload_equal(out_dir, series, chunk) -> None:
+    first, second = out_dir / "first.jsonl", out_dir / "second.jsonl"
+    with mock.patch.object(dataio, "_WRITE_ROWS", chunk):
         assert_same(out_dir,
                     lambda d: ref_write_snapshots(series, d),
                     lambda d: dataio.write_snapshots(series, d))
-    assert [call.args[0] for call in slow.call_args_list] == [snapshots[day]] * 2
+        dataio.write_snapshots(series, first)
+        loaded, report = dataio.load_dataset(first)
+        assert report.ok
+        assert loaded == sorted(series, key=lambda s: s.query_id)
+        dataio.write_snapshots(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def assert_built_publicly(series: list[QuerySeries]) -> None:
+    """Every snapshot and record of ``series`` passes the public checks."""
+    for one in series:
+        for snap in one.snapshots.values():
+            assert RankingSnapshot(snap.query_id, snap.day, snap.entries) == snap
+            for record in snap.entries:
+                fields = (record.candidate_id, record.first_name, record.last_name, record.group_labels, record.missing)
+                assert CandidateRecord(*fields) == record
+
+
+def test_simulated_records_pass_the_public_checks() -> None:
+    scheme = GroupScheme("group", ("A", "B", "C"))
+    labels = scheme.labels
+    config = SimConfig(
+        seed=5, n_queries=4, pool_size=(20, 30), scheme=scheme,
+        group_weights=dict.fromkeys(labels, 1 / 3),
+        score_models={label: ScoreModel(0.6, 0.15) for label in labels},
+        days=3, departure_probs=dict.fromkeys(labels, 0.2), missing_prob=0.2,
+        postprocess=POSTPROCESS_DETGREEDY,
+    )
+    series = generate(config).series
+    assert any(record.missing for one in series for snap in one.snapshots.values() for record in snap.entries)
+    assert_built_publicly(series)
+
+
+def test_labeled_records_pass_the_public_checks() -> None:
+    table = names.table_from_rows([("ada", "F", 3), ("bo", "M", 2), ("cy", "F", 1), ("cy", "M", 1)], SCHEME)
+    entries = (
+        CandidateRecord("c1", "Ada", "L", {"region": "EU"}),
+        CandidateRecord("c2", "Bo"),
+        CandidateRecord("c3", "Cy"),
+        CandidateRecord("c4", None, "X"),
+        CandidateRecord("c5", missing=True),
+    )
+    labeled, _ = names.label_dataset([RankingSnapshot("q1", 1, entries)], SCHEME, [table])
+    assert [record.group_labels.get("gender") for record in labeled[0].entries] == ["F", "M", "unknown", "unknown", None]
+    assert_built_publicly([QuerySeries("q1", {1: snap}) for snap in labeled])
 
 
 # ---------------------------------------------------------------------------
