@@ -587,6 +587,36 @@ def test_a_field_the_loader_refuses_is_refused_when_built(field, value) -> None:
         CandidateRecord(**fields)
 
 
+@pytest.mark.parametrize("field, value", LOADER_REFUSED_FIELDS)
+@pytest.mark.parametrize("day", [1, 2, 3])
+def test_a_snapshot_the_encoder_could_get_wrong_takes_the_slow_path(out_dir, field, value, day) -> None:
+    """Three three-record snapshots; the middle record of the first,
+    second or last one carries a field ``json`` would write differently
+    from the f-string.  Its constructor refuses it, so the writer never
+    sees that snapshot, and the other two write as the reference does,
+    two lines at a time, and reload equal."""
+    snapshots = {}
+    for d in (1, 2, 3):
+        records = [CandidateRecord(f"c{i}\u2028", "Zoë", None, {"gender": "F"}) for i in range(3)]
+        if d == day:
+            fields = {"candidate_id": "bad", "first_name": None, "last_name": None,
+                      "group_labels": {"gender": "M"}, "missing": False, field: value}
+            with pytest.raises(TypeError, match=field):
+                CandidateRecord(**fields)
+            continue
+        snapshots[d] = RankingSnapshot(query_id="q1", day=d, entries=tuple(records))
+    series = [QuerySeries(query_id="q1", snapshots=snapshots)]
+    written = out_dir / "written.jsonl"
+    with mock.patch.object(dataio, "_WRITE_ROWS", 2):
+        assert_same(out_dir,
+                    lambda d: ref_write_snapshots(series, d),
+                    lambda d: dataio.write_snapshots(series, d))
+        dataio.write_snapshots(series, written)
+    loaded, report = dataio.load_dataset(written)
+    assert report.ok
+    assert loaded == series
+
+
 class Text(str):
     """A ``str`` subclass, as ``numpy.str_`` is."""
 
