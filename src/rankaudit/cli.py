@@ -4,7 +4,8 @@ Subcommands: validate, label, audit, churn, rerank, stats, simulate,
 export.  A key/value config file can set defaults for any long option of
 the subcommand (``key = value`` lines, ``#`` comments); explicit flags win.
 Every randomized subcommand requires an explicit ``--seed``.  Output
-ordering is deterministic (sorted by query, day, cutoff).
+ordering is deterministic (sorted by query, day, cutoff).  :func:`main`
+runs one subcommand and returns; :func:`run` is the process entry point.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence, TextIO
 
 from . import churn as churn_mod
 from . import dataio, exposure, mixedlm, simulate
@@ -61,10 +62,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # The reader closed stdout early (``| head``).  Point stdout at
-        # devnull so the flush at exit cannot raise again (recipe from the
-        # ``signal`` module docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader closed stdout early (``| head``).
+        _silence(sys.stdout)
         return 1
     except (AuditError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -73,6 +72,45 @@ def main(argv: Sequence[str] | None = None) -> int:
         if collecting:
             gc.enable()
         logger.removeHandler(handler)
+
+
+def run() -> NoReturn:
+    """The process entry point (``python -m rankaudit.cli`` and the
+    ``rankaudit`` script): run :func:`main` on ``sys.argv``, flush stdout
+    and stderr, and end the process with ``os._exit``.
+
+    Skipping interpreter teardown saves freeing, module by module, what the
+    OS reclaims anyway; every file the run opened was closed by its
+    ``with`` block, so no buffered output is lost, but ``atexit`` handlers
+    do not run.  Under a profiler or tracer the process
+    exits through ``sys.exit``, so that they write their output.
+    """
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                _silence(stream)
+                status = 1
+    if _observed():
+        sys.exit(status)
+    os._exit(status)
+
+
+def _silence(stream: TextIO) -> None:
+    """Point ``stream``, whose reader has gone away, at devnull, so that a
+    later flush cannot raise again (recipe from the ``signal`` module docs)."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _observed() -> bool:
+    """Whether a profiler or tracer is installed, through ``sys.setprofile``,
+    ``sys.settrace`` or (3.12+) a ``sys.monitoring`` tool."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6))
 
 
 # ---------------------------------------------------------------------------
@@ -594,4 +632,4 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

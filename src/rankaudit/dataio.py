@@ -552,11 +552,17 @@ def load_baseline(
 
 def read_pool(source: str | Path | TextIO) -> list[ScoredCandidate]:
     """Read a ``candidate_id,label,score`` CSV; bad rows raise
-    :class:`MalformedRow` with their line number."""
+    :class:`MalformedRow` with their line number.  A row that passes the
+    checks of :class:`ScoredCandidate` here is built without running them
+    again; any other goes through the constructor for its error."""
     pool: list[ScoredCandidate] = []
+    trusted, isfinite = ScoredCandidate._trusted, math.isfinite
     for lineno, (candidate_id, label, score) in csv_table(source, POOL_HEADER):
+        candidate_id, label = candidate_id.strip(), label.strip()
         try:
-            pool.append(ScoredCandidate(candidate_id.strip(), label.strip(), float(score)))
+            value = float(score)
+            build = trusted if candidate_id and label and isfinite(value) else ScoredCandidate
+            pool.append(build(candidate_id, label, value))
         except ValueError as exc:
             raise MalformedRow(f"line {lineno}: {exc}") from None
     return pool
