@@ -15,14 +15,13 @@ analyses produce byte-identical files.  Undefined cells serialize as
 ``"undefined"`` in long tables and as empty cells in matrices; negative
 infinity as ``"-inf"``.
 
-Long tables are written a run at a time: the cells a run of rows shares
-(one curve's, or one day pair's churn cells) become text once, and each row
-then costs one f-string of its cutoff and value; snapshots are written
-from one f-string per record.  CSV quoting is RFC-4180 (a cell holding a
-comma, a quote, a line feed or a carriage return is quoted, its quotes
-doubled), done by the stdlib ``csv`` writer for any run that needs
-quoting.  A JSONL run whose cells the f-string could render differently
-from ``json`` goes through ``json``.
+Every table is written by one writer, a run at a time: the cells a run of
+rows shares (one curve's, or one day pair's churn cells) become text once,
+and each row then costs one f-string of its other cells; snapshots are
+written from one f-string per record (:mod:`.encoders`).  CSV quoting is
+RFC 4180 for every table: a cell holding a comma, a quote, a line feed or
+a carriage return is quoted, its quotes doubled, and the empty cell of a
+one-column row is written ``""``.
 """
 from __future__ import annotations
 
@@ -655,39 +654,35 @@ def churn_rows(cells: Iterable[ChurnCell]) -> Sequence[tuple]:
 
 
 def write_long_table(
-    rows: Sequence[tuple],
+    rows: Iterable[Sequence],
     header: Sequence[str],
     destination: str | Path | TextIO,
     fmt: str = FORMAT_CSV,
 ) -> None:
     """Write fixed-schema rows as CSV (with a header line) or JSONL (one
     object per row); cells of :data:`REAL_COLUMNS` are formatted as reals,
-    all others written as they are.  An unknown ``fmt`` raises
-    ``ValueError`` before ``destination`` is opened.
+    all others written as they are.  An unknown ``fmt``, or a row whose
+    width is not the header's, raises ``ValueError`` before
+    ``destination`` is opened.
 
     ``rows`` is a :class:`.encoders.Runs` (from :func:`curve_rows` and
-    :func:`churn_rows`) or plain rows.  They go out a run at a time
-    through the header's generated encoder (:func:`.encoders.write_runs`),
-    and any run whose lines could differ from what the ``csv``/``json``
-    path, :func:`_write_rows`, writes goes through that path.
+    :func:`churn_rows`), or any iterable of rows, read once.  Every table
+    goes out a run at a time through one writer,
+    :func:`.encoders.write_runs`.
     """
     if fmt not in (FORMAT_CSV, FORMAT_JSON):
         raise ValueError(f"unrecognized format {fmt!r}")
-    header = tuple(header)
-    with text_stream(destination, "w") as out:
-        if fmt == FORMAT_CSV:
-            csv.writer(out, lineterminator="\n").writerow(header)
-        # A header that is not all identifiers (an ``export`` matrix's) has
-        # no generated encoder, so its tables load none; nor has an empty
-        # header, or a CSV header of one column, where ``csv`` quotes an
-        # empty cell.
-        if all(name.isidentifier() for name in header) and len(header) >= (2 if fmt == FORMAT_CSV else 1):
-            # Imported here for the reason given in write_snapshots.
-            from .encoders import write_runs
+    # Imported here for the reason given in write_snapshots.
+    from .encoders import Runs, write_runs
 
-            write_runs(rows, header, out, fmt)
-        else:
-            _write_rows(rows, header, out, fmt)
+    header = tuple(header)
+    if not (isinstance(rows, Runs) and rows.header == header):
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        if set(map(len, rows)) - {len(header)}:
+            index, row = next((i, row) for i, row in enumerate(rows) if len(row) != len(header))
+            raise ValueError(f"row {index} has {len(row)} cells, but the header has {len(header)}")
+    with text_stream(destination, "w") as out:
+        write_runs(rows, header, out, fmt)
 
 
 # Rows (or snapshot records) per write.  A chunk's lines and its text are
@@ -695,39 +690,6 @@ def write_long_table(
 # snapshot lines raised the peak RSS of a 65k-row `simulate` by ~1 MB, 512
 # by ~0.1 MB, and the larger chunk wrote no faster.
 _WRITE_ROWS = 512
-
-
-def _write_rows(rows: Iterable[tuple], header: tuple[str, ...], out: TextIO, fmt: str) -> None:
-    """Write ``rows`` through the ``csv`` module or one ``json`` object per
-    row: the path for any chunk the generated encoders could write
-    differently."""
-    reals = [i for i, name in enumerate(header) if name in REAL_COLUMNS]
-    if fmt == FORMAT_CSV:
-        writer = csv.writer(out, lineterminator="\n")
-        # The csv module quotes a cell holding CR only when CR is in the line
-        # terminator; a row with such a cell is written with CRLF, which
-        # quotes it and nothing else, and its CR LF becomes LF.
-        line = io.StringIO()
-        crlf_writer = csv.writer(line, lineterminator="\r\n")
-        for row in rows:
-            cells = list(row)
-            for i in reals:
-                cells[i] = format_cell(cells[i])
-            if any("\r" in cell for cell in cells if isinstance(cell, str)):
-                line.seek(0)
-                line.truncate()
-                crlf_writer.writerow(cells)
-                out.write(line.getvalue()[:-2] + "\n")
-            else:
-                writer.writerow(cells)
-    else:
-        names = [header[i] for i in reals]
-        for row in rows:
-            obj = dict(zip(header, row))
-            for name in names:
-                obj[name] = _json_value(obj[name])
-            out.write(_json_line(obj))
-            out.write("\n")
 
 
 def _json_value(value: float | None) -> float | str | None:

@@ -1,16 +1,16 @@
-"""Line encoders for the fixed-schema writers of :mod:`rankaudit.dataio`.
+"""Line encoders: the one writer of the tables and snapshot files of
+:mod:`rankaudit.dataio`.
 
 ``dataio.write_long_table`` writes a table a run at a time (:class:`Runs`):
 the cells a run's rows share become text once, and each row then costs one
 f-string of its other cells; a plain row list is written as runs of
-:data:`.dataio._WRITE_ROWS` rows that share nothing.  ``dataio.write_snapshots``
-writes one f-string per record.  A run these encoders could render
-differently from the ``csv``/``json`` modules goes to those modules
-instead; the public constructors of :mod:`.model` check each snapshot
-field's type, so the f-string writes every record as ``json`` would.
-Table encoders are generated from the header on first use.  The writers
-import this module when they run, so a CLI start that writes nothing does
-not compile it.
+:data:`.dataio._WRITE_ROWS` rows that share nothing.  Each column of a
+piece of a run gets the cell code for the kind of cells it holds (see
+:func:`_kind`).  ``dataio.write_snapshots`` writes one f-string per record;
+the public constructors of :mod:`.model` check each snapshot field's type,
+so the f-string writes every record as ``json`` would.  Table encoders are
+generated on first use.  The writers import this module when they run, so
+a CLI start that writes nothing does not compile it.
 """
 from __future__ import annotations
 
@@ -20,13 +20,11 @@ import operator
 from typing import Sequence, TextIO
 
 from . import dataio
-from .dataio import FORMAT_CSV, NEG_INF, REAL_COLUMNS, UNDEFINED, _json_line
+from .dataio import FORMAT_CSV, NEG_INF, REAL_COLUMNS, UNDEFINED, _json_line, _json_value, format_cell
 from .model import RankingSnapshot
 
-# The cell types a real column may hold for the generated encoder.
+# The cell types a real column may hold for its inline cell code.
 _REAL_TYPES = frozenset({float, type(None)})
-# The types a shared cell may have.
-_SHARED_TYPES = frozenset({str, int})
 
 
 class Runs:
@@ -52,35 +50,29 @@ class Runs:
         return self._rows
 
     def __iter__(self):
-        for shared, columns in self.runs:
-            yield from self.rows(shared, columns)
-
-    def rows(self, shared: tuple, columns: Sequence) -> list[tuple]:
-        """The rows of one run."""
         order = self._order
-        return [order(shared + cells) for cells in zip(*columns)]
+        for shared, columns in self.runs:
+            yield from (order(shared + cells) for cells in zip(*columns))
 
 
-def write_runs(rows: Sequence[tuple], header: tuple[str, ...], out: TextIO, fmt: str) -> None:
-    """Write the lines of ``rows`` to ``out``: a :class:`Runs` for
-    ``header``, or plain rows taken :data:`.dataio._WRITE_ROWS` at a time
-    as runs that share nothing.  A run goes out in pieces of at most that
-    many rows, and a piece whose lines could differ from what
-    :func:`.dataio._write_rows` writes goes through it instead.
+def write_runs(rows: Sequence[Sequence], header: tuple[str, ...], out: TextIO, fmt: str) -> None:
+    """Write the table of ``rows`` to ``out``, CSV with its header line or
+    JSONL: a :class:`Runs` for ``header``, or plain rows of the header's
+    width taken :data:`.dataio._WRITE_ROWS` at a time as runs that share
+    nothing.  A run goes out in pieces of at most that many rows.
 
-    The generated encoder writes a non-real cell with ``str`` (CSV) or
-    through :class:`JsonStrings` (JSONL), so every such cell must be an
-    exact ``str`` or ``int`` (a ``bool`` or ``None`` prints differently),
-    all of one type in a varying column, and no CSV string may hold a
-    character the ``csv`` path quotes.  A real cell must be an exact
-    ``float`` or ``None``.  JSONL real cells come from a :class:`JsonReals`,
-    which refuses the values whose text would differ from ``json``'s.  CSV
-    real cells are formatted inline, which rounds the largest floats to 10
-    digits past the float range where :func:`.dataio.format_real` keeps
-    their ``repr``, so no CSV piece may hold ``e+308`` (a string holding it
-    only costs the slower path).
+    Each varying column of a piece gets the cell code of its kind (see
+    :func:`_kind`), and the text between the varying cells (separators,
+    JSON keys and the shared cells) is passed to the encoder as it is.  CSV
+    real cells are formatted inline with ``%.10g``, which rounds the largest
+    floats past the float range where :func:`.dataio.format_real` keeps
+    their ``repr``, so a CSV piece whose text holds ``e+308`` is written
+    again with :func:`.dataio.format_cell` for each real cell.
     """
-    size = dataio._WRITE_ROWS
+    size, csv = dataio._WRITE_ROWS, fmt == FORMAT_CSV
+    alone = csv and len(header) == 1
+    if csv:
+        out.write(",".join([_csv_cell(name, alone) for name in header]) + "\n")
     if isinstance(rows, Runs) and rows.header == header:
         varying = rows.varying
         pieces = ((shared, columns if len(columns[0]) <= size else [column[i:i + size] for column in columns], None)
@@ -88,126 +80,129 @@ def write_runs(rows: Sequence[tuple], header: tuple[str, ...], out: TextIO, fmt:
     else:
         varying = tuple(range(len(header)))
         pieces = (((), None, rows[i:i + size]) for i in range(0, len(rows), size))
-    csv = fmt == FORMAT_CSV
+    real = [name in REAL_COLUMNS for name in header]
+    # The text before each cell: its separator, and in JSONL its key.
+    keys = [("," if i else "") + ("" if csv else _json_line(name) + ":") for i, name in enumerate(header)]
+    fixed = [i for i in range(len(header)) if i not in varying]
     strings, reals = JsonStrings(), JsonReals()
-    real = [header[i] in REAL_COLUMNS for i in varying]
-
-    def lines(shared: tuple, columns: Sequence) -> str | None:
-        kinds = []
-        for is_real, column in zip(real, columns):
-            types = set(map(type, column))
-            if is_real and types <= _REAL_TYPES:
-                kinds.append(float)
-            elif not is_real and (types == {int} or types == {str} and not (csv and _csv_special("".join(column)))):
-                kinds.append(types.pop())
-            else:
-                return None
-        if not csv:
-            texts = [str(cell) if type(cell) is int else strings[cell] for cell in shared]
-        elif set(map(type, shared)) <= _SHARED_TYPES:
-            texts = list(map(str, shared))
-            if _csv_special("".join(texts)):
-                return None
-        else:
-            return None
-        encode, templates = line_encoder(header, csv, varying, tuple(kinds))
-        text = encode(columns, strings, reals, *[template.format(*texts) for template in templates])
-        if csv and float in kinds and "e+308" in text:
-            return None
-        return text
 
     for shared, columns, chunk in pieces:
-        try:
-            # The varying cells of a chunk of plain rows, column by column.
-            if chunk is not None and set(map(len, chunk)) == {len(header)}:
-                columns = list(zip(*chunk))
-            text = None if columns is None else lines(shared, columns)
-        except (TypeError, ValueError):
-            # A row without a length or a cell no encoder can format: the
-            # ``csv``/``json`` path writes it or raises its own error.
-            text = None
-        if text is None:
-            dataio._write_rows(rows.rows(shared, columns) if chunk is None else chunk, header, out, fmt)
-        else:
-            out.write(text)
+        if chunk is not None:
+            columns = list(zip(*chunk))
+        kinds = tuple(_kind(real[i], column, csv, alone) for i, column in zip(varying, columns))
+        texts = {i: _shared_text(real[i], cell, csv) for i, cell in zip(fixed, shared)}
+        segments, text = [], ""
+        for i, key in enumerate(keys):
+            if i in texts:
+                text += key + texts[i]
+            else:
+                segments.append(text + key)
+                text = ""
+        segments.append(text)
+        present = tuple(map(bool, segments))
+        text = line_encoder(csv, kinds, present)(chunk or zip(*columns), strings, reals, *segments)
+        if csv and "real" in kinds and "e+308" in text:
+            kinds = tuple("real_cell" if kind == "real" else kind for kind in kinds)
+            text = line_encoder(csv, kinds, present)(chunk or zip(*columns), strings, reals, *segments)
+        out.write(text)
+
+
+def _kind(is_real: bool, column: Sequence, csv: bool, alone: bool) -> str:
+    """The kind of cells a varying column of a piece holds, the key of its
+    cell code in :data:`_CELLS`: ``real`` (exact floats and ``None``),
+    ``real_cell`` (any other real column), ``int`` and ``str`` (exact, and
+    in CSV free of characters that need quoting), ``lone`` (the text cells
+    of a one-column CSV table), and ``any``."""
+    types = set(map(type, column))
+    if is_real:
+        return "real" if types <= _REAL_TYPES else "real_cell"
+    if types == {int}:
+        return "int"
+    if alone:
+        return "lone"
+    if types == {str} and not (csv and _csv_special("".join(column))):
+        return "str"
+    return "any"
+
+
+def _shared_text(is_real: bool, value: object, csv: bool) -> str:
+    """A shared cell's text, by the rules of the per-cell kinds."""
+    if csv:
+        return format_cell(value) if is_real else _csv_cell(value)
+    return _json_line(_json_value(value) if is_real else value)
 
 
 def _csv_special(text: str) -> bool:
-    """Whether ``text`` holds a character the ``csv`` path quotes (or, for
-    CR, that :func:`.dataio._write_rows` quotes)."""
+    """Whether ``text`` holds a character that makes its CSV cell quoted."""
     return "," in text or '"' in text or "\n" in text or "\r" in text
 
 
-@functools.cache
-def line_encoder(header: tuple[str, ...], csv: bool, varying: tuple[int, ...], kinds: tuple[type, ...]):
-    """``(encode, templates)`` for runs of ``header`` rows, CSV or JSONL,
-    whose ``varying`` columns hold cells of ``kinds`` (``str``, ``int``, or
-    ``float`` for a real column); the names must be identifiers, so that
-    they can be written into the f-string as they are.
+def _csv_cell(value: object, alone: bool = False) -> str:
+    """``value`` as a CSV cell: empty for ``None``, else its ``str``,
+    quoted with its quotes doubled when it holds a comma, a quote, LF or CR,
+    or when it is the empty cell of a one-column row (``alone``), which
+    would otherwise read back as a blank line.  This is what the ``csv``
+    module writes with ``QUOTE_MINIMAL``, but that it also quotes CR."""
+    text = "" if value is None else str(value)
+    if _csv_special(text) or alone and not text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    ``encode(columns, strings, reals, *segments)`` returns the lines of the
-    rows of ``columns`` from one f-string per row: the varying cells, and
-    between them fixed text or ``segments``, the ``templates`` (text that
-    holds shared cells) formatted with a run's shared texts.  Like
-    ``collections.namedtuple``, it builds the function from source, here on
-    first use for each header and kinds, never at import.  Real cells follow
-    :func:`.dataio.format_cell` (CSV) and :func:`.dataio._json_value`
-    (JSONL), the JSONL ones through ``reals`` (a :class:`JsonReals`) but for
-    zeros: ``0.0`` and ``-0.0`` are equal keys with different texts.
+
+# The code of a cell ``$`` of each kind, (CSV, JSONL).  Reals follow
+# :func:`.dataio.format_cell` (CSV) and :func:`.dataio._json_value`
+# (JSONL), the inline JSONL ones through ``reals`` (a :class:`JsonReals`)
+# but for zeros: ``0.0`` and ``-0.0`` are equal keys with different texts.
+# ``%`` formatting gives the text of ``f"{$:.10g}"`` in less time.
+_CELLS = {
+    "real": ('{undefined if $ is None else neg_inf if $ == minus_inf else "%.10g" % $}',
+             '{reals[$] if $ else "null" if $ is None else repr($)}'),
+    "real_cell": ("{format_cell($)}", "{json_line(json_value($))}"),
+    "int": ("{$}", "{$}"),
+    "str": ("{$}", "{strings[$]}"),
+    "lone": ("{csv_cell($, True)}", None),
+    "any": ("{csv_cell($)}", "{json_line($)}"),
+}
+
+
+@functools.cache
+def line_encoder(csv: bool, kinds: tuple[str, ...], present: tuple[bool, ...]):
+    """``encode(rows, strings, reals, *segments)`` for pieces whose varying
+    columns hold cells of ``kinds`` (see :func:`_kind`), CSV or JSONL.
+
+    It returns the lines of ``rows``, each row the tuple of its varying
+    cells, from one f-string per row: ``segments[0]``, the first cell,
+    ``segments[1]``, and so on to the last segment, between the braces of
+    a JSONL object and before the line end.  Every other fixed text is a
+    segment, so no header name or shared cell is ever written into the
+    source; a segment that is not ``present`` (empty) is left out of it.
+    Like ``collections.namedtuple``, it builds the function from source,
+    here on first use for each format, kinds and segments, never at import.
     """
-    names = [f"c{j}" for j in range(len(varying))]
-    cells = []
-    for c, kind in zip(names, kinds):
-        if kind is float and csv:
-            # ``format_real`` but for the largest floats: ``%`` formatting
-            # gives the text of ``f"{c:.10g}"`` in less time.
-            cell = f'{{undefined if {c} is None else neg_inf if {c} == minus_inf else "%.10g" % {c}}}'
-        elif kind is float:
-            cell = f'{{reals[{c}] if {c} else "null" if {c} is None else repr({c})}}'
-        elif kind is str and not csv:
-            cell = f"{{strings[{c}]}}"
-        else:
-            cell = f"{{{c}}}"
-        cells.append(cell)
-    # The line's text in template syntax, a shared cell as ``{j}``, split
-    # at the varying cells: the text before each and after the last.
-    text, shared = "", 0
-    for i, name in enumerate(header):
-        text += ("," if i else "") if csv else ("," if i else "{{") + _json_line(name) + ":"
-        if i in varying:
-            text += "\0"
-        else:
-            text, shared = f"{text}{{{shared}}}", shared + 1
-    line, templates = "", []
-    for segment, cell in zip((text + ("" if csv else "}}")).split("\0"), [*cells, ""]):
-        # Literal braces are doubled, so any other brace opens a shared cell.
-        if "{" in segment.replace("{{", ""):
-            templates.append(segment)
-            segment = f"{{s{len(templates)}}}"
-        line += segment + cell
-    params = "".join(f", s{j}" for j in range(1, len(templates) + 1))
+    line = "".join(f"{{s{j}}}" * present[j] + _CELLS[kind][not csv].replace("$", f"c{j}")
+                   for j, kind in enumerate(kinds))
+    line += f"{{s{len(kinds)}}}" * present[-1]
+    segments = ", ".join(f"s{j}" for j in range(len(kinds) + 1))
+    # A row of no varying cells unpacks into ``()``.
+    target = "".join(f"c{j}, " for j in range(len(kinds))) or "()"
+    start, end = ("", "") if csv else ("{{", "}}")
     source = (
-        f"def encode(columns, strings, reals{params}):\n"
-        f"    return ''.join([f'{line}\\n' for {', '.join(names)}, in zip(*columns)])\n"
+        f"def encode(rows, strings, reals, {segments}):\n"
+        f"    return ''.join([f'{start}{line}{end}\\n' for {target} in rows])\n"
     )
-    namespace = {"undefined": UNDEFINED, "neg_inf": NEG_INF, "minus_inf": -math.inf}
+    namespace = {"undefined": UNDEFINED, "neg_inf": NEG_INF, "minus_inf": -math.inf, "format_cell": format_cell,
+                 "json_value": _json_value, "json_line": _json_line, "csv_cell": _csv_cell}
     exec(source, namespace)
-    return namespace["encode"], templates
+    return namespace["encode"]
 
 
 class JsonReals(dict):
     """The JSON text of each nonzero real cell looked up, formatted on
     first use by the rules of :func:`.dataio._json_value`, so a table
-    formats each distinct value once.  A NaN, an infinity other than -inf,
-    or a float whose 10 digits round past the float range (which ``json``
-    writes as ``NaN``, ``Infinity`` or ``-Infinity``, or as its ``repr``)
-    raises ``ValueError``, so its run goes through the ``json`` path."""
+    formats each distinct value once."""
 
     def __missing__(self, value: float) -> str:
-        text = _json_line(NEG_INF) if value == -math.inf else repr(float("%.10g" % value))
-        if text in ("nan", "inf", "-inf"):
-            raise ValueError(f"{value!r} has no inline JSON text")
-        self[value] = text
+        text = self[value] = _json_line(_json_value(value))
         return text
 
 

@@ -59,7 +59,7 @@ class CandidateRecord:
     names that are not ``None`` and the labels' attributes and values are
     strings (a subclass such as ``numpy.str_`` counts) and ``missing`` is a
     ``bool``, the types the snapshot loader reads back; any other type
-    raises ``TypeError``.
+    raises ``TypeError``.  It keeps a copy of ``group_labels``.
     """
 
     candidate_id: str
@@ -69,6 +69,7 @@ class CandidateRecord:
     missing: bool = False
 
     def __post_init__(self) -> None:
+        _set_group_labels(self, dict(self.group_labels.items()))
         if not self.candidate_id:
             raise ValueError("candidate_id must be non-empty")
         if self.missing:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rankaudit import (
     RankingSnapshot,
     observed_proportions,
 )
+from rankaudit.dataio import load_dataset, write_snapshots
 from rankaudit.model import PrefixCounts, check_cutoff, label_codes, prefix_table, snapshot_counts
 
 from conftest import GENDER, snapshot
@@ -139,6 +141,31 @@ class TestCandidateRecord:
             dataclasses.replace(rec, missing=True)
         for clone in (copy.copy(rec), copy.deepcopy(rec)):
             assert clone == rec and clone is not rec
+
+
+    def test_keeps_its_own_copy_of_the_labels(self, tmp_path) -> None:
+        """A change to the caller's dict after construction reaches neither
+        the record nor its written line, which reloads clean."""
+        labels = {"gender": "F"}
+        rec = CandidateRecord("c1", "Ada", None, labels)
+        labels["gender"] = 1
+        labels["region"] = "EU"
+        assert rec.group_labels == {"gender": "F"}
+        path = tmp_path / "data.jsonl"
+        write_snapshots([QuerySeries("q1", {1: RankingSnapshot("q1", 1, (rec,))})], path)
+        assert path.read_text(encoding="utf-8") == (
+            '{"query_id":"q1","day":1,"rank":1,"candidate_id":"c1","first_name":"Ada",'
+            '"last_name":null,"groups":{"gender":"F"},"missing":false}\n'
+        )
+        (series,), report = load_dataset(path)
+        assert report.ok and series.snapshots[1].entries == (rec,)
+
+    def test_copied_labels_compare_pickle_and_replace(self) -> None:
+        rec = CandidateRecord("c1", "Ada", None, {"gender": "F"})
+        assert rec == CandidateRecord("c1", "Ada", None, {"gender": "F"})
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        changed = dataclasses.replace(rec, first_name="Eve")
+        assert changed.group_labels == {"gender": "F"} and changed.group_labels is not rec.group_labels
 
 
 class TestRankingSnapshot:

@@ -1,7 +1,7 @@
 """Start-up cost: no subcommand loads scipy, only the simulator and the
-model fits load numpy, and only writing a table or dataset loads the line
-encoders, never writing an ``export`` matrix.  Also what the start must
-load: every function the bench's tracer wraps.
+model fits load numpy, and only writing a table or dataset, an ``export``
+matrix included, loads the line encoders.  Also what the start must load:
+every function the bench's tracer wraps.
 
 Importing numpy costs about 0.15 s per process, and the daily audit chain
 starts the CLI once per stage; the model fits of `stats` run their ratio
@@ -126,13 +126,13 @@ def test_import_leaves_the_line_encoders_unloaded() -> None:
     assert done.stdout.split() == ["False", "1"]
 
 
-def test_export_leaves_the_line_encoders_unloaded(workdir) -> None:
-    """An ``export`` matrix header (``row``, ``5``, ...) is never all
-    identifiers, so it has no generated encoder and the module stays
-    unloaded; the audit table it reads is written in this process."""
+def test_export_loads_the_line_encoders(workdir) -> None:
+    """An ``export`` matrix, whose header (``row``, ``5``, ...) is not made
+    of identifiers, is written by the same generated encoders as every
+    other table; the audit table it reads is written in this process."""
     assert main(["audit", str(workdir / "data.jsonl"), "--k-grid", "5,10", "-o", str(workdir / "curves.csv")]) == 0
     seen = probe([["export", "curves.csv", "--metric", "minskew", "-o", "heatmap.csv"]], workdir)
-    assert "rankaudit.encoders" in seen["unloaded"]
+    assert "rankaudit.encoders" not in seen["unloaded"]
     assert (workdir / "heatmap.csv").read_text().startswith("row,5,10\n")
 
 

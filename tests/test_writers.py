@@ -12,6 +12,7 @@ for an open stream, with chunks small enough that a table spans several.
 """
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankaudit import dataio, names
+from rankaudit import dataio, encoders, names
 from rankaudit.dataio import format_cell, format_real
 from rankaudit.encoders import Runs
 from rankaudit.mixedlm import ProtocolRow
@@ -370,16 +371,16 @@ def test_unknown_format_leaves_the_destination_untouched(tmp_path, write) -> Non
 
 
 # ---------------------------------------------------------------------------
-# generated line encoders: every header, and every rule that sends a chunk
-# to the ``csv``/``json`` path
+# generated line encoders: every header, and every kind of cell that takes
+# a per-cell formatter instead of the inline cell code
 
 
 # Every fixed-schema header the package defines.
 HEADERS = sorted({value for name, value in vars(dataio).items() if name.endswith("_HEADER")}
                  | {names._TABLE_COLUMNS})
 
-# Strings the encoders write as they are, and strings that need the slow
-# path or resemble what its checks search for.
+# Strings the encoders write as they are, and strings that need quoting
+# or resemble what the kind checks search for.
 PLAIN = st.text(alphabet=st.sampled_from(list("abz_-. é中😀")), max_size=6)
 AWKWARD = st.one_of(
     st.text(alphabet=st.sampled_from(list('a ,";\r\n\t\u2028\u2029\u0085é{}:\\')), max_size=6),
@@ -392,8 +393,8 @@ CLEAN = {
     "int": INTS,
     "real": st.one_of(st.none(), FINITE, st.just(-math.inf)),
 }
-# Cells that may send their chunk to the slow path, for a non-real and a
-# real column.
+# Cells that may give their column a per-cell formatter, for a non-real
+# and a real column.
 ODD = {
     "str": st.one_of(AWKWARD, INTS, st.none(), st.booleans(), REALS),
     "real": st.one_of(REALS, st.booleans()),
@@ -426,8 +427,8 @@ def test_every_header_matches_the_reference(out_dir, header, data, fmt, chunk) -
 
 CURVE_ROW = ("q1", 1, "gender", "F", 5, "skew", 0.25)
 CHUNK = 4
-# (format, column, cell): a cell each fallback rule catches, put into a
-# curve row that the encoders write as it is.
+# (format, column, cell): a cell that needs quoting or a per-cell formatter,
+# or one past the header, put into a curve row the encoders write inline.
 FALLBACKS = [
     ("csv", 0, "a,b"),
     ("csv", 0, 'a"b'),
@@ -446,14 +447,18 @@ FALLBACKS = [
     ("json", 6, -1.7976931348623157e308),
     ("json", 7, "extra"),
 ]
+# The cell kinds of a curve chunk that the encoders write inline.
+INLINE_CURVE_KINDS = ("str", "int", "str", "str", "int", "str", "real")
 
 
 @pytest.mark.parametrize("fmt, column, cell", FALLBACKS)
 @pytest.mark.parametrize("at", [CHUNK - 1, CHUNK, CHUNK + 1])
 def test_a_chunk_the_encoder_could_get_wrong_takes_the_slow_path(out_dir, fmt, column, cell, at) -> None:
-    """The bad row sits last in a chunk, first in one, or second; only its
-    chunk goes through the ``csv``/``json`` path, and the output is the
-    reference's.  Column 7 is one past the header: a row too long."""
+    """The odd row sits last in a chunk, first in one, or second.  The
+    output is the reference's, and every other chunk keeps the inline cell
+    code; the odd chunk's column may get a per-cell formatter instead.
+    Column 7 is one past the header: a row too long, refused before the
+    destination is opened."""
     rows = [(f"q{i}", *CURVE_ROW[1:6], i / 7) for i in range(3 * CHUNK)]
     bad = list(rows[at])
     if column < len(bad):
@@ -462,26 +467,36 @@ def test_a_chunk_the_encoder_could_get_wrong_takes_the_slow_path(out_dir, fmt, c
         bad.append(cell)
     rows[at] = tuple(bad)
     header = dataio.CURVE_HEADER
+    if column == len(header):
+        for destination in (out_dir / "untouched", io.StringIO()):
+            with pytest.raises(ValueError, match=f"^row {at} has 8 cells, but the header has 7$"):
+                dataio.write_long_table(rows, header, destination, fmt)
+        assert not (out_dir / "untouched").exists() and not destination.getvalue()
+        return
     with mock.patch.object(dataio, "_WRITE_ROWS", CHUNK), \
-            mock.patch.object(dataio, "_write_rows", wraps=dataio._write_rows) as slow:
+            mock.patch.object(encoders, "line_encoder", wraps=encoders.line_encoder) as encoder:
         assert_same(out_dir,
                     lambda d: ref_write_table(rows, header, d, fmt),
                     lambda d: dataio.write_long_table(rows, header, d, fmt))
-    start = at // CHUNK * CHUNK
-    # One call per destination (path and stream), each with the bad chunk.
-    assert [call.args[0] for call in slow.call_args_list] == [rows[start:start + CHUNK]] * 2
+    # One encoder per chunk, three chunks for each destination.
+    kinds = [call.args[1] for call in encoder.call_args_list]
+    assert len(kinds) == 6 and kinds[:3] == kinds[3:]
+    del kinds[at // CHUNK]
+    assert kinds[:2] == [INLINE_CURVE_KINDS] * 2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_clean_rows_never_take_the_slow_path(out_dir, fmt) -> None:
+    """Curve rows with every clean value, in chunks of three: each chunk is
+    written with the inline cell code alone."""
     rows = [("q\u2028é", 1, "gender", "", 5, "skew", value)
             for value in (None, -math.inf, 0.5, 1e-300, 1e300, -0.0, 5e-324)]
     with mock.patch.object(dataio, "_WRITE_ROWS", 3), \
-            mock.patch.object(dataio, "_write_rows", wraps=dataio._write_rows) as slow:
+            mock.patch.object(encoders, "line_encoder", wraps=encoders.line_encoder) as encoder:
         assert_same(out_dir,
                     lambda d: ref_write_table(rows, dataio.CURVE_HEADER, d, fmt),
                     lambda d: dataio.write_long_table(rows, dataio.CURVE_HEADER, d, fmt))
-    assert slow.call_count == 0
+    assert [call.args[1] for call in encoder.call_args_list] == [INLINE_CURVE_KINDS] * 6
 
 
 @pytest.mark.parametrize("name", ["it's", "{k}", "back\\slash", "two\nlines", "two words", ""])
@@ -503,6 +518,44 @@ def test_tables_of_one_column_and_of_none(out_dir, header, rows, fmt) -> None:
     assert_same(out_dir,
                 lambda d: ref_write_table(rows, header, d, fmt),
                 lambda d: dataio.write_long_table(rows, header, d, fmt))
+
+
+@pytest.mark.parametrize("width", [6, 8])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_row_of_the_wrong_width_is_refused_before_writing(tmp_path, width, fmt) -> None:
+    """A short or long row is refused with its index and both widths, and
+    nothing is written: no CSV header line, no earlier rows."""
+    rows = [CURVE_ROW, CURVE_ROW, (*CURVE_ROW, "extra")[:width], CURVE_ROW]
+    path, stream = tmp_path / "kept.csv", io.StringIO()
+    path.write_text("earlier output\n", encoding="utf-8")
+    for destination in (path, stream):
+        with pytest.raises(ValueError, match=f"^row 2 has {width} cells, but the header has 7$"):
+            dataio.write_long_table(rows, dataio.CURVE_HEADER, destination, fmt)
+    assert path.read_text(encoding="utf-8") == "earlier output\n" and stream.getvalue() == ""
+
+
+@pytest.mark.parametrize("header", [dataio.CURVE_HEADER, ("row", "5", "10", "15", "20", "25", "30")],
+                         ids=["identifiers", "matrix"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rows_may_be_any_iterable(out_dir, header, fmt) -> None:
+    """An iterator of rows is read once, whatever the header's names."""
+    rows = [(f"q{i}", *CURVE_ROW[1:]) for i in range(5)]
+    assert_same(out_dir,
+                lambda d: ref_write_table(rows, header, d, fmt),
+                lambda d: dataio.write_long_table(iter(rows), header, d, fmt))
+
+
+def test_no_csv_writer_in_the_package() -> None:
+    """Every table is written by the generated encoders: no module of the
+    package calls ``csv.writer``."""
+    package = Path(dataio.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "writer"
+    ]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
