@@ -5,159 +5,59 @@ proportions (deviation, skew, MinSkew, integrality-corrected skew), tracks
 day-to-day membership churn per group, applies and verifies the DetGreedy
 constrained re-ranker, and tests audit hypotheses with random-intercept
 mixed models.  A seeded simulator supplies ground truth for all of it.
+
+Every submodule but ``cli`` is registered when the package is imported and
+executed on its first attribute access (``importlib.util.LazyLoader``), so
+a CLI run executes only the modules its subcommand uses.  The package's
+exported names are read from their modules when asked for (PEP 562).
 """
 from __future__ import annotations
 
-from .churn import (
-    ChurnCell,
-    anchored_pairs,
-    churn_grid,
-    churn_rate,
-    consecutive_pairs,
-    mean_churn_by_gap,
-)
-from .detgreedy import RerankResult, ScoredCandidate, check_feasibility, detgreedy_rerank
-from .errors import (
-    AuditError,
-    CoefficientMissing,
-    CutoffOutOfRange,
-    DayMissing,
-    DegenerateProportion,
-    EmptyLabeledPool,
-    EmptyLabeledPrefix,
-    EmptyPool,
-    FitRefused,
-    InconsistentGrid,
-    InvalidConfig,
-    LabelWithoutProportion,
-    MalformedRow,
-    MissingBaselineEntry,
-    NonConvergence,
-    RankDeficientDesign,
-    TooFewGroups,
-    UnknownLabel,
-    ZeroTargetProportion,
-)
-from .exposure import (
-    MetricCurve,
-    TopKCounts,
-    best_attainable_skew,
-    corrected_skew,
-    corrected_skew_curve,
-    deviation_at_k,
-    deviation_curve,
-    min_skew_at_k,
-    minskew_curve,
-    page_cutoffs,
-    skew_at_k,
-    skew_curve,
-    topk_counts,
-)
-from .mixedlm import (
-    LongObservation,
-    MixedModelFit,
-    ProtocolRow,
-    WaldTest,
-    churn_protocol,
-    fit_random_intercept,
-    minskew_protocol,
-    wald_test,
-)
-from .model import (
-    EXTERNAL_BASELINE,
-    OBSERVED_POOL,
-    CandidateRecord,
-    GroupProportions,
-    GroupScheme,
-    QuerySeries,
-    RankingSnapshot,
-    observed_proportions,
-)
-from .names import (
-    CoverageReport,
-    InferenceResult,
-    NameFrequencyTable,
-    infer_label,
-    label_dataset,
-    load_name_table,
-    save_name_table,
-    table_from_rows,
-)
-from .simulate import QueryTruth, ScoreModel, SimConfig, SimResult, generate, inject_topk_bias
+import importlib.util
+import sys
+
+# The names each submodule exports from the package.  ``cli`` is left
+# out: ``python -m rankaudit.cli`` executes it as ``__main__``, and runpy
+# would execute a registered copy a second time.
+_EXPORTS = {
+    "churn": "ChurnCell anchored_pairs churn_grid churn_rate consecutive_pairs mean_churn_by_gap",
+    "dataio": "",
+    "detgreedy": "RerankResult ScoredCandidate check_feasibility detgreedy_rerank",
+    "encoders": "",
+    "errors": "AuditError CoefficientMissing CutoffOutOfRange DayMissing DegenerateProportion EmptyLabeledPool "
+              "EmptyLabeledPrefix EmptyPool FitRefused InconsistentGrid InvalidConfig LabelWithoutProportion "
+              "MalformedRow MissingBaselineEntry NonConvergence RankDeficientDesign TooFewGroups UnknownLabel "
+              "ZeroTargetProportion",
+    "exposure": "MetricCurve TopKCounts best_attainable_skew corrected_skew corrected_skew_curve deviation_at_k "
+                "deviation_curve min_skew_at_k minskew_curve page_cutoffs skew_at_k skew_curve topk_counts",
+    "mixedlm": "LongObservation MixedModelFit ProtocolRow WaldTest churn_protocol fit_random_intercept "
+               "minskew_protocol wald_test",
+    "model": "EXTERNAL_BASELINE OBSERVED_POOL CandidateRecord GroupProportions GroupScheme QuerySeries "
+             "RankingSnapshot observed_proportions",
+    "names": "CoverageReport InferenceResult NameFrequencyTable infer_label label_dataset load_name_table "
+             "save_name_table table_from_rows",
+    "simulate": "QueryTruth ScoreModel SimConfig SimResult generate inject_topk_bias",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+for _name in _EXPORTS:
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _lazy = globals()[_name] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    # Marks the module unexecuted: its first attribute access executes it.
+    _spec.loader.exec_module(_lazy)
+del _name, _spec, _lazy
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditError",
-    "CandidateRecord",
-    "ChurnCell",
-    "CoefficientMissing",
-    "CoverageReport",
-    "CutoffOutOfRange",
-    "DayMissing",
-    "DegenerateProportion",
-    "EXTERNAL_BASELINE",
-    "EmptyLabeledPool",
-    "EmptyLabeledPrefix",
-    "EmptyPool",
-    "FitRefused",
-    "GroupProportions",
-    "GroupScheme",
-    "InconsistentGrid",
-    "InferenceResult",
-    "InvalidConfig",
-    "LabelWithoutProportion",
-    "LongObservation",
-    "MalformedRow",
-    "MetricCurve",
-    "MissingBaselineEntry",
-    "MixedModelFit",
-    "NameFrequencyTable",
-    "NonConvergence",
-    "OBSERVED_POOL",
-    "ProtocolRow",
-    "QuerySeries",
-    "QueryTruth",
-    "RankDeficientDesign",
-    "RankingSnapshot",
-    "RerankResult",
-    "ScoreModel",
-    "ScoredCandidate",
-    "SimConfig",
-    "SimResult",
-    "TooFewGroups",
-    "TopKCounts",
-    "UnknownLabel",
-    "WaldTest",
-    "ZeroTargetProportion",
-    "anchored_pairs",
-    "best_attainable_skew",
-    "check_feasibility",
-    "churn_grid",
-    "churn_protocol",
-    "churn_rate",
-    "consecutive_pairs",
-    "corrected_skew",
-    "corrected_skew_curve",
-    "detgreedy_rerank",
-    "deviation_at_k",
-    "deviation_curve",
-    "fit_random_intercept",
-    "generate",
-    "infer_label",
-    "inject_topk_bias",
-    "label_dataset",
-    "load_name_table",
-    "mean_churn_by_gap",
-    "min_skew_at_k",
-    "minskew_curve",
-    "minskew_protocol",
-    "observed_proportions",
-    "page_cutoffs",
-    "save_name_table",
-    "skew_at_k",
-    "skew_curve",
-    "table_from_rows",
-    "topk_counts",
-    "wald_test",
-]
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        return getattr(globals()[_OWNER[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

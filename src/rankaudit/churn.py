@@ -23,6 +23,9 @@ from typing import Hashable, Iterable, Sequence
 from .errors import DayMissing, UnknownLabel
 from .model import GroupScheme, QuerySeries, RankingSnapshot, check_cutoff, label_codes, prefix_table
 
+# The metric name of churn rows in long tables.
+CHURN = "churn"
+
 
 @dataclass(frozen=True, slots=True)
 class ChurnCell:

@@ -18,8 +18,7 @@ import sys
 from typing import Iterable, NoReturn, Sequence, TextIO
 
 from . import churn as churn_mod
-from . import dataio, exposure, mixedlm, simulate
-from .detgreedy import detgreedy_rerank
+from . import dataio, detgreedy, exposure, mixedlm, names, simulate
 from .errors import AuditError, EmptyPool, MissingBaselineEntry
 from .model import (
     GroupProportions,
@@ -31,13 +30,14 @@ from .model import (
     observed_proportions,
     snapshot_counts,
 )
-from .names import label_dataset, load_name_table
 
 _PROTOCOLS = ("minskew-protocol", "churn-protocol")
-# The metrics of ``audit``, in the order their curves are built.
-_METRICS = (exposure.DEVIATION, exposure.SKEW, exposure.MINSKEW, exposure.CORRECTED_SKEW)
+# The metrics of ``audit``, in the order their curves are built.  This and
+# the parser's other defaults from layer modules are literals, so that
+# building the parser executes none of those modules; a test checks each.
+_METRICS = ("deviation", "skew", "minskew", "corrected_skew")
 _FORMATS = (dataio.FORMAT_CSV, dataio.FORMAT_JSON)
-_CUTOFFS = ",".join(map(str, mixedlm.DEFAULT_CUTOFFS))
+_CUTOFFS = "25,50,75,100"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -263,7 +263,7 @@ def _build_parser() -> _Parser:
     p = command("stats", _cmd_stats, "mixed-model significance protocols", scheme, table)
     p.add_argument("protocol", choices=_PROTOCOLS)
     p.add_argument("dataset")
-    p.add_argument("--null", type=float, default=mixedlm.DEFAULT_MINSKEW_NULL,
+    p.add_argument("--null", type=float, default=-0.011,
                    help="null value for the MinSkew intercept test (default %(default)s)")
     p.add_argument("--cutoffs", type=_cutoffs, default=_CUTOFFS,
                    help="cutoffs, as for audit's --k-grid but not 'full' (default %(default)s)")
@@ -281,14 +281,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--days", type=int, default=1, help="(default %(default)s)")
     p.add_argument("--departures", type=_floats, help="per-group daily departure probabilities")
     p.add_argument("--missing-prob", type=float, default=0.0, help="(default %(default)s)")
-    p.add_argument("--postprocess", choices=(simulate.POSTPROCESS_NONE, simulate.POSTPROCESS_DETGREEDY),
-                   default=simulate.POSTPROCESS_NONE, help="(default %(default)s)")
+    p.add_argument("--postprocess", choices=("none", "detgreedy"), default="none", help="(default %(default)s)")
     p.add_argument("--weights-concentration", type=float, help="Dirichlet concentration of per-query mixes")
     p.add_argument("--ledger", help="path for the ground-truth ledger JSONL")
     p.add_argument("--inject-label", help="demote this group from the top page")
     p.add_argument("--inject-strength", type=float, default=1.0, help="(default %(default)s)")
     p.add_argument("--inject-seed", type=int, help="(default: --seed)")
-    p.add_argument("--page-size", type=int, default=exposure.DEFAULT_PAGE_SIZE, help="(default %(default)s)")
+    p.add_argument("--page-size", type=int, default=25, help="(default %(default)s)")
 
     p = command("export", _cmd_export, "pivot a long metric table into a matrix")
     p.add_argument("table", help="long-format CSV or JSONL produced by audit/churn")
@@ -465,10 +464,10 @@ def _cmd_label(args: argparse.Namespace) -> int:
     if not args.names:
         raise ValueError("at least one --names table is required")
     scheme = GroupScheme(args.attribute, tuple(args.labels), args.unknown_label)
-    chain = [load_name_table(path, scheme) for path in args.names]
+    chain = [names.load_name_table(path, scheme) for path in args.names]
     series, report = _load_or_fail(args.dataset)
     snapshots = [series_one.snapshots[day] for series_one in series for day in series_one.days]
-    labeled, coverage = label_dataset(snapshots, scheme, chain, full_name=args.full_name)
+    labeled, coverage = names.label_dataset(snapshots, scheme, chain, full_name=args.full_name)
     regrouped: dict[str, dict[int, object]] = {}
     for snap in labeled:
         regrouped.setdefault(snap.query_id, {})[snap.day] = snap
@@ -531,7 +530,7 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
         if -1 in codes:
             raise ValueError(f"pool label {pool[codes.index(-1)].label!r} not in scheme")
         targets = PrefixCounts(codes, scheme.labels).proportions(scheme)
-    result = detgreedy_rerank(pool, targets)
+    result = detgreedy.detgreedy_rerank(pool, targets)
     by_id = {cand.candidate_id: cand for cand in pool}
     if args.format == dataio.FORMAT_CSV:
         rows = [(rank, cid, by_id[cid].label, by_id[cid].score) for rank, cid in enumerate(result.order, 1)]

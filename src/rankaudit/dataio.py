@@ -37,11 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .churn import ChurnCell, mean_churn_by
-from .detgreedy import ScoredCandidate
+from . import churn, detgreedy, encoders, exposure, mixedlm, simulate
 from .errors import InconsistentGrid, MalformedRow, UnknownLabel
-from .exposure import CHURN, MetricCurve
-from .mixedlm import ProtocolRow
 from .model import (
     EXTERNAL_BASELINE,
     CandidateRecord,
@@ -50,7 +47,6 @@ from .model import (
     QuerySeries,
     RankingSnapshot,
 )
-from .simulate import QueryTruth
 
 SNAPSHOT_FIELDS = ("query_id", "day", "rank", "candidate_id", "first_name", "last_name", "groups", "missing")
 # A row's values in ``SNAPSHOT_FIELDS`` order.
@@ -162,16 +158,12 @@ def write_snapshots(series: Iterable[QuerySeries], destination: str | Path | Tex
     :func:`.encoders.encoded_snapshot`; it writes what ``json`` would for
     the field types the :mod:`.model` constructors check.
     """
-    # Imported when a writer runs, so a start that writes nothing does not
-    # compile the encoders.
-    from .encoders import JsonGroups, JsonStrings, encoded_snapshot
-
     with text_stream(destination, "w") as out:
         lines: list[str] = []
         for one in sorted(series, key=lambda s: s.query_id):
-            strings, groups = JsonStrings(), JsonGroups()
+            strings, groups = encoders.JsonStrings(), encoders.JsonGroups()
             for day in sorted(one.snapshots):
-                lines += encoded_snapshot(one.snapshots[day], strings, groups)
+                lines += encoders.encoded_snapshot(one.snapshots[day], strings, groups)
                 if len(lines) >= _WRITE_ROWS:
                     out.write("".join(lines))
                     lines.clear()
@@ -440,7 +432,7 @@ def _rank_gap(ranks: Sequence[int]) -> str:
 # ground-truth ledger JSONL
 
 
-def write_ledger(truths: Iterable[QueryTruth], destination: str | Path | TextIO) -> None:
+def write_ledger(truths: Iterable[simulate.QueryTruth], destination: str | Path | TextIO) -> None:
     with text_stream(destination, "w") as out:
         for truth in sorted(truths, key=lambda t: t.query_id):
             row = {
@@ -455,7 +447,7 @@ def write_ledger(truths: Iterable[QueryTruth], destination: str | Path | TextIO)
             out.write("\n")
 
 
-def load_ledger(path: str | Path) -> list[QueryTruth]:
+def load_ledger(path: str | Path) -> list[simulate.QueryTruth]:
     """Read a ledger written by :func:`write_ledger`; a line that is not a
     ledger object raises :class:`MalformedRow` with its line number.  Lines
     end at LF alone."""
@@ -470,7 +462,7 @@ def load_ledger(path: str | Path) -> list[QueryTruth]:
             except (TypeError, ValueError):
                 raise MalformedRow(f"line {lineno}: departures must be [day, candidate_id] pairs") from None
             truths.append(
-                QueryTruth(
+                simulate.QueryTruth(
                     query_id=raw["query_id"],
                     weights=raw["weights"],
                     composition=raw["composition"],
@@ -549,18 +541,19 @@ def load_baseline(
 # scored pool CSV
 
 
-def read_pool(source: str | Path | TextIO) -> list[ScoredCandidate]:
+def read_pool(source: str | Path | TextIO) -> list[detgreedy.ScoredCandidate]:
     """Read a ``candidate_id,label,score`` CSV; bad rows raise
     :class:`MalformedRow` with their line number.  A row that passes the
-    checks of :class:`ScoredCandidate` here is built without running them
-    again; any other goes through the constructor for its error."""
-    pool: list[ScoredCandidate] = []
-    trusted, isfinite = ScoredCandidate._trusted, math.isfinite
+    checks of :class:`.detgreedy.ScoredCandidate` here is built without
+    running them again; any other goes through the constructor for its
+    error."""
+    pool: list[detgreedy.ScoredCandidate] = []
+    trusted, isfinite = detgreedy.ScoredCandidate._trusted, math.isfinite
     for lineno, (candidate_id, label, score) in csv_table(source, POOL_HEADER):
         candidate_id, label = candidate_id.strip(), label.strip()
         try:
             value = float(score)
-            build = trusted if candidate_id and label and isfinite(value) else ScoredCandidate
+            build = trusted if candidate_id and label and isfinite(value) else detgreedy.ScoredCandidate
             pool.append(build(candidate_id, label, value))
         except ValueError as exc:
             raise MalformedRow(f"line {lineno}: {exc}") from None
@@ -610,12 +603,9 @@ def filter_queries(
 # long-format tables
 
 
-def curve_rows(curves: Iterable[MetricCurve]) -> Sequence[tuple]:
+def curve_rows(curves: Iterable[exposure.MetricCurve]) -> Sequence[tuple]:
     """Long-format rows for metric curves, deterministically ordered: a
     :class:`.encoders.Runs` of one run per curve."""
-    # Imported here for the reason given in write_snapshots.
-    from .encoders import Runs
-
     ordered = sorted(curves, key=lambda c: (c.query_id, c.day, c.attribute, c.metric, c.label or ""))
     runs = []
     for curve in ordered:
@@ -623,7 +613,7 @@ def curve_rows(curves: Iterable[MetricCurve]) -> Sequence[tuple]:
         cutoffs = sorted(values)
         shared = (curve.query_id, curve.day, curve.attribute, curve.label or "", curve.metric)
         runs.append((shared, (cutoffs, list(map(values.__getitem__, cutoffs)))))
-    return Runs(CURVE_HEADER, (4, 6), runs)
+    return encoders.Runs(CURVE_HEADER, (4, 6), runs)
 
 
 # A churn cell's run: the cells of one label and day pair of a query.
@@ -631,14 +621,12 @@ _CHURN_RUN = operator.attrgetter("query_id", "attribute", "label", "start_day", 
 _k, _churn = operator.attrgetter("k"), operator.attrgetter("churn")
 
 
-def churn_rows(cells: Iterable[ChurnCell]) -> Sequence[tuple]:
+def churn_rows(cells: Iterable[churn.ChurnCell]) -> Sequence[tuple]:
     """Long-format rows for churn cells, deterministically ordered: a
     :class:`.encoders.Runs` of one run per query, label and day pair."""
-    from .encoders import Runs
-
     # A stable sort by run and k, from runs sorted by key and each run's
     # cells, in input order, sorted by k (``churn_grid`` gives them sorted).
-    groups: dict[tuple, list[ChurnCell]] = {}
+    groups: dict[tuple, list[churn.ChurnCell]] = {}
     for key, run in itertools.groupby(cells, _CHURN_RUN):
         groups.setdefault(key, []).extend(run)
     runs = []
@@ -649,8 +637,8 @@ def churn_rows(cells: Iterable[ChurnCell]) -> Sequence[tuple]:
         if ks != sorted(ks):
             group = sorted(group, key=_k)
             ks = list(map(_k, group))
-        runs.append(((query_id, attribute, label, CHURN, start_day, end_day), (ks, list(map(_churn, group)))))
-    return Runs(CHURN_HEADER, (3, 7), runs)
+        runs.append(((query_id, attribute, label, churn.CHURN, start_day, end_day), (ks, list(map(_churn, group)))))
+    return encoders.Runs(CHURN_HEADER, (3, 7), runs)
 
 
 def write_long_table(
@@ -672,17 +660,14 @@ def write_long_table(
     """
     if fmt not in (FORMAT_CSV, FORMAT_JSON):
         raise ValueError(f"unrecognized format {fmt!r}")
-    # Imported here for the reason given in write_snapshots.
-    from .encoders import Runs, write_runs
-
     header = tuple(header)
-    if not (isinstance(rows, Runs) and rows.header == header):
+    if not (isinstance(rows, encoders.Runs) and rows.header == header):
         rows = rows if isinstance(rows, (list, tuple)) else list(rows)
         if set(map(len, rows)) - {len(header)}:
             index, row = next((i, row) for i, row in enumerate(rows) if len(row) != len(header))
             raise ValueError(f"row {index} has {len(row)} cells, but the header has {len(header)}")
     with text_stream(destination, "w") as out:
-        write_runs(rows, header, out, fmt)
+        encoders.write_runs(rows, header, out, fmt)
 
 
 # Rows (or snapshot records) per write.  A chunk's lines and its text are
@@ -743,7 +728,7 @@ def _parse_cell(value) -> float | None:
 
 
 def write_protocol_table(
-    rows: Iterable[ProtocolRow],
+    rows: Iterable[mixedlm.ProtocolRow],
     destination: str | Path | TextIO,
     fmt: str = FORMAT_CSV,
 ) -> None:
@@ -806,7 +791,7 @@ def export_heatmap(
         if len({frozenset(ks) for ks in grids.values()}) > 1:
             raise InconsistentGrid("day pairs carry different cutoff grids")
         grid = sorted(next(iter(grids.values())))
-        means = mean_churn_by(values)
+        means = churn.mean_churn_by(values)
         matrix = [(f"{s}->{e}", [means.get(((s, e), k)) for k in grid]) for s, e in sorted(grids)]
     else:
         curves: dict[tuple[str, int], dict[int, float | None]] = {}

@@ -38,7 +38,6 @@ DEVIATION = "deviation"
 SKEW = "skew"
 MINSKEW = "minskew"
 CORRECTED_SKEW = "corrected_skew"
-CHURN = "churn"
 
 DEFAULT_PAGE_SIZE = 25
 

@@ -978,6 +978,24 @@ def test_config_value_parses_like_the_flag(tmp_path, base, action) -> None:
     assert parse(*flag, setting=other) == from_flag
 
 
+def test_parser_literals_equal_the_layer_constants() -> None:
+    """The parser writes the layer constants it needs as literals, so that
+    building it executes no layer module; each must still equal its constant."""
+    from rankaudit import mixedlm, simulate
+
+    assert cli._METRICS == (exposure.DEVIATION, exposure.SKEW, exposure.MINSKEW, exposure.CORRECTED_SKEW)
+    assert cli._CUTOFFS == ",".join(map(str, mixedlm.DEFAULT_CUTOFFS))
+    commands = cli._build_parser().commands
+    option = {(command, action.dest): action for command, parser in commands.items() for action in parser._actions}
+    assert option["stats", "null"].default == mixedlm.DEFAULT_MINSKEW_NULL
+    assert option["stats", "cutoffs"].default == option["churn", "k_grid"].default == cli._CUTOFFS
+    assert option["audit", "metrics"].default == ",".join(cli._METRICS)
+    postprocess = option["simulate", "postprocess"]
+    assert postprocess.choices == (simulate.POSTPROCESS_NONE, simulate.POSTPROCESS_DETGREEDY)
+    assert postprocess.default == simulate.POSTPROCESS_NONE
+    assert option["simulate", "page_size"].default == exposure.DEFAULT_PAGE_SIZE
+
+
 class TestCollectorPause:
     """``main`` runs with the cyclic garbage collector paused and gives the
     caller back the collector's state, however the run ends."""

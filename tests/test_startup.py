@@ -1,39 +1,51 @@
 """Start-up cost: no subcommand loads scipy, only the simulator and the
-model fits load numpy, and only writing a table or dataset, an ``export``
-matrix included, loads the line encoders.  Also what the start must load:
-every function the bench's tracer wraps.
+model fits load numpy, and each subcommand executes only the package
+modules it uses; a bare ``import rankaudit`` executes none.  Also what the
+lazily executed package must still give: every function the bench's tracer
+wraps, every exported name, pickling, and one execution of ``cli`` under
+``python -m``.
 
-Importing numpy costs about 0.15 s per process, and the daily audit chain
-starts the CLI once per stage; the model fits of `stats` run their ratio
-search and the simulator its normal CDF and inverse in the package itself,
-and the counting stages need neither library.  Each check runs in a fresh
-interpreter, because this test process has imported both already.
+Importing numpy costs about 0.15 s per process, compiling all of the
+package's modules about 50 ms, and the daily audit chain starts the CLI
+once per stage; the model fits of `stats` run their ratio search and the
+simulator its normal CDF and inverse in the package itself, and the
+counting stages need neither library.  Each check runs in a fresh
+interpreter, because this test process has executed all of them already.
 """
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import rankaudit
 from rankaudit.cli import main
 
 from conftest import child_env, write_cli_inputs
 
+# The rankaudit submodules a process has executed, by name.  A module not
+# yet executed is a LazyLoader stand-in, whose type() does not execute it.
+EXECUTED = """
+def executed():
+    import sys, types
+    return sorted(n[10:] for n, m in sys.modules.items() if n.startswith("rankaudit.") and type(m) is types.ModuleType)
+"""
+
 # Runs cli.main once per argv list given as JSON in argv[1], then prints the
-# loaded scipy and numpy modules and the rankaudit modules that did not load.
-PROBE = """
-import json, pkgutil, sys
+# loaded scipy and numpy modules and the executed rankaudit modules.
+PROBE = EXECUTED + """
+import json, sys
 import rankaudit, rankaudit.cli
 for argv in json.loads(sys.argv[1]):
     assert rankaudit.cli.main(argv) == 0, argv
-package = [f"rankaudit.{m.name}" for m in pkgutil.iter_modules(rankaudit.__path__)]
 print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
-    "unloaded": [m for m in package if m not in sys.modules],
+    "executed": executed(),
 }))
 """
 
@@ -50,6 +62,7 @@ def workdir(tmp_path):
     write_cli_inputs(tmp_path)
     assert main(["simulate", "--seed", "5", "--queries", "3", "--pool", "30:30", "--days", "3",
                  "--departures", "0.3,0.2", "-o", str(tmp_path / "data.jsonl")]) == 0
+    assert main(["audit", str(tmp_path / "data.jsonl"), "--k-grid", "5,10", "-o", str(tmp_path / "curves.csv")]) == 0
     return tmp_path
 
 
@@ -65,9 +78,7 @@ COUNTING_STAGES = [
 
 
 def test_stages_without_a_fit_or_simulation_never_load_scipy(workdir) -> None:
-    seen = probe(COUNTING_STAGES, workdir)
-    assert seen["scipy"] == []
-    assert seen["unloaded"] == []
+    assert probe(COUNTING_STAGES, workdir)["scipy"] == []
 
 
 def test_import_and_stages_without_a_fit_or_simulation_never_load_numpy(workdir) -> None:
@@ -109,16 +120,49 @@ def test_no_subcommand_loads_scipy(workdir) -> None:
     assert (workdir / "ledger.jsonl").read_text()
 
 
+# What every start executes: the CLI, its loader and the types it reads into.
+START = {"cli", "dataio", "errors", "model"}
+
+
+@pytest.mark.parametrize("argv, executes", [
+    pytest.param(COUNTING_STAGES[0], START, id="validate"),
+    pytest.param(COUNTING_STAGES[1], START | {"names", "encoders"}, id="label"),
+    pytest.param(COUNTING_STAGES[2], START | {"exposure", "encoders"}, id="audit"),
+    pytest.param(COUNTING_STAGES[3], START | {"churn", "encoders"}, id="churn"),
+    *(pytest.param(argv, START | {"churn", "exposure", "mixedlm", "encoders"}, id=argv[1]) for argv in STATS_STAGES),
+    pytest.param(COUNTING_STAGES[4], START | {"detgreedy", "encoders"}, id="rerank"),
+    pytest.param(["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10", "-o", "sim.jsonl"],
+                 START | {"detgreedy", "simulate", "encoders"}, id="simulate"),
+    pytest.param(COUNTING_STAGES[5], START | {"encoders"}, id="export"),
+])
+def test_each_subcommand_executes_only_the_modules_it_uses(workdir, argv, executes) -> None:
+    assert probe([argv], workdir)["executed"] == sorted(executes)
+
+
+def test_import_executes_no_submodule() -> None:
+    """``import rankaudit`` registers every submodule but ``cli`` and
+    executes none of them."""
+    code = EXECUTED + (
+        "import json, sys, rankaudit\n"
+        "print(json.dumps([sorted(n for n in sys.modules if n.startswith('rankaudit.')), executed()]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    package = Path(rankaudit.__file__).parent
+    registered = sorted(f"rankaudit.{path.stem}" for path in package.glob("*.py")
+                        if path.stem not in ("__init__", "cli"))
+    assert json.loads(done.stdout) == [registered, []]
+
+
 def test_import_leaves_the_line_encoders_unloaded() -> None:
-    """The table writers load their encoders when they first write: a fresh
-    import neither compiles that module nor generates an encoder, and
+    """The table writers execute their encoders when they first write: a
+    fresh import neither executes that module nor generates an encoder, and
     writing one table generates one."""
-    code = (
-        "import io, sys, rankaudit.cli\n"
-        "from rankaudit import dataio\n"
-        "before = 'rankaudit.encoders' in sys.modules\n"
+    code = EXECUTED + (
+        "import io, rankaudit.cli\n"
+        "from rankaudit import dataio, encoders\n"
+        "before = 'encoders' in executed()\n"
         "dataio.write_long_table([('q', 1, 'g', 'F', 5, 'skew', 0.5)], dataio.CURVE_HEADER, io.StringIO())\n"
-        "from rankaudit import encoders\n"
         "print(before, encoders.line_encoder.cache_info().currsize)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
@@ -130,32 +174,73 @@ def test_export_loads_the_line_encoders(workdir) -> None:
     """An ``export`` matrix, whose header (``row``, ``5``, ...) is not made
     of identifiers, is written by the same generated encoders as every
     other table; the audit table it reads is written in this process."""
-    assert main(["audit", str(workdir / "data.jsonl"), "--k-grid", "5,10", "-o", str(workdir / "curves.csv")]) == 0
     seen = probe([["export", "curves.csv", "--metric", "minskew", "-o", "heatmap.csv"]], workdir)
-    assert "rankaudit.encoders" not in seen["unloaded"]
+    assert "encoders" in seen["executed"]
     assert (workdir / "heatmap.csv").read_text().startswith("row,5,10\n")
 
 
-# Loads bench/tracer.py (without running it) and prints the (module,
-# function) pairs of its TRACED list that do not resolve after the CLI's import.
+def test_module_run_executes_the_cli_once(tmp_path) -> None:
+    """``python -m rankaudit.cli`` runs with no warning from runpy, which
+    would find a ``cli`` registered by the package before running it."""
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    argv = ["-W", "error::RuntimeWarning", "-m", "rankaudit.cli", "validate", "empty.jsonl", "-o", "r.json"]
+    done = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["ok"] is True
+
+
+def test_every_exported_name_is_its_modules_object() -> None:
+    for name in rankaudit.__all__:
+        value = getattr(rankaudit, name)
+        module = sys.modules[f"rankaudit.{rankaudit._OWNER[name]}"]
+        assert getattr(module, name) is value, name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    assert set(dir(rankaudit)) >= set(rankaudit.__all__)
+    with pytest.raises(AttributeError):
+        rankaudit.no_such_name
+
+
+def test_a_record_unpickles_in_a_process_that_only_imported_the_package() -> None:
+    record = rankaudit.CandidateRecord("c1", "Ada", None, {"gender": "F"})
+    code = "import pickle, sys, rankaudit\nsys.stdout.buffer.write(pickle.dumps(pickle.load(sys.stdin.buffer)))\n"
+    done = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(record), env=child_env(),
+                          capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert pickle.loads(done.stdout) == record
+
+
+# Loads bench/tracer.py (without running it), imports the CLI as the tracer
+# does and installs its wrappers; prints the absent names and the bindings
+# in rankaudit modules that are still an unwrapped traced function.
 TRACED_PROBE = """
-import importlib.util, json, sys
+import importlib.util, json, sys, types
 spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
 import rankaudit.cli
-print(json.dumps([[m, f] for m, f in tracer.TRACED
-                  if not callable(getattr(sys.modules.get(f"rankaudit.{m}"), f, None))]))
+absent = tracer.Tracer().install()
+traced = {(f"rankaudit.{m}", f) for m, f in tracer.TRACED}
+unwrapped = sorted(f"{name}.{attr}" for name, module in list(sys.modules.items()) if name.startswith("rankaudit")
+                   for attr, value in vars(module).items()
+                   if isinstance(value, types.FunctionType) and (value.__module__, value.__name__) in traced)
+wrapped = sum(getattr(sys.modules[f"rankaudit.{m}"], f).__module__ == "tracer"
+              for m, f in tracer.TRACED if m != "parallel")
+print(json.dumps([absent, unwrapped, wrapped, len(tracer.TRACED)]))
 """
 
 
 def test_every_traced_name_resolves_after_the_cli_import() -> None:
-    """The bench's tracer wraps each function it lists by rebinding the
-    attribute of an already-imported module; a name that is renamed, moved
-    or left unloaded silently loses its span.  ``parallel.ordered_map`` is
-    a known dead entry: its module was deleted and the list still names it."""
+    """The bench's tracer wraps each function it lists by rebinding every
+    attribute that holds it in the rankaudit modules; its ``install`` reads
+    each module, which executes the ones the CLI's import did not.  A name
+    that is renamed, moved or never executed silently loses its span.
+    ``parallel.ordered_map`` is a known dead entry: its module was deleted
+    and the list still names it."""
     tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     done = subprocess.run([sys.executable, "-c", TRACED_PROBE, str(tracer)], env=child_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [["parallel", "ordered_map"]]
+    absent, unwrapped, wrapped, listed = json.loads(done.stdout)
+    assert absent == ["parallel.ordered_map"]
+    assert unwrapped == []
+    assert wrapped == listed - 1

@@ -545,6 +545,20 @@ def test_rows_may_be_any_iterable(out_dir, header, fmt) -> None:
                 lambda d: dataio.write_long_table(iter(rows), header, d, fmt))
 
 
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(REALS, st.booleans(), st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.inf,
+                                                              -math.inf, math.nan])))
+def test_json_reals_take_repr_only_where_it_is_the_encoders_text(value) -> None:
+    """A JSONL real cell, per cell, shared or looked up in ``JsonReals``, is
+    the JSON encoder's text of ``_json_value``: ``repr`` for finite floats
+    and the encoder for ``-inf``, NaN and the infinities."""
+    expected = dataio._json_line(dataio._json_value(value))
+    assert encoders._json_real(value) == expected
+    assert encoders._shared_text(True, value, False) == expected
+    if value:
+        assert encoders.JsonReals()[value] == expected
+
+
 def test_no_csv_writer_in_the_package() -> None:
     """Every table is written by the generated encoders: no module of the
     package calls ``csv.writer``."""
