@@ -226,62 +226,55 @@ def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]
 
     The file is read :data:`_CHUNK_LINES` lines at a time, and the lines
     of a chunk that hold no ``[`` are parsed with one ``json.loads`` (see
-    :func:`_bulk_values`).  A line with a ``[``, or every line of a chunk
-    whose bulk parse fails, is parsed on its own.  Only that per-line parse
-    reports invalid JSON, and every row goes through :func:`_row_problem`,
-    so every message and line number is the one a line-by-line load gives.
+    :func:`_bulk_values`).  :func:`_checked_columns` then checks the
+    chunk's rows a column at a time: it transposes them into one column
+    per field and tests each rule of :func:`_row_problem` on a whole
+    column.  A chunk with a broken row, or with a line the bulk parse left,
+    is checked row by row instead (:func:`_valid_rows`), so every message
+    and line number is the one a line-by-line load gives.  The valid rows
+    of either path become records a column at a time and are filed by runs
+    of rows of one query and day (:func:`_file_runs`); a snapshot whose
+    ranks do not read 1..n in line order is sorted stably by rank.
     """
     report = ValidationReport()
-    grouped: dict[tuple[str, int], list[tuple[int, int, CandidateRecord]]] = {}
+    grouped: dict[tuple[str, int], list[tuple[Sequence, ...]]] = {}
     tainted: dict[tuple[str, int], int] = {}
 
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for linenos, lines in _chunks(handle):
             report.n_rows += len(lines)
-            for lineno, line, raw in zip(linenos, lines, _bulk_values(lines)):
-                if raw is _UNPARSED:
-                    raw, problem = _parse_json_line(line)
-                    if problem is not None:
-                        report.parse_issues.append(ParseIssue(lineno, problem))
-                        continue
-                problem = _row_problem(raw)
-                if problem is not None:
-                    report.parse_issues.append(ParseIssue(lineno, problem))
-                    key = _row_key(raw)
-                    if key is not None:
-                        tainted.setdefault(key, lineno)
+            values = _bulk_values(lines)
+            columns = _checked_columns(values)
+            if columns is None:
+                linenos, values = _valid_rows(linenos, lines, values, report, tainted)
+                if not values:
                     continue
-                query_id, day, rank, candidate_id, first_name, last_name, groups, missing = _snapshot_fields(raw)
-                record = CandidateRecord._trusted(candidate_id, first_name, last_name, groups or {}, missing)
-                grouped.setdefault((query_id, day), []).append((lineno, rank, record))
+                columns = tuple(zip(*map(_snapshot_fields, values)))
+            _file_runs(grouped, linenos, columns)
 
     snapshots: dict[str, dict[int, RankingSnapshot]] = {}
     for key in sorted(grouped):
         query_id, day = key
-        rows = sorted(grouped[key], key=lambda item: item[1])
-        first_line = rows[0][0]
         if key in tainted:
             report.quarantined.append(key)
             continue
-        ranks = [rank for _, rank, _ in rows]
-        if ranks != list(range(1, len(rows) + 1)):
+        linenos, ranks, ids, records = _snapshot_rows(grouped[key])
+        if not _counts_up(ranks):
             report.integrity_issues.append(
-                IntegrityIssue(query_id, day, first_line, f"ranks not contiguous 1..{len(rows)}: {_rank_gap(ranks)}")
+                IntegrityIssue(query_id, day, linenos[0], f"ranks not contiguous 1..{len(ranks)}: {_rank_gap(ranks)}")
             )
             report.quarantined.append(key)
             continue
-        entries = tuple(record for _, _, record in rows)
-        ids = [record.candidate_id for record in entries]
         if len(set(ids)) != len(ids):
             # A Counter keeps first-seen order: this is the first repeated id.
             dupe = next(cid for cid, times in Counter(ids).items() if times > 1)
             report.integrity_issues.append(
-                IntegrityIssue(query_id, day, first_line, f"duplicate candidate_id {dupe!r}")
+                IntegrityIssue(query_id, day, linenos[0], f"duplicate candidate_id {dupe!r}")
             )
             report.quarantined.append(key)
             continue
         snapshots.setdefault(query_id, {})[day] = RankingSnapshot(
-            query_id=query_id, day=day, entries=entries
+            query_id=query_id, day=day, entries=tuple(records)
         )
 
     for key in sorted(tainted):
@@ -348,8 +341,123 @@ def _bulk_values(lines: list[str]) -> list:
         return [_UNPARSED] * len(lines)
     if len(rows) != len(plain) or set(map(len, rows)) != {1}:
         return [_UNPARSED] * len(lines)
+    if len(plain) == len(lines):
+        return list(itertools.chain.from_iterable(rows))
     values = iter(rows)
     return [_UNPARSED if "[" in line else next(values)[0] for line in lines]
+
+
+_NAME_TYPES = frozenset({str, type(None)})
+_GROUP_TYPES = frozenset({dict, type(None)})
+# The names and groups of a masked row.
+_MASKED = (None, None, None)
+
+
+def _checked_columns(values: list) -> tuple[tuple, ...] | None:
+    """The columns of ``values`` (at least one row), one per field in
+    ``SNAPSHOT_FIELDS`` order, when :func:`_row_problem` finds every row
+    valid; otherwise None.
+
+    Each rule is tested on a whole column by builtins, with exact types as
+    in :func:`_row_problem`.  A value that is not an object or lacks a
+    field, and :data:`_UNPARSED`, already fails the transpose.
+    """
+    try:
+        columns = tuple(zip(*map(_snapshot_fields, values)))
+    except (KeyError, TypeError):
+        return None
+    query_ids, days, ranks, candidate_ids, first_names, last_names, groups, missing = columns
+    types = _column_types
+    if (
+        types(query_ids) == types(candidate_ids) == {str}
+        and all(query_ids)
+        and all(candidate_ids)
+        and types(days) == types(ranks) == {int}
+        and min(days) >= 1
+        and min(ranks) >= 1
+        and types(first_names) <= _NAME_TYPES
+        and types(last_names) <= _NAME_TYPES
+        and types(groups) <= _GROUP_TYPES
+        and types(itertools.chain.from_iterable(map(dict.values, filter(None, groups)))) <= {str}
+        and types(missing) == {bool}
+        and all(map(_MASKED.__eq__, itertools.compress(zip(first_names, last_names, groups), missing)))
+    ):
+        return columns
+    return None
+
+
+def _column_types(column: Iterable) -> set[type]:
+    return set(map(type, column))
+
+
+def _valid_rows(
+    linenos: Sequence[int],
+    lines: list[str],
+    values: list,
+    report: ValidationReport,
+    tainted: dict[tuple[str, int], int],
+) -> tuple[list[int], list[dict]]:
+    """(line numbers, values) of a chunk's valid rows, checked one at a
+    time.  Each other line adds its parse issue to ``report``, and its
+    (query_id, day), when it has one, to ``tainted`` with its line unless
+    an earlier line already put it there."""
+    kept_linenos, kept = [], []
+    for lineno, line, raw in zip(linenos, lines, values):
+        if raw is _UNPARSED:
+            raw, problem = _parse_json_line(line)
+            if problem is not None:
+                report.parse_issues.append(ParseIssue(lineno, problem))
+                continue
+        problem = _row_problem(raw)
+        if problem is not None:
+            report.parse_issues.append(ParseIssue(lineno, problem))
+            key = _row_key(raw)
+            if key is not None:
+                tainted.setdefault(key, lineno)
+            continue
+        kept_linenos.append(lineno)
+        kept.append(raw)
+    return kept_linenos, kept
+
+
+def _file_runs(
+    grouped: dict[tuple[str, int], list[tuple[Sequence, ...]]],
+    linenos: Sequence[int],
+    columns: tuple[tuple, ...],
+) -> None:
+    """Build the records of a chunk's checked columns and file each run of
+    consecutive rows of one (query_id, day) under that key, as slices:
+    (line numbers, ranks, candidate ids, records)."""
+    query_ids, days, ranks, candidate_ids, first_names, last_names, groups, missing = columns
+    records = CandidateRecord._from_columns(
+        candidate_ids, first_names, last_names, [labels or {} for labels in groups], missing
+    )
+    start = 0
+    for key, run in itertools.groupby(zip(query_ids, days)):
+        end = start + len(list(run))
+        grouped.setdefault(key, []).append(
+            (linenos[start:end], ranks[start:end], candidate_ids[start:end], records[start:end])
+        )
+        start = end
+
+
+def _snapshot_rows(runs: list[tuple[Sequence, ...]]) -> list[Sequence]:
+    """The line numbers, ranks, candidate ids and records of one snapshot's
+    runs, in line order sorted stably by rank."""
+    columns = [
+        parts[0] if len(parts) == 1 else list(itertools.chain.from_iterable(parts))
+        for parts in zip(*runs)
+    ]
+    ranks = columns[1]
+    if not _counts_up(ranks):
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        columns = [list(map(column.__getitem__, order)) for column in columns]
+    return columns
+
+
+def _counts_up(ranks: Sequence[int]) -> bool:
+    """True when ``ranks`` reads 1, 2, ..., len(ranks)."""
+    return all(map(operator.eq, ranks, itertools.count(1)))
 
 
 def _parse_json_line(line: str) -> tuple[object, str | None]:

@@ -17,13 +17,15 @@ Point operations raise typed errors on unusable inputs; curve builders mark
 those cells undefined (``None``) and keep going.  A curve builder's
 ``counts`` keyword takes the snapshot's prefix counts
 (:func:`~rankaudit.model.snapshot_counts`) when the caller already built
-them, so several curves of one snapshot share one table.
+them, so several curves of one snapshot share one table, and the share
+and skew rows kept on it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CutoffOutOfRange,
@@ -142,21 +144,22 @@ def best_attainable_skew(p_star: float, k: int) -> float:
         raise DegenerateProportion(f"target proportion must be inside (0, 1), got {p_star!r}")
     if k < 1:
         raise CutoffOutOfRange(f"cutoff must be >= 1, got {k}")
-    return _attainable_floor(p_star, k)
+    return _attainable_floors(p_star, (k,))[0]
 
 
-def _attainable_floor(p_star: float, k: int) -> float:
-    """:func:`best_attainable_skew` for a ``p_star`` inside (0, 1) and a
-    ``k`` of at least 1, already checked."""
-    lo = math.floor(k * p_star)
-    hi = math.ceil(k * p_star)
-    if lo == hi:
-        return 0.0
-    up = abs(math.log((hi / k) / p_star))
-    if lo == 0:
-        return up
-    down = abs(math.log((lo / k) / p_star))
-    return min(down, up)
+def _attainable_floors(p_star: float, ks: Iterable[int]) -> list[float]:
+    """:func:`best_attainable_skew` of each ``k`` of ``ks``, for a
+    ``p_star`` inside (0, 1) and cutoffs of at least 1, already checked."""
+    floor, ceil, log = math.floor, math.ceil, math.log
+    floors = []
+    for k in ks:
+        lo, hi = floor(k * p_star), ceil(k * p_star)
+        if lo == hi:
+            floors.append(0.0)
+            continue
+        up = abs(log((hi / k) / p_star))
+        floors.append(up if lo == 0 else min(abs(log((lo / k) / p_star)), up))
+    return floors
 
 
 def corrected_skew(observed: float | None, p_star: float, k: int) -> float | None:
@@ -191,7 +194,7 @@ def deviation_curve(
     target = _target(proportions, label)
     table = counts if counts is not None else snapshot_counts(snapshot, scheme)
     grid = _grid(snapshot, k_grid)
-    values = [None if share is None else target - share for share in table.share_row(label, grid)]
+    values = [None if share is None else target - share for share in _share_row(table, label, grid)]
     return _curve(snapshot, scheme, label, DEVIATION, grid, values)
 
 
@@ -245,22 +248,40 @@ def corrected_skew_curve(
         raise DegenerateProportion(f"target proportion must be inside (0, 1), got {target!r}")
     table = counts if counts is not None else snapshot_counts(snapshot, scheme)
     grid = _grid(snapshot, k_grid)
-    # corrected_skew of each cell; a defined cell has 1 <= k <= n.
+    skews = _skew_row(table, label, target, grid)
+    # corrected_skew of each cell: a finite skew other than zero, whose
+    # cutoff has 1 <= k <= n, shrinks by its floor and keeps its sign.
     minus_inf = -math.inf
+    shifted = [skew is not None and skew != minus_inf and skew != 0.0 for skew in skews]
+    floors = iter(_attainable_floors(target, compress(grid, shifted)))
     values = [
-        skew if skew is None or skew == minus_inf or skew == 0.0
-        else (1.0 if skew > 0.0 else -1.0) * (abs(skew) - _attainable_floor(target, k))
-        for k, skew in zip(grid, _skew_row(table, label, target, grid))
+        (1.0 if skew > 0.0 else -1.0) * (abs(skew) - next(floors)) if shift else skew
+        for skew, shift in zip(skews, shifted)
     ]
     return _curve(snapshot, scheme, label, CORRECTED_SKEW, grid, values)
 
 
-def _skew_row(table: PrefixCounts, label: str, target: float, grid: list[int]) -> list[float | None]:
-    log, minus_inf = math.log, -math.inf
-    return [
-        None if share is None else minus_inf if share == 0.0 else log(share / target)
-        for share in table.share_row(label, grid)
-    ]
+def _share_row(table: PrefixCounts, label: str, grid: tuple[int, ...]) -> list[float | None]:
+    """``table.share_row(label, grid)``, computed once per table."""
+    key = ("share", label, grid)
+    row = table.rows.get(key)
+    if row is None:
+        row = table.rows[key] = table.share_row(label, grid)
+    return row
+
+
+def _skew_row(table: PrefixCounts, label: str, target: float, grid: tuple[int, ...]) -> list[float | None]:
+    """The skew of ``label`` against ``target`` at each cutoff of
+    ``grid``, computed once per table."""
+    key = (SKEW, label, target, grid)
+    row = table.rows.get(key)
+    if row is None:
+        log, minus_inf = math.log, -math.inf
+        row = table.rows[key] = [
+            None if share is None else minus_inf if share == 0.0 else log(share / target)
+            for share in _share_row(table, label, grid)
+        ]
+    return row
 
 
 def _point(curve: MetricCurve, snapshot: RankingSnapshot, k: int) -> float:
@@ -283,10 +304,10 @@ def _curve(snapshot, scheme, label, metric, grid, values):
     )
 
 
-def _grid(snapshot: RankingSnapshot, k_grid: Sequence[int] | None) -> list[int]:
+def _grid(snapshot: RankingSnapshot, k_grid: Sequence[int] | None) -> tuple[int, ...]:
     if k_grid is None:
-        return list(range(1, len(snapshot.entries) + 1))
-    return [int(k) for k in k_grid]
+        return tuple(range(1, len(snapshot.entries) + 1))
+    return tuple(map(int, k_grid))
 
 
 def _check_label(scheme: GroupScheme, label: str) -> None:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .churn import ChurnCell
+from . import churn, exposure
 from .errors import (
     CoefficientMissing,
     FitRefused,
@@ -35,7 +35,6 @@ from .errors import (
     RankDeficientDesign,
     TooFewGroups,
 )
-from .exposure import MetricCurve
 from .model import GroupScheme
 
 # numpy is imported inside the functions that compute with it, so that the
@@ -388,7 +387,7 @@ def wald_test(fit: MixedModelFit, coefficient: str, null_value: float = 0.0) -> 
 
 
 def minskew_protocol(
-    curves: Iterable[MetricCurve],
+    curves: Iterable[exposure.MetricCurve],
     null: float = DEFAULT_MINSKEW_NULL,
     cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
 ) -> list[ProtocolRow]:
@@ -418,7 +417,7 @@ def minskew_protocol(
 
 
 def churn_protocol(
-    cells: Iterable[ChurnCell],
+    cells: Iterable[churn.ChurnCell],
     scheme: GroupScheme,
     cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
 ) -> list[ProtocolRow]:
@@ -436,7 +435,7 @@ def churn_protocol(
         raise ValueError("churn protocol expects a two-label scheme")
     reference, other = scheme.labels
     group_coef = f"is_{other}"
-    by_k: dict[int, dict[str, list[ChurnCell]]] = {k: {} for k in cutoffs}
+    by_k: dict[int, dict[str, list[churn.ChurnCell]]] = {k: {} for k in cutoffs}
     for cell in cells:
         if cell.k in by_k and cell.label in (reference, other):
             by_k[cell.k].setdefault(cell.query_id, []).append(cell)

@@ -7,8 +7,9 @@ position but expose no name and no group labels.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CutoffOutOfRange, EmptyLabeledPool
@@ -105,6 +106,29 @@ class CandidateRecord:
         _set_group_labels(record, group_labels)
         _set_missing(record, missing)
         return record
+
+    @classmethod
+    def _from_columns(
+        cls,
+        candidate_ids: Sequence[str],
+        first_names: Sequence[str | None],
+        last_names: Sequence[str | None],
+        group_labels: Sequence[Mapping[str, str]],
+        missing: Sequence[bool],
+    ) -> list[CandidateRecord]:
+        """The records :meth:`_trusted` builds from each row of five field
+        columns of equal length, one call per column."""
+        records = list(map(object.__new__, repeat(cls, len(candidate_ids))))
+        for setter, column in (
+            (_set_candidate_id, candidate_ids),
+            (_set_first_name, first_names),
+            (_set_last_name, last_names),
+            (_set_group_labels, group_labels),
+            (_set_missing, missing),
+        ):
+            # A zero-length deque runs the setters without keeping their results.
+            deque(map(setter, records, column), maxlen=0)
+        return records
 
     def label_for(self, scheme: GroupScheme) -> str:
         """Label of this candidate under ``scheme``, unknown when unresolved."""
@@ -240,15 +264,18 @@ class PrefixCounts:
     ``counts[label][k]`` is how many of the first ``k`` positions carry
     ``label`` and ``labeled[k]`` how many carry any of the labels, read from
     one :func:`prefix_table`.  Cells are plain ints, so shares divide exactly
-    as a loop over the entries would.
+    as a loop over the entries would.  ``rows`` keeps the rows that
+    :mod:`.exposure`'s curve builders derive from the table, keyed by what
+    each depends on, so the curves of one snapshot compute each row once.
     """
 
-    __slots__ = ("counts", "labeled", "n")
+    __slots__ = ("counts", "labeled", "n", "rows")
 
     def __init__(self, codes: Sequence[int], labels: Sequence[str]) -> None:
         self.n = len(codes)
         self.counts = dict(zip(labels, prefix_table(codes, len(labels))))
         self.labeled = list(accumulate(map((0).__le__, codes), initial=0))
+        self.rows: dict[tuple, list] = {}
 
     def tally(self, k: int) -> dict[str, int]:
         """Per-label counts over the first ``k`` positions."""

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rankaudit import (
+    AuditError,
     CutoffOutOfRange,
     DegenerateProportion,
+    EmptyLabeledPool,
     EmptyLabeledPrefix,
     GroupProportions,
     GroupScheme,
@@ -21,11 +23,13 @@ from rankaudit import (
     exposure,
     min_skew_at_k,
     minskew_curve,
+    observed_proportions,
     page_cutoffs,
     skew_at_k,
     skew_curve,
     topk_counts,
 )
+from rankaudit.model import snapshot_counts
 
 from conftest import GENDER, snapshot
 
@@ -348,3 +352,43 @@ def test_curves_match_the_per_cell_formulas_bit_for_bit(case) -> None:
         want = expected[curve.metric, curve.label]
         assert list(curve.values) == list(want)
         assert [repr(v) for v in curve.values.values()] == [repr(v) for v in want.values()], curve.metric
+
+
+CURVE_METRICS = (exposure.DEVIATION, exposure.SKEW, exposure.MINSKEW, exposure.CORRECTED_SKEW)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=curve_cases(),
+    calls=st.lists(
+        st.tuples(st.sampled_from(CURVE_METRICS), st.booleans(), st.booleans(), st.integers(0, 2)),
+        min_size=1, max_size=12,
+    ),
+)
+def test_rows_kept_on_a_table_read_like_a_fresh_table(case, calls) -> None:
+    # Builders called in any order on one table, against two targets (the
+    # snapshot's observed shares and a baseline) and two grids, give what
+    # each gives on a table of its own, bit for bit, or the same error.
+    snap, scheme, baseline, grid = case
+    try:
+        observed = observed_proportions(snap, scheme)
+    except EmptyLabeledPool:
+        observed = GroupProportions(scheme, {label: 1 / len(scheme.labels) for label in scheme.labels})
+    grids = (None, grid if grid is not None else [2, len(snap.entries) + 1, 1])
+    shared = snapshot_counts(snap, scheme)
+
+    def build(metric, targets, k_grid, label, counts):
+        builder = getattr(exposure, f"{metric}_curve")
+        args = (targets, k_grid) if metric == exposure.MINSKEW else (targets, label, k_grid)
+        try:
+            curve = builder(snap, scheme, *args, counts=counts)
+        except AuditError as exc:
+            return type(exc), str(exc)
+        return list(curve.values), [repr(value) for value in curve.values.values()]
+
+    for metric, use_observed, full_grid, label_index in calls:
+        targets = observed if use_observed else baseline
+        label = scheme.labels[label_index % len(scheme.labels)]
+        k_grid = grids[0] if full_grid else grids[1]
+        fresh = snapshot_counts(snap, scheme)
+        assert build(metric, targets, k_grid, label, shared) == build(metric, targets, k_grid, label, fresh), metric

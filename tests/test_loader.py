@@ -12,6 +12,7 @@ series, or the same exception.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import time
@@ -408,6 +409,118 @@ def test_each_broken_rule_reads_like_line_by_line(tmp_path) -> None:
             got = load_dataset(path)
         assert got == ref_load_dataset(path)
     assert len(got[1].parse_issues) == len(ONE_RULE_BROKEN) - 3  # the three extras are valid
+
+
+# ---------------------------------------------------------------------------
+# the column check against the row check
+
+
+ABSENT = object()
+
+
+def perturb(obj: dict, name: str, value) -> dict:
+    """``obj`` with field ``name`` set to ``value``, or dropped for ``ABSENT``."""
+    if value is ABSENT:
+        return {key: one for key, one in obj.items() if key != name}
+    return {**obj, name: value}
+
+
+MASKED_ROW = row(missing=True, first_name=None, last_name=None, groups=None)
+# A valid row with one field set to a value of FIELD_VALUES or dropped.
+PERTURBED_ROWS = st.builds(
+    perturb, st.one_of(VALID_ROWS, st.just(row()), st.just(MASKED_ROW)),
+    st.sampled_from(dataio.SNAPSHOT_FIELDS), st.sampled_from([*FIELD_VALUES, ABSENT]),
+)
+CHUNK_VALUES = st.one_of(VALID_ROWS, VALID_ROWS, PERTURBED_ROWS, ROWS, SCALARS, st.lists(SCALARS, max_size=2))
+
+
+def column_check_agrees(values: list) -> None:
+    """The column check accepts ``values`` exactly when every row is valid,
+    and then gives its rows' fields as columns."""
+    columns = dataio._checked_columns(values)
+    valid = all(dataio._row_problem(value) is None for value in values)
+    assert (columns is not None) == valid, [dataio._row_problem(value) for value in values]
+    if valid:
+        assert columns == tuple(zip(*map(dataio._snapshot_fields, values)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(CHUNK_VALUES, min_size=1, max_size=6), unparsed=st.integers(-1, 5))
+def test_column_check_accepts_exactly_the_chunks_of_valid_rows(values, unparsed) -> None:
+    values = [json.loads(json.dumps(value)) for value in values]
+    column_check_agrees(values)
+    if 0 <= unparsed < len(values):
+        values[unparsed] = dataio._UNPARSED
+        assert dataio._checked_columns(values) is None
+
+
+@pytest.mark.parametrize("base", [row(), MASKED_ROW])
+def test_column_check_refuses_each_broken_field_among_valid_rows(base) -> None:
+    valid = [row(rank=2, candidate_id="c2"), MASKED_ROW]
+    column_check_agrees([base, *valid])
+    for name in dataio.SNAPSHOT_FIELDS:
+        for value in [*FIELD_VALUES, ABSENT]:
+            raw = json.loads(json.dumps(perturb(base, name, value)))
+            for values in ([raw], [*valid, raw], [raw, *valid]):
+                column_check_agrees(values)
+    for value in [None, True, 1, 1.5, "", "q1", [], [row()]]:
+        column_check_agrees([*valid, value])
+    for raw in ONE_RULE_BROKEN:
+        column_check_agrees([*valid, json.loads(json.dumps(raw))])
+
+
+# ---------------------------------------------------------------------------
+# snapshots spread over runs and chunks
+
+
+def snapshot_rows(query_id: str, ranks, ids=None) -> list[str]:
+    ids = ids or [f"c{rank}" for rank in ranks]
+    return [line(row(query_id=query_id, rank=rank, candidate_id=cid)) for rank, cid in zip(ranks, ids)]
+
+
+def interleave(*parts: list[str]) -> list[str]:
+    return [text for group in itertools.zip_longest(*parts) for text in group if text is not None]
+
+
+SPREAD_FILES = {
+    "split": snapshot_rows("q1", range(1, 8)) + snapshot_rows("q2", range(1, 4)),
+    "interleaved": interleave(snapshot_rows("q1", range(1, 6)), snapshot_rows("q2", range(1, 5))),
+    "out-of-order": snapshot_rows("q1", [3, 1, 2, 6, 5, 4]) + snapshot_rows("q2", [2, 1]),
+    "interleaved-out-of-order": interleave(snapshot_rows("q1", [2, 4, 1, 3]), snapshot_rows("q2", [3, 2, 1])),
+    "tied-ranks": snapshot_rows("q1", [2, 1, 1, 3], ["c2", "c1", "c9", "c3"]) + snapshot_rows("q2", [1]),
+    "gap-in-second-part": snapshot_rows("q1", [1, 2, 3, 5, 6]) + snapshot_rows("q2", [1, 2]),
+    "duplicate-id-in-second-part": snapshot_rows("q1", range(1, 7), ["c1", "c2", "c3", "c4", "c2", "c6"]),
+    "interleaved-defects": interleave(snapshot_rows("q1", [1, 2, 4, 5]), snapshot_rows("q2", [1, 2, 3], ["a", "b", "a"]),
+                                      snapshot_rows("q3", [1, 2, 3])),
+    "back-after-other-snapshot": snapshot_rows("q1", [1, 2]) + snapshot_rows("q2", [1, 2]) + snapshot_rows("q1", [3]),
+}
+
+
+@pytest.mark.parametrize("broken", [None, 1, 4], ids=["clean", "bad-line-2", "bad-line-5"])
+@pytest.mark.parametrize("name", sorted(SPREAD_FILES))
+def test_snapshots_spread_over_runs_and_chunks_load_like_line_by_line(tmp_path, name, broken) -> None:
+    lines = list(SPREAD_FILES[name])
+    if broken is not None:
+        # A line that does not parse sends its chunk to the row-by-row check.
+        lines.insert(broken, '{"query_id":"q9",')
+    path = _write(tmp_path, lines)
+    expected = ref_load_dataset(path)
+    for chunk in (1, 2, 3, 4, 5, 7, 4096):
+        with mock.patch.object(dataio, "_CHUNK_LINES", chunk):
+            assert load_dataset(path) == expected, chunk
+
+
+def test_out_of_order_rows_load_sorted_and_tied_ranks_name_the_first_line(tmp_path) -> None:
+    lines = snapshot_rows("q1", [3, 1, 2, 6, 5, 4]) + snapshot_rows("q3", [2, 1, 1, 3], ["c2", "c1", "c9", "c3"])
+    path = _write(tmp_path, lines)
+    with mock.patch.object(dataio, "_CHUNK_LINES", 4):
+        series, report = load_dataset(path)
+    assert [record.candidate_id for record in series[0].snapshots[1].entries] == [f"c{r}" for r in range(1, 7)]
+    # q3's ranks 2, 1, 1, 3 sit on lines 7 to 10: the first rank-1 row,
+    # line 8, is the one named.
+    assert report.integrity_issues == [
+        IntegrityIssue("q3", 1, 8, "ranks not contiguous 1..4: absent [4], duplicated [1]"),
+    ]
 
 
 # ---------------------------------------------------------------------------

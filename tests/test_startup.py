@@ -129,7 +129,8 @@ START = {"cli", "dataio", "errors", "model"}
     pytest.param(COUNTING_STAGES[1], START | {"names", "encoders"}, id="label"),
     pytest.param(COUNTING_STAGES[2], START | {"exposure", "encoders"}, id="audit"),
     pytest.param(COUNTING_STAGES[3], START | {"churn", "encoders"}, id="churn"),
-    *(pytest.param(argv, START | {"churn", "exposure", "mixedlm", "encoders"}, id=argv[1]) for argv in STATS_STAGES),
+    pytest.param(STATS_STAGES[0], START | {"exposure", "mixedlm", "encoders"}, id=STATS_STAGES[0][1]),
+    pytest.param(STATS_STAGES[1], START | {"churn", "mixedlm", "encoders"}, id=STATS_STAGES[1][1]),
     pytest.param(COUNTING_STAGES[4], START | {"detgreedy", "encoders"}, id="rerank"),
     pytest.param(["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10", "-o", "sim.jsonl"],
                  START | {"detgreedy", "simulate", "encoders"}, id="simulate"),
