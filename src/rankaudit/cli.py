@@ -12,31 +12,21 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import os
 import sys
 from typing import Iterable, NoReturn, Sequence, TextIO
 
 from . import churn as churn_mod
-from . import dataio, detgreedy, exposure, mixedlm, names, simulate
+from . import dataio, detgreedy, exposure, mixedlm, model, names, simulate
 from .errors import AuditError, EmptyPool, MissingBaselineEntry
-from .model import (
-    GroupProportions,
-    GroupScheme,
-    PrefixCounts,
-    QuerySeries,
-    RankingSnapshot,
-    label_codes,
-    observed_proportions,
-    snapshot_counts,
-)
 
 _PROTOCOLS = ("minskew-protocol", "churn-protocol")
 # The metrics of ``audit``, in the order their curves are built.  This and
 # the parser's other defaults from layer modules are literals, so that
 # building the parser executes none of those modules; a test checks each.
 _METRICS = ("deviation", "skew", "minskew", "corrected_skew")
-_FORMATS = (dataio.FORMAT_CSV, dataio.FORMAT_JSON)
+# ``dataio.FORMAT_CSV`` and ``dataio.FORMAT_JSON``.
+_FORMATS = ("csv", "json")
 _CUTOFFS = "25,50,75,100"
 
 
@@ -47,13 +37,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     process-wide: a run builds many short-lived containers but leaves only
     a few hundred cyclic objects, so collection passes are wasted work.
     The collector's prior state comes back however the run ends.
+
+    Warnings that the layers log reach stderr as ``warning:`` lines, like
+    the CLI's own, in the subcommands whose layers log (today ``stats``);
+    the handler is attached for the length of that subcommand only
+    (:func:`_with_library_warnings`), and no other run loads ``logging``.
     """
-    # Library warnings (``logging``) reach stderr like the CLI's own.
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setLevel(logging.WARNING)
-    handler.setFormatter(logging.Formatter("warning: %(message)s"))
-    logger = logging.getLogger("rankaudit")
-    logger.addHandler(handler)
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -71,7 +60,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
-        logger.removeHandler(handler)
+
+
+def _with_library_warnings(command):
+    """``command`` run with a handler on the ``rankaudit`` logger that
+    writes its records of level WARNING and above to stderr as
+    ``warning: <message>``, removed again however the command ends.
+
+    Only a subcommand whose layers log is wrapped, so that every other run
+    leaves ``logging`` unloaded; a test checks that no layer but
+    :mod:`.mixedlm` (``stats``) creates a logger.
+    """
+    def run_logged(args: argparse.Namespace) -> int:
+        import logging
+
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setLevel(logging.WARNING)
+        handler.setFormatter(logging.Formatter("warning: %(message)s"))
+        logger = logging.getLogger("rankaudit")
+        logger.addHandler(handler)
+        try:
+            return command(args)
+        finally:
+            logger.removeHandler(handler)
+    return run_logged
 
 
 def run() -> NoReturn:
@@ -220,7 +232,7 @@ def _build_parser() -> _Parser:
     scheme.add_argument("--labels", type=_texts, default="F,M", help="comma list of group labels (default %(default)s)")
 
     table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--format", choices=_FORMATS, default=dataio.FORMAT_CSV, help="(default %(default)s)")
+    table.add_argument("--format", choices=_FORMATS, default="csv", help="(default %(default)s)")
 
     parser = _Parser(prog="rankaudit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -233,11 +245,11 @@ def _build_parser() -> _Parser:
 
     p = command("validate", _cmd_validate, "check a snapshot file and report problems")
     p.add_argument("dataset")
-    p.add_argument("--format", choices=_FORMATS, default=dataio.FORMAT_JSON, help="(default %(default)s)")
+    p.add_argument("--format", choices=_FORMATS, default="json", help="(default %(default)s)")
 
     p = command("label", _cmd_label, "infer group labels from name tables", scheme)
     p.add_argument("dataset")
-    p.add_argument("--unknown-label", default=GroupScheme.unknown_label,
+    p.add_argument("--unknown-label", default="unknown",
                    help="label for unresolved candidates (default %(default)s)")
     p.add_argument("--names", action="append", metavar="CSV", help="name,label,count table; repeat to build a chain")
     p.add_argument("--full-name", action="store_true", help="look up 'first last' instead of first name")
@@ -374,11 +386,13 @@ def _parse_args(parser: _Parser, argv: Sequence[str] | None) -> argparse.Namespa
 # shared helpers
 
 
-def _scheme(args: argparse.Namespace) -> GroupScheme:
-    return GroupScheme(args.attribute, tuple(args.labels))
+def _scheme(args: argparse.Namespace) -> model.GroupScheme:
+    return model.GroupScheme(args.attribute, tuple(args.labels))
 
 
-def _baseline(args: argparse.Namespace, scheme: GroupScheme) -> dict[tuple[str, str], GroupProportions] | None:
+def _baseline(
+    args: argparse.Namespace, scheme: model.GroupScheme
+) -> dict[tuple[str, str], model.GroupProportions] | None:
     """The ``--baseline`` targets; None means each query's pool shares."""
     return None if args.baseline is None else dataio.load_baseline(args.baseline, {scheme.attribute_name: scheme})
 
@@ -399,22 +413,22 @@ def _load_or_fail(path: str):
 
 def _targets_for(
     snapshot,
-    scheme: GroupScheme,
-    baseline: dict[tuple[str, str], GroupProportions] | None,
-    counts: PrefixCounts | None = None,
-) -> GroupProportions:
+    scheme: model.GroupScheme,
+    baseline: dict[tuple[str, str], model.GroupProportions] | None,
+    counts: model.PrefixCounts | None = None,
+) -> model.GroupProportions:
     if baseline is not None:
         key = (snapshot.query_id, scheme.attribute_name)
         if key not in baseline:
             raise MissingBaselineEntry(f"baseline has no proportions for {key!r}")
         return baseline[key]
-    return observed_proportions(snapshot, scheme, counts=counts)
+    return model.observed_proportions(snapshot, scheme, counts=counts)
 
 
 def _curves(
-    grids: Iterable[tuple[RankingSnapshot, list[int]]],
-    scheme: GroupScheme,
-    baseline: dict[tuple[str, str], GroupProportions] | None,
+    grids: Iterable[tuple[model.RankingSnapshot, list[int]]],
+    scheme: model.GroupScheme,
+    baseline: dict[tuple[str, str], model.GroupProportions] | None,
     metrics: Sequence[str],
 ) -> list[exposure.MetricCurve]:
     """The curves of ``metrics`` for each (snapshot, grid), built in
@@ -425,7 +439,7 @@ def _curves(
     ordered = [metric for metric in _METRICS if metric in metrics]
     curves = []
     for snap, grid in grids:
-        counts = snapshot_counts(snap, scheme)
+        counts = model.snapshot_counts(snap, scheme)
         try:
             targets = _targets_for(snap, scheme, baseline, counts=counts)
             for metric in ordered:
@@ -463,7 +477,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_label(args: argparse.Namespace) -> int:
     if not args.names:
         raise ValueError("at least one --names table is required")
-    scheme = GroupScheme(args.attribute, tuple(args.labels), args.unknown_label)
+    scheme = model.GroupScheme(args.attribute, tuple(args.labels), args.unknown_label)
     chain = [names.load_name_table(path, scheme) for path in args.names]
     series, report = _load_or_fail(args.dataset)
     snapshots = [series_one.snapshots[day] for series_one in series for day in series_one.days]
@@ -471,7 +485,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     regrouped: dict[str, dict[int, object]] = {}
     for snap in labeled:
         regrouped.setdefault(snap.query_id, {})[snap.day] = snap
-    out_series = [QuerySeries(query_id=qid, snapshots=days) for qid, days in sorted(regrouped.items())]
+    out_series = [model.QuerySeries(query_id=qid, snapshots=days) for qid, days in sorted(regrouped.items())]
     dataio.write_snapshots(out_series, args.output)
     print(f"labeled {coverage.resolved}/{coverage.total} candidates (coverage {coverage.coverage:.4f})",
           file=sys.stderr)
@@ -524,12 +538,12 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     if not pool:
         raise EmptyPool("cannot re-rank an empty pool")
     if args.proportions is not None:
-        targets = GroupProportions(scheme=scheme, shares=args.proportions)
+        targets = model.GroupProportions(scheme=scheme, shares=args.proportions)
     else:
-        codes = label_codes((cand.label for cand in pool), scheme)
+        codes = model.label_codes((cand.label for cand in pool), scheme)
         if -1 in codes:
             raise ValueError(f"pool label {pool[codes.index(-1)].label!r} not in scheme")
-        targets = PrefixCounts(codes, scheme.labels).proportions(scheme)
+        targets = model.PrefixCounts(codes, scheme.labels).proportions(scheme)
     result = detgreedy.detgreedy_rerank(pool, targets)
     by_id = {cand.candidate_id: cand for cand in pool}
     if args.format == dataio.FORMAT_CSV:
@@ -548,6 +562,7 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     return 0
 
 
+@_with_library_warnings
 def _cmd_stats(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
     series, report = _load_or_fail(args.dataset)

@@ -17,15 +17,15 @@ infinity as ``"-inf"``.
 
 Every table is written by one writer, a run at a time: the cells a run of
 rows shares (one curve's, or one day pair's churn cells) become text once,
-and each row then costs one f-string of its other cells; snapshots are
-written from one f-string per record (:mod:`.encoders`).  CSV quoting is
-RFC 4180 for every table: a cell holding a comma, a quote, a line feed or
-a carriage return is quoted, its quotes doubled, and the empty cell of a
-one-column row is written ``""``.
+and each row then costs one f-string of its other cells; a table of runs a
+few rows long goes out as plain rows, :data:`_WRITE_ROWS` at a time.
+Snapshots are written from one f-string per record (:mod:`.encoders`).
+CSV quoting is RFC 4180 for every table: a cell holding a comma, a quote,
+a line feed or a carriage return is quoted, its quotes doubled, and the
+empty cell of a one-column row is written ``""``.
 """
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
@@ -37,16 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from . import churn, detgreedy, encoders, exposure, mixedlm, simulate
+from . import churn, detgreedy, encoders, exposure, mixedlm, model, simulate
 from .errors import InconsistentGrid, MalformedRow, UnknownLabel
-from .model import (
-    EXTERNAL_BASELINE,
-    CandidateRecord,
-    GroupProportions,
-    GroupScheme,
-    QuerySeries,
-    RankingSnapshot,
-)
 
 SNAPSHOT_FIELDS = ("query_id", "day", "rank", "candidate_id", "first_name", "last_name", "groups", "missing")
 # A row's values in ``SNAPSHOT_FIELDS`` order.
@@ -115,7 +107,10 @@ def csv_rows(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) for each row of a CSV stream, numbered by the
     physical line the row ends on; a row the ``csv`` module cannot split,
     such as one with an overlong field, raises :class:`MalformedRow` with
-    the line it stopped at."""
+    the line it stopped at.  The ``csv`` module is loaded by the first
+    call, so that a run which reads no CSV never loads it."""
+    import csv
+
     reader = csv.reader(stream)
     try:
         for row in reader:
@@ -148,7 +143,7 @@ def csv_table(source: str | Path | TextIO, header: Sequence[str]) -> Iterator[tu
 # snapshot JSONL
 
 
-def write_snapshots(series: Iterable[QuerySeries], destination: str | Path | TextIO) -> None:
+def write_snapshots(series: Iterable[model.QuerySeries], destination: str | Path | TextIO) -> None:
     """Write a dataset as snapshot JSONL, sorted by query, day, rank.
 
     Each record's line comes from one f-string, with every distinct string
@@ -216,7 +211,7 @@ class ValidationReport:
         }
 
 
-def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]:
+def load_dataset(path: str | Path) -> tuple[list[model.QuerySeries], ValidationReport]:
     """Load snapshot JSONL, quarantining malformed snapshots instead of failing.
 
     Rows that do not parse are reported line by line; snapshots with rank
@@ -252,7 +247,7 @@ def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]
                 columns = tuple(zip(*map(_snapshot_fields, values)))
             _file_runs(grouped, linenos, columns)
 
-    snapshots: dict[str, dict[int, RankingSnapshot]] = {}
+    snapshots: dict[str, dict[int, model.RankingSnapshot]] = {}
     for key in sorted(grouped):
         query_id, day = key
         if key in tainted:
@@ -273,9 +268,8 @@ def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]
             )
             report.quarantined.append(key)
             continue
-        snapshots.setdefault(query_id, {})[day] = RankingSnapshot(
-            query_id=query_id, day=day, entries=tuple(records)
-        )
+        # The column check passed the query id and day, and the ids are distinct.
+        snapshots.setdefault(query_id, {})[day] = model.RankingSnapshot._trusted(query_id, day, tuple(records))
 
     for key in sorted(tainted):
         if key not in grouped:
@@ -283,7 +277,7 @@ def load_dataset(path: str | Path) -> tuple[list[QuerySeries], ValidationReport]
     report.quarantined.sort()
 
     series = [
-        QuerySeries(query_id=query_id, snapshots=days)
+        model.QuerySeries(query_id=query_id, snapshots=days)
         for query_id, days in sorted(snapshots.items())
     ]
     report.n_series = len(series)
@@ -429,7 +423,7 @@ def _file_runs(
     consecutive rows of one (query_id, day) under that key, as slices:
     (line numbers, ranks, candidate ids, records)."""
     query_ids, days, ranks, candidate_ids, first_names, last_names, groups, missing = columns
-    records = CandidateRecord._from_columns(
+    records = model.CandidateRecord._from_columns(
         candidate_ids, first_names, last_names, [labels or {} for labels in groups], missing
     )
     start = 0
@@ -602,8 +596,8 @@ def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
 
 def load_baseline(
     path: str | Path | TextIO,
-    schemes: Mapping[str, GroupScheme],
-) -> dict[tuple[str, str], GroupProportions]:
+    schemes: Mapping[str, model.GroupScheme],
+) -> dict[tuple[str, str], model.GroupProportions]:
     """Read external target proportions keyed by (query_id, attribute).
 
     Every (query, attribute) block must cover the scheme's labels exactly
@@ -628,7 +622,7 @@ def load_baseline(
             raise MalformedRow(f"line {lineno}: duplicate label {label!r} for {query_id!r}/{attribute!r}")
         bucket[label] = share
 
-    out: dict[tuple[str, str], GroupProportions] = {}
+    out: dict[tuple[str, str], model.GroupProportions] = {}
     for (query_id, attribute), bucket in shares.items():
         scheme = schemes[attribute]
         if set(bucket) != set(scheme.labels):
@@ -637,10 +631,10 @@ def load_baseline(
         total = sum(bucket.values())
         if abs(total - 1.0) > 1e-6:
             raise MalformedRow(f"baseline for {query_id!r}/{attribute!r} sums to {total!r}, expected 1")
-        out[(query_id, attribute)] = GroupProportions(
+        out[(query_id, attribute)] = model.GroupProportions(
             scheme=scheme,
             shares={label: bucket[label] / total for label in scheme.labels},
-            source=EXTERNAL_BASELINE,
+            source=model.EXTERNAL_BASELINE,
         )
     return out
 
@@ -673,10 +667,10 @@ def read_pool(source: str | Path | TextIO) -> list[detgreedy.ScoredCandidate]:
 
 
 def filter_queries(
-    series: Iterable[QuerySeries],
+    series: Iterable[model.QuerySeries],
     max_missing_rate: float,
     min_pool: int,
-) -> tuple[list[QuerySeries], list[dict]]:
+) -> tuple[list[model.QuerySeries], list[dict]]:
     """Keep series whose first-day snapshot passes both inclusion thresholds.
 
     A series is kept when its day-1 missing rate is at most
@@ -687,7 +681,7 @@ def filter_queries(
         raise ValueError("max_missing_rate must be in [0, 1]")
     if min_pool < 0:
         raise ValueError("min_pool must be non-negative")
-    kept: list[QuerySeries] = []
+    kept: list[model.QuerySeries] = []
     manifest: list[dict] = []
     for one in sorted(series, key=lambda s: s.query_id):
         snap = one.snapshots[one.first_day]

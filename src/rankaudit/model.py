@@ -174,6 +174,17 @@ class RankingSnapshot:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate candidate_id in snapshot {self.query_id!r} day {self.day}")
 
+    @classmethod
+    def _trusted(cls, query_id: str, day: int, entries: tuple[CandidateRecord, ...]) -> RankingSnapshot:
+        """Build a snapshot from fields the caller has already checked (a
+        non-empty string id, an ``int`` day of at least 1, entries of
+        distinct candidate ids), skipping ``__post_init__``.  The class has
+        no slots, so the fields go into the instance dict, in field order,
+        past the frozen ``__setattr__``."""
+        snapshot = object.__new__(cls)
+        snapshot.__dict__.update(query_id=query_id, day=day, entries=entries)
+        return snapshot
+
     @property
     def missing_count(self) -> int:
         return sum(1 for e in self.entries if e.missing)

@@ -8,7 +8,7 @@ rather than guessing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -147,7 +147,8 @@ def label_dataset(
             entries.append(
                 CandidateRecord._trusted(record.candidate_id, record.first_name, record.last_name, labels, False)
             )
-        relabeled.append(replace(snapshot, entries=tuple(entries)))
+        # The relabeled copy keeps the snapshot's checked id, day and candidate ids.
+        relabeled.append(RankingSnapshot._trusted(snapshot.query_id, snapshot.day, tuple(entries)))
     return relabeled, CoverageReport(total=total, resolved=resolved)
 
 

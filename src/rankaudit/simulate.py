@@ -409,7 +409,8 @@ def _rank(pool: list[tuple], targets: list[float] | None) -> list[tuple]:
 
 
 def _snapshot(query_id: str, day: int, order: list[tuple]) -> RankingSnapshot:
-    return RankingSnapshot(query_id=query_id, day=day, entries=tuple([cand[_RECORD] for cand in order]))
+    # The query ids, days and candidate ids are generated distinct and valid.
+    return RankingSnapshot._trusted(query_id, day, tuple([cand[_RECORD] for cand in order]))
 
 
 def inject_topk_bias(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import csv
 import gc
 import io
@@ -7,6 +8,7 @@ import json
 import logging
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,7 +213,8 @@ class TestAuditCommand:
             return real(snap, scheme)
 
         real = model.snapshot_counts
-        for module in (cli, exposure, model):
+        # ``cli`` reads it through ``model``.
+        for module in (exposure, model):
             monkeypatch.setattr(module, "snapshot_counts", counting)
         # Targets plus 2 deviation, 2 skew, 1 MinSkew and 2 corrected-skew
         # curves per snapshot, all from one table.
@@ -551,6 +554,30 @@ class TestStatsCommand:
         assert run("stats", "minskew-protocol", str(wide_dataset), "--cutoffs", "25",
                    "-o", str(tmp_path / "p.csv")) == 0
         assert logging.getLogger("rankaudit").handlers == before
+
+    def test_only_the_fits_log_and_only_stats_attaches_the_handler(self) -> None:
+        """``mixedlm`` is the one layer module that imports ``logging`` or
+        creates a logger, and ``cli`` imports it only in the helper that
+        attaches the ``warning:`` handler, which wraps ``stats`` alone.  A
+        layer that starts logging fails here until its subcommands are
+        wrapped too, and the list below is updated."""
+        package = Path(cli.__file__).parent
+        users = {}
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                imports = isinstance(node, ast.Import) and any(a.name == "logging" for a in node.names)
+                imports |= isinstance(node, ast.ImportFrom) and node.module == "logging"
+                if imports or isinstance(node, ast.Attribute) and node.attr == "getLogger":
+                    users.setdefault(path.stem, []).append(node)
+        assert sorted(users) == ["cli", "mixedlm"]
+        helper = next(node for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+                      if isinstance(node, ast.FunctionDef) and node.name == "_with_library_warnings")
+        inside = {(node.lineno, node.col_offset) for node in ast.walk(helper) if hasattr(node, "lineno")}
+        assert {(node.lineno, node.col_offset) for node in users["cli"]} <= inside
+        commands = cli._build_parser().commands
+        wrapped = sorted(name for name, parser in commands.items()
+                         if parser.get_default("handler").__qualname__.startswith("_with_library_warnings."))
+        assert wrapped == ["stats"]
 
     def test_small_pools_are_filtered_out(self, dataset, capsys) -> None:
         assert run("stats", "minskew-protocol", str(dataset), "--cutoffs", "10") == 1
@@ -994,6 +1021,12 @@ def test_parser_literals_equal_the_layer_constants() -> None:
     assert postprocess.choices == (simulate.POSTPROCESS_NONE, simulate.POSTPROCESS_DETGREEDY)
     assert postprocess.default == simulate.POSTPROCESS_NONE
     assert option["simulate", "page_size"].default == exposure.DEFAULT_PAGE_SIZE
+    assert option["label", "unknown_label"].default == model.GroupScheme.unknown_label
+    formats = {command: action for (command, dest), action in option.items() if dest == "format"}
+    assert sorted(formats) == ["audit", "churn", "rerank", "stats", "validate"]
+    for command, action in formats.items():
+        assert action.choices == (dataio.FORMAT_CSV, dataio.FORMAT_JSON), command
+        assert action.default == (dataio.FORMAT_JSON if command == "validate" else dataio.FORMAT_CSV), command
 
 
 class TestCollectorPause:

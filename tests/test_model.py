@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from rankaudit import (
     GroupScheme,
     QuerySeries,
     RankingSnapshot,
+    names,
     observed_proportions,
+    simulate,
 )
 from rankaudit.dataio import load_dataset, write_snapshots
 from rankaudit.model import PrefixCounts, check_cutoff, label_codes, prefix_table, snapshot_counts
@@ -190,6 +193,64 @@ class TestRankingSnapshot:
 
     def test_missing_rate_of_empty_snapshot_is_zero(self) -> None:
         assert RankingSnapshot("q1", 1, ()).missing_rate == 0.0
+
+
+def assert_like_public(snapshots: list[RankingSnapshot]) -> None:
+    """Each snapshot equals the public constructor's from its fields, field
+    for field in the same order, pickles, and goes through
+    ``dataclasses.replace``, which runs the public checks."""
+    assert snapshots
+    for snap in snapshots:
+        public = RankingSnapshot(snap.query_id, snap.day, snap.entries)
+        assert type(snap) is RankingSnapshot and snap == public
+        assert list(vars(snap).items()) == list(vars(public).items())
+        assert pickle.loads(pickle.dumps(snap)) == public
+        assert dataclasses.replace(snap, day=snap.day + 1) == RankingSnapshot(snap.query_id, snap.day + 1, snap.entries)
+        with pytest.raises(ValueError, match="duplicate"):
+            dataclasses.replace(snap, entries=snap.entries + snap.entries[:1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snap.day = 2
+
+
+class TestTrustedSnapshot:
+    """``RankingSnapshot._trusted`` skips the checks, for callers whose ids
+    are already checked or generated: the loader, the labeler and the
+    simulator.  Each path runs here with the public checks made to fail."""
+
+    def test_builds_an_equal_snapshot_without_checks(self) -> None:
+        entries = snapshot("FMx?").entries
+        assert_like_public([RankingSnapshot._trusted("q1", 1, entries)])
+        rec = CandidateRecord("c1")
+        assert RankingSnapshot._trusted("q1", 1, (rec, rec)).entries == (rec, rec)
+
+    def test_loaded_snapshots(self, tmp_path) -> None:
+        path = tmp_path / "data.jsonl"
+        write_snapshots([QuerySeries(q, {d: snapshot("FMx?F", q, d) for d in (1, 2)}) for q in ("q1", "q2")], path)
+        with mock.patch.object(RankingSnapshot, "__post_init__", side_effect=AssertionError("checked")):
+            series, report = load_dataset(path)
+        assert report.ok
+        assert_like_public([snap for one in series for snap in one.snapshots.values()])
+
+    def test_labeled_snapshots(self) -> None:
+        table = names.table_from_rows([("ada", "F", 3), ("bo", "M", 2)], GENDER)
+        entries = (CandidateRecord("c1", "Ada"), CandidateRecord("c2", "Bo"), CandidateRecord("c3", missing=True))
+        snaps = [RankingSnapshot("q1", day, entries) for day in (1, 2)]
+        with mock.patch.object(RankingSnapshot, "__post_init__", side_effect=AssertionError("checked")):
+            labeled, _ = names.label_dataset(snaps, GENDER, [table])
+        assert [record.group_labels.get("gender") for record in labeled[1].entries] == ["F", "M", None]
+        assert_like_public(labeled)
+
+    def test_simulated_snapshots(self) -> None:
+        labels = GENDER.labels
+        config = simulate.SimConfig(
+            seed=3, n_queries=3, pool_size=(10, 20), scheme=GENDER,
+            group_weights=dict.fromkeys(labels, 0.5),
+            score_models={label: simulate.ScoreModel(0.6, 0.15) for label in labels},
+            days=3, departure_probs=dict.fromkeys(labels, 0.3), missing_prob=0.2,
+        )
+        with mock.patch.object(RankingSnapshot, "__post_init__", side_effect=AssertionError("checked")):
+            series = simulate.generate(config).series
+        assert_like_public([snap for one in series for snap in one.snapshots.values()])
 
 
 class TestQuerySeries:

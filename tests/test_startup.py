@@ -1,6 +1,8 @@
 """Start-up cost: no subcommand loads scipy, only the simulator and the
-model fits load numpy, and each subcommand executes only the package
-modules it uses; a bare ``import rankaudit`` executes none.  Also what the
+model fits load numpy, only the CSV readers load ``csv`` and only the
+``stats`` protocols ``logging``, and each subcommand executes only the
+package modules it uses; a bare ``import rankaudit`` executes none, and a
+no-work start only ``cli``, ``dataio`` and ``errors``.  Also what the
 lazily executed package must still give: every function the bench's tracer
 wraps, every exported name, pickling, and one execution of ``cli`` under
 ``python -m``.
@@ -35,10 +37,16 @@ def executed():
     return sorted(n[10:] for n, m in sys.modules.items() if n.startswith("rankaudit.") and type(m) is types.ModuleType)
 """
 
+# The standard-library modules that the CLI loads only where it uses them.
+DEFERRED_STDLIB = ("csv", "logging")
+
 # Runs cli.main once per argv list given as JSON in argv[1], then prints the
-# loaded scipy and numpy modules and the executed rankaudit modules.
+# loaded scipy and numpy modules, the executed rankaudit modules and those
+# of DEFERRED_STDLIB that were absent before ``import rankaudit`` and are
+# loaded after the runs.
 PROBE = EXECUTED + """
 import json, sys
+before = set(sys.modules)
 import rankaudit, rankaudit.cli
 for argv in json.loads(sys.argv[1]):
     assert rankaudit.cli.main(argv) == 0, argv
@@ -46,8 +54,9 @@ print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
     "executed": executed(),
+    "stdlib": [m for m in %r if m not in before and m in sys.modules],
 }))
-"""
+""" % (DEFERRED_STDLIB,)
 
 
 def probe(argvs: list[list[str]], cwd) -> dict:
@@ -120,24 +129,100 @@ def test_no_subcommand_loads_scipy(workdir) -> None:
     assert (workdir / "ledger.jsonl").read_text()
 
 
-# What every start executes: the CLI, its loader and the types it reads into.
-START = {"cli", "dataio", "errors", "model"}
+# What every start executes: the CLI, its loader and the errors it reports.
+# ``model`` executes with the first record, snapshot, scheme or proportions.
+START = {"cli", "dataio", "errors"}
+SIMULATING = ["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10", "-o", "sim.jsonl"]
 
 
 @pytest.mark.parametrize("argv, executes", [
-    pytest.param(COUNTING_STAGES[0], START, id="validate"),
-    pytest.param(COUNTING_STAGES[1], START | {"names", "encoders"}, id="label"),
-    pytest.param(COUNTING_STAGES[2], START | {"exposure", "encoders"}, id="audit"),
-    pytest.param(COUNTING_STAGES[3], START | {"churn", "encoders"}, id="churn"),
-    pytest.param(STATS_STAGES[0], START | {"exposure", "mixedlm", "encoders"}, id=STATS_STAGES[0][1]),
-    pytest.param(STATS_STAGES[1], START | {"churn", "mixedlm", "encoders"}, id=STATS_STAGES[1][1]),
-    pytest.param(COUNTING_STAGES[4], START | {"detgreedy", "encoders"}, id="rerank"),
-    pytest.param(["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10", "-o", "sim.jsonl"],
-                 START | {"detgreedy", "simulate", "encoders"}, id="simulate"),
+    pytest.param(COUNTING_STAGES[0], START | {"model"}, id="validate"),
+    pytest.param(COUNTING_STAGES[1], START | {"model", "names", "encoders"}, id="label"),
+    pytest.param(COUNTING_STAGES[2], START | {"model", "exposure", "encoders"}, id="audit"),
+    pytest.param(COUNTING_STAGES[3], START | {"model", "churn", "encoders"}, id="churn"),
+    pytest.param(STATS_STAGES[0], START | {"model", "exposure", "mixedlm", "encoders"}, id=STATS_STAGES[0][1]),
+    pytest.param(STATS_STAGES[1], START | {"model", "churn", "mixedlm", "encoders"}, id=STATS_STAGES[1][1]),
+    pytest.param(COUNTING_STAGES[4], START | {"model", "detgreedy", "encoders"}, id="rerank"),
+    pytest.param(SIMULATING, START | {"model", "detgreedy", "simulate", "encoders"}, id="simulate"),
+    # A long table becomes a matrix with no record built.
     pytest.param(COUNTING_STAGES[5], START | {"encoders"}, id="export"),
 ])
 def test_each_subcommand_executes_only_the_modules_it_uses(workdir, argv, executes) -> None:
     assert probe([argv], workdir)["executed"] == sorted(executes)
+
+
+def test_a_no_work_start_executes_only_the_cli_its_loader_and_errors(tmp_path) -> None:
+    """The start the bench times: ``validate`` on an empty file builds no
+    record, so ``model`` never executes."""
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    seen = probe([["validate", "empty.jsonl", "-o", "report.json"]], tmp_path)
+    assert seen["executed"] == sorted(START)
+    assert seen["stdlib"] == []
+    assert json.loads((tmp_path / "report.json").read_text())["ok"] is True
+
+
+def baseline_argv(workdir: Path, argv: list[str]) -> list[str]:
+    """``argv`` with ``--baseline`` equal shares for every query of the
+    workdir's ``data.jsonl``."""
+    queries = sorted({json.loads(line)["query_id"] for line in (workdir / "data.jsonl").read_text().splitlines()})
+    (workdir / "baseline.csv").write_text(
+        "query_id,attribute,label,share\n" + "".join(f"{q},gender,{g},0.5\n" for q in queries for g in "FM"),
+        encoding="utf-8",
+    )
+    return [*argv, "--baseline", "baseline.csv"]
+
+
+# (subcommand, whether it gets ``--baseline``, whether it loads csv,
+# whether it loads logging): ``csv`` is loaded by the CSV readers alone,
+# ``logging`` by the subcommands whose layers log.
+STDLIB_CASES = [
+    pytest.param(COUNTING_STAGES[0], False, False, False, id="validate"),
+    pytest.param(COUNTING_STAGES[1], False, True, False, id="label"),
+    pytest.param(COUNTING_STAGES[2], False, False, False, id="audit"),
+    pytest.param(COUNTING_STAGES[2], True, True, False, id="audit-baseline"),
+    pytest.param(COUNTING_STAGES[3], False, False, False, id="churn"),
+    pytest.param(STATS_STAGES[0], False, False, True, id=STATS_STAGES[0][1]),
+    pytest.param(STATS_STAGES[0], True, True, True, id=f"{STATS_STAGES[0][1]}-baseline"),
+    pytest.param(STATS_STAGES[1], False, False, True, id=STATS_STAGES[1][1]),
+    pytest.param(COUNTING_STAGES[4], False, True, False, id="rerank"),
+    pytest.param(SIMULATING, False, False, False, id="simulate"),
+    pytest.param(COUNTING_STAGES[5], False, True, False, id="export"),
+]
+
+
+@pytest.mark.parametrize("argv, baseline, loads_csv, loads_logging", STDLIB_CASES)
+def test_csv_and_logging_load_only_where_used(workdir, argv, baseline, loads_csv, loads_logging) -> None:
+    seen = probe([baseline_argv(workdir, argv) if baseline else argv], workdir)
+    assert seen["stdlib"] == [name for name, loads in zip(DEFERRED_STDLIB, (loads_csv, loads_logging)) if loads]
+
+
+# Builds the parser and runs cli.main on argv[1] (JSON), through the
+# SystemExit of ``--help``; prints the exit status and the executed modules.
+PARSER_PROBE = EXECUTED + """
+import json, sys
+import rankaudit.cli
+try:
+    status = rankaudit.cli.main(json.loads(sys.argv[1]))
+except SystemExit as stop:
+    status = stop.code
+print(json.dumps([status, executed()]))
+"""
+
+
+@pytest.mark.parametrize("argv, status", [
+    pytest.param(["--help"], 0, id="help"),
+    pytest.param(["audit", "--help"], 0, id="audit-help"),
+    pytest.param(["audit"], 1, id="missing-argument"),
+    pytest.param(["validate", "x.jsonl", "--format", "xml"], 1, id="bad-choice"),
+    pytest.param(["no-such-command"], 1, id="unknown-command"),
+])
+def test_help_and_usage_errors_execute_only_the_cli_and_errors(argv, status) -> None:
+    """Building and running the parser executes no layer module: its
+    defaults and choices from the layers are literals."""
+    done = subprocess.run([sys.executable, "-c", PARSER_PROBE, json.dumps(argv)], env=child_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [status, ["cli", "errors"]]
 
 
 def test_import_executes_no_submodule() -> None:

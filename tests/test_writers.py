@@ -619,17 +619,47 @@ def run_tables(draw, shared_kinds):
 
 @pytest.mark.parametrize("table", RUN_TABLES)
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), fmt=FORMATS, chunk=st.integers(min_value=1, max_value=4))
-def test_runs_match_the_reference_over_their_rows(out_dir, table, data, fmt, chunk) -> None:
+@given(data=st.data(), fmt=FORMATS, chunk=st.integers(min_value=1, max_value=4), as_runs=st.booleans())
+def test_runs_match_the_reference_over_their_rows(out_dir, table, data, fmt, chunk, as_runs) -> None:
+    """Written a run at a time (``_LONG_RUN`` 0) or as plain rows (these
+    runs are shorter than the default ``_LONG_RUN``)."""
     header, varying, shared_kinds, row = RUN_TABLES[table]
     runs = data.draw(run_tables(shared_kinds))
     rows = [row(shared, k, v) for shared, columns in runs for k, v in zip(*columns)]
     written = Runs(header, varying, runs)
     assert len(written) == len(rows) and list(written) == rows
-    with mock.patch.object(dataio, "_WRITE_ROWS", chunk):
+    long_run = 0 if as_runs else encoders._LONG_RUN
+    with mock.patch.object(dataio, "_WRITE_ROWS", chunk), mock.patch.object(encoders, "_LONG_RUN", long_run):
         assert_same(out_dir,
                     lambda d: ref_write_long_table(rows, header, d, fmt),
                     lambda d: dataio.write_long_table(written, header, d, fmt))
+
+
+@pytest.mark.parametrize("run_rows, runs, encoders_per_write", [
+    # 4,000 rows in runs of 4: eight chunks of at most 512 rows.
+    pytest.param([4] * 1000, 1000, 8, id="short-runs"),
+    # A mean of 10 rows per run takes the run path, one encoder per run.
+    pytest.param([9, 11] * 30, 60, 60, id="mean-at-the-crossover"),
+    pytest.param([9, 10] * 30, 60, 2, id="mean-below-the-crossover"),
+    # Runs as long as a full-grid sweep's: one encoder per run.
+    pytest.param([300] * 12, 12, 12, id="long-runs"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_short_runs_are_written_as_plain_rows(out_dir, run_rows, runs, encoders_per_write, fmt) -> None:
+    """A table whose runs average fewer than ``_LONG_RUN`` rows is written
+    as plain rows, ``_WRITE_ROWS`` at a time, with the same bytes."""
+    assert len(run_rows) == runs
+    table = Runs(dataio.CURVE_HEADER, (4, 6), [
+        ((f"q{i}", 1, "gender", "F", "skew"), (list(range(1, n + 1)), [k / 7 for k in range(n)]))
+        for i, n in enumerate(run_rows)
+    ])
+    rows = list(table)
+    with mock.patch.object(encoders, "line_encoder", wraps=encoders.line_encoder) as encoder:
+        assert_same(out_dir,
+                    lambda d: ref_write_long_table(rows, dataio.CURVE_HEADER, d, fmt),
+                    lambda d: dataio.write_long_table(table, dataio.CURVE_HEADER, d, fmt))
+    # Two destinations: a path and an open stream.
+    assert encoder.call_count == 2 * encoders_per_write
 
 
 # (field, value): a record field the loader refuses to read back, and
