@@ -16,12 +16,12 @@ labels and the retained count a running sum over a per-label histogram of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from itertools import accumulate
+from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Hashable, Iterable, Sequence
 
 from .errors import DayMissing, UnknownLabel
-from .model import GroupScheme, QuerySeries, RankingSnapshot, check_cutoff, label_codes, prefix_table
+from .model import GroupScheme, QuerySeries, RankingSnapshot, _unchecked, check_cutoff, label_codes, prefix_table
 
 # The metric name of churn rows in long tables.
 CHURN = "churn"
@@ -40,37 +40,6 @@ class ChurnCell:
     end_day: int
     churn: float | None
     base_count: int
-
-    @classmethod
-    def _trusted(
-        cls,
-        query_id: str,
-        attribute: str,
-        label: str,
-        k: int,
-        start_day: int,
-        end_day: int,
-        churn: float | None,
-        base_count: int,
-    ) -> ChurnCell:
-        """The cell ``ChurnCell(...)`` builds, with all eight fields
-        positional and written past the frozen ``__setattr__``."""
-        cell = object.__new__(cls)
-        _set_query_id(cell, query_id)
-        _set_attribute(cell, attribute)
-        _set_label(cell, label)
-        _set_k(cell, k)
-        _set_start_day(cell, start_day)
-        _set_end_day(cell, end_day)
-        _set_churn(cell, churn)
-        _set_base_count(cell, base_count)
-        return cell
-
-
-# Each slot descriptor's ``__set__`` writes one field past the frozen
-# ``__setattr__``, as for ``model.CandidateRecord``.
-(_set_query_id, _set_attribute, _set_label, _set_k, _set_start_day, _set_end_day, _set_churn,
- _set_base_count) = (getattr(ChurnCell, one.name).__set__ for one in fields(ChurnCell))
 
 
 def churn_rate(
@@ -118,8 +87,8 @@ def churn_grid(
     if not grid:
         return []
     retention: dict[tuple[int, int], _Retention | None] = {}
-    cells: list[ChurnCell] = []
-    new, query_id, attribute = ChurnCell._trusted, series.query_id, scheme.attribute_name
+    # The cells' fields but the shared query id and attribute, one column each.
+    labels_of, ks, starts, ends, churns, bases = [], [], [], [], [], []
     for label in labels if labels is not None else scheme.labels:
         for start_day, end_day in day_pairs:
             _check_cell(scheme, label, start_day, end_day)
@@ -128,16 +97,20 @@ def churn_grid(
                 retention[pair] = _Retention.scan(series, scheme, start_day, end_day)
             table = retention[pair]
             if table is None:
-                bases, retained = [0] * len(grid), None
+                counts, retained = [0] * len(grid), None
             else:
                 # A cutoff outside 1..n, or with no member, has base 0.
                 n, base, retained = table.n, table.base[label], table.retained[label]
-                bases = [base[k] if 0 < k <= n else 0 for k in grid]
-            cells.extend([
-                new(query_id, attribute, label, k, start_day, end_day, (b - retained[k]) / b if b else None, b)
-                for k, b in zip(grid, bases)
-            ])
-    return cells
+                counts = [base[k] if 0 < k <= n else 0 for k in grid]
+            labels_of += repeat(label, len(grid))
+            ks += grid
+            starts += repeat(start_day, len(grid))
+            ends += repeat(end_day, len(grid))
+            churns += [(b - retained[k]) / b if b else None for k, b in zip(grid, counts)]
+            bases += counts
+    # The labels are the scheme's and the days ordered, as checked above.
+    return _unchecked(ChurnCell, len(ks), repeat(series.query_id), repeat(scheme.attribute_name),
+                      labels_of, ks, starts, ends, churns, bases)
 
 
 def consecutive_pairs(series: QuerySeries) -> list[tuple[int, int]]:

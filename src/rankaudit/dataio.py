@@ -7,8 +7,9 @@ Paths and open streams both pass through :func:`text_stream`.  Headed CSV
 inputs (:func:`load_baseline`, :func:`read_pool`, ``names.load_name_table``)
 are read through :func:`csv_table`, long tables through
 :func:`read_long_table`, JSONL through :func:`load_dataset` and
-:func:`json_objects`; every fixed-schema table, heatmap matrices included
-(:func:`export_heatmap`), is written by :func:`write_long_table`.  All
+:func:`json_objects`; every fixed-schema table, heatmap matrices
+(:func:`export_heatmap`) and the ground-truth ledger (:func:`write_ledger`)
+included, is written by :func:`write_long_table`.  All
 text output is UTF-8 with LF line endings, and cells of the
 :data:`REAL_COLUMNS` are formatted with 10 significant digits so identical
 analyses produce byte-identical files.  Undefined cells serialize as
@@ -269,7 +270,8 @@ def load_dataset(path: str | Path) -> tuple[list[model.QuerySeries], ValidationR
             report.quarantined.append(key)
             continue
         # The column check passed the query id and day, and the ids are distinct.
-        snapshots.setdefault(query_id, {})[day] = model.RankingSnapshot._trusted(query_id, day, tuple(records))
+        snapshots.setdefault(query_id, {})[day] = model._unchecked(
+            model.RankingSnapshot, 1, (query_id,), (day,), (tuple(records),))[0]
 
     for key in sorted(tainted):
         if key not in grouped:
@@ -423,8 +425,9 @@ def _file_runs(
     consecutive rows of one (query_id, day) under that key, as slices:
     (line numbers, ranks, candidate ids, records)."""
     query_ids, days, ranks, candidate_ids, first_names, last_names, groups, missing = columns
-    records = model.CandidateRecord._from_columns(
-        candidate_ids, first_names, last_names, [labels or {} for labels in groups], missing
+    records = model._unchecked(
+        model.CandidateRecord, len(candidate_ids), candidate_ids, first_names, last_names,
+        [labels or {} for labels in groups], missing,
     )
     start = 0
     for key, run in itertools.groupby(zip(query_ids, days)):
@@ -535,18 +538,15 @@ def _rank_gap(ranks: Sequence[int]) -> str:
 
 
 def write_ledger(truths: Iterable[simulate.QueryTruth], destination: str | Path | TextIO) -> None:
-    with text_stream(destination, "w") as out:
-        for truth in sorted(truths, key=lambda t: t.query_id):
-            row = {
-                "query_id": truth.query_id,
-                "weights": {k: truth.weights[k] for k in sorted(truth.weights)},
-                "composition": {k: truth.composition[k] for k in sorted(truth.composition)},
-                "labels": {k: truth.labels[k] for k in sorted(truth.labels)},
-                "scores": {k: truth.scores[k] for k in sorted(truth.scores)},
-                "departures": [[day, cid] for day, cid in truth.departures],
-            }
-            out.write(_json_line(row))
-            out.write("\n")
+    """Write one JSONL object of :data:`LEDGER_KEYS` per query, by query id,
+    through :func:`write_long_table`: each mapping sorted by key and each
+    departure a ``[day, candidate_id]`` list."""
+    rows = []
+    for truth in sorted(truths, key=lambda t: t.query_id):
+        mappings = (truth.weights, truth.composition, truth.labels, truth.scores)
+        departures = [[day, cid] for day, cid in truth.departures]
+        rows.append((truth.query_id, *[dict(sorted(one.items())) for one in mappings], departures))
+    write_long_table(rows, LEDGER_KEYS, destination, FORMAT_JSON)
 
 
 def load_ledger(path: str | Path) -> list[simulate.QueryTruth]:
@@ -645,21 +645,24 @@ def load_baseline(
 
 def read_pool(source: str | Path | TextIO) -> list[detgreedy.ScoredCandidate]:
     """Read a ``candidate_id,label,score`` CSV; bad rows raise
-    :class:`MalformedRow` with their line number.  A row that passes the
-    checks of :class:`.detgreedy.ScoredCandidate` here is built without
-    running them again; any other goes through the constructor for its
-    error."""
-    pool: list[detgreedy.ScoredCandidate] = []
-    trusted, isfinite = detgreedy.ScoredCandidate._trusted, math.isfinite
+    :class:`MalformedRow` with their line number.  Every row is checked
+    here first, one that fails the checks of
+    :class:`.detgreedy.ScoredCandidate` through the constructor for its
+    error; the whole pool is then built in one :func:`.model._unchecked`
+    call, which runs no check again."""
+    ids, labels, scores, isfinite = [], [], [], math.isfinite
     for lineno, (candidate_id, label, score) in csv_table(source, POOL_HEADER):
         candidate_id, label = candidate_id.strip(), label.strip()
         try:
             value = float(score)
-            build = trusted if candidate_id and label and isfinite(value) else detgreedy.ScoredCandidate
-            pool.append(build(candidate_id, label, value))
+            if not (candidate_id and label and isfinite(value)):
+                detgreedy.ScoredCandidate(candidate_id, label, value)
         except ValueError as exc:
             raise MalformedRow(f"line {lineno}: {exc}") from None
-    return pool
+        ids.append(candidate_id)
+        labels.append(label)
+        scores.append(value)
+    return model._unchecked(detgreedy.ScoredCandidate, len(ids), ids, labels, scores)
 
 
 # ---------------------------------------------------------------------------

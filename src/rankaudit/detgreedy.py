@@ -24,7 +24,7 @@ candidates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
@@ -47,21 +47,6 @@ class ScoredCandidate:
             raise ValueError("label must be non-empty")
         if not math.isfinite(self.score):
             raise ValueError(f"score must be finite, got {self.score!r}")
-
-    @classmethod
-    def _trusted(cls, candidate_id: str, label: str, score: float) -> ScoredCandidate:
-        """The entry ``ScoredCandidate(...)`` builds from fields the caller
-        has already checked, written past the frozen ``__setattr__``."""
-        entry = object.__new__(cls)
-        _set_candidate_id(entry, candidate_id)
-        _set_label(entry, label)
-        _set_score(entry, score)
-        return entry
-
-
-# Each slot descriptor's ``__set__`` writes one field, as for ``model.CandidateRecord``.
-_set_candidate_id, _set_label, _set_score = (getattr(ScoredCandidate, one.name).__set__
-                                             for one in fields(ScoredCandidate))
 
 
 # A hair below 1, so that a due position computed as ``(count + 1) * _EARLY /

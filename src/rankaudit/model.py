@@ -4,6 +4,15 @@ A dataset is a collection of query series; each series holds one ranking
 snapshot per day; each snapshot is an ordered list of candidate records.
 Candidates hidden by the data source ("missing") still occupy their rank
 position but expose no name and no group labels.
+
+Each frozen record type with slots (:class:`CandidateRecord`,
+:class:`RankingSnapshot`, ``churn.ChurnCell`` and
+``detgreedy.ScoredCandidate``) has one public constructor, which checks
+every field, and one unchecked batch builder, :func:`_unchecked`, which
+checks none.  Only the package's own hot paths call the builder, and only
+with fields they have checked or generated valid themselves: the snapshot
+loader and pool reader of :mod:`.dataio`, the labeler, the simulator and
+the churn grid.
 """
 from __future__ import annotations
 
@@ -27,7 +36,8 @@ class GroupScheme:
     ``labels`` fixes the canonical label order used for deterministic
     tie-breaking and for column order in tabular output.  ``unknown_label``
     marks candidates whose group could not be resolved; it is never a member
-    of ``labels``.  All three are strings (``TypeError`` otherwise).
+    of ``labels``.  All three are strings, and ``labels`` is a sequence of
+    them, not one string (``TypeError`` otherwise).
     """
 
     attribute_name: str
@@ -35,6 +45,9 @@ class GroupScheme:
     unknown_label: str = "unknown"
 
     def __post_init__(self) -> None:
+        if isinstance(self.labels, str):
+            # Label tests would match the string's substrings.
+            raise TypeError(f"labels must be a sequence of strings, not the string {self.labels!r}")
         if not self.attribute_name:
             raise ValueError("attribute_name must be non-empty")
         if len(self.labels) < 2:
@@ -70,7 +83,7 @@ class CandidateRecord:
     missing: bool = False
 
     def __post_init__(self) -> None:
-        _set_group_labels(self, dict(self.group_labels.items()))
+        object.__setattr__(self, "group_labels", dict(self.group_labels.items()))
         if not self.candidate_id:
             raise ValueError("candidate_id must be non-empty")
         if self.missing:
@@ -88,48 +101,6 @@ class CandidateRecord:
         if type(self.missing) is not bool:
             raise TypeError(f"missing must be a bool, got {self.missing!r}")
 
-    @classmethod
-    def _trusted(
-        cls,
-        candidate_id: str,
-        first_name: str | None,
-        last_name: str | None,
-        group_labels: Mapping[str, str],
-        missing: bool,
-    ) -> CandidateRecord:
-        """Build a record from fields the caller has already checked,
-        skipping ``__post_init__``; all five fields are positional."""
-        record = object.__new__(cls)
-        _set_candidate_id(record, candidate_id)
-        _set_first_name(record, first_name)
-        _set_last_name(record, last_name)
-        _set_group_labels(record, group_labels)
-        _set_missing(record, missing)
-        return record
-
-    @classmethod
-    def _from_columns(
-        cls,
-        candidate_ids: Sequence[str],
-        first_names: Sequence[str | None],
-        last_names: Sequence[str | None],
-        group_labels: Sequence[Mapping[str, str]],
-        missing: Sequence[bool],
-    ) -> list[CandidateRecord]:
-        """The records :meth:`_trusted` builds from each row of five field
-        columns of equal length, one call per column."""
-        records = list(map(object.__new__, repeat(cls, len(candidate_ids))))
-        for setter, column in (
-            (_set_candidate_id, candidate_ids),
-            (_set_first_name, first_names),
-            (_set_last_name, last_names),
-            (_set_group_labels, group_labels),
-            (_set_missing, missing),
-        ):
-            # A zero-length deque runs the setters without keeping their results.
-            deque(map(setter, records, column), maxlen=0)
-        return records
-
     def label_for(self, scheme: GroupScheme) -> str:
         """Label of this candidate under ``scheme``, unknown when unresolved."""
         if self.missing:
@@ -141,14 +112,7 @@ class CandidateRecord:
         return self.label_for(scheme) in scheme.labels
 
 
-# The ``__set__`` of each slot descriptor writes one field of a record past
-# the frozen ``__setattr__``, in half the time ``object.__setattr__`` takes.
-_set_candidate_id, _set_first_name, _set_last_name, _set_group_labels, _set_missing = (
-    getattr(CandidateRecord, one.name).__set__ for one in fields(CandidateRecord)
-)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankingSnapshot:
     """An ordered candidate list for one query on one day.
 
@@ -174,17 +138,6 @@ class RankingSnapshot:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate candidate_id in snapshot {self.query_id!r} day {self.day}")
 
-    @classmethod
-    def _trusted(cls, query_id: str, day: int, entries: tuple[CandidateRecord, ...]) -> RankingSnapshot:
-        """Build a snapshot from fields the caller has already checked (a
-        non-empty string id, an ``int`` day of at least 1, entries of
-        distinct candidate ids), skipping ``__post_init__``.  The class has
-        no slots, so the fields go into the instance dict, in field order,
-        past the frozen ``__setattr__``."""
-        snapshot = object.__new__(cls)
-        snapshot.__dict__.update(query_id=query_id, day=day, entries=entries)
-        return snapshot
-
     @property
     def missing_count(self) -> int:
         return sum(1 for e in self.entries if e.missing)
@@ -195,6 +148,22 @@ class RankingSnapshot:
         if not self.entries:
             return 0.0
         return self.missing_count / len(self.entries)
+
+
+def _unchecked(cls: type, count: int, *columns: Iterable) -> list:
+    """``count`` instances of the frozen slots dataclass ``cls``, the i-th
+    built from the i-th value of each column, one column per field in field
+    order; a column may run longer than ``count`` (``itertools.repeat`` for
+    a field all instances share), never shorter.  No ``__init__`` or
+    ``__post_init__`` runs, so the caller vouches for every value.  A
+    number of columns other than the number of fields raises
+    ``ValueError``."""
+    instances = list(map(object.__new__, repeat(cls, count)))
+    for one, column in zip(fields(cls), columns, strict=True):
+        # The slot descriptor's ``__set__`` writes past the frozen
+        # ``__setattr__``; a zero-length deque runs it without keeping results.
+        deque(map(getattr(cls, one.name).__set__, instances, column), maxlen=0)
+    return instances
 
 
 def check_cutoff(snapshot: RankingSnapshot, k: int) -> None:

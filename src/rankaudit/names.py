@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 from .dataio import csv_table, write_long_table
 from .errors import MalformedRow, UnknownLabel
-from .model import CandidateRecord, GroupScheme, RankingSnapshot
+from .model import CandidateRecord, GroupScheme, RankingSnapshot, _unchecked
 
 _TABLE_COLUMNS = ("name", "label", "count")
 
@@ -128,12 +128,14 @@ def label_dataset(
     # ``infer_label`` is a function of the lookup key alone, and a scrape
     # repeats first names far more often than it brings new ones.
     results: dict[str | None, InferenceResult] = {}
-    relabeled: list[RankingSnapshot] = []
+    snapshots = list(snapshots)
+    relabeled: list[tuple[CandidateRecord, ...]] = []
     for snapshot in snapshots:
-        entries: list[CandidateRecord] = []
-        for record in snapshot.entries:
+        entries = snapshot.entries
+        group_labels: list[dict[str, str]] = []
+        for record in entries:
             if record.missing:
-                entries.append(record)
+                group_labels.append({})
                 continue
             total += 1
             key = _lookup_key(record, full_name)
@@ -144,12 +146,16 @@ def label_dataset(
                 resolved += 1
             labels = dict(record.group_labels)
             labels[scheme.attribute_name] = result.label
-            entries.append(
-                CandidateRecord._trusted(record.candidate_id, record.first_name, record.last_name, labels, False)
-            )
-        # The relabeled copy keeps the snapshot's checked id, day and candidate ids.
-        relabeled.append(RankingSnapshot._trusted(snapshot.query_id, snapshot.day, tuple(entries)))
-    return relabeled, CoverageReport(total=total, resolved=resolved)
+            group_labels.append(labels)
+        records = _unchecked(CandidateRecord, len(entries), [r.candidate_id for r in entries],
+                             [r.first_name for r in entries], [r.last_name for r in entries], group_labels,
+                             [r.missing for r in entries])
+        relabeled.append(tuple(records))
+    # The copies keep each snapshot's checked id, day, candidate ids and
+    # names; the labels added are strings of the scheme.
+    copies = _unchecked(RankingSnapshot, len(snapshots), [s.query_id for s in snapshots],
+                        [s.day for s in snapshots], relabeled)
+    return copies, CoverageReport(total=total, resolved=resolved)
 
 
 def _lookup_key(record: CandidateRecord, full_name: bool) -> str | None:

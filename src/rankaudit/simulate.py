@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import repeat
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .detgreedy import _walk
@@ -29,6 +29,7 @@ from .model import (
     PrefixCounts,
     QuerySeries,
     RankingSnapshot,
+    _unchecked,
 )
 
 # numpy is imported inside the functions that compute with it, so that the
@@ -203,15 +204,11 @@ def _generate_query(config: SimConfig, index: int) -> tuple[QuerySeries, QueryTr
         """New candidates, numbered on from those the query already has.
         Generated ids are non-empty and masked entries get no labels, so
         records need no checks."""
-        fresh = []
-        for serial, group, score, hide in zip(count(len(by_id)), drawn_groups, drawn_scores, hidden):
-            cid = f"{query_id}-c{serial:06d}"
-            if hide:
-                record = CandidateRecord._trusted(cid, None, None, {}, True)
-            else:
-                record = CandidateRecord._trusted(cid, None, None, {attribute: labels[group]}, False)
-            cand = by_id[cid] = (-score, cid, group, record)
-            fresh.append(cand)
+        ids = [f"{query_id}-c{serial:06d}" for serial in range(len(by_id), len(by_id) + len(hidden))]
+        group_labels = [{} if hide else {attribute: labels[group]} for group, hide in zip(drawn_groups, hidden)]
+        records = _unchecked(CandidateRecord, len(ids), ids, repeat(None), repeat(None), group_labels, hidden)
+        fresh = list(zip([-score for score in drawn_scores], ids, drawn_groups, records))
+        by_id.update(zip(ids, fresh))
         return fresh
 
     order = _rank(join(groups, scores, masked.tolist()), targets)
@@ -410,7 +407,7 @@ def _rank(pool: list[tuple], targets: list[float] | None) -> list[tuple]:
 
 def _snapshot(query_id: str, day: int, order: list[tuple]) -> RankingSnapshot:
     # The query ids, days and candidate ids are generated distinct and valid.
-    return RankingSnapshot._trusted(query_id, day, tuple([cand[_RECORD] for cand in order]))
+    return _unchecked(RankingSnapshot, 1, (query_id,), (day,), (tuple([cand[_RECORD] for cand in order]),))[0]
 
 
 def inject_topk_bias(

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -121,6 +123,14 @@ class TestRerankEdgeCases:
         path.write_text(f"candidate_id,label,score\n{row}\n", encoding="utf-8")
         with pytest.raises(MalformedRow, match=f"^{message}$"):
             dataio.read_pool(path)
+
+    def test_read_pool_builds_checked_rows_without_checking_again(self, tmp_path) -> None:
+        path = tmp_path / "pool.csv"
+        path.write_text("candidate_id,label,score\nc1, F ,0.5\nc2,M,-1e3\n", encoding="utf-8")
+        with mock.patch.object(ScoredCandidate, "__post_init__", side_effect=AssertionError("checked")):
+            pool = dataio.read_pool(path)
+        assert pool == [ScoredCandidate("c1", "F", 0.5), ScoredCandidate("c2", "M", -1000.0)]
+        assert dataio.read_pool(io.StringIO("candidate_id,label,score\n")) == []
 
     def test_entries_are_slotted(self) -> None:
         entry = ScoredCandidate("c1", "F", 0.5)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
+import contextlib
 import copy
 import dataclasses
 import pickle
+from pathlib import Path
+from typing import Iterator
 from unittest import mock
 
 import numpy as np
@@ -11,20 +15,24 @@ from hypothesis import given, strategies as st
 
 from rankaudit import (
     CandidateRecord,
+    ChurnCell,
     CutoffOutOfRange,
     EmptyLabeledPool,
     GroupProportions,
     GroupScheme,
     QuerySeries,
     RankingSnapshot,
+    ScoredCandidate,
     names,
     observed_proportions,
     simulate,
 )
 from rankaudit.dataio import load_dataset, write_snapshots
-from rankaudit.model import PrefixCounts, check_cutoff, label_codes, prefix_table, snapshot_counts
+from rankaudit.model import PrefixCounts, _unchecked, check_cutoff, label_codes, prefix_table, snapshot_counts
 
 from conftest import GENDER, snapshot
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rankaudit"
 
 
 def numpy_prefix_table(codes: np.ndarray, n_labels: int) -> np.ndarray:
@@ -62,6 +70,12 @@ class TestGroupScheme:
 
     def test_accepts_str_subclasses(self) -> None:
         assert GroupScheme(np.str_("gender"), (np.str_("F"), "M")) == GroupScheme("gender", ("F", "M"))
+
+    @pytest.mark.parametrize("labels", ["FM", "F", np.str_("FM")])
+    def test_rejects_a_string_of_labels(self, labels) -> None:
+        # As labels, "FM" would hold "F", "M" and "FM" alike.
+        with pytest.raises(TypeError, match="labels must be a sequence of strings"):
+            GroupScheme("g", labels)
 
 
 class TestCandidateRecord:
@@ -129,11 +143,14 @@ class TestCandidateRecord:
         rec = CandidateRecord(np.str_("c1"), np.str_("Ada"), None, {np.str_("gender"): np.str_("F")})
         assert rec == CandidateRecord("c1", "Ada", None, {"gender": "F"})
 
-    def test_trusted_constructor_builds_an_equal_record(self) -> None:
+    def test_unchecked_builder_builds_equal_records_without_checks(self) -> None:
         fields = ("c1", "Ada", None, {"gender": "F"}, False)
-        assert CandidateRecord._trusted(*fields) == CandidateRecord(*fields)
+        with mock.patch.object(CandidateRecord, "__post_init__", side_effect=AssertionError("checked")):
+            built = _unchecked(CandidateRecord, 2, ("c1", ""), ("Ada", None), (None, None), ({"gender": "F"}, {}),
+                               (False, True))
+        assert built[0] == CandidateRecord(*fields)
         # It skips the checks: callers check the fields themselves.
-        assert CandidateRecord._trusted("", None, None, {}, True).candidate_id == ""
+        assert built[1].candidate_id == ""
 
     def test_replace_and_copy_still_work(self) -> None:
         rec = CandidateRecord("c1", first_name="Ada", group_labels={"gender": "F"})
@@ -203,7 +220,7 @@ def assert_like_public(snapshots: list[RankingSnapshot]) -> None:
     for snap in snapshots:
         public = RankingSnapshot(snap.query_id, snap.day, snap.entries)
         assert type(snap) is RankingSnapshot and snap == public
-        assert list(vars(snap).items()) == list(vars(public).items())
+        assert not hasattr(snap, "__dict__")
         assert pickle.loads(pickle.dumps(snap)) == public
         assert dataclasses.replace(snap, day=snap.day + 1) == RankingSnapshot(snap.query_id, snap.day + 1, snap.entries)
         with pytest.raises(ValueError, match="duplicate"):
@@ -212,33 +229,46 @@ def assert_like_public(snapshots: list[RankingSnapshot]) -> None:
             snap.day = 2
 
 
-class TestTrustedSnapshot:
-    """``RankingSnapshot._trusted`` skips the checks, for callers whose ids
-    are already checked or generated: the loader, the labeler and the
+@contextlib.contextmanager
+def no_checks():
+    """Make the public checks of records and snapshots fail while active."""
+    with mock.patch.object(RankingSnapshot, "__post_init__", side_effect=AssertionError("checked")), \
+            mock.patch.object(CandidateRecord, "__post_init__", side_effect=AssertionError("checked")):
+        yield
+
+
+class TestUncheckedSnapshot:
+    """``model._unchecked`` skips the checks, for callers whose ids are
+    already checked or generated: the loader, the labeler and the
     simulator.  Each path runs here with the public checks made to fail."""
 
     def test_builds_an_equal_snapshot_without_checks(self) -> None:
         entries = snapshot("FMx?").entries
-        assert_like_public([RankingSnapshot._trusted("q1", 1, entries)])
-        rec = CandidateRecord("c1")
-        assert RankingSnapshot._trusted("q1", 1, (rec, rec)).entries == (rec, rec)
+        with no_checks():
+            built = _unchecked(RankingSnapshot, 2, ("q1", "q1"), (1, 2), (entries, entries[:1] * 2))
+        assert_like_public(built[:1])
+        assert built[1].entries == entries[:1] * 2
 
     def test_loaded_snapshots(self, tmp_path) -> None:
         path = tmp_path / "data.jsonl"
         write_snapshots([QuerySeries(q, {d: snapshot("FMx?F", q, d) for d in (1, 2)}) for q in ("q1", "q2")], path)
-        with mock.patch.object(RankingSnapshot, "__post_init__", side_effect=AssertionError("checked")):
+        with no_checks():
             series, report = load_dataset(path)
         assert report.ok
         assert_like_public([snap for one in series for snap in one.snapshots.values()])
 
     def test_labeled_snapshots(self) -> None:
         table = names.table_from_rows([("ada", "F", 3), ("bo", "M", 2)], GENDER)
-        entries = (CandidateRecord("c1", "Ada"), CandidateRecord("c2", "Bo"), CandidateRecord("c3", missing=True))
+        masked = CandidateRecord("c3", missing=True)
+        entries = (CandidateRecord("c1", "Ada"), CandidateRecord("c2", "Bo"), masked)
         snaps = [RankingSnapshot("q1", day, entries) for day in (1, 2)]
-        with mock.patch.object(RankingSnapshot, "__post_init__", side_effect=AssertionError("checked")):
-            labeled, _ = names.label_dataset(snaps, GENDER, [table])
+        with no_checks():
+            labeled, _ = names.label_dataset(iter(snaps), GENDER, [table])
         assert [record.group_labels.get("gender") for record in labeled[1].entries] == ["F", "M", None]
         assert_like_public(labeled)
+        # A masked record is rebuilt with a mapping of its own.
+        rebuilt = labeled[0].entries[2]
+        assert rebuilt == masked and rebuilt.group_labels is not masked.group_labels
 
     def test_simulated_snapshots(self) -> None:
         labels = GENDER.labels
@@ -248,9 +278,71 @@ class TestTrustedSnapshot:
             score_models={label: simulate.ScoreModel(0.6, 0.15) for label in labels},
             days=3, departure_probs=dict.fromkeys(labels, 0.3), missing_prob=0.2,
         )
-        with mock.patch.object(RankingSnapshot, "__post_init__", side_effect=AssertionError("checked")):
+        with no_checks():
             series = simulate.generate(config).series
         assert_like_public([snap for one in series for snap in one.snapshots.values()])
+
+
+# Per record type: the fields of two instances, a ``dataclasses.replace``
+# change, and one its public checks reject (``None`` for a type without checks).
+BUILT = [
+    (CandidateRecord, [("c1", "Ada", None, {"gender": "F"}, False), ("c2", None, None, {}, True)],
+     {"candidate_id": "c9"}, {"candidate_id": ""}),
+    (RankingSnapshot, [("q1", 1, snapshot("FM").entries), ("q2", 3, ())], {"day": 2}, {"day": 0}),
+    (ChurnCell, [("q1", "gender", "F", 2, 1, 2, 0.5, 2), ("q1", "gender", "M", 2, 1, 2, None, 0)],
+     {"k": 3}, None),
+    (ScoredCandidate, [("c1", "F", 0.5), ("c2", "M", -1.0)], {"score": 2.0}, {"label": ""}),
+]
+
+
+@pytest.mark.parametrize("cls, rows, change, bad", BUILT, ids=[one[0].__name__ for one in BUILT])
+def test_unchecked_builds_what_the_public_constructor_builds(cls, rows, change, bad) -> None:
+    columns = list(zip(*rows))
+    built = _unchecked(cls, len(rows), *columns)
+    assert [type(one) for one in built] == [cls] * len(rows)
+    for one, row in zip(built, rows):
+        public = cls(*row)
+        assert one == public and repr(one) == repr(public)
+        assert pickle.loads(pickle.dumps(one)) == public
+        assert dataclasses.replace(one, **change) == dataclasses.replace(public, **change)
+        if bad is not None:
+            with pytest.raises(ValueError):
+                dataclasses.replace(one, **bad)
+        assert not hasattr(one, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(one, dataclasses.fields(cls)[0].name, row[0])
+    # One column per field, no more and no fewer.
+    with pytest.raises(ValueError):
+        _unchecked(cls, len(rows), *columns[:-1])
+    with pytest.raises(ValueError):
+        _unchecked(cls, len(rows), *columns, columns[-1])
+
+
+def _builder_parts(tree: ast.AST) -> Iterator[ast.AST]:
+    """The ``object.__new__`` and slot ``__set__`` references of ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "__set__" or node.attr == "__new__" and ast.unparse(node.value) == "object"
+        ) or isinstance(node, ast.Constant) and node.value in ("__set__", "__new__"):
+            yield node
+
+
+def test_only_the_one_builder_writes_past_the_constructors() -> None:
+    """``object.__new__`` and the slot descriptors' ``__set__`` appear only
+    inside ``model._unchecked``, so every record is built either by its
+    public constructor or by that one builder."""
+    inside, loose = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builder = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_unchecked"]
+        allowed = {id(node) for one in builder for node in ast.walk(one)} if path.name == "model.py" else set()
+        for node in _builder_parts(tree):
+            if id(node) in allowed:
+                inside += 1
+            else:
+                loose.append(f"{path.name}:{node.lineno}")
+    assert loose == []
+    assert inside == 2
 
 
 class TestQuerySeries:
