@@ -10,6 +10,12 @@ Every submodule but ``cli`` is registered when the package is imported and
 executed on its first attribute access (``importlib.util.LazyLoader``), so
 a CLI run executes only the modules its subcommand uses.  The package's
 exported names are read from their modules when asked for (PEP 562).
+
+The file code is split by role, so that a run compiles only what it runs:
+``dataio`` holds the writers, format constants and helpers, ``loader`` the
+snapshot loader and its report, and ``readers`` the table readers and the
+heatmap export.  ``dataio.X`` still resolves for the public names of the
+other two, in the same way.
 """
 from __future__ import annotations
 
@@ -30,12 +36,14 @@ _EXPORTS = {
               "ZeroTargetProportion",
     "exposure": "MetricCurve TopKCounts best_attainable_skew corrected_skew corrected_skew_curve deviation_at_k "
                 "deviation_curve min_skew_at_k minskew_curve page_cutoffs skew_at_k skew_curve topk_counts",
+    "loader": "",
     "mixedlm": "LongObservation MixedModelFit ProtocolRow WaldTest churn_protocol fit_random_intercept "
                "minskew_protocol wald_test",
     "model": "EXTERNAL_BASELINE OBSERVED_POOL CandidateRecord GroupProportions GroupScheme QuerySeries "
              "RankingSnapshot observed_proportions",
     "names": "CoverageReport InferenceResult NameFrequencyTable infer_label label_dataset load_name_table "
              "save_name_table table_from_rows",
+    "readers": "",
     "simulate": "QueryTruth ScoreModel SimConfig SimResult generate inject_topk_bias",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}

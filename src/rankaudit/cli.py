@@ -17,7 +17,7 @@ import sys
 from typing import Iterable, NoReturn, Sequence, TextIO
 
 from . import churn as churn_mod
-from . import dataio, detgreedy, exposure, mixedlm, model, names, simulate
+from . import dataio, detgreedy, exposure, loader, mixedlm, model, names, readers, simulate
 from .errors import AuditError, EmptyPool, MissingBaselineEntry
 
 _PROTOCOLS = ("minskew-protocol", "churn-protocol")
@@ -28,6 +28,8 @@ _METRICS = ("deviation", "skew", "minskew", "corrected_skew")
 # ``dataio.FORMAT_CSV`` and ``dataio.FORMAT_JSON``.
 _FORMATS = ("csv", "json")
 _CUTOFFS = "25,50,75,100"
+# The subcommands, in the order the parser lists them.
+_COMMANDS = ("validate", "label", "audit", "churn", "rerank", "stats", "simulate", "export")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -46,7 +48,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = _parse_args(_build_parser(), argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _parse_args(_build_parser(argv), argv)
         status = args.handler(args)
         sys.stdout.flush()
         return status
@@ -221,8 +224,18 @@ _day.__name__ = "int"  # a non-number reads "invalid int value"
 _metrics.__name__ = "list"
 
 
-def _build_parser() -> _Parser:
-    """The parser; ``commands`` maps each subcommand to its own parser."""
+def _build_parser(argv: Sequence[str] | None = None) -> _Parser:
+    """The parser; ``commands`` maps each subcommand it has to its own parser.
+
+    When ``argv[0]`` names a subcommand, that subcommand is the only one the
+    parser has: the other seven would be built to go unused.  Its options,
+    help and error messages are the full parser's, since a subcommand's
+    parser depends on no other and :meth:`_Parser.error` prints no usage
+    line; a test compares the two.  With no ``argv``, or an ``argv[0]`` that
+    is no subcommand (``--help``, a typo), every subcommand is built, so the
+    top-level help lists them all and an unknown name is reported with the
+    choices.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file with option defaults")
     common.add_argument("--output", "-o", default=sys.stdout, help="output path (default: stdout)")
@@ -237,74 +250,81 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rankaudit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
 
-    def command(name: str, handler, help: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    def command(name: str, handler, help: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser | None:
+        """The parser of subcommand ``name``; None when the parser is built
+        for another subcommand only."""
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, parents=[common, *parents], help=help)
         p.set_defaults(handler=handler)
         return p
 
-    p = command("validate", _cmd_validate, "check a snapshot file and report problems")
-    p.add_argument("dataset")
-    p.add_argument("--format", choices=_FORMATS, default="json", help="(default %(default)s)")
+    if p := command("validate", _cmd_validate, "check a snapshot file and report problems"):
+        p.add_argument("dataset")
+        p.add_argument("--format", choices=_FORMATS, default="json", help="(default %(default)s)")
 
-    p = command("label", _cmd_label, "infer group labels from name tables", scheme)
-    p.add_argument("dataset")
-    p.add_argument("--unknown-label", default="unknown",
-                   help="label for unresolved candidates (default %(default)s)")
-    p.add_argument("--names", action="append", metavar="CSV", help="name,label,count table; repeat to build a chain")
-    p.add_argument("--full-name", action="store_true", help="look up 'first last' instead of first name")
+    if p := command("label", _cmd_label, "infer group labels from name tables", scheme):
+        p.add_argument("dataset")
+        p.add_argument("--unknown-label", default="unknown",
+                       help="label for unresolved candidates (default %(default)s)")
+        p.add_argument("--names", action="append", metavar="CSV",
+                       help="name,label,count table; repeat to build a chain")
+        p.add_argument("--full-name", action="store_true", help="look up 'first last' instead of first name")
 
-    p = command("audit", _cmd_audit, "exposure metrics per query, day, and cutoff", scheme, table)
-    p.add_argument("dataset")
-    p.add_argument("--baseline", help="external target proportions CSV")
-    p.add_argument("--k-grid", type=_k_grid,
-                   help="cutoffs: 'N', 'A,B,C', 'LO:HI[:STEP]' or 'full' (default: page cutoffs)")
-    p.add_argument("--metrics", type=_metrics, default=",".join(_METRICS), help="comma list (default %(default)s)")
-    p.add_argument("--day", type=_day, help="restrict to one day (default: all days)")
+    if p := command("audit", _cmd_audit, "exposure metrics per query, day, and cutoff", scheme, table):
+        p.add_argument("dataset")
+        p.add_argument("--baseline", help="external target proportions CSV")
+        p.add_argument("--k-grid", type=_k_grid,
+                       help="cutoffs: 'N', 'A,B,C', 'LO:HI[:STEP]' or 'full' (default: page cutoffs)")
+        p.add_argument("--metrics", type=_metrics, default=",".join(_METRICS), help="comma list (default %(default)s)")
+        p.add_argument("--day", type=_day, help="restrict to one day (default: all days)")
 
-    p = command("churn", _cmd_churn, "top-k membership churn between days", scheme, table)
-    p.add_argument("dataset")
-    p.add_argument("--k-grid", type=_k_grid, default=_CUTOFFS, help="cutoffs, as for audit (default %(default)s)")
-    p.add_argument("--pairs", type=_day_pairs, default="anchored",
-                   help="'anchored', 'consecutive', or explicit 'S-E,S-E,...' day pairs (default %(default)s)")
+    if p := command("churn", _cmd_churn, "top-k membership churn between days", scheme, table):
+        p.add_argument("dataset")
+        p.add_argument("--k-grid", type=_k_grid, default=_CUTOFFS, help="cutoffs, as for audit (default %(default)s)")
+        p.add_argument("--pairs", type=_day_pairs, default="anchored",
+                       help="'anchored', 'consecutive', or explicit 'S-E,S-E,...' day pairs (default %(default)s)")
 
-    p = command("rerank", _cmd_rerank, "apply DetGreedy to a scored pool", scheme, table)
-    p.add_argument("pool", help="CSV candidate_id,label,score")
-    p.add_argument("--proportions", type=_shares, help="targets like 'F=0.5,M=0.5' (default: pool shares)")
+    if p := command("rerank", _cmd_rerank, "apply DetGreedy to a scored pool", scheme, table):
+        p.add_argument("pool", help="CSV candidate_id,label,score")
+        p.add_argument("--proportions", type=_shares, help="targets like 'F=0.5,M=0.5' (default: pool shares)")
 
-    p = command("stats", _cmd_stats, "mixed-model significance protocols", scheme, table)
-    p.add_argument("protocol", choices=_PROTOCOLS)
-    p.add_argument("dataset")
-    p.add_argument("--null", type=float, default=-0.011,
-                   help="null value for the MinSkew intercept test (default %(default)s)")
-    p.add_argument("--cutoffs", type=_cutoffs, default=_CUTOFFS,
-                   help="cutoffs, as for audit's --k-grid but not 'full' (default %(default)s)")
-    p.add_argument("--max-missing", type=float, default=0.15, help="max day-1 missing rate (default %(default)s)")
-    p.add_argument("--min-pool", type=int, default=101, help="min day-1 list length (default %(default)s)")
-    p.add_argument("--baseline", help="external target proportions CSV (minskew protocol)")
+    if p := command("stats", _cmd_stats, "mixed-model significance protocols", scheme, table):
+        p.add_argument("protocol", choices=_PROTOCOLS)
+        p.add_argument("dataset")
+        p.add_argument("--null", type=float, default=-0.011,
+                       help="null value for the MinSkew intercept test (default %(default)s)")
+        p.add_argument("--cutoffs", type=_cutoffs, default=_CUTOFFS,
+                       help="cutoffs, as for audit's --k-grid but not 'full' (default %(default)s)")
+        p.add_argument("--max-missing", type=float, default=0.15, help="max day-1 missing rate (default %(default)s)")
+        p.add_argument("--min-pool", type=int, default=101, help="min day-1 list length (default %(default)s)")
+        p.add_argument("--baseline", help="external target proportions CSV (minskew protocol)")
 
-    p = command("simulate", _cmd_simulate, "generate a synthetic dataset", scheme)
-    p.add_argument("--seed", type=int, help="RNG seed (required)")
-    p.add_argument("--queries", type=int, default=100, help="number of queries (default %(default)s)")
-    p.add_argument("--pool", type=_pool_range, default="100:200", help="pool size range MIN:MAX (default %(default)s)")
-    p.add_argument("--weights", type=_floats, help="group mix, e.g. '0.45,0.55' (default: equal)")
-    p.add_argument("--score-means", type=_floats, help="per-group score means")
-    p.add_argument("--score-spreads", type=_floats, help="per-group score spreads")
-    p.add_argument("--days", type=int, default=1, help="(default %(default)s)")
-    p.add_argument("--departures", type=_floats, help="per-group daily departure probabilities")
-    p.add_argument("--missing-prob", type=float, default=0.0, help="(default %(default)s)")
-    p.add_argument("--postprocess", choices=("none", "detgreedy"), default="none", help="(default %(default)s)")
-    p.add_argument("--weights-concentration", type=float, help="Dirichlet concentration of per-query mixes")
-    p.add_argument("--ledger", help="path for the ground-truth ledger JSONL")
-    p.add_argument("--inject-label", help="demote this group from the top page")
-    p.add_argument("--inject-strength", type=float, default=1.0, help="(default %(default)s)")
-    p.add_argument("--inject-seed", type=int, help="(default: --seed)")
-    p.add_argument("--page-size", type=int, default=25, help="(default %(default)s)")
+    if p := command("simulate", _cmd_simulate, "generate a synthetic dataset", scheme):
+        p.add_argument("--seed", type=int, help="RNG seed (required)")
+        p.add_argument("--queries", type=int, default=100, help="number of queries (default %(default)s)")
+        p.add_argument("--pool", type=_pool_range, default="100:200",
+                       help="pool size range MIN:MAX (default %(default)s)")
+        p.add_argument("--weights", type=_floats, help="group mix, e.g. '0.45,0.55' (default: equal)")
+        p.add_argument("--score-means", type=_floats, help="per-group score means")
+        p.add_argument("--score-spreads", type=_floats, help="per-group score spreads")
+        p.add_argument("--days", type=int, default=1, help="(default %(default)s)")
+        p.add_argument("--departures", type=_floats, help="per-group daily departure probabilities")
+        p.add_argument("--missing-prob", type=float, default=0.0, help="(default %(default)s)")
+        p.add_argument("--postprocess", choices=("none", "detgreedy"), default="none", help="(default %(default)s)")
+        p.add_argument("--weights-concentration", type=float, help="Dirichlet concentration of per-query mixes")
+        p.add_argument("--ledger", help="path for the ground-truth ledger JSONL")
+        p.add_argument("--inject-label", help="demote this group from the top page")
+        p.add_argument("--inject-strength", type=float, default=1.0, help="(default %(default)s)")
+        p.add_argument("--inject-seed", type=int, help="(default: --seed)")
+        p.add_argument("--page-size", type=int, default=25, help="(default %(default)s)")
 
-    p = command("export", _cmd_export, "pivot a long metric table into a matrix")
-    p.add_argument("table", help="long-format CSV or JSONL produced by audit/churn")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--label", help="group label filter (required for labeled metrics)")
+    if p := command("export", _cmd_export, "pivot a long metric table into a matrix"):
+        p.add_argument("table", help="long-format CSV or JSONL produced by audit/churn")
+        p.add_argument("--metric", required=True)
+        p.add_argument("--label", help="group label filter (required for labeled metrics)")
 
     return parser
 
@@ -394,7 +414,7 @@ def _baseline(
     args: argparse.Namespace, scheme: model.GroupScheme
 ) -> dict[tuple[str, str], model.GroupProportions] | None:
     """The ``--baseline`` targets; None means each query's pool shares."""
-    return None if args.baseline is None else dataio.load_baseline(args.baseline, {scheme.attribute_name: scheme})
+    return None if args.baseline is None else readers.load_baseline(args.baseline, {scheme.attribute_name: scheme})
 
 
 def _grid_for(k_grid: str | list[int], limit: int) -> list[int]:
@@ -403,7 +423,7 @@ def _grid_for(k_grid: str | list[int], limit: int) -> list[int]:
 
 
 def _load_or_fail(path: str):
-    series, report = dataio.load_dataset(path)
+    series, report = loader.load_dataset(path)
     for issue in report.parse_issues:
         print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
     for issue in report.integrity_issues:
@@ -459,7 +479,7 @@ def _curves(
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    series, report = dataio.load_dataset(args.dataset)
+    series, report = loader.load_dataset(args.dataset)
     if args.format == dataio.FORMAT_JSON:
         with dataio.text_stream(args.output, "w") as out:
             out.write(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -534,7 +554,7 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
-    pool = dataio.read_pool(args.pool)
+    pool = readers.read_pool(args.pool)
     if not pool:
         raise EmptyPool("cannot re-rank an empty pool")
     if args.proportions is not None:
@@ -566,7 +586,7 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     scheme = _scheme(args)
     series, report = _load_or_fail(args.dataset)
-    kept, manifest = dataio.filter_queries(series, args.max_missing, args.min_pool)
+    kept, manifest = loader.filter_queries(series, args.max_missing, args.min_pool)
     dropped = sum(1 for line in manifest if not line["kept"])
     if dropped:
         print(f"filtered out {dropped}/{len(manifest)} queries", file=sys.stderr)
@@ -641,7 +661,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    dataio.export_heatmap(dataio.read_long_table(args.table), args.metric, args.label, args.output)
+    readers.export_heatmap(readers.read_long_table(args.table), args.metric, args.label, args.output)
     return 0
 
 

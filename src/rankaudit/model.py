@@ -11,8 +11,8 @@ Each frozen record type with slots (:class:`CandidateRecord`,
 every field, and one unchecked batch builder, :func:`_unchecked`, which
 checks none.  Only the package's own hot paths call the builder, and only
 with fields they have checked or generated valid themselves: the snapshot
-loader and pool reader of :mod:`.dataio`, the labeler, the simulator and
-the churn grid.
+loader (:mod:`.loader`), the pool reader (:mod:`.readers`), the labeler,
+the simulator and the churn grid.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ class GroupScheme:
     tie-breaking and for column order in tabular output.  ``unknown_label``
     marks candidates whose group could not be resolved; it is never a member
     of ``labels``.  All three are strings, and ``labels`` is a sequence of
-    them, not one string (``TypeError`` otherwise).
+    them, not one string (``TypeError`` otherwise), kept as a tuple.
     """
 
     attribute_name: str
@@ -48,6 +48,9 @@ class GroupScheme:
         if isinstance(self.labels, str):
             # Label tests would match the string's substrings.
             raise TypeError(f"labels must be a sequence of strings, not the string {self.labels!r}")
+        # Kept as a tuple whatever sequence was given: the scheme hashes,
+        # and its labels cannot change after the checks below.
+        object.__setattr__(self, "labels", tuple(self.labels))
         if not self.attribute_name:
             raise ValueError("attribute_name must be non-empty")
         if len(self.labels) < 2:

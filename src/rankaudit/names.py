@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .dataio import csv_table, write_long_table
+from .dataio import write_long_table
 from .errors import MalformedRow, UnknownLabel
 from .model import CandidateRecord, GroupScheme, RankingSnapshot, _unchecked
+from .readers import csv_table, numeral
 
 _TABLE_COLUMNS = ("name", "label", "count")
 
@@ -203,7 +204,7 @@ def _add_row(counts: dict[str, dict[str, int]], scheme: GroupScheme, lineno: int
     if label not in scheme.labels:
         raise UnknownLabel(f"line {lineno}: label {label!r} not in scheme {scheme.attribute_name!r}")
     try:
-        count = int(raw_count)
+        count = numeral(raw_count, int)
     except ValueError:
         raise MalformedRow(f"line {lineno}: count {raw_count!r} is not an integer") from None
     if count < 0:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import rankaudit
-from rankaudit import CandidateRecord, GroupScheme, QuerySeries, RankingSnapshot
+from rankaudit import CandidateRecord, GroupScheme, MalformedRow, QueryTruth, QuerySeries, RankingSnapshot
+from rankaudit.dataio import LEDGER_KEYS, json_objects
 
 GENDER = GroupScheme("gender", ("F", "M"))
 
@@ -43,6 +44,33 @@ def write_cli_inputs(directory: Path) -> None:
         + "".join(f"c{i},{'F' if i % 3 == 0 else 'M'},{1.0 - i / 20:.2f}\n" for i in range(12)),
         encoding="utf-8",
     )
+
+
+def load_ledger(path: str | Path) -> list[QueryTruth]:
+    """Read a ledger written by ``dataio.write_ledger``; a line that is not
+    a ledger object raises :class:`MalformedRow` with its line number.
+    Lines end at LF alone."""
+    truths = []
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+        for lineno, raw in json_objects(handle):
+            for key in LEDGER_KEYS:
+                if key not in raw:
+                    raise MalformedRow(f"line {lineno}: no {key!r} value")
+            try:
+                departures = tuple((day, cid) for day, cid in raw["departures"])
+            except (TypeError, ValueError):
+                raise MalformedRow(f"line {lineno}: departures must be [day, candidate_id] pairs") from None
+            truths.append(
+                QueryTruth(
+                    query_id=raw["query_id"],
+                    weights=raw["weights"],
+                    composition=raw["composition"],
+                    labels=raw["labels"],
+                    scores=raw["scores"],
+                    departures=departures,
+                )
+            )
+    return truths
 
 
 def record(cid: str, label: str | None, first: str | None = None, last: str | None = None) -> CandidateRecord:

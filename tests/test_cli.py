@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
 import gc
 import io
@@ -14,9 +15,9 @@ import pytest
 
 from rankaudit import MissingBaselineEntry, ZeroTargetProportion, cli, dataio, exposure, model
 from rankaudit.cli import _targets_for, main
-from rankaudit.dataio import load_dataset, load_ledger
+from rankaudit.dataio import load_dataset
 
-from conftest import GENDER, child_env, snapshot, write_cli_inputs
+from conftest import GENDER, child_env, load_ledger, snapshot, write_cli_inputs
 
 
 def run(*argv: str) -> int:
@@ -1003,6 +1004,71 @@ def test_config_value_parses_like_the_flag(tmp_path, base, action) -> None:
     assert from_flag != parse()
     assert parse(setting=value) == from_flag
     assert parse(*flag, setting=other) == from_flag
+
+
+# A command-line value per option type that the type refuses.
+BAD_SAMPLES = {
+    int: "x",
+    float: "x",
+    cli._texts: ",",
+    cli._cutoffs: "0",
+    cli._floats: "a,b",
+    cli._day: "0",
+    cli._metrics: "sparkle",
+    cli._day_pairs: "1-x",
+    cli._pool_range: "a:b",
+    cli._shares: "F",
+    cli._k_grid: "1:2:3:4",
+}
+
+
+def parse_outcome(parser: cli._Parser, argv: list[str]) -> tuple:
+    """The namespace ``cli._parse_args`` gives for ``argv``, or the message
+    of the usage error it raises, or the help it prints."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "args", vars(cli._parse_args(parser, argv))
+    except ValueError as exc:
+        return "error", str(exc)
+    except SystemExit as stop:
+        return "exit", stop.code, out.getvalue()
+
+
+@pytest.mark.parametrize("base, action", option_cases())
+def test_the_one_subcommand_parser_parses_like_the_full_one(tmp_path, base, action) -> None:
+    """The parser built for ``argv[0]`` alone gives the full parser's
+    namespace, usage error or help for each option: as a flag with a good
+    and a bad value, from the config file, and with the subcommand's
+    required arguments left out."""
+    option = next(name for name in action.option_strings if name.startswith("--"))
+    if action.nargs == 0:
+        values = ["true", "maybe"]
+    elif action.choices:
+        values = [next(choice for choice in action.choices if choice != action.default), "no-such-choice"]
+    else:
+        values = [OPTION_SAMPLES[action.type][0], *([BAD_SAMPLES[action.type]] if action.type else [])]
+    argvs = [base, base[:1], [*base, "--help"], [*base, "--no-such-option"]]
+    for index, value in enumerate(values):
+        argvs.append([*base, option] if action.nargs == 0 else [*base, option, value])
+        cfg = tmp_path / f"run{index}.cfg"
+        cfg.write_text(f"{option[2:]} = {value}\n", encoding="utf-8")
+        argvs.append([*base, "--config", str(cfg)])
+    for argv in argvs:
+        one = cli._build_parser(argv)
+        assert list(one.commands) == [base[0]]
+        assert parse_outcome(one, argv) == parse_outcome(cli._build_parser(), argv), argv
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["no-such-command"], ["--config", "x", "audit"], ["-o"]])
+def test_an_argv_without_a_subcommand_first_gets_the_full_parser(argv) -> None:
+    parser = cli._build_parser(argv)
+    assert tuple(parser.commands) == cli._COMMANDS
+    assert parse_outcome(parser, argv) == parse_outcome(cli._build_parser(), argv)
+
+
+def test_the_full_parser_has_every_subcommand() -> None:
+    assert tuple(cli._build_parser().commands) == cli._COMMANDS
 
 
 def test_parser_literals_equal_the_layer_constants() -> None:

@@ -34,7 +34,6 @@ from rankaudit.dataio import (
     format_real,
     load_baseline,
     load_dataset,
-    load_ledger,
     read_long_table,
     write_ledger,
     write_long_table,
@@ -44,7 +43,7 @@ from rankaudit.dataio import (
     CURVE_HEADER,
 )
 
-from conftest import GENDER, record
+from conftest import GENDER, load_ledger, record
 
 
 def sim_result(seed: int = 5, n_queries: int = 3, days: int = 2):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import pickle
 import re
 import time
 from pathlib import Path
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankaudit import cli, dataio
+from rankaudit import cli, dataio, loader
 from rankaudit.dataio import (
     IntegrityIssue,
     ParseIssue,
@@ -31,7 +32,10 @@ from rankaudit.dataio import (
     load_dataset,
     write_snapshots,
 )
+from rankaudit.errors import MalformedRow
 from rankaudit.model import CandidateRecord, QuerySeries, RankingSnapshot
+
+from conftest import load_ledger
 
 # ---------------------------------------------------------------------------
 # reference loader
@@ -55,7 +59,7 @@ def ref_load_dataset(path):
             problem = ref_row_problem(raw)
             if problem is not None:
                 report.parse_issues.append(ParseIssue(lineno, problem))
-                key = dataio._row_key(raw)
+                key = loader._row_key(raw)
                 if key is not None:
                     tainted.setdefault(key, lineno)
                 continue
@@ -74,7 +78,7 @@ def ref_load_dataset(path):
         if ranks != list(range(1, len(rows) + 1)):
             report.integrity_issues.append(
                 IntegrityIssue(query_id, day, first_line,
-                               f"ranks not contiguous 1..{len(rows)}: {dataio._rank_gap(ranks)}")
+                               f"ranks not contiguous 1..{len(rows)}: {loader._rank_gap(ranks)}")
             )
             report.quarantined.append(key)
             continue
@@ -167,7 +171,7 @@ def load_both(path: Path, text: str, chunk: int):
     """(bulk outcome, reference outcome) for a file holding ``text``, loaded
     ``chunk`` lines at a time."""
     path.write_text(text, encoding="utf-8", newline="")
-    with mock.patch.object(dataio, "_CHUNK_LINES", chunk):
+    with mock.patch.object(loader, "_CHUNK_LINES", chunk):
         got = outcome(load_dataset, path)
     return got, outcome(ref_load_dataset, path)
 
@@ -310,7 +314,7 @@ def test_chunk_boundary_on_a_bad_line(tmp_path) -> None:
     lines[5] = line(row(rank="6", candidate_id="c6"))
     path = _write(tmp_path, lines)
     for chunk in range(1, 9):
-        with mock.patch.object(dataio, "_CHUNK_LINES", chunk):
+        with mock.patch.object(loader, "_CHUNK_LINES", chunk):
             got = load_dataset(path)
         assert got == ref_load_dataset(path)
         assert [issue.line for issue in got[1].parse_issues] == [4, 6]
@@ -323,7 +327,7 @@ def test_invalid_utf8_fails_like_line_by_line(tmp_path, bad_line) -> None:
     path = tmp_path / "data.jsonl"
     path.write_bytes(b"\n".join(lines) + b"\n")
     for chunk in (1, 2, 4):
-        with mock.patch.object(dataio, "_CHUNK_LINES", chunk):
+        with mock.patch.object(loader, "_CHUNK_LINES", chunk):
             got = outcome(load_dataset, path)
         assert got[0] is UnicodeDecodeError and got == outcome(ref_load_dataset, path)
 
@@ -371,7 +375,7 @@ def test_integrity_messages_of_a_long_snapshot_take_linear_time(tmp_path, ranks,
 @given(value=st.one_of(ROWS, SCALARS, st.lists(SCALARS, max_size=2)))
 def test_row_problem_matches_the_isinstance_checks(value) -> None:
     raw = json.loads(json.dumps(value))
-    assert dataio._row_problem(raw) == ref_row_problem(raw)
+    assert loader._row_problem(raw) == ref_row_problem(raw)
 
 
 FIELD_VALUES = [None, True, False, 0, 1, -1, 2, 10**30, 1.0, float("nan"), "", "q1", "Ana", [], ["F"], {},
@@ -382,10 +386,10 @@ FIELD_VALUES = [None, True, False, 0, 1, -1, 2, 10**30, 1.0, float("nan"), "", "
 def test_row_problem_matches_the_isinstance_checks_field_by_field(base) -> None:
     for name in dataio.SNAPSHOT_FIELDS:
         absent = {key: value for key, value in base.items() if key != name}
-        assert dataio._row_problem(absent) == ref_row_problem(absent)
+        assert loader._row_problem(absent) == ref_row_problem(absent)
         for value in FIELD_VALUES:
             raw = json.loads(json.dumps({**base, name: value}))
-            assert dataio._row_problem(raw) == ref_row_problem(raw), (name, value)
+            assert loader._row_problem(raw) == ref_row_problem(raw), (name, value)
 
 
 ONE_RULE_BROKEN = [
@@ -405,7 +409,7 @@ def test_each_broken_rule_reads_like_line_by_line(tmp_path) -> None:
         lines += [line(row(query_id=f"ok{n}")), line(obj)]
     path = _write(tmp_path, lines)
     for chunk in (1, 2, 3, 4096):
-        with mock.patch.object(dataio, "_CHUNK_LINES", chunk):
+        with mock.patch.object(loader, "_CHUNK_LINES", chunk):
             got = load_dataset(path)
         assert got == ref_load_dataset(path)
     assert len(got[1].parse_issues) == len(ONE_RULE_BROKEN) - 3  # the three extras are valid
@@ -437,11 +441,11 @@ CHUNK_VALUES = st.one_of(VALID_ROWS, VALID_ROWS, PERTURBED_ROWS, ROWS, SCALARS, 
 def column_check_agrees(values: list) -> None:
     """The column check accepts ``values`` exactly when every row is valid,
     and then gives its rows' fields as columns."""
-    columns = dataio._checked_columns(values)
-    valid = all(dataio._row_problem(value) is None for value in values)
-    assert (columns is not None) == valid, [dataio._row_problem(value) for value in values]
+    columns = loader._checked_columns(values)
+    valid = all(loader._row_problem(value) is None for value in values)
+    assert (columns is not None) == valid, [loader._row_problem(value) for value in values]
     if valid:
-        assert columns == tuple(zip(*map(dataio._snapshot_fields, values)))
+        assert columns == tuple(zip(*map(loader._snapshot_fields, values)))
 
 
 @settings(max_examples=500, deadline=None)
@@ -450,8 +454,8 @@ def test_column_check_accepts_exactly_the_chunks_of_valid_rows(values, unparsed)
     values = [json.loads(json.dumps(value)) for value in values]
     column_check_agrees(values)
     if 0 <= unparsed < len(values):
-        values[unparsed] = dataio._UNPARSED
-        assert dataio._checked_columns(values) is None
+        values[unparsed] = loader._UNPARSED
+        assert loader._checked_columns(values) is None
 
 
 @pytest.mark.parametrize("base", [row(), MASKED_ROW])
@@ -506,14 +510,14 @@ def test_snapshots_spread_over_runs_and_chunks_load_like_line_by_line(tmp_path, 
     path = _write(tmp_path, lines)
     expected = ref_load_dataset(path)
     for chunk in (1, 2, 3, 4, 5, 7, 4096):
-        with mock.patch.object(dataio, "_CHUNK_LINES", chunk):
+        with mock.patch.object(loader, "_CHUNK_LINES", chunk):
             assert load_dataset(path) == expected, chunk
 
 
 def test_out_of_order_rows_load_sorted_and_tied_ranks_name_the_first_line(tmp_path) -> None:
     lines = snapshot_rows("q1", [3, 1, 2, 6, 5, 4]) + snapshot_rows("q3", [2, 1, 1, 3], ["c2", "c1", "c9", "c3"])
     path = _write(tmp_path, lines)
-    with mock.patch.object(dataio, "_CHUNK_LINES", 4):
+    with mock.patch.object(loader, "_CHUNK_LINES", 4):
         series, report = load_dataset(path)
     assert [record.candidate_id for record in series[0].snapshots[1].entries] == [f"c{r}" for r in range(1, 7)]
     # q3's ranks 2, 1, 1, 3 sit on lines 7 to 10: the first rank-1 row,
@@ -554,7 +558,7 @@ def test_carriage_return_inside_a_ledger_line_is_whitespace(tmp_path) -> None:
     path = tmp_path / "ledger.jsonl"
     path.write_text(json.dumps(truth).replace(', "departures"', ',\r"departures"') + "\r\n",
                     encoding="utf-8", newline="")
-    (loaded,) = dataio.load_ledger(path)
+    (loaded,) = load_ledger(path)
     assert loaded.query_id == "q1" and loaded.departures == ()
 
 
@@ -573,8 +577,8 @@ def test_too_deep_a_line_is_a_parse_issue(tmp_path) -> None:
 def test_too_deep_a_line_is_a_malformed_ledger_row(tmp_path) -> None:
     path = tmp_path / "ledger.jsonl"
     path.write_text("\n" + '{"query_id":' + "[" * 200_000 + "\n", encoding="utf-8")
-    with pytest.raises(dataio.MalformedRow, match=r"^line 2: invalid JSON: nesting too deep$"):
-        dataio.load_ledger(path)
+    with pytest.raises(MalformedRow, match=r"^line 2: invalid JSON: nesting too deep$"):
+        load_ledger(path)
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +600,8 @@ def test_too_long_an_integer_is_a_parse_issue(tmp_path) -> None:
 def test_too_long_an_integer_is_a_malformed_ledger_row(tmp_path) -> None:
     path = tmp_path / "ledger.jsonl"
     path.write_text("\n" + '{"query_id":' + "9" * 5000 + "}\n", encoding="utf-8")
-    with pytest.raises(dataio.MalformedRow, match="^line 2: " + LIMIT_MESSAGE):
-        dataio.load_ledger(path)
+    with pytest.raises(MalformedRow, match="^line 2: " + LIMIT_MESSAGE):
+        load_ledger(path)
 
 
 def test_validate_reports_too_long_an_integer_on_its_line(tmp_path, capsys) -> None:
@@ -650,3 +654,30 @@ def _write(directory: Path, lines: list[str]) -> Path:
     path = directory / "data.jsonl"
     path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
     return path
+
+
+# ---------------------------------------------------------------------------
+# the report types
+
+
+def test_report_types_compare_by_value_and_read_like_dataclasses() -> None:
+    """The issues are named tuples and the report a plain class: equal when
+    every field is, a report unhashable (its lists grow) and shown as the
+    dataclass it was."""
+    report = ValidationReport(n_rows=2, parse_issues=[ParseIssue(1, "bad")])
+    assert report == ValidationReport(2, 0, 0, [ParseIssue(1, "bad")], [], [], {})
+    assert report != ValidationReport(n_rows=2)
+    assert report != ValidationReport(n_rows=3, parse_issues=[ParseIssue(1, "bad")])
+    assert report != report.to_dict()
+    assert repr(ValidationReport()) == ("ValidationReport(n_rows=0, n_snapshots=0, n_series=0, parse_issues=[], "
+                                        "integrity_issues=[], quarantined=[], missing_rates={})")
+    assert repr(ParseIssue(1, "bad")) == "ParseIssue(line=1, message='bad')"
+    with pytest.raises(TypeError):
+        hash(report)
+    issue = IntegrityIssue("q1", 1, 3, "gap")
+    assert (issue.query_id, issue.day, issue.line, issue.message) == ("q1", 1, 3, "gap")
+    with pytest.raises(AttributeError):
+        issue.line = 4
+    assert ValidationReport().parse_issues is not ValidationReport().parse_issues
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert not report.ok and ValidationReport().ok

@@ -71,6 +71,23 @@ class TestGroupScheme:
     def test_accepts_str_subclasses(self) -> None:
         assert GroupScheme(np.str_("gender"), (np.str_("F"), "M")) == GroupScheme("gender", ("F", "M"))
 
+    @pytest.mark.parametrize("labels", [["F", "M"], iter(("F", "M")), ("F", "M")])
+    def test_keeps_labels_as_a_tuple(self, labels) -> None:
+        """A list or other sequence of labels is kept as a tuple: the
+        scheme hashes like the one built from a tuple, and its labels
+        cannot be changed past the checks (a duplicate appended)."""
+        scheme = GroupScheme("g", labels)
+        assert scheme.labels == ("F", "M")
+        assert type(scheme.labels) is tuple
+        assert scheme == GroupScheme("g", ("F", "M"))
+        assert hash(scheme) == hash(GroupScheme("g", ("F", "M")))
+        with pytest.raises(AttributeError):
+            scheme.labels.append("F")
+
+    def test_a_tuple_of_labels_is_kept_as_given(self) -> None:
+        labels = ("F", "M")
+        assert GroupScheme("g", labels).labels is labels
+
     @pytest.mark.parametrize("labels", ["FM", "F", np.str_("FM")])
     def test_rejects_a_string_of_labels(self, labels) -> None:
         # As labels, "FM" would hold "F", "M" and "FM" alike.

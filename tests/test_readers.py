@@ -26,12 +26,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rankaudit import cli, dataio, names
+from rankaudit import cli, dataio, names, readers
 from rankaudit.detgreedy import ScoredCandidate
 from rankaudit.errors import AuditError, MalformedRow, UnknownLabel
 from rankaudit.model import EXTERNAL_BASELINE, GroupProportions, GroupScheme
 
-from conftest import GENDER
+from conftest import GENDER, load_ledger
 
 # ---------------------------------------------------------------------------
 # reference readers
@@ -49,6 +49,14 @@ def ref_csv_rows(stream):
         except csv.Error as exc:
             raise MalformedRow(f"line {lineno}: {exc}") from None
         yield lineno, row
+
+
+def ref_number(text, kind=float):
+    """``kind(text)`` of a number cell; text with the ``_`` digit grouping
+    that ``float`` and ``int`` accept is refused."""
+    if isinstance(text, str) and "_" in text:
+        raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
+    return kind(text)
 
 
 def ref_load_baseline(path, schemes):
@@ -72,7 +80,7 @@ def ref_load_baseline(path, schemes):
             if label not in scheme.labels:
                 raise UnknownLabel(f"line {lineno}: label {label!r} not in scheme {attribute!r}")
             try:
-                share = float(raw_share)
+                share = ref_number(raw_share)
             except ValueError:
                 raise MalformedRow(f"line {lineno}: share {raw_share!r} is not a number") from None
             if not 0.0 <= share <= 1.0:
@@ -123,7 +131,7 @@ def ref_add_row(counts, scheme, lineno, row):
     if label not in scheme.labels:
         raise UnknownLabel(f"line {lineno}: label {label!r} not in scheme {scheme.attribute_name!r}")
     try:
-        count = int(raw_count)
+        count = ref_number(raw_count, int)
     except ValueError:
         raise MalformedRow(f"line {lineno}: count {raw_count!r} is not an integer") from None
     if count < 0:
@@ -145,7 +153,7 @@ def ref_read_pool(path):
             if len(row) != 3:
                 raise MalformedRow(f"line {lineno}: expected 3 fields, got {len(row)}")
             try:
-                pool.append(ScoredCandidate(row[0].strip(), row[1].strip(), float(row[2])))
+                pool.append(ScoredCandidate(row[0].strip(), row[1].strip(), ref_number(row[2])))
             except ValueError as exc:
                 raise MalformedRow(f"line {lineno}: {exc}") from None
     return pool
@@ -199,7 +207,7 @@ def ref_parse_cell(value):
         return None
     if value == dataio.NEG_INF:
         return -math.inf
-    return float(value)
+    return ref_number(value)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +268,8 @@ def announced(ref, path, header):
 CELLS = st.one_of(
     st.sampled_from([
         "", " ", "F", "M", "X", " F ", "q1", "gender", "age", "0.5", " 0.5", "1", "0", "-1", "1.5", "lots",
-        "nan", "inf", "-inf", "1e400", "undefined", "ada", "Ada", " ", "é", '"a,b"', '"a\nb"', '"a\r\nb"',
+        "nan", "inf", "-inf", "1e400", "1_5", "0_5", "undefined", "ada", "Ada", " ", "é", '"a,b"', '"a\nb"',
+        '"a\r\nb"',
         '"a""b"', '"', 'a"b', '"x"y', "\r", "\x00", "9" * 5000,
     ]),
     st.text(max_size=4),
@@ -287,7 +296,7 @@ def csv_texts(draw, header):
 
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 30), st.just(10**400), st.floats(),
-    st.sampled_from(["", "1", "-inf", "undefined", "q1", "x", "2.5"]), st.lists(st.integers(), max_size=1),
+    st.sampled_from(["", "1", "-inf", "undefined", "q1", "x", "2.5", "2_5"]), st.lists(st.integers(), max_size=1),
 )
 
 
@@ -441,7 +450,7 @@ READERS = {
     "pool": dataio.read_pool,
     "long_table": dataio.read_long_table,
     "config": lambda p: cli._load_config(str(p)),
-    "ledger": dataio.load_ledger,
+    "ledger": load_ledger,
     "dataset": dataio.load_dataset,
 }
 
@@ -470,7 +479,7 @@ def test_arbitrary_bytes_raise_only_reported_errors(tmp_path, reader, data) -> N
 def test_json_objects_of_any_shape_raise_only_reported_errors(tmp_path, text) -> None:
     path = tmp_path / "input.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
-    for read in (dataio.load_ledger, dataio.load_dataset, dataio.read_long_table):
+    for read in (load_ledger, dataio.load_dataset, dataio.read_long_table):
         read_fuzz(read, path)
 
 
@@ -495,3 +504,48 @@ def test_value_too_large_for_a_float_is_a_malformed_row(tmp_path) -> None:
     path.write_text('{"metric":"skew","value":1' + "0" * 400 + "}\n", encoding="utf-8")
     with pytest.raises(MalformedRow, match="^line 1: value 10+ does not parse$"):
         dataio.read_long_table(path)
+
+
+# ---------------------------------------------------------------------------
+# digit-group underscores
+
+
+def test_pool_score_with_an_underscore_is_a_malformed_row(tmp_path) -> None:
+    path = tmp_path / "pool.csv"
+    path.write_text("candidate_id,label,score\nc0,M,0.5\nc1,F,1_5\n", encoding="utf-8")
+    with pytest.raises(MalformedRow, match=r"^line 3: could not convert string to float: '1_5'$"):
+        dataio.read_pool(path)
+
+
+def test_baseline_share_with_an_underscore_is_a_malformed_row(tmp_path) -> None:
+    path = tmp_path / "baseline.csv"
+    path.write_text("query_id,attribute,label,share\nq1,gender,F,0_5\nq1,gender,M,0.5\n", encoding="utf-8")
+    with pytest.raises(MalformedRow, match=r"^line 2: share '0_5' is not a number$"):
+        dataio.load_baseline(path, {"gender": GENDER})
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("query_id,day,attribute,label,k,metric,value\nq1,1,gender,F,5,skew,0.5\nq1,1,gender,F,10,skew,1_5\n", 3),
+    ('{"query_id":"q1","day":1,"k":5,"metric":"skew","value":0.5}\n'
+     '{"query_id":"q1","day":1,"k":10,"metric":"skew","value":"1_5"}\n', 2),
+], ids=["csv", "jsonl"])
+def test_long_table_value_with_an_underscore_is_a_malformed_row(tmp_path, text, lineno) -> None:
+    path = tmp_path / "table"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedRow, match=rf"^line {lineno}: value '1_5' does not parse$"):
+        dataio.read_long_table(path)
+
+
+def test_name_count_with_an_underscore_is_a_malformed_row(tmp_path) -> None:
+    path = tmp_path / "names.csv"
+    path.write_text("name,label,count\nada,F,900\nomar,M,1_000\n", encoding="utf-8")
+    with pytest.raises(MalformedRow, match=r"^line 3: count '1_000' is not an integer$"):
+        names.load_name_table(path, GENDER)
+    with pytest.raises(MalformedRow, match=r"^line 2: count '1_0' is not an integer$"):
+        names.table_from_rows([("ada", "F", "1_0")], GENDER)
+
+
+@pytest.mark.parametrize("text, kind, value", [("1.5", float, 1.5), (" -2e3 ", float, -2000.0), ("12", int, 12),
+                                               (" 7 ", int, 7), (2.5, float, 2.5)])
+def test_numeral_reads_what_float_and_int_read_without_underscores(text, kind, value) -> None:
+    assert readers.numeral(text, kind) == value

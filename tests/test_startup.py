@@ -2,7 +2,8 @@
 model fits load numpy, only the CSV readers load ``csv`` and only the
 ``stats`` protocols ``logging``, and each subcommand executes only the
 package modules it uses; a bare ``import rankaudit`` executes none, and a
-no-work start only ``cli``, ``dataio`` and ``errors``.  Also what the
+no-work start only ``cli``, ``dataio``, ``loader`` and ``errors`` and no
+``dataclasses``.  Also what the
 lazily executed package must still give: every function the bench's tracer
 wraps, every exported name, pickling, and one execution of ``cli`` under
 ``python -m``.
@@ -41,9 +42,9 @@ def executed():
 DEFERRED_STDLIB = ("csv", "logging")
 
 # Runs cli.main once per argv list given as JSON in argv[1], then prints the
-# loaded scipy and numpy modules, the executed rankaudit modules and those
+# loaded scipy and numpy modules, the executed rankaudit modules, those
 # of DEFERRED_STDLIB that were absent before ``import rankaudit`` and are
-# loaded after the runs.
+# loaded after the runs, and whether the runs loaded ``dataclasses``.
 PROBE = EXECUTED + """
 import json, sys
 before = set(sys.modules)
@@ -55,6 +56,7 @@ print(json.dumps({
     "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
     "executed": executed(),
     "stdlib": [m for m in %r if m not in before and m in sys.modules],
+    "dataclasses": "dataclasses" not in before and "dataclasses" in sys.modules,
 }))
 """ % (DEFERRED_STDLIB,)
 
@@ -129,23 +131,26 @@ def test_no_subcommand_loads_scipy(workdir) -> None:
     assert (workdir / "ledger.jsonl").read_text()
 
 
-# What every start executes: the CLI, its loader and the errors it reports.
-# ``model`` executes with the first record, snapshot, scheme or proportions.
+# What every start executes: the CLI, the writers' ``dataio`` and the
+# errors it reports.  A stage that reads a snapshot file adds ``loader``, one
+# that reads a CSV or long table ``readers``; ``model`` executes with the
+# first record, snapshot, scheme or proportions.
 START = {"cli", "dataio", "errors"}
+LOADING = START | {"loader", "model"}
 SIMULATING = ["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10", "-o", "sim.jsonl"]
 
 
 @pytest.mark.parametrize("argv, executes", [
-    pytest.param(COUNTING_STAGES[0], START | {"model"}, id="validate"),
-    pytest.param(COUNTING_STAGES[1], START | {"model", "names", "encoders"}, id="label"),
-    pytest.param(COUNTING_STAGES[2], START | {"model", "exposure", "encoders"}, id="audit"),
-    pytest.param(COUNTING_STAGES[3], START | {"model", "churn", "encoders"}, id="churn"),
-    pytest.param(STATS_STAGES[0], START | {"model", "exposure", "mixedlm", "encoders"}, id=STATS_STAGES[0][1]),
-    pytest.param(STATS_STAGES[1], START | {"model", "churn", "mixedlm", "encoders"}, id=STATS_STAGES[1][1]),
-    pytest.param(COUNTING_STAGES[4], START | {"model", "detgreedy", "encoders"}, id="rerank"),
+    pytest.param(COUNTING_STAGES[0], LOADING, id="validate"),
+    pytest.param(COUNTING_STAGES[1], LOADING | {"names", "readers", "encoders"}, id="label"),
+    pytest.param(COUNTING_STAGES[2], LOADING | {"exposure", "encoders"}, id="audit"),
+    pytest.param(COUNTING_STAGES[3], LOADING | {"churn", "encoders"}, id="churn"),
+    pytest.param(STATS_STAGES[0], LOADING | {"exposure", "mixedlm", "encoders"}, id=STATS_STAGES[0][1]),
+    pytest.param(STATS_STAGES[1], LOADING | {"churn", "mixedlm", "encoders"}, id=STATS_STAGES[1][1]),
+    pytest.param(COUNTING_STAGES[4], START | {"readers", "model", "detgreedy", "encoders"}, id="rerank"),
     pytest.param(SIMULATING, START | {"model", "detgreedy", "simulate", "encoders"}, id="simulate"),
-    # A long table becomes a matrix with no record built.
-    pytest.param(COUNTING_STAGES[5], START | {"encoders"}, id="export"),
+    # A long table becomes a matrix with no record built and no snapshot loaded.
+    pytest.param(COUNTING_STAGES[5], START | {"readers", "encoders"}, id="export"),
 ])
 def test_each_subcommand_executes_only_the_modules_it_uses(workdir, argv, executes) -> None:
     assert probe([argv], workdir)["executed"] == sorted(executes)
@@ -153,12 +158,23 @@ def test_each_subcommand_executes_only_the_modules_it_uses(workdir, argv, execut
 
 def test_a_no_work_start_executes_only_the_cli_its_loader_and_errors(tmp_path) -> None:
     """The start the bench times: ``validate`` on an empty file builds no
-    record, so ``model`` never executes."""
+    record, so ``model`` never executes, and no dataclass, so
+    ``dataclasses`` is never loaded; the table readers are not executed."""
     (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
     seen = probe([["validate", "empty.jsonl", "-o", "report.json"]], tmp_path)
-    assert seen["executed"] == sorted(START)
+    assert seen["executed"] == sorted(START | {"loader"})
     assert seen["stdlib"] == []
+    assert seen["dataclasses"] is False
     assert json.loads((tmp_path / "report.json").read_text())["ok"] is True
+
+
+def test_export_loads_no_dataclasses(workdir) -> None:
+    """``export`` reads a long table and writes a matrix: no record, report
+    or other dataclass is built, so ``dataclasses`` is never loaded."""
+    seen = probe([COUNTING_STAGES[5]], workdir)
+    assert seen["dataclasses"] is False
+    # Shows that the probe would notice ``dataclasses`` being loaded.
+    assert probe([COUNTING_STAGES[0]], workdir)["dataclasses"] is True
 
 
 def baseline_argv(workdir: Path, argv: list[str]) -> list[str]:
@@ -330,3 +346,39 @@ def test_every_traced_name_resolves_after_the_cli_import() -> None:
     assert absent == ["parallel.ordered_map"]
     assert unwrapped == []
     assert wrapped == listed - 1
+
+
+# As TRACED_PROBE, but finds the unwrapped bindings by identity with the
+# functions the tracer resolved, wherever they are defined: ``dataio``'s
+# loader and readers names are defined in ``loader`` and ``readers``.
+TRACED_BY_IDENTITY_PROBE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import rankaudit.cli
+originals = {}
+for m, f in tracer.TRACED:
+    module = sys.modules.get(f"rankaudit.{m}")
+    if module is not None and hasattr(module, f):
+        originals[id(getattr(module, f))] = f"{m}.{f}"
+tracer.Tracer().install()
+unwrapped = sorted(f"{name}.{attr} ({originals[id(value)]})"
+                   for name, module in list(sys.modules.items()) if name.startswith("rankaudit")
+                   for attr, value in vars(module).items() if id(value) in originals)
+print(json.dumps([len(originals), unwrapped]))
+"""
+
+
+def test_no_binding_of_a_traced_function_escapes_the_tracer() -> None:
+    """Every binding of every function the tracer lists, in the module that
+    defines it and in each that imported it by name, is the wrapper after
+    ``install``: the readers' ``write_long_table`` included, which
+    ``export_heatmap`` calls."""
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    done = subprocess.run([sys.executable, "-c", TRACED_BY_IDENTITY_PROBE, str(tracer)], env=child_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    resolved, unwrapped = json.loads(done.stdout)
+    assert resolved == 22
+    assert unwrapped == []
