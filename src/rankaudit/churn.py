@@ -73,8 +73,8 @@ def churn_grid(
     series: QuerySeries,
     scheme: GroupScheme,
     k_grid: Sequence[int],
-    day_pairs: Sequence[tuple[int, int]],
-    labels: Sequence[str] | None = None,
+    day_pairs: Iterable[Sequence[int]],
+    labels: Iterable[str] | None = None,
 ) -> list[ChurnCell]:
     """Churn cells over labels x day pairs x cutoffs for one query.
 
@@ -86,22 +86,20 @@ def churn_grid(
     grid = list(k_grid)
     if not grid:
         return []
-    retention: dict[tuple[int, int], _Retention | None] = {}
+    labels = list(scheme.labels if labels is None else labels)
+    pairs = [(start_day, end_day) for start_day, end_day in day_pairs]
+    for label in labels:
+        for start_day, end_day in pairs:
+            _check_cell(scheme, label, start_day, end_day)
+    scans = {pair: _scan(series, scheme, *pair) for pair in dict.fromkeys(pairs)}
     # The cells' fields but the shared query id and attribute, one column each.
     labels_of, ks, starts, ends, churns, bases = [], [], [], [], [], []
-    for label in labels if labels is not None else scheme.labels:
-        for start_day, end_day in day_pairs:
-            _check_cell(scheme, label, start_day, end_day)
-            pair = (start_day, end_day)
-            if pair not in retention:
-                retention[pair] = _Retention.scan(series, scheme, start_day, end_day)
-            table = retention[pair]
-            if table is None:
-                counts, retained = [0] * len(grid), None
-            else:
-                # A cutoff outside 1..n, or with no member, has base 0.
-                n, base, retained = table.n, table.base[label], table.retained[label]
-                counts = [base[k] if 0 < k <= n else 0 for k in grid]
+    for label in labels:
+        for start_day, end_day in pairs:
+            n, base_of, retained_of = scans[start_day, end_day]
+            base, retained = base_of[label], retained_of[label]
+            # A cutoff outside 1..n, or with no member, has base 0.
+            counts = [base[k] if 0 < k <= n else 0 for k in grid]
             labels_of += repeat(label, len(grid))
             ks += grid
             starts += repeat(start_day, len(grid))
@@ -147,47 +145,34 @@ def mean_churn_by(pairs: Iterable[tuple[Hashable, float | None]]) -> dict:
     return {group: sums[group] / counts[group] for group in sums}
 
 
-class _Retention:
-    """Group base and retained counts at every cutoff of one day pair.
-
-    ``base[label][k]`` counts the label's members in the day-s top ``k`` and
-    ``retained[label][k]`` those of them also in the day-e top ``k``, for
-    ``k`` up to the shorter list; both are plain ints.
-    """
-
-    __slots__ = ("n", "base", "retained")
-
-    def __init__(self, n: int, base: dict[str, list[int]], retained: dict[str, list[int]]) -> None:
-        self.n = n
-        self.base = base
-        self.retained = retained
-
-    @classmethod
-    def scan(
-        cls, series: QuerySeries, scheme: GroupScheme, start_day: int, end_day: int
-    ) -> "_Retention | None":
-        """Counts of one pair; ``None`` when either day has no snapshot."""
-        start = series.snapshots.get(start_day)
-        end = series.snapshots.get(end_day)
-        if start is None or end is None:
-            return None
-        n = min(len(start.entries), len(end.entries))
-        # Entries past the shorter list fall in no defined cutoff.
-        head = start.entries[:n]
-        codes = label_codes([r.label_for(scheme) for r in head], scheme)
-        position = {r.candidate_id: p for p, r in enumerate(end.entries)}
-        # hits[code][k]: members whose smallest cutoff holding them on both
-        # days is k; a member at or past position n on day e, or gone, has
-        # no such cutoff and is never retained.
-        hits = [[0] * (n + 1) for _ in scheme.labels]
-        for i, (code, record) in enumerate(zip(codes, head)):
-            if code >= 0:
-                first_k = max(i, position.get(record.candidate_id, n)) + 1
-                if first_k <= n:
-                    hits[code][first_k] += 1
-        base = prefix_table(codes, len(scheme.labels))
-        retained = [list(accumulate(row)) for row in hits]
-        return cls(n, dict(zip(scheme.labels, base)), dict(zip(scheme.labels, retained)))
+def _scan(
+    series: QuerySeries, scheme: GroupScheme, start_day: int, end_day: int
+) -> tuple[int, dict[str, list[int]], dict[str, list[int]]]:
+    """(n, base, retained) of one day pair, for ``k`` up to the shorter
+    list of ``n``: ``base[label][k]`` counts the label's members in the
+    day-s top ``k`` and ``retained[label][k]`` those of them also in the
+    day-e top ``k``.  A missing day reads as an empty list, so ``n`` is 0."""
+    snapshots = series.snapshots
+    both = start_day in snapshots and end_day in snapshots
+    start = snapshots[start_day].entries if both else ()
+    end = snapshots[end_day].entries if both else ()
+    n = min(len(start), len(end))
+    # Entries past the shorter list fall in no defined cutoff.
+    head = start[:n]
+    codes = label_codes([r.label_for(scheme) for r in head], scheme)
+    position = {r.candidate_id: p for p, r in enumerate(end)}
+    # hits[code][k]: members whose smallest cutoff holding them on both
+    # days is k; a member at or past position n on day e, or gone, has
+    # no such cutoff and is never retained.
+    hits = [[0] * (n + 1) for _ in scheme.labels]
+    for i, (code, record) in enumerate(zip(codes, head)):
+        if code >= 0:
+            first_k = max(i, position.get(record.candidate_id, n)) + 1
+            if first_k <= n:
+                hits[code][first_k] += 1
+    base = prefix_table(codes, len(scheme.labels))
+    retained = [list(accumulate(row)) for row in hits]
+    return n, dict(zip(scheme.labels, base)), dict(zip(scheme.labels, retained))
 
 
 def _check_cell(scheme: GroupScheme, label: str, start_day: int, end_day: int) -> None:

@@ -149,25 +149,38 @@ def _list_of(item, name: str):
     return parse
 
 
+def _number(kind: type):
+    """An option type, ``kind``'s name in argparse's errors: ``kind`` read
+    by :func:`.dataio.numeral`, so that ``1_0`` is refused.  ``dataio`` is
+    looked up only when a number is read, so building the parser does not
+    execute it."""
+    def parse(text: str):
+        return dataio.numeral(text, kind)
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_int = _number(int)
+_float = _number(float)
 _texts = _list_of(str, "list")
-_ints = _list_of(int, "int list")
-_floats = _list_of(float, "float list")
+_ints = _list_of(_int, "int list")
+_floats = _list_of(_float, "float list")
 
 
 def _day_pairs(spec: str) -> str | list[tuple[int, int]]:
     """``anchored``, ``consecutive``, or explicit ``S-E,S-E,...`` pairs."""
     if spec.strip() in ("anchored", "consecutive"):
         return spec.strip()
-    return [(int(s), int(e)) for s, _, e in (part.partition("-") for part in _texts(spec))]
+    return [(_int(s), _int(e)) for s, _, e in (part.partition("-") for part in _texts(spec))]
 
 
 def _pool_range(spec: str) -> tuple[int, int]:
     lo, _, hi = spec.partition(":")
-    return int(lo), int(hi or lo)
+    return _int(lo), _int(hi or lo)
 
 
 def _shares(text: str) -> dict[str, float]:
-    return {label.strip(): float(share) for label, _, share in (part.partition("=") for part in _texts(text))}
+    return {label.strip(): _float(share) for label, _, share in (part.partition("=") for part in _texts(text))}
 
 
 def _cutoff_list(full: bool, name: str):
@@ -182,7 +195,7 @@ def _cutoff_list(full: bool, name: str):
         if len(parts) == 1:
             grid = _ints(spec)
         elif len(parts) <= 3:
-            lo, hi, step = int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) == 3 else 1
+            lo, hi, step = _int(parts[0]), _int(parts[1]), _int(parts[2]) if len(parts) == 3 else 1
             if step < 1:
                 raise argparse.ArgumentTypeError(f"step must be at least 1 in {spec!r}")
             grid = list(range(lo, hi + 1, step))
@@ -202,12 +215,20 @@ _k_grid = _cutoff_list(True, "k grid")
 _cutoffs = _cutoff_list(False, "int list")
 
 
-def _day(text: str) -> int:
-    """A day number; loaded days start at 1."""
-    day = int(text)
-    if day < 1:
-        raise argparse.ArgumentTypeError(f"day must be at least 1, got {text!r}")
-    return day
+def _at_least(least: int, what: str):
+    """An option type, ``int`` in argparse's errors: a ``what`` of at least ``least``."""
+    def parse(text: str) -> int:
+        value = _int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {least}, got {text!r}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
+# Loaded days start at 1; the generators take no seed below 0.
+_day = _at_least(1, "day")
+_seed = _at_least(0, "seed")
 
 
 def _metrics(text: str) -> list[str]:
@@ -220,7 +241,6 @@ def _metrics(text: str) -> list[str]:
 
 
 _day_pairs.__name__, _pool_range.__name__, _shares.__name__ = "day pairs", "pool range", "proportions"
-_day.__name__ = "int"  # a non-number reads "invalid int value"
 _metrics.__name__ = "list"
 
 
@@ -294,32 +314,32 @@ def _build_parser(argv: Sequence[str] | None = None) -> _Parser:
     if p := command("stats", _cmd_stats, "mixed-model significance protocols", scheme, table):
         p.add_argument("protocol", choices=_PROTOCOLS)
         p.add_argument("dataset")
-        p.add_argument("--null", type=float, default=-0.011,
+        p.add_argument("--null", type=_float, default=-0.011,
                        help="null value for the MinSkew intercept test (default %(default)s)")
         p.add_argument("--cutoffs", type=_cutoffs, default=_CUTOFFS,
                        help="cutoffs, as for audit's --k-grid but not 'full' (default %(default)s)")
-        p.add_argument("--max-missing", type=float, default=0.15, help="max day-1 missing rate (default %(default)s)")
-        p.add_argument("--min-pool", type=int, default=101, help="min day-1 list length (default %(default)s)")
+        p.add_argument("--max-missing", type=_float, default=0.15, help="max day-1 missing rate (default %(default)s)")
+        p.add_argument("--min-pool", type=_int, default=101, help="min day-1 list length (default %(default)s)")
         p.add_argument("--baseline", help="external target proportions CSV (minskew protocol)")
 
     if p := command("simulate", _cmd_simulate, "generate a synthetic dataset", scheme):
-        p.add_argument("--seed", type=int, help="RNG seed (required)")
-        p.add_argument("--queries", type=int, default=100, help="number of queries (default %(default)s)")
+        p.add_argument("--seed", type=_seed, help="RNG seed (required)")
+        p.add_argument("--queries", type=_int, default=100, help="number of queries (default %(default)s)")
         p.add_argument("--pool", type=_pool_range, default="100:200",
                        help="pool size range MIN:MAX (default %(default)s)")
         p.add_argument("--weights", type=_floats, help="group mix, e.g. '0.45,0.55' (default: equal)")
         p.add_argument("--score-means", type=_floats, help="per-group score means")
         p.add_argument("--score-spreads", type=_floats, help="per-group score spreads")
-        p.add_argument("--days", type=int, default=1, help="(default %(default)s)")
+        p.add_argument("--days", type=_int, default=1, help="(default %(default)s)")
         p.add_argument("--departures", type=_floats, help="per-group daily departure probabilities")
-        p.add_argument("--missing-prob", type=float, default=0.0, help="(default %(default)s)")
+        p.add_argument("--missing-prob", type=_float, default=0.0, help="(default %(default)s)")
         p.add_argument("--postprocess", choices=("none", "detgreedy"), default="none", help="(default %(default)s)")
-        p.add_argument("--weights-concentration", type=float, help="Dirichlet concentration of per-query mixes")
+        p.add_argument("--weights-concentration", type=_float, help="Dirichlet concentration of per-query mixes")
         p.add_argument("--ledger", help="path for the ground-truth ledger JSONL")
         p.add_argument("--inject-label", help="demote this group from the top page")
-        p.add_argument("--inject-strength", type=float, default=1.0, help="(default %(default)s)")
-        p.add_argument("--inject-seed", type=int, help="(default: --seed)")
-        p.add_argument("--page-size", type=int, default=25, help="(default %(default)s)")
+        p.add_argument("--inject-strength", type=_float, default=1.0, help="(default %(default)s)")
+        p.add_argument("--inject-seed", type=_seed, help="(default: --seed)")
+        p.add_argument("--page-size", type=_int, default=25, help="(default %(default)s)")
 
     if p := command("export", _cmd_export, "pivot a long metric table into a matrix"):
         p.add_argument("table", help="long-format CSV or JSONL produced by audit/churn")

@@ -15,8 +15,9 @@ infinity as ``"-inf"``.
 
 The code is split by role, so that a run compiles only the part it runs:
 
-- this module: the writers, the constants, the format helpers and
-  :func:`text_stream`, which every stage with output uses;
+- this module: the writers, the constants, the format helpers (the
+  number reader :func:`numeral` among them) and :func:`text_stream`,
+  which every stage with output uses;
 - :mod:`.loader`: ``load_dataset``, its ``ValidationReport`` with the
   ``ParseIssue`` and ``IntegrityIssue`` entries, and ``filter_queries``;
 - :mod:`.readers`: the CSV, JSONL, baseline, pool and long-table readers
@@ -106,6 +107,16 @@ def format_cell(value: float | None) -> str:
     if value == -math.inf:
         return NEG_INF
     return format_real(value)
+
+
+def numeral(text, kind: type = float):
+    """``kind(text)``, for ``kind`` ``float`` or ``int``, of a table's
+    number cell or a CLI number; a text holding ``_`` raises ``ValueError``
+    too.  Both read ``1_5`` as 15, but no writer groups digits and no
+    option's help shows it, so such a text is a typo or a mangled file."""
+    if type(text) is str and "_" in text:
+        raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
+    return kind(text)
 
 
 # One JSONL line: compact separators, non-ASCII kept (``json.dumps`` with

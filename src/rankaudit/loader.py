@@ -4,7 +4,7 @@ report out, and the choice of series a study keeps.
 :func:`load_dataset` reads a scrape, quarantines what does not check out and
 says so in a :class:`ValidationReport`; :func:`filter_queries` applies the
 inclusion thresholds.  The report's issues are named tuples and the report a
-plain class, so that a start which loads nothing builds no dataclass.  Every
+namespace, so that a start which loads nothing builds no dataclass.  Every
 name here is also read as ``dataio.<name>`` (:mod:`.dataio`).
 """
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import types
 from collections import Counter, namedtuple
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -28,17 +29,13 @@ ParseIssue = namedtuple("ParseIssue", "line message")
 IntegrityIssue = namedtuple("IntegrityIssue", "query_id day line message")
 
 
-class ValidationReport:
+class ValidationReport(types.SimpleNamespace):
     """Everything the loader noticed; no row disappears without a trace.
 
-    Built with keywords or in field order (:attr:`__slots__`), every field
-    optional; two reports are equal when every field is.
+    Built with keywords or in field order, every field optional.  As a
+    namespace it is equal to another with the same fields, has no hash (its
+    lists grow while the loader runs) and shows its fields in order.
     """
-
-    __slots__ = ("n_rows", "n_snapshots", "n_series", "parse_issues", "integrity_issues", "quarantined",
-                 "missing_rates")
-    # Its lists grow while the loader runs, so it has no hash.
-    __hash__ = None
 
     def __init__(
         self,
@@ -58,17 +55,6 @@ class ValidationReport:
         self.quarantined = [] if quarantined is None else quarantined
         self.missing_rates = {} if missing_rates is None else missing_rates
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ValidationReport:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return f"ValidationReport({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
-
     @property
     def ok(self) -> bool:
         return not self.parse_issues and not self.integrity_issues and not self.quarantined
@@ -79,11 +65,8 @@ class ValidationReport:
             "n_snapshots": self.n_snapshots,
             "n_series": self.n_series,
             "ok": self.ok,
-            "parse_issues": [{"line": i.line, "message": i.message} for i in self.parse_issues],
-            "integrity_issues": [
-                {"query_id": i.query_id, "day": i.day, "line": i.line, "message": i.message}
-                for i in self.integrity_issues
-            ],
+            "parse_issues": [issue._asdict() for issue in self.parse_issues],
+            "integrity_issues": [issue._asdict() for issue in self.integrity_issues],
             "quarantined": [{"query_id": q, "day": d} for q, d in self.quarantined],
             "missing_rates": dict(sorted(self.missing_rates.items())),
         }

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .dataio import write_long_table
+from .dataio import numeral, write_long_table
 from .errors import MalformedRow, UnknownLabel
 from .model import CandidateRecord, GroupScheme, RankingSnapshot, _unchecked
-from .readers import csv_table, numeral
+from .readers import csv_table
 
 _TABLE_COLUMNS = ("name", "label", "count")
 

@@ -3,9 +3,10 @@ pools and long tables in, and the heatmap matrix a long table pivots into.
 
 Headed CSV inputs (:func:`load_baseline`, :func:`read_pool`,
 ``names.load_name_table``) are read through :func:`csv_table`, long tables
-through :func:`read_long_table`.  A number cell is read by :func:`numeral`,
-which refuses the ``_`` digit grouping ``float`` and ``int`` accept.  Every
-name here is also read as ``dataio.<name>`` (:mod:`.dataio`).
+through :func:`read_long_table`.  A number cell is read by
+:func:`.dataio.numeral`, which refuses the ``_`` digit grouping ``float``
+and ``int`` accept.  Every name here is also read as ``dataio.<name>``
+(:mod:`.dataio`).
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .dataio import (
     UNDEFINED,
     _parse_json_line,
     format_cell,
+    numeral,
     text_stream,
     write_long_table,
 )
@@ -29,16 +31,6 @@ from .errors import InconsistentGrid, MalformedRow, UnknownLabel
 
 if TYPE_CHECKING:
     from pathlib import Path
-
-
-def numeral(text, kind: type = float):
-    """``kind(text)``, for ``kind`` ``float`` or ``int``, of a table's
-    number cell; a text cell holding ``_`` raises ``ValueError`` too.  Both
-    read ``1_5`` as 15, but no writer groups digits, so such a cell is a
-    typo or a mangled file."""
-    if type(text) is str and "_" in text:
-        raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
-    return kind(text)
 
 
 def csv_rows(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:

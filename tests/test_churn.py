@@ -16,6 +16,7 @@ from rankaudit import (
     RankingSnapshot,
     UnknownLabel,
     anchored_pairs,
+    churn,
     churn_grid,
     churn_rate,
     consecutive_pairs,
@@ -157,6 +158,47 @@ class TestChurnGrid:
             churn_grid(two_days, GENDER, (1,), [(1, 2), (2, 1)])
         with pytest.raises(ValueError, match="must precede"):
             churn_grid(two_days, GENDER, (1,), [(2, 2)])
+
+    def test_pairs_as_lists_and_labels_as_a_generator(self) -> None:
+        three_days = series(
+            {
+                1: [("a", "F"), ("b", "M"), ("c", "F")],
+                2: [("c", "F"), ("a", "F")],
+                3: [("b", "M"), ("a", "F"), ("d", "M")],
+            }
+        )
+        want = churn_grid(three_days, GENDER, (1, 2, 3), [(1, 2), (1, 3)], labels=("M", "F"))
+        got = churn_grid(three_days, GENDER, (1, 2, 3), [[1, 2], [1, 3]], labels=(label for label in "MF"))
+        assert got == want and len(got) == 12
+        assert {(c.start_day, c.end_day) for c in got} == {(1, 2), (1, 3)}
+
+    def test_each_distinct_pair_is_scanned_once(self, monkeypatch) -> None:
+        two_days = series({1: [("a", "F"), ("b", "M")], 2: [("b", "M"), ("a", "F")]})
+        scanned = []
+        scan = churn._scan
+        monkeypatch.setattr(churn, "_scan", lambda *args: scanned.append(args[2:]) or scan(*args))
+        cells = churn_grid(two_days, GENDER, (1, 2), [(1, 2), [1, 2], (1, 3)])
+        assert scanned == [(1, 2), (1, 3)]
+        assert cells[:4] == churn_grid(two_days, GENDER, (1, 2), [(1, 2)], labels=["F"]) * 2
+
+    @pytest.mark.parametrize("pair", [(1, 5), (0, 1), (4, 5)])
+    def test_a_missing_day_gives_undefined_cells_with_base_0(self, pair) -> None:
+        two_days = series({1: [("a", "F"), ("b", "M")], 2: [("a", "F"), ("b", "M")]})
+        cells = churn_grid(two_days, GENDER, (0, 1, 2, 3), [pair, (1, 2)])
+        missing = [c for c in cells if (c.start_day, c.end_day) == pair]
+        assert len(missing) == 8
+        assert all(c.churn is None and c.base_count == 0 for c in missing)
+        assert [c.churn for c in cells if (c.start_day, c.end_day) == (1, 2)] == [None, 0.0, 0.0, None,
+                                                                                   None, None, 0.0, None]
+
+    def test_errors_read_as_before_whatever_the_argument_types(self) -> None:
+        two_days = series({1: [("a", "F")], 2: [("a", "F")]})
+        with pytest.raises(UnknownLabel, match="^label 'X' not in scheme 'gender'$"):
+            churn_grid(two_days, GENDER, (1,), [[1, 2]], labels=(label for label in ["F", "X"]))
+        with pytest.raises(ValueError, match="^start day 2 must precede end day 1$"):
+            churn_grid(two_days, GENDER, (1,), [[1, 2], [2, 1]])
+        # An empty grid has no cell to check.
+        assert churn_grid(two_days, GENDER, (), [(2, 1)], labels=["X"]) == []
 
 
 @st.composite

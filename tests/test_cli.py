@@ -12,12 +12,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rankaudit import MissingBaselineEntry, ZeroTargetProportion, cli, dataio, exposure, model
 from rankaudit.cli import _targets_for, main
 from rankaudit.dataio import load_dataset
 
 from conftest import GENDER, child_env, load_ledger, snapshot, write_cli_inputs
+from test_loader import LINES
+from test_readers import BASELINE_CASES, BINARY, NAME_CASES, POOL_CASES, csv_texts, jsonl_texts
 
 
 def run(*argv: str) -> int:
@@ -947,8 +951,9 @@ class TestOverlongCsvField:
 # A sample command-line value per option type, and a second, different one.
 OPTION_SAMPLES = {
     None: ("a.csv", "b.csv"),
-    int: ("7", "9"),
-    float: ("0.5", "0.25"),
+    cli._int: ("7", "9"),
+    cli._float: ("0.5", "0.25"),
+    cli._seed: ("0", "12"),
     cli._texts: ("A,B", "C,D"),
     cli._cutoffs: ("5,10", "20:30:5"),
     cli._floats: ("0.5,0.5", "0.2,0.8"),
@@ -1008,8 +1013,9 @@ def test_config_value_parses_like_the_flag(tmp_path, base, action) -> None:
 
 # A command-line value per option type that the type refuses.
 BAD_SAMPLES = {
-    int: "x",
-    float: "x",
+    cli._int: "x",
+    cli._float: "1_0",
+    cli._seed: "-1",
     cli._texts: ",",
     cli._cutoffs: "0",
     cli._floats: "a,b",
@@ -1058,6 +1064,47 @@ def test_the_one_subcommand_parser_parses_like_the_full_one(tmp_path, base, acti
         one = cli._build_parser(argv)
         assert list(one.commands) == [base[0]]
         assert parse_outcome(one, argv) == parse_outcome(cli._build_parser(), argv), argv
+
+
+# A value per numeric option type that holds a ``_`` digit grouping.
+UNDERSCORED = {
+    cli._int: "1_0",
+    cli._float: "0_5",
+    cli._seed: "1_0",
+    cli._cutoffs: "5:1_0",
+    cli._floats: "0.5,0_5",
+    cli._day: "1_0",
+    cli._day_pairs: "1-1_0",
+    cli._pool_range: "5:1_0",
+    cli._shares: "F=0_5,M=0.5",
+    cli._k_grid: "1_0",
+}
+
+
+@pytest.mark.parametrize("base, action", [case for case in option_cases() if case.values[1].type in UNDERSCORED])
+def test_every_numeric_option_refuses_an_underscore_numeral(tmp_path, capsys, base, action) -> None:
+    """``int`` and ``float`` read ``1_0`` as 10; a number option, from a
+    flag or from the config file, refuses it with one usage error."""
+    option = next(name for name in action.option_strings if name.startswith("--"))
+    value = UNDERSCORED[action.type]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option[2:]} = {value}\n", encoding="utf-8")
+    for argv in ([*base, option, value], [*base, "--config", str(cfg)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: argument {option}: invalid {action.type.__name__} value: {value!r}\n")
+
+
+@pytest.mark.parametrize("text", ["7", " -3 ", "+4", "0", "007", "1e3", "0.25", "-inf", "nan", "\u0661\u0662", "", "x"])
+def test_number_options_read_what_int_and_float_read(text) -> None:
+    for kind, parse in ((int, cli._int), (float, cli._float)):
+        try:
+            want = kind(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse(text)
+        else:
+            assert repr(parse(text)) == repr(want)
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["no-such-command"], ["--config", "x", "audit"], ["-o"]])
@@ -1169,6 +1216,14 @@ class TestUsageErrors:
          "argument --cutoffs: invalid int list value: 'full'"),
         (["stats", "minskew-protocol", "data.jsonl", "--cutoffs", "1:10:2:3"], None,
          "argument --cutoffs: expected N, A,B,C or LO:HI[:STEP], got '1:10:2:3'"),
+        (["stats", "minskew-protocol", "data.jsonl", "--cutoffs", "1_0"], None,
+         "argument --cutoffs: invalid int list value: '1_0'"),
+        (["simulate", "--seed", "1_0"], None, "argument --seed: invalid int value: '1_0'"),
+        (["simulate"], "seed = 1_0", "argument --seed: invalid int value: '1_0'"),
+        (["simulate", "--seed", "-1"], None, "argument --seed: seed must be at least 0, got '-1'"),
+        (["simulate"], "seed = -1", "argument --seed: seed must be at least 0, got '-1'"),
+        (["simulate", "--seed", "1", "--inject-label", "F", "--inject-seed", "-2"], None,
+         "argument --inject-seed: seed must be at least 0, got '-2'"),
     ])
     def test_one_error_line_and_exit_status_1(self, tmp_path, capsys, argv, setting, message) -> None:
         if setting is not None:
@@ -1194,3 +1249,109 @@ class TestUsageErrors:
         for default in ("(default -0.011)", "(default 25,50,75,100)", "(default 0.15)", "(default 101)",
                         "(default csv)", "(default F,M)"):
             assert default in text
+
+
+# ---------------------------------------------------------------------------
+# no input reaches a traceback
+
+# Option values: numbers, ``_`` numerals, lists, ranges, pairs and shares,
+# well and badly formed.  Every number is small, so that no drawn size makes
+# ``simulate`` slow; free text holds no digit for the same reason.
+OPTION_VALUES = st.one_of(
+    st.sampled_from([
+        "0", "1", "2", "3", "-1", "1_0", "0_5", " 2 ", "0.5", "0.25", "1.5", "-0.5", "nan", "inf", "-inf", "1e400",
+        "", ",", "x", "F", "M", "F,M", "F,F", "M,F,X", "gender", "unknown", "0.5,0.5", "1,0", "0,0", "1_0,0.5",
+        "2:3", "3:2", "0:2", "1:2:0", "1:3:1_0", "1:2:3:4", "full", "anchored", "consecutive", "1-2", "2-1",
+        "1-1_0", "1-x", "F=0.5,M=0.5", "F=1,M=0", "F=0_5,M=0.5", "F=nan,M=1", "skew", "minskew,deviation",
+        "sparkle", "csv", "json", "none", "detgreedy",
+    ]),
+    st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=5),
+)
+CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(["seed", "queries", "k-grid", "cutoffs", "day", "pairs", "labels",
+                                                 "min_pool", "max-missing", "null", "weights", "proportions",
+                                                 "page-size", "inject-seed", "full-name", "format", "metrics"]),
+              OPTION_VALUES),
+    st.sampled_from(["seed = 1_0", "# comment", "", "x", "= 1", "seed = '1_0' # c", 'labels = "F,M', "day=1"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=8),
+)
+LONG_TABLES = st.one_of(csv_texts(dataio.CURVE_HEADER), csv_texts(dataio.CHURN_HEADER),
+                        jsonl_texts(dataio.CURVE_HEADER), jsonl_texts(dataio.CHURN_HEADER))
+# Each subcommand's positional arguments (a file's name names its content)
+# and the options a draw may add; ``--output`` and ``--ledger`` are fixed.
+COMMANDS = {
+    "validate": (["data.jsonl"], ["--format"]),
+    "label": (["data.jsonl", "--names", "names.csv"], ["--attribute", "--labels", "--unknown-label", "--full-name"]),
+    "audit": (["data.jsonl"], ["--labels", "--baseline", "--k-grid", "--metrics", "--day", "--format"]),
+    "churn": (["data.jsonl"], ["--labels", "--k-grid", "--pairs", "--format"]),
+    "rerank": (["pool.csv"], ["--labels", "--proportions", "--format"]),
+    "stats": (["data.jsonl"], ["--labels", "--null", "--cutoffs", "--max-missing", "--min-pool", "--baseline",
+                               "--format"]),
+    "simulate": (["--seed", "1", "--queries", "2", "--pool", "2:4"],
+                 ["--seed", "--queries", "--pool", "--labels", "--weights", "--score-means", "--score-spreads",
+                  "--days", "--departures", "--missing-prob", "--postprocess", "--weights-concentration",
+                  "--inject-label", "--inject-strength", "--inject-seed", "--page-size"]),
+    "export": (["table", "--metric", "minskew"], ["--metric", "--label"]),
+}
+# Options that name an input file: a draw gives them the file, not a value.
+FILE_OPTIONS = {"--baseline": "baseline.csv"}
+
+
+def file_bytes(texts: st.SearchStrategy[str]) -> st.SearchStrategy[bytes]:
+    """A file of ``texts`` as UTF-8, with or without a byte order mark, or
+    arbitrary bytes (invalid UTF-8 and NUL included)."""
+    return st.one_of(st.builds("{}{}".format, st.sampled_from(["", "\ufeff"]), texts).map(str.encode), BINARY)
+
+
+@st.composite
+def cli_runs(draw) -> tuple[list[str], dict[str, bytes]]:
+    """(argv but ``--output``, {file name: content}) of one hostile run."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positional, options = COMMANDS[command]
+    argv = [command, *([draw(st.sampled_from(["minskew-protocol", "churn-protocol"]))] if command == "stats" else []),
+            *positional]
+    for option in draw(st.lists(st.sampled_from(options), max_size=4)):
+        if option == "--full-name":
+            argv.append(option)
+        else:
+            argv += [option, FILE_OPTIONS.get(option) or draw(OPTION_VALUES)]
+    files = {
+        "data.jsonl": draw(file_bytes(st.lists(LINES, max_size=10).map("\n".join))),
+        "names.csv": draw(file_bytes(NAME_CASES)),
+        "baseline.csv": draw(file_bytes(BASELINE_CASES)),
+        "pool.csv": draw(file_bytes(POOL_CASES)),
+        "table": draw(file_bytes(LONG_TABLES)),
+    }
+    if draw(st.booleans()):
+        files["run.cfg"] = draw(file_bytes(st.lists(CONFIG_LINES, max_size=4).map("\n".join)))
+        argv += ["--config", "run.cfg"]
+    return argv, files
+
+
+# stderr lines of the CLI's own: errors, warnings and the two counts.
+STDERR_STARTS = ("error: ", "warning: ", "labeled ", "filtered out ")
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cli_runs())
+def test_no_input_reaches_a_traceback(tmp_path, monkeypatch, case) -> None:
+    """Hostile snapshot lines, CSV rows, long tables, config lines and
+    option values end in status 0 or 1, never in an exception, and write to
+    stderr only the CLI's own lines and the effect record of
+    ``simulate --inject-label``."""
+    argv, files = case
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    collecting = gc.isenabled()
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            status = main([*argv, "--output", "out"])
+    finally:
+        gc.enable() if collecting else gc.disable()
+    assert status in (0, 1)
+    for line in err.getvalue().splitlines():
+        if not line.startswith(STDERR_STARTS):
+            assert argv[0] == "simulate" and "--inject-label" in argv, line
+            assert isinstance(json.loads(line), dict), line

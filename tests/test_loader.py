@@ -661,7 +661,7 @@ def _write(directory: Path, lines: list[str]) -> Path:
 
 
 def test_report_types_compare_by_value_and_read_like_dataclasses() -> None:
-    """The issues are named tuples and the report a plain class: equal when
+    """The issues are named tuples and the report a namespace: equal when
     every field is, a report unhashable (its lists grow) and shown as the
     dataclass it was."""
     report = ValidationReport(n_rows=2, parse_issues=[ParseIssue(1, "bad")])
@@ -681,3 +681,4 @@ def test_report_types_compare_by_value_and_read_like_dataclasses() -> None:
     assert ValidationReport().parse_issues is not ValidationReport().parse_issues
     assert pickle.loads(pickle.dumps(report)) == report
     assert not report.ok and ValidationReport().ok
+    assert list(vars(report)) == [key for key in report.to_dict() if key != "ok"]
