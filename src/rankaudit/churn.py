@@ -16,30 +16,36 @@ labels and the retained count a running sum over a per-label histogram of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Hashable, Iterable, Sequence
 
 from .errors import DayMissing, UnknownLabel
-from .model import GroupScheme, QuerySeries, RankingSnapshot, _unchecked, check_cutoff, label_codes, prefix_table
+from .model import (
+    GroupScheme,
+    QuerySeries,
+    RankingSnapshot,
+    Record,
+    _unchecked,
+    check_cutoff,
+    label_codes,
+    prefix_table,
+)
 
 # The metric name of churn rows in long tables.
 CHURN = "churn"
 
 
-@dataclass(frozen=True, slots=True)
-class ChurnCell:
+class ChurnCell(Record):
     """One churn measurement; ``churn`` is ``None`` when no group member
     was in the day-s top k (rate undefined, not zero)."""
 
-    query_id: str
-    attribute: str
-    label: str
-    k: int
-    start_day: int
-    end_day: int
-    churn: float | None
-    base_count: int
+    __slots__ = _fields = ("query_id", "attribute", "label", "k", "start_day", "end_day", "churn", "base_count")
+
+    def __init__(
+        self, query_id: str, attribute: str, label: str, k: int, start_day: int, end_day: int,
+        churn: float | None, base_count: int,
+    ) -> None:
+        self._set(query_id, attribute, label, k, start_day, end_day, churn, base_count)
 
 
 def churn_rate(

@@ -24,29 +24,26 @@ candidates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
 from .errors import EmptyPool, LabelWithoutProportion
-from .model import GroupProportions, label_codes, prefix_table
+from .model import GroupProportions, Record, label_codes, prefix_table
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredCandidate:
+class ScoredCandidate(Record):
     """Pool entry for re-ranking: id, group label, relevance score."""
 
-    candidate_id: str
-    label: str
-    score: float
+    __slots__ = _fields = ("candidate_id", "label", "score")
 
-    def __post_init__(self) -> None:
-        if not self.candidate_id:
+    def __init__(self, candidate_id: str, label: str, score: float) -> None:
+        if not candidate_id:
             raise ValueError("candidate_id must be non-empty")
-        if not self.label:
+        if not label:
             raise ValueError("label must be non-empty")
-        if not math.isfinite(self.score):
-            raise ValueError(f"score must be finite, got {self.score!r}")
+        if not math.isfinite(score):
+            raise ValueError(f"score must be finite, got {score!r}")
+        self._set(candidate_id, label, score)
 
 
 # A hair below 1, so that a due position computed as ``(count + 1) * _EARLY /
@@ -55,13 +52,15 @@ class ScoredCandidate:
 _EARLY = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
-class RerankResult:
+class RerankResult(Record):
     """Re-ranked candidate ids plus the prefix-constraint audit of the output."""
 
-    order: tuple[str, ...]
-    feasible: bool
-    violation_positions: tuple[tuple[int, str], ...]
+    __slots__ = _fields = ("order", "feasible", "violation_positions")
+
+    def __init__(
+        self, order: tuple[str, ...], feasible: bool, violation_positions: tuple[tuple[int, str], ...]
+    ) -> None:
+        self._set(order, feasible, violation_positions)
 
 
 def detgreedy_rerank(pool: Sequence[ScoredCandidate], proportions: GroupProportions) -> RerankResult:

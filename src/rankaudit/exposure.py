@@ -23,7 +23,6 @@ and skew rows kept on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -34,7 +33,15 @@ from .errors import (
     UnknownLabel,
     ZeroTargetProportion,
 )
-from .model import GroupProportions, GroupScheme, PrefixCounts, RankingSnapshot, check_cutoff, snapshot_counts
+from .model import (
+    GroupProportions,
+    GroupScheme,
+    PrefixCounts,
+    RankingSnapshot,
+    Record,
+    check_cutoff,
+    snapshot_counts,
+)
 
 DEVIATION = "deviation"
 SKEW = "skew"
@@ -44,17 +51,16 @@ CORRECTED_SKEW = "corrected_skew"
 DEFAULT_PAGE_SIZE = 25
 
 
-@dataclass(frozen=True)
-class TopKCounts:
+class TopKCounts(Record):
     """Group tallies over the top-k prefix of one snapshot."""
 
-    k: int
-    counts: Mapping[str, int]
-    labeled_total: int
+    __slots__ = _fields = ("k", "counts", "labeled_total")
+
+    def __init__(self, k: int, counts: Mapping[str, int], labeled_total: int) -> None:
+        self._set(k, counts, labeled_total)
 
 
-@dataclass(frozen=True)
-class MetricCurve:
+class MetricCurve(Record):
     """One metric traced over a cutoff grid for one query-day.
 
     ``values`` maps cutoff k to the metric value; ``None`` marks an undefined
@@ -63,12 +69,13 @@ class MetricCurve:
     that aggregate over groups (MinSkew).
     """
 
-    query_id: str
-    day: int
-    attribute: str
-    label: str | None
-    metric: str
-    values: Mapping[int, float | None]
+    __slots__ = _fields = ("query_id", "day", "attribute", "label", "metric", "values")
+
+    def __init__(
+        self, query_id: str, day: int, attribute: str, label: str | None, metric: str,
+        values: Mapping[int, float | None],
+    ) -> None:
+        self._set(query_id, day, attribute, label, metric, values)
 
     def defined(self) -> dict[int, float]:
         return {k: v for k, v in self.values.items() if v is not None}

@@ -4,8 +4,8 @@ report out, and the choice of series a study keeps.
 :func:`load_dataset` reads a scrape, quarantines what does not check out and
 says so in a :class:`ValidationReport`; :func:`filter_queries` applies the
 inclusion thresholds.  The report's issues are named tuples and the report a
-namespace, so that a start which loads nothing builds no dataclass.  Every
-name here is also read as ``dataio.<name>`` (:mod:`.dataio`).
+namespace, so that a start which loads nothing executes no :mod:`.model`.
+Every name here is also read as ``dataio.<name>`` (:mod:`.dataio`).
 """
 from __future__ import annotations
 
@@ -86,11 +86,13 @@ def load_dataset(path: str | Path) -> tuple[list[model.QuerySeries], ValidationR
     chunk's rows a column at a time: it transposes them into one column
     per field and tests each rule of :func:`_row_problem` on a whole
     column.  A chunk with a broken row, or with a line the bulk parse left,
-    is checked row by row instead (:func:`_valid_rows`), so every message
-    and line number is the one a line-by-line load gives.  The valid rows
-    of either path become records a column at a time and are filed by runs
-    of rows of one query and day (:func:`_file_runs`); a snapshot whose
-    ranks do not read 1..n in line order is sorted stably by rank.
+    is checked in halves instead, down to parts of :data:`_LEAF_LINES`
+    lines that are checked row by row (:func:`_load_lines`), so every
+    message and line number is the one a line-by-line load gives.  The
+    valid rows of either path become records a column at a time and are
+    filed by runs of rows of one query and day (:func:`_file_runs`); a
+    snapshot whose ranks do not read 1..n in line order is sorted stably by
+    rank.
     """
     report = ValidationReport()
     grouped: dict[tuple[str, int], list[tuple[Sequence, ...]]] = {}
@@ -99,14 +101,7 @@ def load_dataset(path: str | Path) -> tuple[list[model.QuerySeries], ValidationR
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
         for linenos, lines in _chunks(handle):
             report.n_rows += len(lines)
-            values = _bulk_values(lines)
-            columns = _checked_columns(values)
-            if columns is None:
-                linenos, values = _valid_rows(linenos, lines, values, report, tainted)
-                if not values:
-                    continue
-                columns = tuple(zip(*map(_snapshot_fields, values)))
-            _file_runs(grouped, linenos, columns)
+            _load_lines(grouped, linenos, lines, _bulk_values(lines), report, tainted)
 
     snapshots: dict[str, dict[int, model.RankingSnapshot]] = {}
     for key in sorted(grouped):
@@ -171,14 +166,43 @@ def _chunks(handle: Iterable[str]) -> Iterator[tuple[Sequence[int], list[str]]]:
             yield linenos, lines
 
 
+# A failing part of a chunk this long or shorter is checked row by row
+# rather than in halves.
+_LEAF_LINES = 64
+
+
+def _load_lines(
+    grouped: dict, linenos: Sequence[int], lines: list[str], values: list | None, report: ValidationReport,
+    tainted: dict,
+) -> None:
+    """File the records of the valid rows among ``lines``, whose values
+    :func:`_bulk_values` gave: all at once when the column check passes,
+    else half by half, down to :data:`_LEAF_LINES` lines that
+    :func:`_valid_rows` checks row by row.  A half of lines whose parse
+    failed is parsed again on its own."""
+    columns = None if values is None else _checked_columns(values)
+    if columns is None and len(lines) > _LEAF_LINES:
+        half = len(lines) // 2
+        for part in slice(half), slice(half, None):
+            part_values = _bulk_values(lines[part]) if values is None else values[part]
+            _load_lines(grouped, linenos[part], lines[part], part_values, report, tainted)
+        return
+    if columns is None:
+        linenos, values = _valid_rows(linenos, lines, values or [_UNPARSED] * len(lines), report, tainted)
+        if not values:
+            return
+        columns = tuple(zip(*map(_snapshot_fields, values)))
+    _file_runs(grouped, linenos, columns)
+
+
 # Marks a line that :func:`_bulk_values` left to be parsed on its own.
 _UNPARSED = object()
 
 
-def _bulk_values(lines: list[str]) -> list:
+def _bulk_values(lines: list[str]) -> list | None:
     """The JSON value of each line from one ``json.loads``, with
-    :data:`_UNPARSED` for a line that holds a ``[`` and for every line when
-    the parse fails or does not give one value per line.
+    :data:`_UNPARSED` for a line that holds a ``[``; None when the parse
+    fails or does not give one value per line.
 
     The lines are joined as ``[[line],[line],...]``.  With no ``[`` in any
     of them, the joiner's brackets are the only ones that open a list: a
@@ -194,9 +218,9 @@ def _bulk_values(lines: list[str]) -> list:
     try:
         rows = json.loads("[[" + "],[".join(plain) + "]]")
     except (ValueError, RecursionError):
-        return [_UNPARSED] * len(lines)
+        return None
     if len(rows) != len(plain) or set(map(len, rows)) != {1}:
-        return [_UNPARSED] * len(lines)
+        return None
     if len(plain) == len(lines):
         return list(itertools.chain.from_iterable(rows))
     values = iter(rows)

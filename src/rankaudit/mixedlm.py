@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import churn, exposure
@@ -35,7 +34,7 @@ from .errors import (
     RankDeficientDesign,
     TooFewGroups,
 )
-from .model import GroupScheme
+from .model import GroupScheme, Record
 
 # numpy is imported inside the functions that compute with it, so that the
 # subcommands which neither fit nor simulate start without it.
@@ -60,68 +59,61 @@ _REL_TOL = 1e-8
 _FIT_FAILURES = (TooFewGroups, RankDeficientDesign, NonConvergence, FitRefused)
 
 
-@dataclass(frozen=True)
-class LongObservation:
+class LongObservation(Record):
     """One response row: grouping id, response value, named covariates."""
 
-    query_id: str
-    response: float
-    covariates: Mapping[str, float]
+    __slots__ = _fields = ("query_id", "response", "covariates")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.response):
-            raise ValueError(f"response must be finite, got {self.response!r}")
+    def __init__(self, query_id: str, response: float, covariates: Mapping[str, float]) -> None:
+        if not math.isfinite(response):
+            raise ValueError(f"response must be finite, got {response!r}")
+        self._set(query_id, response, covariates)
 
 
-@dataclass(frozen=True)
-class MixedModelFit:
+class MixedModelFit(Record):
     """Fitted random-intercept model."""
 
-    beta: Mapping[str, float]
-    se: Mapping[str, float]
-    tau2: float
-    sigma2: float
-    loglik: float
-    converged: bool
-    n_obs: int
-    n_groups: int
-    var_ratio: float
-    method: str
+    __slots__ = _fields = (
+        "beta", "se", "tau2", "sigma2", "loglik", "converged", "n_obs", "n_groups", "var_ratio", "method",
+    )
+
+    def __init__(
+        self, beta: Mapping[str, float], se: Mapping[str, float], tau2: float, sigma2: float, loglik: float,
+        converged: bool, n_obs: int, n_groups: int, var_ratio: float, method: str,
+    ) -> None:
+        self._set(beta, se, tau2, sigma2, loglik, converged, n_obs, n_groups, var_ratio, method)
 
 
-@dataclass(frozen=True)
-class WaldTest:
+class WaldTest(Record):
     """Two-sided normal test of one coefficient against a null value."""
 
-    coefficient: str
-    estimate: float
-    se: float
-    null_value: float
-    z: float
-    p_value: float
-    ci95: tuple[float, float]
+    __slots__ = _fields = ("coefficient", "estimate", "se", "null_value", "z", "p_value", "ci95")
+
+    def __init__(
+        self, coefficient: str, estimate: float, se: float, null_value: float, z: float, p_value: float,
+        ci95: tuple[float, float],
+    ) -> None:
+        self._set(coefficient, estimate, se, null_value, z, p_value, ci95)
 
 
-@dataclass(frozen=True)
-class ProtocolRow:
+class ProtocolRow(Record):
     """One emitted line of a test protocol table.
 
     When the cutoff's fit failed, the test fields are ``None`` and
     ``reason`` says why; the counts still describe the cells it was given.
     """
 
-    k: int
-    coefficient: str
-    estimate: float | None
-    se: float | None
-    z: float | None
-    p_value: float | None
-    ci_lo: float | None
-    ci_hi: float | None
-    n_obs: int
-    n_groups: int
-    n_excluded: int
-    reason: str | None = None
+    __slots__ = _fields = (
+        "k", "coefficient", "estimate", "se", "z", "p_value", "ci_lo", "ci_hi", "n_obs", "n_groups", "n_excluded",
+        "reason",
+    )
+
+    def __init__(
+        self, k: int, coefficient: str, estimate: float | None, se: float | None, z: float | None,
+        p_value: float | None, ci_lo: float | None, ci_hi: float | None, n_obs: int, n_groups: int,
+        n_excluded: int, reason: str | None = None,
+    ) -> None:
+        self._set(k, coefficient, estimate, se, z, p_value, ci_lo, ci_hi, n_obs, n_groups, n_excluded, reason)
 
 
 class _Profile:
@@ -396,9 +388,12 @@ def minskew_protocol(
     Each curve contributes one cell per cutoff; cells that are undefined or
     ``-inf`` are excluded (and counted).  Per cutoff, an intercept-only
     random-intercept model pools repeated days within a query, and the
-    intercept is Wald-tested against ``null``.  A cutoff whose fit fails
+    intercept is Wald-tested against ``null``, which must be finite
+    (``ValueError`` before any fit otherwise).  A cutoff whose fit fails
     gets an undefined row carrying the reason.
     """
+    if not math.isfinite(null):
+        raise ValueError(f"null must be finite, got {null!r}")
     curve_list = list(curves)
     rows: list[ProtocolRow] = []
     for k in cutoffs:

@@ -5,20 +5,20 @@ snapshot per day; each snapshot is an ordered list of candidate records.
 Candidates hidden by the data source ("missing") still occupy their rank
 position but expose no name and no group labels.
 
-Each frozen record type with slots (:class:`CandidateRecord`,
-:class:`RankingSnapshot`, ``churn.ChurnCell`` and
-``detgreedy.ScoredCandidate``) has one public constructor, which checks
-every field, and one unchecked batch builder, :func:`_unchecked`, which
-checks none.  Only the package's own hot paths call the builder, and only
-with fields they have checked or generated valid themselves: the snapshot
-loader (:mod:`.loader`), the pool reader (:mod:`.readers`), the labeler,
-the simulator and the churn grid.
+Every record type of the package, here and in the layer modules, derives
+from :class:`Record`: a frozen slotted class whose fields are its
+``_fields``.  Each has one public constructor, which checks every field,
+and :func:`replace` builds changed copies through it.  The unchecked batch
+builder :func:`_unchecked` checks none.  Only the package's own hot paths
+call the builder, and only with fields they have checked or generated
+valid themselves: the snapshot loader (:mod:`.loader`), the pool reader
+(:mod:`.readers`), the labeler, the simulator and the churn grid.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, fields
 from itertools import accumulate, repeat
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CutoffOutOfRange, EmptyLabeledPool
@@ -29,8 +29,72 @@ EXTERNAL_BASELINE = "external_baseline"
 _SHARE_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GroupScheme:
+class Record:
+    """Base of every frozen record type of the package.
+
+    A record type lists its fields once, as ``__slots__ = _fields = (...)``,
+    and checks them in its own ``__init__``, which writes them with
+    :meth:`_set`.  This base gives every record type what a frozen
+    dataclass would: equality of the field tuples between records of one
+    type, the hash of that tuple (``TypeError`` when a field does not
+    hash), a ``Type(field=value, ...)`` repr, ``AttributeError`` on
+    assignment and deletion, and pickling and ``copy`` of the fields as
+    they are, with no check run.  :func:`replace` builds a changed copy
+    through the public constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        """Write ``values`` to the fields in order, past the frozen ``__setattr__``."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _restore, (self.__class__, *self._values())
+
+
+def _restore(cls: type, *values: object) -> Record:
+    """One ``cls`` with ``values`` in field order, unchecked: a pickled or
+    copied record was checked when it was first built."""
+    return _unchecked(cls, 1, *zip(values))[0]
+
+
+def replace(record: Record, /, **changes: object) -> Record:
+    """A copy of ``record`` with the fields named in ``changes`` changed,
+    built by its type's public constructor, which checks every field."""
+    for name in record._fields:
+        changes.setdefault(name, getattr(record, name))
+    return record.__class__(**changes)
+
+
+# Stands for a fresh empty dict as a constructor default.
+_NEW_DICT: Mapping = MappingProxyType({})
+
+
+class GroupScheme(Record):
     """A protected attribute and its closed set of group labels.
 
     ``labels`` fixes the canonical label order used for deterministic
@@ -40,34 +104,32 @@ class GroupScheme:
     them, not one string (``TypeError`` otherwise), kept as a tuple.
     """
 
-    attribute_name: str
-    labels: tuple[str, ...]
-    unknown_label: str = "unknown"
+    __slots__ = _fields = ("attribute_name", "labels", "unknown_label")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.labels, str):
+    def __init__(self, attribute_name: str, labels: Sequence[str], unknown_label: str = "unknown") -> None:
+        if isinstance(labels, str):
             # Label tests would match the string's substrings.
-            raise TypeError(f"labels must be a sequence of strings, not the string {self.labels!r}")
+            raise TypeError(f"labels must be a sequence of strings, not the string {labels!r}")
         # Kept as a tuple whatever sequence was given: the scheme hashes,
         # and its labels cannot change after the checks below.
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.attribute_name:
+        labels = tuple(labels)
+        if not attribute_name:
             raise ValueError("attribute_name must be non-empty")
-        if len(self.labels) < 2:
+        if len(labels) < 2:
             raise ValueError("a scheme needs at least two labels")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("labels must be unique")
-        if any(not lbl for lbl in self.labels):
+        if any(not lbl for lbl in labels):
             raise ValueError("labels must be non-empty strings")
-        if self.unknown_label in self.labels:
+        if unknown_label in labels:
             raise ValueError("unknown_label must not collide with a group label")
-        for value in (self.attribute_name, *self.labels, self.unknown_label):
+        for value in (attribute_name, *labels, unknown_label):
             if not isinstance(value, str):
                 raise TypeError(f"attribute_name, labels and unknown_label must be strings, got {value!r}")
+        self._set(attribute_name, labels, unknown_label)
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateRecord:
+class CandidateRecord(Record):
     """One candidate occurrence inside a ranking snapshot.
 
     ``group_labels`` maps attribute name to the candidate's label under that
@@ -79,30 +141,34 @@ class CandidateRecord:
     raises ``TypeError``.  It keeps a copy of ``group_labels``.
     """
 
-    candidate_id: str
-    first_name: str | None = None
-    last_name: str | None = None
-    group_labels: Mapping[str, str] = field(default_factory=dict)
-    missing: bool = False
+    __slots__ = _fields = ("candidate_id", "first_name", "last_name", "group_labels", "missing")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "group_labels", dict(self.group_labels.items()))
-        if not self.candidate_id:
+    def __init__(
+        self,
+        candidate_id: str,
+        first_name: str | None = None,
+        last_name: str | None = None,
+        group_labels: Mapping[str, str] = _NEW_DICT,
+        missing: bool = False,
+    ) -> None:
+        group_labels = dict(group_labels.items())
+        if not candidate_id:
             raise ValueError("candidate_id must be non-empty")
-        if self.missing:
-            if self.first_name is not None or self.last_name is not None:
+        if missing:
+            if first_name is not None or last_name is not None:
                 raise ValueError("missing candidates cannot expose names")
-            if self.group_labels:
+            if group_labels:
                 raise ValueError("missing candidates cannot expose group labels")
-        if not isinstance(self.candidate_id, str):
-            raise TypeError(f"candidate_id must be a string, got {self.candidate_id!r}")
-        for name, value in (("first_name", self.first_name), ("last_name", self.last_name)):
+        if not isinstance(candidate_id, str):
+            raise TypeError(f"candidate_id must be a string, got {candidate_id!r}")
+        for name, value in (("first_name", first_name), ("last_name", last_name)):
             if value is not None and not isinstance(value, str):
                 raise TypeError(f"{name} must be a string or None, got {value!r}")
-        if not all(isinstance(text, str) for item in self.group_labels.items() for text in item):
-            raise TypeError(f"group_labels must map strings to strings, got {dict(self.group_labels)!r}")
-        if type(self.missing) is not bool:
-            raise TypeError(f"missing must be a bool, got {self.missing!r}")
+        if not all(isinstance(text, str) for item in group_labels.items() for text in item):
+            raise TypeError(f"group_labels must map strings to strings, got {group_labels!r}")
+        if type(missing) is not bool:
+            raise TypeError(f"missing must be a bool, got {missing!r}")
+        self._set(candidate_id, first_name, last_name, group_labels, missing)
 
     def label_for(self, scheme: GroupScheme) -> str:
         """Label of this candidate under ``scheme``, unknown when unresolved."""
@@ -115,8 +181,7 @@ class CandidateRecord:
         return self.label_for(scheme) in scheme.labels
 
 
-@dataclass(frozen=True, slots=True)
-class RankingSnapshot:
+class RankingSnapshot(Record):
     """An ordered candidate list for one query on one day.
 
     ``entries`` is rank order: ``entries[0]`` is rank 1.  ``query_id`` is a
@@ -124,22 +189,21 @@ class RankingSnapshot:
     otherwise).
     """
 
-    query_id: str
-    day: int
-    entries: tuple[CandidateRecord, ...]
+    __slots__ = _fields = ("query_id", "day", "entries")
 
-    def __post_init__(self) -> None:
-        if not self.query_id:
+    def __init__(self, query_id: str, day: int, entries: tuple[CandidateRecord, ...]) -> None:
+        if not query_id:
             raise ValueError("query_id must be non-empty")
-        if self.day < 1:
+        if day < 1:
             raise ValueError("day must be >= 1")
-        if not isinstance(self.query_id, str):
-            raise TypeError(f"query_id must be a string, got {self.query_id!r}")
-        if not isinstance(self.day, int) or isinstance(self.day, bool):
-            raise TypeError(f"day must be an int, got {self.day!r}")
-        ids = [e.candidate_id for e in self.entries]
+        if not isinstance(query_id, str):
+            raise TypeError(f"query_id must be a string, got {query_id!r}")
+        if not isinstance(day, int) or isinstance(day, bool):
+            raise TypeError(f"day must be an int, got {day!r}")
+        ids = [e.candidate_id for e in entries]
         if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate candidate_id in snapshot {self.query_id!r} day {self.day}")
+            raise ValueError(f"duplicate candidate_id in snapshot {query_id!r} day {day}")
+        self._set(query_id, day, entries)
 
     @property
     def missing_count(self) -> int:
@@ -154,18 +218,17 @@ class RankingSnapshot:
 
 
 def _unchecked(cls: type, count: int, *columns: Iterable) -> list:
-    """``count`` instances of the frozen slots dataclass ``cls``, the i-th
-    built from the i-th value of each column, one column per field in field
-    order; a column may run longer than ``count`` (``itertools.repeat`` for
-    a field all instances share), never shorter.  No ``__init__`` or
-    ``__post_init__`` runs, so the caller vouches for every value.  A
-    number of columns other than the number of fields raises
-    ``ValueError``."""
+    """``count`` instances of the record type ``cls``, the i-th built from
+    the i-th value of each column, one column per field of ``cls._fields``
+    in order; a column may run longer than ``count`` (``itertools.repeat``
+    for a field all instances share), never shorter.  No ``__init__`` runs,
+    so the caller vouches for every value.  A number of columns other than
+    the number of fields raises ``ValueError``."""
     instances = list(map(object.__new__, repeat(cls, count)))
-    for one, column in zip(fields(cls), columns, strict=True):
+    for name, column in zip(cls._fields, columns, strict=True):
         # The slot descriptor's ``__set__`` writes past the frozen
         # ``__setattr__``; a zero-length deque runs it without keeping results.
-        deque(map(getattr(cls, one.name).__set__, instances, column), maxlen=0)
+        deque(map(getattr(cls, name).__set__, instances, column), maxlen=0)
     return instances
 
 
@@ -177,21 +240,20 @@ def check_cutoff(snapshot: RankingSnapshot, k: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class QuerySeries:
+class QuerySeries(Record):
     """All snapshots collected for one query, keyed by day."""
 
-    query_id: str
-    snapshots: Mapping[int, RankingSnapshot]
+    __slots__ = _fields = ("query_id", "snapshots")
 
-    def __post_init__(self) -> None:
-        if not self.snapshots:
+    def __init__(self, query_id: str, snapshots: Mapping[int, RankingSnapshot]) -> None:
+        if not snapshots:
             raise ValueError("a series needs at least one snapshot")
-        for day, snap in self.snapshots.items():
+        for day, snap in snapshots.items():
             if snap.day != day:
                 raise ValueError(f"snapshot day {snap.day} filed under key {day}")
-            if snap.query_id != self.query_id:
-                raise ValueError(f"snapshot for {snap.query_id!r} filed under series {self.query_id!r}")
+            if snap.query_id != query_id:
+                raise ValueError(f"snapshot for {snap.query_id!r} filed under series {query_id!r}")
+        self._set(query_id, snapshots)
 
     @property
     def days(self) -> tuple[int, ...]:
@@ -202,8 +264,7 @@ class QuerySeries:
         return min(self.snapshots)
 
 
-@dataclass(frozen=True)
-class GroupProportions:
+class GroupProportions(Record):
     """Target (or observed) group shares for one scheme.
 
     ``shares`` covers every label of the scheme exactly, sums to one, and is
@@ -212,23 +273,23 @@ class GroupProportions:
     (``source = "external_baseline"``, ``denominator 0``).
     """
 
-    scheme: GroupScheme
-    shares: Mapping[str, float]
-    source: str = OBSERVED_POOL
-    denominator: int = 0
+    __slots__ = _fields = ("scheme", "shares", "source", "denominator")
 
-    def __post_init__(self) -> None:
-        if self.source not in (OBSERVED_POOL, EXTERNAL_BASELINE):
-            raise ValueError(f"unrecognized proportions source {self.source!r}")
-        if set(self.shares) != set(self.scheme.labels):
+    def __init__(
+        self, scheme: GroupScheme, shares: Mapping[str, float], source: str = OBSERVED_POOL, denominator: int = 0
+    ) -> None:
+        if source not in (OBSERVED_POOL, EXTERNAL_BASELINE):
+            raise ValueError(f"unrecognized proportions source {source!r}")
+        if set(shares) != set(scheme.labels):
             raise ValueError("shares must cover the scheme labels exactly")
-        if not all(s >= 0.0 for s in self.shares.values()):
+        if not all(s >= 0.0 for s in shares.values()):
             raise ValueError("shares must be non-negative numbers")
-        total = sum(self.shares.values())
+        total = sum(shares.values())
         if abs(total - 1.0) > _SHARE_SUM_TOL:
             raise ValueError(f"shares sum to {total!r}, expected 1")
-        if self.denominator < 0:
+        if denominator < 0:
             raise ValueError("denominator must be non-negative")
+        self._set(scheme, shares, source, denominator)
 
 
 def prefix_table(codes: Sequence[int], n_labels: int) -> list[list[int]]:

@@ -8,13 +8,12 @@ rather than guessing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .dataio import numeral, write_long_table
 from .errors import MalformedRow, UnknownLabel
-from .model import CandidateRecord, GroupScheme, RankingSnapshot, _unchecked
+from .model import CandidateRecord, GroupScheme, RankingSnapshot, Record, _unchecked
 from .readers import csv_table
 
 _TABLE_COLUMNS = ("name", "label", "count")
@@ -25,12 +24,13 @@ def _fold(name: str) -> str:
     return name.strip().casefold()
 
 
-@dataclass(frozen=True)
-class NameFrequencyTable:
+class NameFrequencyTable(Record):
     """Per-name label counts under one group scheme."""
 
-    scheme: GroupScheme
-    counts: Mapping[str, Mapping[str, int]]
+    __slots__ = _fields = ("scheme", "counts")
+
+    def __init__(self, scheme: GroupScheme, counts: Mapping[str, Mapping[str, int]]) -> None:
+        self._set(scheme, counts)
 
     def __contains__(self, name: str) -> bool:
         return _fold(name) in self.counts
@@ -42,8 +42,7 @@ class NameFrequencyTable:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
-class InferenceResult:
+class InferenceResult(Record):
     """Outcome of one name lookup.
 
     ``provider_index`` is the position of the resolving table in the chain,
@@ -51,17 +50,19 @@ class InferenceResult:
     count divided by the name's total count; 0.0 when unresolved or tied.
     """
 
-    label: str
-    confidence: float
-    provider_index: int
+    __slots__ = _fields = ("label", "confidence", "provider_index")
+
+    def __init__(self, label: str, confidence: float, provider_index: int) -> None:
+        self._set(label, confidence, provider_index)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(Record):
     """How much of a dataset the inference chain labeled."""
 
-    total: int
-    resolved: int
+    __slots__ = _fields = ("total", "resolved")
+
+    def __init__(self, total: int, resolved: int) -> None:
+        self._set(total, resolved)
 
     @property
     def coverage(self) -> float:

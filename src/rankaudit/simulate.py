@@ -17,7 +17,6 @@ substream so toggling it never perturbs pool composition or order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -29,6 +28,8 @@ from .model import (
     PrefixCounts,
     QuerySeries,
     RankingSnapshot,
+    Record,
+    _NEW_DICT,
     _unchecked,
 )
 
@@ -44,16 +45,16 @@ _CORE_STREAM = 0
 _MASK_STREAM = 1
 
 
-@dataclass(frozen=True)
-class ScoreModel:
+class ScoreModel(Record):
     """Truncated-normal score bump for one group: location and spread."""
 
-    mean: float
-    spread: float
+    __slots__ = _fields = ("mean", "spread")
+
+    def __init__(self, mean: float, spread: float) -> None:
+        self._set(mean, spread)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Full description of one synthetic dataset.
 
     ``group_weights`` is the generating mix over scheme labels; with
@@ -63,20 +64,30 @@ class SimConfig:
     always fresh candidates from the departing group.
     """
 
-    seed: int
-    n_queries: int
-    pool_size: tuple[int, int]
-    scheme: GroupScheme
-    group_weights: Mapping[str, float]
-    score_models: Mapping[str, ScoreModel]
-    days: int = 1
-    departure_probs: Mapping[str, float] = field(default_factory=dict)
-    missing_prob: float = 0.0
-    postprocess: str = POSTPROCESS_NONE
-    postprocess_targets: Mapping[str, float] | None = None
-    weights_concentration: float | None = None
+    __slots__ = _fields = (
+        "seed", "n_queries", "pool_size", "scheme", "group_weights", "score_models", "days", "departure_probs",
+        "missing_prob", "postprocess", "postprocess_targets", "weights_concentration",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        seed: int,
+        n_queries: int,
+        pool_size: tuple[int, int],
+        scheme: GroupScheme,
+        group_weights: Mapping[str, float],
+        score_models: Mapping[str, ScoreModel],
+        days: int = 1,
+        departure_probs: Mapping[str, float] = _NEW_DICT,
+        missing_prob: float = 0.0,
+        postprocess: str = POSTPROCESS_NONE,
+        postprocess_targets: Mapping[str, float] | None = None,
+        weights_concentration: float | None = None,
+    ) -> None:
+        if departure_probs is _NEW_DICT:
+            departure_probs = {}
+        self._set(seed, n_queries, pool_size, scheme, group_weights, score_models, days, departure_probs,
+                  missing_prob, postprocess, postprocess_targets, weights_concentration)
         labels = set(self.scheme.labels)
         if self.n_queries < 1:
             raise InvalidConfig("n_queries must be >= 1")
@@ -123,25 +134,25 @@ class SimConfig:
             raise InvalidConfig("weights_concentration must be positive and finite")
 
 
-@dataclass(frozen=True)
-class QueryTruth:
+class QueryTruth(Record):
     """Unmasked generating state for one query."""
 
-    query_id: str
-    weights: Mapping[str, float]
-    composition: Mapping[str, int]
-    labels: Mapping[str, str]
-    scores: Mapping[str, float]
-    departures: tuple[tuple[int, str], ...]
+    __slots__ = _fields = ("query_id", "weights", "composition", "labels", "scores", "departures")
+
+    def __init__(
+        self, query_id: str, weights: Mapping[str, float], composition: Mapping[str, int], labels: Mapping[str, str],
+        scores: Mapping[str, float], departures: tuple[tuple[int, str], ...],
+    ) -> None:
+        self._set(query_id, weights, composition, labels, scores, departures)
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(Record):
     """Generated dataset plus its ground-truth ledger."""
 
-    series: list[QuerySeries]
-    truth: list[QueryTruth]
-    config: SimConfig
+    __slots__ = _fields = ("series", "truth", "config")
+
+    def __init__(self, series: list[QuerySeries], truth: list[QueryTruth], config: SimConfig) -> None:
+        self._set(series, truth, config)
 
 
 def generate(config: SimConfig) -> SimResult:

@@ -456,6 +456,19 @@ class TestStatsCommand:
         assert za != zb
         assert float(read_csv(a)[0]["estimate"]) == float(read_csv(b)[0]["estimate"])
 
+    @pytest.mark.parametrize("null", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_a_non_finite_null_is_refused(self, wide_dataset, tmp_path, capsys, null, via_config) -> None:
+        out = tmp_path / "protocol.csv"
+        if via_config:
+            (tmp_path / "stats.cfg").write_text(f"null = {null}\n", encoding="utf-8")
+            given = ("--config", str(tmp_path / "stats.cfg"))
+        else:
+            given = (f"--null={null}",)
+        assert run("stats", "minskew-protocol", str(wide_dataset), "--cutoffs", "25", *given, "-o", str(out)) == 1
+        assert capsys.readouterr().err == f"error: null must be finite, got {float(null)!r}\n"
+        assert not out.exists()
+
     def test_churn_protocol_reports_both_coefficients(self, wide_dataset, tmp_path) -> None:
         out = tmp_path / "protocol.csv"
         assert run("stats", "churn-protocol", str(wide_dataset), "--cutoffs", "25",
@@ -1134,7 +1147,7 @@ def test_parser_literals_equal_the_layer_constants() -> None:
     assert postprocess.choices == (simulate.POSTPROCESS_NONE, simulate.POSTPROCESS_DETGREEDY)
     assert postprocess.default == simulate.POSTPROCESS_NONE
     assert option["simulate", "page_size"].default == exposure.DEFAULT_PAGE_SIZE
-    assert option["label", "unknown_label"].default == model.GroupScheme.unknown_label
+    assert option["label", "unknown_label"].default == model.GroupScheme("g", ("F", "M")).unknown_label
     formats = {command: action for (command, dest), action in option.items() if dest == "format"}
     assert sorted(formats) == ["audit", "churn", "rerank", "stats", "validate"]
     for command, action in formats.items():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import io
 import math
 import random
@@ -127,7 +126,7 @@ class TestRerankEdgeCases:
     def test_read_pool_builds_checked_rows_without_checking_again(self, tmp_path) -> None:
         path = tmp_path / "pool.csv"
         path.write_text("candidate_id,label,score\nc1, F ,0.5\nc2,M,-1e3\n", encoding="utf-8")
-        with mock.patch.object(ScoredCandidate, "__post_init__", side_effect=AssertionError("checked")):
+        with mock.patch.object(ScoredCandidate, "__init__", side_effect=AssertionError("checked")):
             pool = dataio.read_pool(path)
         assert pool == [ScoredCandidate("c1", "F", 0.5), ScoredCandidate("c2", "M", -1000.0)]
         assert dataio.read_pool(io.StringIO("candidate_id,label,score\n")) == []
@@ -136,7 +135,7 @@ class TestRerankEdgeCases:
         entry = ScoredCandidate("c1", "F", 0.5)
         assert ScoredCandidate.__slots__ == ("candidate_id", "label", "score")
         assert not hasattr(entry, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'score'"):
             entry.score = 0.9
 
     def test_nan_target_rejected(self) -> None:

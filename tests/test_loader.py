@@ -289,6 +289,36 @@ def test_valid_rows_load_in_bulk_like_line_by_line(data_dir, lines, chunk) -> No
     assert got == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), chunk=st.integers(2, 12), chunks=st.integers(1, 3), leaf=st.integers(1, 3))
+def test_bad_lines_at_chunk_and_half_edges_load_like_line_by_line(data_dir, data, chunk, chunks, leaf) -> None:
+    """A chunk that fails its parse or column check is checked in halves
+    down to ``leaf`` lines: bad lines drawn at the first and last line of a
+    chunk and on either side of a halving point read as line by line."""
+    lines = data.draw(st.lists(VALID, min_size=chunk * chunks, max_size=chunk * chunks))
+    edges = sorted({start + offset for start in range(0, chunk * chunks, chunk)
+                    for offset in (0, chunk - 1, chunk // 2 - 1, chunk // 2, chunk // 4, chunk - 1 - chunk // 4)})
+    for at in data.draw(st.sets(st.sampled_from(edges), min_size=1, max_size=3)):
+        lines[at] = data.draw(st.one_of(ADVERSARIAL, row_lines(ROWS)))
+    with mock.patch.object(loader, "_LEAF_LINES", leaf):
+        got, expected = load_both(data_dir / "edges.jsonl", "".join(text + "\n" for text in lines), chunk)
+    assert got == expected
+
+
+@pytest.mark.parametrize("bad", ['{"query_id":"q1",', line(row(rank="9", candidate_id="c9"))],
+                         ids=["bad-json", "bad-field"])
+def test_one_bad_line_walks_only_its_leaf(tmp_path, bad) -> None:
+    """A bad line, whether its JSON or a field is broken, sends only the
+    ``_LEAF_LINES`` lines around it through the row-by-row check."""
+    lines = [line(row(rank=r, candidate_id=f"c{r}")) for r in range(1, 2049)]
+    lines[1000] = bad
+    path = _write(tmp_path, lines)
+    with mock.patch.object(loader, "_valid_rows", wraps=loader._valid_rows) as walked:
+        got = load_dataset(path)
+    assert got == ref_load_dataset(path) and [issue.line for issue in got[1].parse_issues] == [1001]
+    assert sum(len(call.args[1]) for call in walked.call_args_list) == loader._LEAF_LINES
+
+
 @pytest.mark.parametrize("first, second", OPEN_LIST_PAIRS)
 def test_open_list_cannot_pass_the_next_line_off_as_a_row(tmp_path, first, second) -> None:
     path = _write(tmp_path, [first, second, line(row(rank=3, candidate_id="c3"))])

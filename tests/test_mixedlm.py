@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from rankaudit import (
 )
 
 from rankaudit import mixedlm
+from rankaudit.model import replace
 
 from conftest import GENDER
 
@@ -372,7 +373,7 @@ class TestWaldTest:
             wald_test(self.make_fit(), "slope")
 
     def test_non_converged_fit_is_refused(self) -> None:
-        fit = dataclasses.replace(self.make_fit(), converged=False)
+        fit = replace(self.make_fit(), converged=False)
         with pytest.raises(FitRefused, match="non-converged"):
             wald_test(fit, "intercept")
 
@@ -401,6 +402,12 @@ class TestMinskewProtocol:
         assert row.estimate == pytest.approx(float(np.mean(raw)), rel=1e-9)
         assert row.n_obs == 24 and row.n_groups == 12 and row.n_excluded == 0
         assert row.z == pytest.approx((row.estimate + 0.011) / row.se)
+
+    @pytest.mark.parametrize("null", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_null_is_refused_before_any_fit(self, null, monkeypatch) -> None:
+        monkeypatch.setattr(mixedlm, "fit_random_intercept", mock.Mock(side_effect=AssertionError("fitted")))
+        with pytest.raises(ValueError, match="null must be finite"):
+            minskew_protocol([curve_at("q0", 1, {25: -0.1})], null=null, cutoffs=(25,))
 
     def test_undefined_and_negative_infinity_cells_are_excluded(self) -> None:
         curves = [
@@ -494,7 +501,7 @@ class TestChurnProtocol:
         # At k=50 every cell ends on day 2, so the day column duplicates the
         # intercept and the design is rank deficient.
         cells = self.make_cells()
-        cells += [dataclasses.replace(cell, k=50) for cell in cells if cell.end_day == 2]
+        cells += [replace(cell, k=50) for cell in cells if cell.end_day == 2]
         rows = churn_protocol(cells, GENDER, cutoffs=(25, 50))
         assert rows[:2] == churn_protocol(cells, GENDER, cutoffs=(25,))
         assert [(row.k, row.coefficient) for row in rows[2:]] == [(50, "is_M"), (50, "day")]

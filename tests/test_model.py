@@ -4,6 +4,7 @@ import ast
 import contextlib
 import copy
 import dataclasses
+import math
 import pickle
 from pathlib import Path
 from typing import Iterator
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rankaudit import (
     CandidateRecord,
@@ -20,17 +21,31 @@ from rankaudit import (
     EmptyLabeledPool,
     GroupProportions,
     GroupScheme,
+    InvalidConfig,
     QuerySeries,
     RankingSnapshot,
+    RerankResult,
     ScoredCandidate,
+    exposure,
+    mixedlm,
     names,
     observed_proportions,
     simulate,
 )
 from rankaudit.dataio import load_dataset, write_snapshots
-from rankaudit.model import PrefixCounts, _unchecked, check_cutoff, label_codes, prefix_table, snapshot_counts
+from rankaudit.model import (
+    PrefixCounts,
+    Record,
+    _unchecked,
+    check_cutoff,
+    label_codes,
+    prefix_table,
+    replace,
+    snapshot_counts,
+)
 
 from conftest import GENDER, snapshot
+from reference_records import BAD, RECORD_TYPES, TWINS, VALID
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rankaudit"
 
@@ -126,7 +141,7 @@ class TestCandidateRecord:
         rec = CandidateRecord("c1", first_name="Ada")
         assert CandidateRecord.__slots__ == ("candidate_id", "first_name", "last_name", "group_labels", "missing")
         assert not hasattr(rec, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'first_name'"):
             rec.first_name = "Eve"
 
     def test_public_constructor_still_checks(self) -> None:
@@ -162,7 +177,7 @@ class TestCandidateRecord:
 
     def test_unchecked_builder_builds_equal_records_without_checks(self) -> None:
         fields = ("c1", "Ada", None, {"gender": "F"}, False)
-        with mock.patch.object(CandidateRecord, "__post_init__", side_effect=AssertionError("checked")):
+        with mock.patch.object(CandidateRecord, "__init__", side_effect=AssertionError("checked")):
             built = _unchecked(CandidateRecord, 2, ("c1", ""), ("Ada", None), (None, None), ({"gender": "F"}, {}),
                                (False, True))
         assert built[0] == CandidateRecord(*fields)
@@ -171,11 +186,11 @@ class TestCandidateRecord:
 
     def test_replace_and_copy_still_work(self) -> None:
         rec = CandidateRecord("c1", first_name="Ada", group_labels={"gender": "F"})
-        assert dataclasses.replace(rec, group_labels={"gender": "M"}) == CandidateRecord(
+        assert replace(rec, group_labels={"gender": "M"}) == CandidateRecord(
             "c1", first_name="Ada", group_labels={"gender": "M"}
         )
         with pytest.raises(ValueError):
-            dataclasses.replace(rec, missing=True)
+            replace(rec, missing=True)
         for clone in (copy.copy(rec), copy.deepcopy(rec)):
             assert clone == rec and clone is not rec
 
@@ -201,7 +216,7 @@ class TestCandidateRecord:
         rec = CandidateRecord("c1", "Ada", None, {"gender": "F"})
         assert rec == CandidateRecord("c1", "Ada", None, {"gender": "F"})
         assert pickle.loads(pickle.dumps(rec)) == rec
-        changed = dataclasses.replace(rec, first_name="Eve")
+        changed = replace(rec, first_name="Eve")
         assert changed.group_labels == {"gender": "F"} and changed.group_labels is not rec.group_labels
 
 
@@ -232,25 +247,25 @@ class TestRankingSnapshot:
 def assert_like_public(snapshots: list[RankingSnapshot]) -> None:
     """Each snapshot equals the public constructor's from its fields, field
     for field in the same order, pickles, and goes through
-    ``dataclasses.replace``, which runs the public checks."""
+    ``model.replace``, which runs the public checks."""
     assert snapshots
     for snap in snapshots:
         public = RankingSnapshot(snap.query_id, snap.day, snap.entries)
         assert type(snap) is RankingSnapshot and snap == public
         assert not hasattr(snap, "__dict__")
         assert pickle.loads(pickle.dumps(snap)) == public
-        assert dataclasses.replace(snap, day=snap.day + 1) == RankingSnapshot(snap.query_id, snap.day + 1, snap.entries)
+        assert replace(snap, day=snap.day + 1) == RankingSnapshot(snap.query_id, snap.day + 1, snap.entries)
         with pytest.raises(ValueError, match="duplicate"):
-            dataclasses.replace(snap, entries=snap.entries + snap.entries[:1])
-        with pytest.raises(dataclasses.FrozenInstanceError):
+            replace(snap, entries=snap.entries + snap.entries[:1])
+        with pytest.raises(AttributeError, match="cannot assign to field 'day'"):
             snap.day = 2
 
 
 @contextlib.contextmanager
 def no_checks():
     """Make the public checks of records and snapshots fail while active."""
-    with mock.patch.object(RankingSnapshot, "__post_init__", side_effect=AssertionError("checked")), \
-            mock.patch.object(CandidateRecord, "__post_init__", side_effect=AssertionError("checked")):
+    with mock.patch.object(RankingSnapshot, "__init__", side_effect=AssertionError("checked")), \
+            mock.patch.object(CandidateRecord, "__init__", side_effect=AssertionError("checked")):
         yield
 
 
@@ -300,16 +315,56 @@ class TestUncheckedSnapshot:
         assert_like_public([snap for one in series for snap in one.snapshots.values()])
 
 
-# Per record type: the fields of two instances, a ``dataclasses.replace``
-# change, and one its public checks reject (``None`` for a type without checks).
+SCORES = {label: simulate.ScoreModel(0.6, 0.15) for label in GENDER.labels}
+CONFIG = (3, 3, (10, 20), GENDER, {"F": 0.5, "M": 0.5}, SCORES, 3, {"F": 0.3}, 0.2, "none", None, None)
+FIT = ({"intercept": 0.1}, {"intercept": 0.02}, 0.2, 1.0, -3.5, True, 40, 10, 0.2, "reml")
+
+# Per record type: the fields of two instances, a ``model.replace`` change,
+# and one its public checks reject with the exception they raise (``None``
+# for a type without checks).
 BUILT = [
+    (GroupScheme, [("gender", ("F", "M"), "unknown"), ("region", ("EU", "US", "AS"), "?")],
+     {"unknown_label": "n/a"}, ({"labels": ("F",)}, ValueError)),
     (CandidateRecord, [("c1", "Ada", None, {"gender": "F"}, False), ("c2", None, None, {}, True)],
-     {"candidate_id": "c9"}, {"candidate_id": ""}),
-    (RankingSnapshot, [("q1", 1, snapshot("FM").entries), ("q2", 3, ())], {"day": 2}, {"day": 0}),
+     {"candidate_id": "c9"}, ({"candidate_id": ""}, ValueError)),
+    (RankingSnapshot, [("q1", 1, snapshot("FM").entries), ("q2", 3, ())], {"day": 2}, ({"day": 0}, ValueError)),
+    (QuerySeries, [("q1", {1: snapshot("FM")}), ("q1", {1: snapshot("M"), 3: snapshot("Fx", day=3)})],
+     {"snapshots": {2: snapshot("F", day=2)}}, ({"snapshots": {}}, ValueError)),
+    (GroupProportions, [(GENDER, {"F": 0.5, "M": 0.5}, "observed_pool", 4), (GENDER, {"F": 0.25, "M": 0.75},
+                                                                              "external_baseline", 0)],
+     {"denominator": 7}, ({"source": "guesswork"}, ValueError)),
+    (names.NameFrequencyTable, [(GENDER, {"ada": {"F": 3}}), (GENDER, {})], {"counts": {"bo": {"M": 1}}}, None),
+    (names.InferenceResult, [("F", 0.75, 0), ("unknown", 0.0, -1)], {"confidence": 1.0}, None),
+    (names.CoverageReport, [(10, 7), (0, 0)], {"resolved": 1}, None),
+    (exposure.TopKCounts, [(5, {"F": 2, "M": 3}, 5), (1, {}, 0)], {"k": 2}, None),
+    (exposure.MetricCurve, [("q1", 1, "gender", "F", "skew", {5: -0.1, 10: None}),
+                            ("q1", 2, "gender", None, "minskew", {})], {"day": 3}, None),
     (ChurnCell, [("q1", "gender", "F", 2, 1, 2, 0.5, 2), ("q1", "gender", "M", 2, 1, 2, None, 0)],
      {"k": 3}, None),
-    (ScoredCandidate, [("c1", "F", 0.5), ("c2", "M", -1.0)], {"score": 2.0}, {"label": ""}),
+    (mixedlm.LongObservation, [("q1", 0.5, {"is_M": 1.0}), ("q2", -2.0, {})], {"response": 1.5},
+     ({"response": math.nan}, ValueError)),
+    (mixedlm.MixedModelFit, [FIT, FIT[:5] + (False,) + FIT[6:]], {"converged": False}, None),
+    (mixedlm.WaldTest, [("intercept", 0.1, 0.02, 0.0, 5.0, 1e-6, (0.06, 0.14)),
+                        ("is_M", -0.5, 0.5, -0.011, -0.98, 0.33, (-1.48, 0.48))], {"null_value": -0.011}, None),
+    (mixedlm.ProtocolRow, [(25, "intercept", 0.1, 0.02, 5.0, 1e-6, 0.06, 0.14, 40, 10, 0, None),
+                           (50, "intercept", None, None, None, None, None, None, 12, 3, 1, "too few groups")],
+     {"k": 75}, None),
+    (ScoredCandidate, [("c1", "F", 0.5), ("c2", "M", -1.0)], {"score": 2.0}, ({"label": ""}, ValueError)),
+    (RerankResult, [(("c1", "c2"), True, ()), (("c2",), False, ((1, "F"),))], {"feasible": False}, None),
+    (simulate.ScoreModel, [(0.6, 0.15), (0.4, 0.2)], {"spread": 0.1}, None),
+    (simulate.SimConfig, [CONFIG, CONFIG[:9] + ("detgreedy", {"F": 0.5, "M": 0.5}, 2.0)], {"days": 2},
+     ({"n_queries": 0}, InvalidConfig)),
+    (simulate.QueryTruth, [("q1", {"F": 0.5, "M": 0.5}, {"F": 1, "M": 1}, {"c1": "F", "c2": "M"},
+                            {"c1": 0.9, "c2": 0.4}, ((2, "c1"),)), ("q2", {}, {}, {}, {}, ())],
+     {"departures": ()}, None),
+    (simulate.SimResult, [([], [], simulate.SimConfig(*CONFIG)),
+                          ([QuerySeries("q1", {1: snapshot("F")})], [], simulate.SimConfig(*CONFIG))],
+     {"truth": []}, None),
 ]
+
+
+def test_built_covers_every_record_type() -> None:
+    assert [one[0] for one in BUILT] == RECORD_TYPES
 
 
 @pytest.mark.parametrize("cls, rows, change, bad", BUILT, ids=[one[0].__name__ for one in BUILT])
@@ -321,18 +376,98 @@ def test_unchecked_builds_what_the_public_constructor_builds(cls, rows, change, 
         public = cls(*row)
         assert one == public and repr(one) == repr(public)
         assert pickle.loads(pickle.dumps(one)) == public
-        assert dataclasses.replace(one, **change) == dataclasses.replace(public, **change)
+        assert replace(one, **change) == replace(public, **change)
         if bad is not None:
-            with pytest.raises(ValueError):
-                dataclasses.replace(one, **bad)
+            changes, error = bad
+            with pytest.raises(error):
+                replace(one, **changes)
         assert not hasattr(one, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(one, dataclasses.fields(cls)[0].name, row[0])
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(one, cls._fields[0], row[0])
     # One column per field, no more and no fewer.
     with pytest.raises(ValueError):
         _unchecked(cls, len(rows), *columns[:-1])
     with pytest.raises(ValueError):
         _unchecked(cls, len(rows), *columns, columns[-1])
+
+
+def _outcome(build) -> tuple:
+    """("ok", repr) of what ``build()`` returns, or ("error", exception type)."""
+    try:
+        return "ok", repr(build())
+    except Exception as error:  # noqa: BLE001 - the type is the outcome
+        return "error", type(error)
+
+
+def _hash_or_error(value: object) -> object:
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=[cls.__name__ for cls in RECORD_TYPES])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_records_behave_as_their_dataclass_twins(cls, data) -> None:
+    """A record and its frozen dataclass twin (``reference_records``), built
+    from the same drawn fields, agree on repr, equality, hash, pickle and
+    copy round trips, changed copies and frozen fields."""
+    twin = TWINS[cls]
+    fields, others = data.draw(VALID[cls]), data.draw(VALID[cls])
+    one, twin_one = cls(*fields), twin(*fields)
+    other, twin_other = cls(*others), twin(*others)
+    assert repr(one) == repr(twin_one)
+    assert (one == other) == (twin_one == twin_other) and (one == one) == (twin_one == twin_one)
+    assert (one != other) == (twin_one != twin_other)
+    assert _hash_or_error(one) == _hash_or_error(twin_one)
+    for trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        clone, twin_clone = trip(one), trip(twin_one)
+        assert type(clone) is cls and not hasattr(clone, "__dict__")
+        assert repr(clone) == repr(twin_clone) and (clone == one) == (twin_clone == twin_one)
+    # One field changed to the other draw's value, valid or not.
+    name = data.draw(st.sampled_from(cls._fields))
+    change = {name: getattr(other, name)}
+    assert _outcome(lambda: replace(one, **change)) == _outcome(lambda: dataclasses.replace(twin_one, **change))
+    bad = data.draw(st.sampled_from(BAD[cls]))
+    outcome = _outcome(lambda: replace(one, **bad))
+    assert outcome[0] == "error" and outcome == _outcome(lambda: dataclasses.replace(twin_one, **bad))
+    for target in (one, twin_one):
+        for attribute in (name, "no_such_field"):
+            with pytest.raises(AttributeError):
+                setattr(target, attribute, None)
+            with pytest.raises(AttributeError):
+                delattr(target, attribute)
+    assert repr(one) == repr(twin_one)
+
+
+def test_every_record_type_derives_from_the_one_base() -> None:
+    """The record types are exactly the subclasses of ``model.Record``;
+    no other class of the package gives itself value equality, a hash or
+    frozen fields, and no module imports ``dataclasses``."""
+    assert sorted(Record.__subclasses__(), key=RECORD_TYPES.index) == RECORD_TYPES
+    assert all(cls.__slots__ == cls._fields and cls.__init__ is not Record.__init__ for cls in RECORD_TYPES)
+    value_methods = {"__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__", "_fields"}
+    loose, imports = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [alias.name for alias in node.names if alias.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+                imports.append(node.module)
+            elif isinstance(node, ast.ClassDef) and node.name != "Record":
+                bases = [ast.unparse(base) for base in node.bases]
+                defined = {getattr(one, "name", None) for one in node.body} | {
+                    target.id for one in node.body if isinstance(one, ast.Assign)
+                    for target in one.targets if isinstance(target, ast.Name)
+                }
+                if value_methods & defined and bases != ["Record"]:
+                    loose.append(f"{path.name}:{node.name}")
+                if bases == ["Record"] and value_methods & defined != {"_fields"}:
+                    loose.append(f"{path.name}:{node.name}")
+    assert imports == []
+    assert loose == []
 
 
 def _builder_parts(tree: ast.AST) -> Iterator[ast.AST]:

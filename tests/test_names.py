@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import io
 
 import pytest
@@ -19,6 +18,7 @@ from rankaudit import (
     save_name_table,
     table_from_rows,
 )
+from rankaudit.model import replace
 
 from conftest import GENDER
 
@@ -169,7 +169,7 @@ class TestLabelDataset:
 
 def ref_label_dataset(snapshots, scheme, chain, full_name=False):
     """The labeling loop as it stood before ``label_dataset`` kept one
-    inference per lookup key: ``infer_label`` and ``dataclasses.replace``
+    inference per lookup key: ``infer_label`` and ``model.replace``
     for every record."""
     total = resolved = 0
     relabeled = []
@@ -185,8 +185,8 @@ def ref_label_dataset(snapshots, scheme, chain, full_name=False):
                 key = " ".join(part for part in (rec.first_name, rec.last_name) if part) or None
             result = infer_label(key, chain)
             resolved += result.label != scheme.unknown_label
-            entries.append(dataclasses.replace(rec, group_labels={**rec.group_labels, scheme.attribute_name: result.label}))
-        relabeled.append(dataclasses.replace(snap, entries=tuple(entries)))
+            entries.append(replace(rec, group_labels={**rec.group_labels, scheme.attribute_name: result.label}))
+        relabeled.append(replace(snap, entries=tuple(entries)))
     return relabeled, CoverageReport(total=total, resolved=resolved)
 
 

@@ -1,9 +1,9 @@
-"""Start-up cost: no subcommand loads scipy, only the simulator and the
-model fits load numpy, only the CSV readers load ``csv`` and only the
-``stats`` protocols ``logging``, and each subcommand executes only the
-package modules it uses; a bare ``import rankaudit`` executes none, and a
-no-work start only ``cli``, ``dataio``, ``loader`` and ``errors`` and no
-``dataclasses``.  Also what the
+"""Start-up cost: no subcommand loads scipy or ``dataclasses``, only the
+simulator and the model fits load numpy, only the CSV readers load ``csv``
+and only the ``stats`` protocols ``logging``, and each subcommand executes
+only the package modules it uses; a bare ``import rankaudit`` executes
+none, and a no-work start only ``cli``, ``dataio``, ``loader`` and
+``errors``.  Also what the
 lazily executed package must still give: every function the bench's tracer
 wraps, every exported name, pickling, and one execution of ``cli`` under
 ``python -m``.
@@ -38,13 +38,15 @@ def executed():
     return sorted(n[10:] for n, m in sys.modules.items() if n.startswith("rankaudit.") and type(m) is types.ModuleType)
 """
 
-# The standard-library modules that the CLI loads only where it uses them.
-DEFERRED_STDLIB = ("csv", "logging")
+# The standard-library modules that the CLI loads only where it uses them,
+# and ``dataclasses``, which it never loads: every record type derives from
+# ``model.Record``.
+WATCHED_STDLIB = ("csv", "logging", "dataclasses")
 
 # Runs cli.main once per argv list given as JSON in argv[1], then prints the
-# loaded scipy and numpy modules, the executed rankaudit modules, those
-# of DEFERRED_STDLIB that were absent before ``import rankaudit`` and are
-# loaded after the runs, and whether the runs loaded ``dataclasses``.
+# loaded scipy and numpy modules, the executed rankaudit modules and those
+# of WATCHED_STDLIB that were absent before ``import rankaudit`` and are
+# loaded after the runs.
 PROBE = EXECUTED + """
 import json, sys
 before = set(sys.modules)
@@ -56,9 +58,8 @@ print(json.dumps({
     "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
     "executed": executed(),
     "stdlib": [m for m in %r if m not in before and m in sys.modules],
-    "dataclasses": "dataclasses" not in before and "dataclasses" in sys.modules,
 }))
-""" % (DEFERRED_STDLIB,)
+""" % (WATCHED_STDLIB,)
 
 
 def probe(argvs: list[list[str]], cwd) -> dict:
@@ -158,23 +159,22 @@ def test_each_subcommand_executes_only_the_modules_it_uses(workdir, argv, execut
 
 def test_a_no_work_start_executes_only_the_cli_its_loader_and_errors(tmp_path) -> None:
     """The start the bench times: ``validate`` on an empty file builds no
-    record, so ``model`` never executes, and no dataclass, so
-    ``dataclasses`` is never loaded; the table readers are not executed."""
+    record, so ``model`` never executes, and loads none of the watched
+    standard-library modules; the table readers are not executed."""
     (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
     seen = probe([["validate", "empty.jsonl", "-o", "report.json"]], tmp_path)
     assert seen["executed"] == sorted(START | {"loader"})
     assert seen["stdlib"] == []
-    assert seen["dataclasses"] is False
     assert json.loads((tmp_path / "report.json").read_text())["ok"] is True
 
 
-def test_export_loads_no_dataclasses(workdir) -> None:
-    """``export`` reads a long table and writes a matrix: no record, report
-    or other dataclass is built, so ``dataclasses`` is never loaded."""
-    seen = probe([COUNTING_STAGES[5]], workdir)
-    assert seen["dataclasses"] is False
-    # Shows that the probe would notice ``dataclasses`` being loaded.
-    assert probe([COUNTING_STAGES[0]], workdir)["dataclasses"] is True
+def test_no_subcommand_loads_dataclasses(workdir) -> None:
+    """All eight subcommands, run in one process, leave ``dataclasses``
+    unloaded; ``test_stdlib_loads_only_where_used`` checks each alone."""
+    seen = probe(COUNTING_STAGES + STATS_STAGES + [SIMULATING], workdir)
+    # Shows that the probe would notice a load: the same test that finds no
+    # ``dataclasses`` finds ``csv`` (``label``) and ``logging`` (``stats``).
+    assert seen["stdlib"] == ["csv", "logging"]
 
 
 def baseline_argv(workdir: Path, argv: list[str]) -> list[str]:
@@ -189,8 +189,9 @@ def baseline_argv(workdir: Path, argv: list[str]) -> list[str]:
 
 
 # (subcommand, whether it gets ``--baseline``, whether it loads csv,
-# whether it loads logging): ``csv`` is loaded by the CSV readers alone,
-# ``logging`` by the subcommands whose layers log.
+# whether it loads logging), one case or more for each of the eight
+# subcommands: ``csv`` is loaded by the CSV readers alone, ``logging`` by
+# the subcommands whose layers log, ``dataclasses`` by none.
 STDLIB_CASES = [
     pytest.param(COUNTING_STAGES[0], False, False, False, id="validate"),
     pytest.param(COUNTING_STAGES[1], False, True, False, id="label"),
@@ -207,9 +208,10 @@ STDLIB_CASES = [
 
 
 @pytest.mark.parametrize("argv, baseline, loads_csv, loads_logging", STDLIB_CASES)
-def test_csv_and_logging_load_only_where_used(workdir, argv, baseline, loads_csv, loads_logging) -> None:
+def test_stdlib_loads_only_where_used(workdir, argv, baseline, loads_csv, loads_logging) -> None:
     seen = probe([baseline_argv(workdir, argv) if baseline else argv], workdir)
-    assert seen["stdlib"] == [name for name, loads in zip(DEFERRED_STDLIB, (loads_csv, loads_logging)) if loads]
+    loads = (loads_csv, loads_logging, False)
+    assert seen["stdlib"] == [name for name, loaded in zip(WATCHED_STDLIB, loads) if loaded]
 
 
 # Builds the parser and runs cli.main on argv[1] (JSON), through the
