@@ -31,8 +31,9 @@ work as before.
 Every table is written by one writer, a run at a time: the cells a run of
 rows shares (one curve's, or one day pair's churn cells) become text once,
 and each row then costs one f-string of its other cells; a table of runs a
-few rows long goes out as plain rows, :data:`_WRITE_ROWS` at a time.
-Snapshots are written from one f-string per record (:mod:`.encoders`).
+few rows long goes out as plain rows, :data:`_WRITE_ROWS` at a time
+(:mod:`.encoders`).  Snapshots are written here, from one f-string per
+record, so writing them executes no table encoder.
 CSV quoting is RFC 4180 for every table: a cell holding a comma, a quote,
 a line feed or a carriage return is quoted, its quotes doubled, and the
 empty cell of a one-column row is written ``""``.
@@ -45,6 +46,7 @@ import math
 import operator
 import os
 from contextlib import contextmanager
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
 from . import churn, encoders, exposure, loader, mixedlm, model, readers, simulate
@@ -155,23 +157,53 @@ def _parse_json_line(line: str) -> tuple[object, str | None]:
 def write_snapshots(series: Iterable[model.QuerySeries], destination: str | Path | TextIO) -> None:
     """Write a dataset as snapshot JSONL, sorted by query, day, rank.
 
-    Each record's line comes from one f-string, with every distinct string
-    and group mapping JSON-encoded once per query (ids rarely recur across
+    Each record's line comes from one f-string (:func:`_snapshot_lines`),
+    each string in it encoded by ``json``'s own string encoder and each
+    distinct group mapping once per query (ids rarely recur across
     queries, so a cache for the whole call would only grow); lines are
-    written :data:`_WRITE_ROWS` at a time.  The f-string is
-    :func:`.encoders.encoded_snapshot`; it writes what ``json`` would for
-    the field types the :mod:`.model` constructors check.
+    written :data:`_WRITE_ROWS` at a time.
     """
     with text_stream(destination, "w") as out:
         lines: list[str] = []
         for one in sorted(series, key=lambda s: s.query_id):
-            strings, groups = encoders.JsonStrings(), encoders.JsonGroups()
+            groups = JsonGroups()
             for day in sorted(one.snapshots):
-                lines += encoders.encoded_snapshot(one.snapshots[day], strings, groups)
+                lines += _snapshot_lines(one.snapshots[day], groups)
                 if len(lines) >= _WRITE_ROWS:
                     out.write("".join(lines))
                     lines.clear()
         out.write("".join(lines))
+
+
+# A record's fields in snapshot JSONL order, as a tuple.
+_record_fields = operator.attrgetter("candidate_id", "first_name", "last_name", "group_labels", "missing")
+
+
+def _snapshot_lines(snap: model.RankingSnapshot, groups: JsonGroups) -> list[str]:
+    """The JSONL lines of ``snap``, one ``json`` object per record with
+    compact separators and non-ASCII kept.  The :mod:`.model` constructors
+    check each field's type, so this writes what ``json`` would: a string
+    through ``encode_basestring``, the function ``json`` itself calls for a
+    ``str`` when ``ensure_ascii`` is off."""
+    head = f'{{"query_id":{_json_line(snap.query_id)},"day":{_json_line(snap.day)},"rank":'
+    string = encode_basestring
+    return [
+        f'{head}{rank},"candidate_id":{string(candidate_id)},'
+        f'"first_name":{"null" if first is None else string(first)},'
+        f'"last_name":{"null" if last is None else string(last)},'
+        f'"groups":{"null" if missing else groups[tuple(labels.items())]},'
+        f'"missing":{"true" if missing else "false"}}}\n'
+        for rank, (candidate_id, first, last, labels, missing) in enumerate(map(_record_fields, snap.entries), 1)
+    ]
+
+
+class JsonGroups(dict):
+    """The JSON text of a group mapping, sorted by attribute, keyed by the
+    tuple of its string items in any order."""
+
+    def __missing__(self, items: tuple) -> str:
+        text = self[items] = _json_line(dict(sorted(items)))
+        return text
 
 
 # ---------------------------------------------------------------------------

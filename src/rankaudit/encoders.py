@@ -1,5 +1,4 @@
-"""Line encoders: the one writer of the tables and snapshot files of
-:mod:`rankaudit.dataio`.
+"""Line encoders: the one writer of the tables of :mod:`rankaudit.dataio`.
 
 ``dataio.write_long_table`` writes a table a run at a time (:class:`Runs`):
 the cells a run's rows share become text once, and each row then costs one
@@ -7,10 +6,7 @@ f-string of its other cells; a plain row list, or runs shorter than
 :data:`_LONG_RUN` rows on average, is written as runs of
 :data:`.dataio._WRITE_ROWS` rows that share nothing.  Each column of a
 piece of a run gets the cell code for the kind of cells it holds (see
-:func:`_kind`).  ``dataio.write_snapshots`` writes one f-string per record;
-the public constructors of :mod:`.model` check each snapshot field's type,
-so the f-string writes every record as ``json`` would.  Table encoders are
-generated on first use.
+:func:`_kind`).  Table encoders are generated on first use.
 """
 from __future__ import annotations
 
@@ -18,9 +14,10 @@ import functools
 import itertools
 import math
 import operator
+from json.encoder import encode_basestring
 from typing import Sequence, TextIO
 
-from . import dataio, model
+from . import dataio
 from .dataio import FORMAT_CSV, NEG_INF, REAL_COLUMNS, UNDEFINED, _json_line, _json_value, format_cell
 
 # The mean run length from which a :class:`Runs` is written a run at a time.
@@ -94,7 +91,7 @@ def write_runs(rows: Sequence[Sequence], header: tuple[str, ...], out: TextIO, f
     # The text before each cell: its separator, and in JSONL its key.
     keys = [("," if i else "") + ("" if csv else _json_line(name) + ":") for i, name in enumerate(header)]
     fixed = [i for i in range(len(header)) if i not in varying]
-    strings, reals = JsonStrings(), JsonReals()
+    reals = JsonReals()
 
     for shared, columns, chunk in pieces:
         if chunk is not None:
@@ -110,10 +107,10 @@ def write_runs(rows: Sequence[Sequence], header: tuple[str, ...], out: TextIO, f
                 text = ""
         segments.append(text)
         present = tuple(map(bool, segments))
-        text = line_encoder(csv, kinds, present)(chunk or zip(*columns), strings, reals, *segments)
+        text = line_encoder(csv, kinds, present)(chunk or zip(*columns), reals, *segments)
         if csv and "real" in kinds and "e+308" in text:
             kinds = tuple("real_cell" if kind == "real" else kind for kind in kinds)
-            text = line_encoder(csv, kinds, present)(chunk or zip(*columns), strings, reals, *segments)
+            text = line_encoder(csv, kinds, present)(chunk or zip(*columns), reals, *segments)
         out.write(text)
 
 
@@ -176,7 +173,7 @@ _CELLS = {
              '{reals[$] if $ else "null" if $ is None else repr($)}'),
     "real_cell": ("{format_cell($)}", "{json_real($)}"),
     "int": ("{$}", "{$}"),
-    "str": ("{$}", "{strings[$]}"),
+    "str": ("{$}", "{json_string($)}"),
     "lone": ("{csv_cell($, True)}", None),
     "any": ("{csv_cell($)}", "{json_line($)}"),
 }
@@ -184,7 +181,7 @@ _CELLS = {
 
 @functools.cache
 def line_encoder(csv: bool, kinds: tuple[str, ...], present: tuple[bool, ...]):
-    """``encode(rows, strings, reals, *segments)`` for pieces whose varying
+    """``encode(rows, reals, *segments)`` for pieces whose varying
     columns hold cells of ``kinds`` (see :func:`_kind`), CSV or JSONL.
 
     It returns the lines of ``rows``, each row the tuple of its varying
@@ -204,11 +201,12 @@ def line_encoder(csv: bool, kinds: tuple[str, ...], present: tuple[bool, ...]):
     target = "".join(f"c{j}, " for j in range(len(kinds))) or "()"
     start, end = ("", "") if csv else ("{{", "}}")
     source = (
-        f"def encode(rows, strings, reals, {segments}):\n"
+        f"def encode(rows, reals, {segments}):\n"
         f"    return ''.join([f'{start}{line}{end}\\n' for {target} in rows])\n"
     )
     namespace = {"undefined": UNDEFINED, "neg_inf": NEG_INF, "minus_inf": -math.inf, "format_cell": format_cell,
-                 "json_real": _json_real, "json_line": _json_line, "csv_cell": _csv_cell}
+                 "json_real": _json_real, "json_line": _json_line, "json_string": encode_basestring,
+                 "csv_cell": _csv_cell}
     exec(source, namespace)
     return namespace["encode"]
 
@@ -220,44 +218,4 @@ class JsonReals(dict):
 
     def __missing__(self, value: float) -> str:
         text = self[value] = _json_real(value)
-        return text
-
-
-# A record's fields in snapshot JSONL order, as a tuple.
-_record_fields = operator.attrgetter("candidate_id", "first_name", "last_name", "group_labels", "missing")
-
-
-def encoded_snapshot(snap: model.RankingSnapshot, strings: JsonStrings, groups: JsonGroups) -> list[str]:
-    """The JSONL lines of ``snap``, one ``json`` object per record with
-    compact separators and non-ASCII kept, for fields of the types the
-    :mod:`.model` constructors check."""
-    head = f'{{"query_id":{_json_line(snap.query_id)},"day":{_json_line(snap.day)},"rank":'
-    return [
-        f'{head}{rank},"candidate_id":{strings[candidate_id]},'
-        f'"first_name":{"null" if first is None else strings[first]},'
-        f'"last_name":{"null" if last is None else strings[last]},'
-        f'"groups":{"null" if missing else groups[tuple(labels.items())]},'
-        f'"missing":{"true" if missing else "false"}}}\n'
-        for rank, (candidate_id, first, last, labels, missing) in enumerate(map(_record_fields, snap.entries), 1)
-    ]
-
-
-class JsonStrings(dict):
-    """The JSON text of each string looked up, encoded on first use.  Keys
-    are strings only: a non-string equal to a cached key (``1`` and
-    ``True``) would share its text, so looking one up raises ``TypeError``."""
-
-    def __missing__(self, key: object) -> str:
-        if not isinstance(key, str):
-            raise TypeError(f"{key!r} is not a str")
-        text = self[key] = _json_line(key)
-        return text
-
-
-class JsonGroups(dict):
-    """The JSON text of a group mapping, sorted by attribute, keyed by the
-    tuple of its string items in any order."""
-
-    def __missing__(self, items: tuple) -> str:
-        text = self[items] = _json_line(dict(sorted(items)))
         return text

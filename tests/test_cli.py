@@ -4,6 +4,7 @@ import ast
 import contextlib
 import csv
 import gc
+import importlib
 import io
 import json
 import logging
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rankaudit import MissingBaselineEntry, ZeroTargetProportion, cli, dataio, exposure, model
-from rankaudit.cli import _targets_for, main
+from rankaudit import MissingBaselineEntry, ZeroTargetProportion, cli, commands, dataio, exposure, model
+from rankaudit.cli import main
+from rankaudit.commands import _targets_for
 from rankaudit.dataio import load_dataset
 
 from conftest import GENDER, child_env, load_ledger, snapshot, write_cli_inputs
@@ -108,7 +110,7 @@ class TestSimulateCommand:
         def generate(config):
             raise AssertionError("generated before the injection options were checked")
 
-        monkeypatch.setattr(cli.simulate, "generate", generate)
+        monkeypatch.setattr("rankaudit.simulate.generate", generate)
         assert run("simulate", "--seed", "1", *options, "-o", str(tmp_path / "biased.jsonl"),
                    "--ledger", str(tmp_path / "truth.jsonl")) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -350,6 +352,31 @@ class TestChurnCommand:
         assert {(r["start_day"], r["end_day"]) for r in rows} == {("1", "2")}
         assert {r["k"] for r in rows} == {"5", "10"}
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_a_pair_day_no_snapshot_has_is_named_in_a_warning(self, dataset, tmp_path, capsys, form) -> None:
+        """Each day of the explicit pairs that no snapshot has gets one
+        warning, in the order first named, as ``audit --day`` does; the
+        pairs naming it still give their undefined cells, and the status
+        is unchanged."""
+        pairs = "1-9,1-2,2-8,8-9"
+        if form == "flag":
+            options = ["--pairs", pairs]
+        else:
+            (tmp_path / "run.cfg").write_text(f"pairs = {pairs}\n", encoding="utf-8")
+            options = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "churn.csv"
+        assert run("churn", str(dataset), *options, "--k-grid", "10", "-o", str(out)) == 0
+        assert capsys.readouterr().err == (
+            "warning: no snapshot has day 9 (days in the file: 1, 2)\n"
+            "warning: no snapshot has day 8 (days in the file: 1, 2)\n"
+        )
+        rows = read_csv(out)
+        undefined = {(r["start_day"], r["end_day"]) for r in rows if r["value"] == "undefined"}
+        assert undefined == {("1", "9"), ("2", "8"), ("8", "9")}
+        assert len(rows) == 3 * 2 * 4  # 3 queries x 2 labels x 4 pairs
+        assert run("churn", str(dataset), "--pairs", "1-2", "--k-grid", "10") == 0
+        assert capsys.readouterr().err == ""
+
     def test_k_grid_cutoffs_are_written_once_in_increasing_order(self, dataset, tmp_path) -> None:
         ordered, given = tmp_path / "ordered.csv", tmp_path / "given.csv"
         assert run("churn", str(dataset), "--k-grid", "5,10", "-o", str(ordered)) == 0
@@ -575,25 +602,26 @@ class TestStatsCommand:
 
     def test_only_the_fits_log_and_only_stats_attaches_the_handler(self) -> None:
         """``mixedlm`` is the one layer module that imports ``logging`` or
-        creates a logger, and ``cli`` imports it only in the helper that
-        attaches the ``warning:`` handler, which wraps ``stats`` alone.  A
-        layer that starts logging fails here until its subcommands are
-        wrapped too, and the list below is updated."""
+        creates a logger, and the CLI imports it only in the helper that
+        attaches the ``warning:`` handler (``commands``), which wraps
+        ``stats`` alone.  A layer that starts logging fails here until its
+        subcommands are wrapped too, and the list below is updated."""
         package = Path(cli.__file__).parent
         users = {}
-        for path in sorted(package.glob("*.py")):
+        for path in sorted(package.rglob("*.py")):
+            name = ".".join(path.relative_to(package).with_suffix("").parts).removesuffix(".__init__")
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 imports = isinstance(node, ast.Import) and any(a.name == "logging" for a in node.names)
                 imports |= isinstance(node, ast.ImportFrom) and node.module == "logging"
                 if imports or isinstance(node, ast.Attribute) and node.attr == "getLogger":
-                    users.setdefault(path.stem, []).append(node)
-        assert sorted(users) == ["cli", "mixedlm"]
-        helper = next(node for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+                    users.setdefault(name, []).append(node)
+        assert sorted(users) == ["commands", "mixedlm"]
+        helper = next(node for node in ast.walk(ast.parse(Path(commands.__file__).read_text(encoding="utf-8")))
                       if isinstance(node, ast.FunctionDef) and node.name == "_with_library_warnings")
         inside = {(node.lineno, node.col_offset) for node in ast.walk(helper) if hasattr(node, "lineno")}
-        assert {(node.lineno, node.col_offset) for node in users["cli"]} <= inside
-        commands = cli._build_parser().commands
-        wrapped = sorted(name for name, parser in commands.items()
+        assert {(node.lineno, node.col_offset) for node in users["commands"]} <= inside
+        parsers = cli._build_parser().commands
+        wrapped = sorted(name for name, parser in parsers.items()
                          if parser.get_default("handler").__qualname__.startswith("_with_library_warnings."))
         assert wrapped == ["stats"]
 
@@ -964,18 +992,18 @@ class TestOverlongCsvField:
 # A sample command-line value per option type, and a second, different one.
 OPTION_SAMPLES = {
     None: ("a.csv", "b.csv"),
-    cli._int: ("7", "9"),
-    cli._float: ("0.5", "0.25"),
-    cli._seed: ("0", "12"),
-    cli._texts: ("A,B", "C,D"),
-    cli._cutoffs: ("5,10", "20:30:5"),
-    cli._floats: ("0.5,0.5", "0.2,0.8"),
-    cli._day: ("2", "3"),
-    cli._metrics: ("skew", "minskew,deviation"),
-    cli._day_pairs: ("1-2", "consecutive"),
-    cli._pool_range: ("5:9", "3"),
-    cli._shares: ("F=0.5,M=0.5", "F=1,M=0"),
-    cli._k_grid: ("5:15:5", "full"),
+    commands._int: ("7", "9"),
+    commands._float: ("0.5", "0.25"),
+    commands._seed: ("0", "12"),
+    commands._texts: ("A,B", "C,D"),
+    commands._cutoffs: ("5,10", "20:30:5"),
+    commands._floats: ("0.5,0.5", "0.2,0.8"),
+    commands._day: ("2", "3"),
+    commands._metrics: ("skew", "minskew,deviation"),
+    commands._day_pairs: ("1-2", "consecutive"),
+    commands._pool_range: ("5:9", "3"),
+    commands._shares: ("F=0.5,M=0.5", "F=1,M=0"),
+    commands._k_grid: ("5:15:5", "full"),
 }
 
 
@@ -1026,18 +1054,18 @@ def test_config_value_parses_like_the_flag(tmp_path, base, action) -> None:
 
 # A command-line value per option type that the type refuses.
 BAD_SAMPLES = {
-    cli._int: "x",
-    cli._float: "1_0",
-    cli._seed: "-1",
-    cli._texts: ",",
-    cli._cutoffs: "0",
-    cli._floats: "a,b",
-    cli._day: "0",
-    cli._metrics: "sparkle",
-    cli._day_pairs: "1-x",
-    cli._pool_range: "a:b",
-    cli._shares: "F",
-    cli._k_grid: "1:2:3:4",
+    commands._int: "x",
+    commands._float: "1_0",
+    commands._seed: "-1",
+    commands._texts: ",",
+    commands._cutoffs: "0",
+    commands._floats: "a,b",
+    commands._day: "0",
+    commands._metrics: "sparkle",
+    commands._day_pairs: "1-x",
+    commands._pool_range: "a:b",
+    commands._shares: "F",
+    commands._k_grid: "1:2:3:4",
 }
 
 
@@ -1081,16 +1109,16 @@ def test_the_one_subcommand_parser_parses_like_the_full_one(tmp_path, base, acti
 
 # A value per numeric option type that holds a ``_`` digit grouping.
 UNDERSCORED = {
-    cli._int: "1_0",
-    cli._float: "0_5",
-    cli._seed: "1_0",
-    cli._cutoffs: "5:1_0",
-    cli._floats: "0.5,0_5",
-    cli._day: "1_0",
-    cli._day_pairs: "1-1_0",
-    cli._pool_range: "5:1_0",
-    cli._shares: "F=0_5,M=0.5",
-    cli._k_grid: "1_0",
+    commands._int: "1_0",
+    commands._float: "0_5",
+    commands._seed: "1_0",
+    commands._cutoffs: "5:1_0",
+    commands._floats: "0.5,0_5",
+    commands._day: "1_0",
+    commands._day_pairs: "1-1_0",
+    commands._pool_range: "5:1_0",
+    commands._shares: "F=0_5,M=0.5",
+    commands._k_grid: "1_0",
 }
 
 
@@ -1110,7 +1138,7 @@ def test_every_numeric_option_refuses_an_underscore_numeral(tmp_path, capsys, ba
 
 @pytest.mark.parametrize("text", ["7", " -3 ", "+4", "0", "007", "1e3", "0.25", "-inf", "nan", "\u0661\u0662", "", "x"])
 def test_number_options_read_what_int_and_float_read(text) -> None:
-    for kind, parse in ((int, cli._int), (float, cli._float)):
+    for kind, parse in ((int, commands._int), (float, commands._float)):
         try:
             want = kind(text)
         except ValueError:
@@ -1123,12 +1151,24 @@ def test_number_options_read_what_int_and_float_read(text) -> None:
 @pytest.mark.parametrize("argv", [[], ["--help"], ["no-such-command"], ["--config", "x", "audit"], ["-o"]])
 def test_an_argv_without_a_subcommand_first_gets_the_full_parser(argv) -> None:
     parser = cli._build_parser(argv)
-    assert tuple(parser.commands) == cli._COMMANDS
+    assert tuple(parser.commands) == tuple(cli._COMMANDS)
     assert parse_outcome(parser, argv) == parse_outcome(cli._build_parser(), argv)
 
 
 def test_the_full_parser_has_every_subcommand() -> None:
-    assert tuple(cli._build_parser().commands) == cli._COMMANDS
+    assert tuple(cli._build_parser().commands) == tuple(cli._COMMANDS)
+
+
+def test_the_name_table_and_the_command_modules_list_the_same_subcommands() -> None:
+    """``cli``'s table of names and help lines and the modules under
+    ``rankaudit/commands/`` name the same eight subcommands, and each
+    module has both entry points the parser calls."""
+    package = Path(commands.__file__).parent
+    assert {path.stem for path in package.glob("*.py")} - {"__init__"} == set(cli._COMMANDS)
+    assert len(cli._COMMANDS) == 8
+    for name in cli._COMMANDS:
+        module = importlib.import_module(f"rankaudit.commands.{name}")
+        assert callable(module.add_arguments) and callable(module.run), name
 
 
 def test_parser_literals_equal_the_layer_constants() -> None:
@@ -1136,13 +1176,13 @@ def test_parser_literals_equal_the_layer_constants() -> None:
     building it executes no layer module; each must still equal its constant."""
     from rankaudit import mixedlm, simulate
 
-    assert cli._METRICS == (exposure.DEVIATION, exposure.SKEW, exposure.MINSKEW, exposure.CORRECTED_SKEW)
-    assert cli._CUTOFFS == ",".join(map(str, mixedlm.DEFAULT_CUTOFFS))
-    commands = cli._build_parser().commands
-    option = {(command, action.dest): action for command, parser in commands.items() for action in parser._actions}
+    assert commands._METRICS == (exposure.DEVIATION, exposure.SKEW, exposure.MINSKEW, exposure.CORRECTED_SKEW)
+    assert commands._CUTOFFS == ",".join(map(str, mixedlm.DEFAULT_CUTOFFS))
+    parsers = cli._build_parser().commands
+    option = {(command, action.dest): action for command, parser in parsers.items() for action in parser._actions}
     assert option["stats", "null"].default == mixedlm.DEFAULT_MINSKEW_NULL
-    assert option["stats", "cutoffs"].default == option["churn", "k_grid"].default == cli._CUTOFFS
-    assert option["audit", "metrics"].default == ",".join(cli._METRICS)
+    assert option["stats", "cutoffs"].default == option["churn", "k_grid"].default == commands._CUTOFFS
+    assert option["audit", "metrics"].default == ",".join(commands._METRICS)
     postprocess = option["simulate", "postprocess"]
     assert postprocess.choices == (simulate.POSTPROCESS_NONE, simulate.POSTPROCESS_DETGREEDY)
     assert postprocess.default == simulate.POSTPROCESS_NONE
@@ -1178,7 +1218,7 @@ class TestCollectorPause:
                 raise RuntimeError("not caught by main")
             return 0
 
-        monkeypatch.setattr(cli, "_cmd_export", handler)
+        monkeypatch.setattr("rankaudit.commands.export.run", handler)
         argv = ["export"] if outcome == "usage" else ["export", "table.csv", "--metric", "skew"]
         if outcome == "exception":
             with pytest.raises(RuntimeError):

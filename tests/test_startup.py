@@ -1,12 +1,12 @@
 """Start-up cost: no subcommand loads scipy or ``dataclasses``, only the
 simulator and the model fits load numpy, only the CSV readers load ``csv``
 and only the ``stats`` protocols ``logging``, and each subcommand executes
-only the package modules it uses; a bare ``import rankaudit`` executes
-none, and a no-work start only ``cli``, ``dataio``, ``loader`` and
-``errors``.  Also what the
-lazily executed package must still give: every function the bench's tracer
-wraps, every exported name, pickling, and one execution of ``cli`` under
-``python -m``.
+only the package modules it uses, of the command modules only its own; a
+bare ``import rankaudit`` executes none, and a no-work start only ``cli``,
+``dataio``, ``loader``, ``errors``, ``commands`` and
+``commands.validate``.  Also what the lazily executed package must still
+give: every function the bench's tracer wraps, every exported name,
+pickling, and one execution of ``cli`` under ``python -m``.
 
 Importing numpy costs about 0.15 s per process, compiling all of the
 package's modules about 50 ms, and the daily audit chain starts the CLI
@@ -17,6 +17,8 @@ interpreter, because this test process has executed all of them already.
 """
 from __future__ import annotations
 
+import ast
+import importlib.util
 import json
 import pickle
 import subprocess
@@ -26,9 +28,11 @@ from pathlib import Path
 import pytest
 
 import rankaudit
-from rankaudit.cli import main
+from rankaudit.cli import _COMMANDS, main
 
 from conftest import child_env, write_cli_inputs
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 # The rankaudit submodules a process has executed, by name.  A module not
 # yet executed is a LazyLoader stand-in, whose type() does not execute it.
@@ -132,26 +136,39 @@ def test_no_subcommand_loads_scipy(workdir) -> None:
     assert (workdir / "ledger.jsonl").read_text()
 
 
-# What every start executes: the CLI, the writers' ``dataio`` and the
-# errors it reports.  A stage that reads a snapshot file adds ``loader``, one
-# that reads a CSV or long table ``readers``; ``model`` executes with the
-# first record, snapshot, scheme or proportions.
-START = {"cli", "dataio", "errors"}
-LOADING = START | {"loader", "model"}
+# What every start executes: the CLI, the writers' ``dataio``, the errors
+# it reports and the ``commands`` package with the one module of the
+# subcommand run.  A stage that reads a snapshot file adds ``loader``, one
+# that reads a CSV or long table ``readers``, one that writes a table
+# ``encoders``; ``model`` executes with the first record, snapshot, scheme
+# or proportions.  Snapshot files are written without ``encoders``.
+BASE = {"cli", "dataio", "errors", "commands"}
 SIMULATING = ["simulate", "--seed", "1", "--queries", "2", "--pool", "10:10", "-o", "sim.jsonl"]
 
 
+def start(name: str, *modules: str) -> set[str]:
+    """What a run of subcommand ``name`` executes, ``modules`` besides."""
+    return BASE | {f"commands.{name}", *modules}
+
+
+def loading(name: str, *modules: str) -> set[str]:
+    return start(name, "loader", "model", *modules)
+
+
 @pytest.mark.parametrize("argv, executes", [
-    pytest.param(COUNTING_STAGES[0], LOADING, id="validate"),
-    pytest.param(COUNTING_STAGES[1], LOADING | {"names", "readers", "encoders"}, id="label"),
-    pytest.param(COUNTING_STAGES[2], LOADING | {"exposure", "encoders"}, id="audit"),
-    pytest.param(COUNTING_STAGES[3], LOADING | {"churn", "encoders"}, id="churn"),
-    pytest.param(STATS_STAGES[0], LOADING | {"exposure", "mixedlm", "encoders"}, id=STATS_STAGES[0][1]),
-    pytest.param(STATS_STAGES[1], LOADING | {"churn", "mixedlm", "encoders"}, id=STATS_STAGES[1][1]),
-    pytest.param(COUNTING_STAGES[4], START | {"readers", "model", "detgreedy", "encoders"}, id="rerank"),
-    pytest.param(SIMULATING, START | {"model", "detgreedy", "simulate", "encoders"}, id="simulate"),
+    pytest.param(COUNTING_STAGES[0], loading("validate"), id="validate"),
+    pytest.param(COUNTING_STAGES[1], loading("label", "names", "readers"), id="label"),
+    pytest.param(COUNTING_STAGES[2], loading("audit", "exposure", "encoders"), id="audit"),
+    pytest.param(COUNTING_STAGES[3], loading("churn", "churn", "encoders"), id="churn"),
+    pytest.param(STATS_STAGES[0], loading("stats", "exposure", "mixedlm", "encoders"), id=STATS_STAGES[0][1]),
+    pytest.param(STATS_STAGES[1], loading("stats", "churn", "mixedlm", "encoders"), id=STATS_STAGES[1][1]),
+    pytest.param(COUNTING_STAGES[4], start("rerank", "readers", "model", "detgreedy", "encoders"), id="rerank"),
+    pytest.param(SIMULATING, start("simulate", "model", "detgreedy", "simulate"), id="simulate"),
+    # The ledger is a table, so only a run that writes one executes the encoders.
+    pytest.param([*SIMULATING, "--ledger", "ledger.jsonl"],
+                 start("simulate", "model", "detgreedy", "simulate", "encoders"), id="simulate-ledger"),
     # A long table becomes a matrix with no record built and no snapshot loaded.
-    pytest.param(COUNTING_STAGES[5], START | {"readers", "encoders"}, id="export"),
+    pytest.param(COUNTING_STAGES[5], start("export", "readers", "encoders"), id="export"),
 ])
 def test_each_subcommand_executes_only_the_modules_it_uses(workdir, argv, executes) -> None:
     assert probe([argv], workdir)["executed"] == sorted(executes)
@@ -160,10 +177,11 @@ def test_each_subcommand_executes_only_the_modules_it_uses(workdir, argv, execut
 def test_a_no_work_start_executes_only_the_cli_its_loader_and_errors(tmp_path) -> None:
     """The start the bench times: ``validate`` on an empty file builds no
     record, so ``model`` never executes, and loads none of the watched
-    standard-library modules; the table readers are not executed."""
+    standard-library modules; the table readers are not executed, nor any
+    other subcommand's module."""
     (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
     seen = probe([["validate", "empty.jsonl", "-o", "report.json"]], tmp_path)
-    assert seen["executed"] == sorted(START | {"loader"})
+    assert seen["executed"] == sorted(start("validate", "loader"))
     assert seen["stdlib"] == []
     assert json.loads((tmp_path / "report.json").read_text())["ok"] is True
 
@@ -227,20 +245,58 @@ print(json.dumps([status, executed()]))
 """
 
 
-@pytest.mark.parametrize("argv, status", [
-    pytest.param(["--help"], 0, id="help"),
-    pytest.param(["audit", "--help"], 0, id="audit-help"),
-    pytest.param(["audit"], 1, id="missing-argument"),
-    pytest.param(["validate", "x.jsonl", "--format", "xml"], 1, id="bad-choice"),
-    pytest.param(["no-such-command"], 1, id="unknown-command"),
+EVERY_COMMAND = ["cli", "errors", "commands", *(f"commands.{name}" for name in _COMMANDS)]
+
+
+@pytest.mark.parametrize("argv, status, executes", [
+    pytest.param(["--help"], 0, EVERY_COMMAND, id="help"),
+    pytest.param(["audit", "--help"], 0, ["cli", "errors", "commands", "commands.audit"], id="audit-help"),
+    pytest.param(["audit"], 1, ["cli", "errors", "commands", "commands.audit"], id="missing-argument"),
+    pytest.param(["validate", "x.jsonl", "--format", "xml"], 1, ["cli", "errors", "commands", "commands.validate"],
+                 id="bad-choice"),
+    pytest.param(["no-such-command"], 1, EVERY_COMMAND, id="unknown-command"),
 ])
-def test_help_and_usage_errors_execute_only_the_cli_and_errors(argv, status) -> None:
+def test_help_and_usage_errors_execute_no_layer_module(argv, status, executes) -> None:
     """Building and running the parser executes no layer module: its
-    defaults and choices from the layers are literals."""
+    defaults and choices from the layers are literals.  It executes the
+    module of the subcommand named first, or all eight for the top-level
+    help and an unknown name."""
     done = subprocess.run([sys.executable, "-c", PARSER_PROBE, json.dumps(argv)], env=child_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [status, ["cli", "errors"]]
+    assert json.loads(done.stdout.splitlines()[-1]) == [status, sorted(executes)]
+
+
+def test_command_modules_import_neither_the_cli_nor_a_traced_function_by_name() -> None:
+    """A command module never imports ``rankaudit.cli``, which ``python -m
+    rankaudit.cli`` runs as ``__main__`` (an import would execute a second
+    copy), and calls every function the bench's tracer lists through its
+    module's attribute, which the tracer rebinds, never a name of its own."""
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {function for _, function in tracer.TRACED}
+    package = Path(rankaudit.__file__).parent / "commands"
+    paths = sorted(package.glob("*.py"))
+    assert [path.stem for path in paths] == sorted(["__init__", *_COMMANDS])
+    offending = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+                names = []
+            elif isinstance(node, ast.ImportFrom):
+                base = ["rankaudit.commands", "rankaudit"][node.level - 1] if node.level else ""
+                source = ".".join(part for part in (base, node.module) if part)
+                names = [alias.name for alias in node.names]
+                modules = [source, *(f"{source}.{name}" for name in names)]
+            else:
+                continue
+            if "rankaudit.cli" in modules or set(names) & traced:
+                offending.append(f"{path.name}:{node.lineno}")
+    assert offending == []
+    # Shows that the check would see a traced name: ``validate`` calls one.
+    assert "load_dataset" in traced and "loader.load_dataset(" in (package / "validate.py").read_text()
 
 
 def test_import_executes_no_submodule() -> None:
@@ -340,8 +396,7 @@ def test_every_traced_name_resolves_after_the_cli_import() -> None:
     that is renamed, moved or never executed silently loses its span.
     ``parallel.ordered_map`` is a known dead entry: its module was deleted
     and the list still names it."""
-    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    done = subprocess.run([sys.executable, "-c", TRACED_PROBE, str(tracer)], env=child_env(),
+    done = subprocess.run([sys.executable, "-c", TRACED_PROBE, str(TRACER)], env=child_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     absent, unwrapped, wrapped, listed = json.loads(done.stdout)
@@ -377,8 +432,7 @@ def test_no_binding_of_a_traced_function_escapes_the_tracer() -> None:
     defines it and in each that imported it by name, is the wrapper after
     ``install``: the readers' ``write_long_table`` included, which
     ``export_heatmap`` calls."""
-    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    done = subprocess.run([sys.executable, "-c", TRACED_BY_IDENTITY_PROBE, str(tracer)], env=child_env(),
+    done = subprocess.run([sys.executable, "-c", TRACED_BY_IDENTITY_PROBE, str(TRACER)], env=child_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     resolved, unwrapped = json.loads(done.stdout)
