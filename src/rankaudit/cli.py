@@ -153,8 +153,9 @@ def _load_config(path: str) -> dict[str, str]:
     starts a comment, a line of whitespace alone is blank.  Values stay
     strings, as the same option on the command line gives."""
     values: dict[str, str] = {}
-    # A file ends lines at LF, CRLF or CR only, unlike str.splitlines.
-    with open(path, encoding="utf-8") as lines:
+    # A file ends lines at LF, CRLF or CR only, unlike str.splitlines; a
+    # leading byte order mark is no part of the first key.
+    with open(path, encoding="utf-8-sig") as lines:
         for lineno, raw in enumerate(lines, start=1):
             key, equals, value = raw.partition("=")
             value = value.strip(_BLANKS)

@@ -5,6 +5,8 @@ report out, and the choice of series a study keeps.
 says so in a :class:`ValidationReport`; :func:`filter_queries` applies the
 inclusion thresholds.  The report's issues are named tuples and the report a
 namespace, so that a start which loads nothing executes no :mod:`.model`.
+Each rule a snapshot row keeps is stated once, in :data:`_RULES`, which both
+the chunk's column check and the row-by-row message read.
 Every name here is also read as ``dataio.<name>`` (:mod:`.dataio`).
 """
 from __future__ import annotations
@@ -82,17 +84,17 @@ def load_dataset(path: str | Path) -> tuple[list[model.QuerySeries], ValidationR
 
     The file is read :data:`_CHUNK_LINES` lines at a time, and the lines
     of a chunk that hold no ``[`` are parsed with one ``json.loads`` (see
-    :func:`_bulk_values`).  :func:`_checked_columns` then checks the
-    chunk's rows a column at a time: it transposes them into one column
-    per field and tests each rule of :func:`_row_problem` on a whole
-    column.  A chunk with a broken row, or with a line the bulk parse left,
-    is checked in halves instead, down to parts of :data:`_LEAF_LINES`
-    lines that are checked row by row (:func:`_load_lines`), so every
-    message and line number is the one a line-by-line load gives.  The
-    valid rows of either path become records a column at a time and are
-    filed by runs of rows of one query and day (:func:`_file_runs`); a
-    snapshot whose ranks do not read 1..n in line order is sorted stably by
-    rank.
+    :func:`_bulk_values`).  One table of row rules, :data:`_RULES`, serves
+    both checks of a row: :func:`_checked_columns` tests each rule on a
+    whole field column of the chunk, and :func:`_row_problem` names the
+    first rule one row breaks.  A chunk with a broken row, or with a line
+    the bulk parse left, is checked in halves instead, down to parts of
+    :data:`_LEAF_LINES` lines that are checked row by row
+    (:func:`_load_lines`), so every message and line number is the one a
+    line-by-line load gives.  The valid rows become records a column at a
+    time and are filed by runs of rows of one query and day
+    (:func:`_file_runs`); a snapshot whose ranks do not read 1..n in line
+    order is sorted stably by rank.
     """
     report = ValidationReport()
     grouped: dict[tuple[str, int], list[tuple[Sequence, ...]]] = {}
@@ -227,47 +229,44 @@ def _bulk_values(lines: list[str]) -> list | None:
     return [_UNPARSED if "[" in line else next(values)[0] for line in lines]
 
 
-_NAME_TYPES = frozenset({str, type(None)})
-_GROUP_TYPES = frozenset({dict, type(None)})
+# A chunk's rows as one column per field, in ``SNAPSHOT_FIELDS`` order.
+_Columns = namedtuple("_Columns", SNAPSHOT_FIELDS)
 # The names and groups of a masked row.
 _MASKED = (None, None, None)
 
 
-def _checked_columns(values: list) -> tuple[tuple, ...] | None:
-    """The columns of ``values`` (at least one row), one per field in
-    ``SNAPSHOT_FIELDS`` order, when :func:`_row_problem` finds every row
-    valid; otherwise None.
+def _types(column: Iterable) -> set[type]:
+    return set(map(type, column))
 
-    Each rule is tested on a whole column by builtins, with exact types as
-    in :func:`_row_problem`.  A value that is not an object or lacks a
-    field, and :data:`_UNPARSED`, already fails the transpose.
-    """
+
+# Each rule a snapshot row keeps, in the order a broken row's problem is
+# named: a message, and a test over the columns that holds when every row
+# keeps the rule, the earlier rules holding.  Types are exact, as
+# ``json.loads`` gives them, so a ``bool`` is not an ``int`` here.
+_RULES = (
+    ("query_id must be a non-empty string", lambda c: _types(c.query_id) == {str} and all(c.query_id)),
+    ("day must be an integer >= 1", lambda c: _types(c.day) == {int} and min(c.day) >= 1),
+    ("rank must be an integer >= 1", lambda c: _types(c.rank) == {int} and min(c.rank) >= 1),
+    ("candidate_id must be a non-empty string", lambda c: _types(c.candidate_id) == {str} and all(c.candidate_id)),
+    ("first_name must be a string or null", lambda c: _types(c.first_name) <= {str, type(None)}),
+    ("last_name must be a string or null", lambda c: _types(c.last_name) <= {str, type(None)}),
+    ("groups must be a string-to-string object or null", lambda c: _types(c.groups) <= {dict, type(None)}
+        and _types(itertools.chain.from_iterable(map(dict.values, filter(None, c.groups)))) <= {str}),
+    ("missing must be a boolean", lambda c: _types(c.missing) == {bool}),
+    ("missing entries must have null names and groups", lambda c: all(
+        map(_MASKED.__eq__, itertools.compress(zip(c.first_name, c.last_name, c.groups), c.missing)))),
+)
+
+
+def _checked_columns(values: list) -> _Columns | None:
+    """The columns of ``values`` (at least one row) when every row keeps
+    every rule of :data:`_RULES`, else None.  A value that is not an object
+    or lacks a field, and :data:`_UNPARSED`, already fails the transpose."""
     try:
-        columns = tuple(zip(*map(_snapshot_fields, values)))
+        columns = _Columns._make(zip(*map(_snapshot_fields, values)))
     except (KeyError, TypeError):
         return None
-    query_ids, days, ranks, candidate_ids, first_names, last_names, groups, missing = columns
-    types = _column_types
-    if (
-        types(query_ids) == types(candidate_ids) == {str}
-        and all(query_ids)
-        and all(candidate_ids)
-        and types(days) == types(ranks) == {int}
-        and min(days) >= 1
-        and min(ranks) >= 1
-        and types(first_names) <= _NAME_TYPES
-        and types(last_names) <= _NAME_TYPES
-        and types(groups) <= _GROUP_TYPES
-        and types(itertools.chain.from_iterable(map(dict.values, filter(None, groups)))) <= {str}
-        and types(missing) == {bool}
-        and all(map(_MASKED.__eq__, itertools.compress(zip(first_names, last_names, groups), missing)))
-    ):
-        return columns
-    return None
-
-
-def _column_types(column: Iterable) -> set[type]:
-    return set(map(type, column))
+    return columns if all(test(columns) for _, test in _RULES) else None
 
 
 def _valid_rows(
@@ -353,43 +352,18 @@ def _row_key(raw: object) -> tuple[str, int] | None:
 
 
 def _row_problem(raw: object) -> str | None:
-    """The first rule a parsed row breaks, or None when it is a valid row.
-
-    ``json.loads`` gives exact ``dict``, ``list``, ``str``, ``int``,
-    ``bool``, ``float`` and ``None`` values, and only string keys, so exact
-    type tests say what ``isinstance`` would, save that a ``bool`` is not an
-    ``int`` here.
-    """
+    """The message of the first rule a parsed row breaks, or None when it is
+    a valid row: it must be an object, hold every field, and keep each rule
+    of :data:`_RULES` as a one-row chunk."""
     if type(raw) is not dict:
         return "row is not a JSON object"
     try:
-        query_id, day, rank, candidate_id, first_name, last_name, groups, missing = _snapshot_fields(raw)
+        fields = _snapshot_fields(raw)
     except KeyError:
         absent = next(name for name in SNAPSHOT_FIELDS if name not in raw)
         return f"required field {absent!r} absent"
-    if type(query_id) is not str or not query_id:
-        return "query_id must be a non-empty string"
-    if type(day) is not int or day < 1:
-        return "day must be an integer >= 1"
-    if type(rank) is not int or rank < 1:
-        return "rank must be an integer >= 1"
-    if type(candidate_id) is not str or not candidate_id:
-        return "candidate_id must be a non-empty string"
-    if first_name is not None and type(first_name) is not str:
-        return "first_name must be a string or null"
-    if last_name is not None and type(last_name) is not str:
-        return "last_name must be a string or null"
-    if groups is not None:
-        if type(groups) is not dict:
-            return "groups must be a string-to-string object or null"
-        for label in groups.values():
-            if type(label) is not str:
-                return "groups must be a string-to-string object or null"
-    if missing is not True and missing is not False:
-        return "missing must be a boolean"
-    if missing and not (first_name is None and last_name is None and groups is None):
-        return "missing entries must have null names and groups"
-    return None
+    columns = _Columns._make(zip(fields))
+    return next((message for message, test in _RULES if not test(columns)), None)
 
 
 def _rank_gap(ranks: Sequence[int]) -> str:

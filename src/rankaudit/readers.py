@@ -196,11 +196,14 @@ def table_cell(lineno: int, row: dict, column: str, parse, required: bool = True
 
 
 def _parse_cell(value) -> float | None:
-    """A real cell as ``dataio.format_cell`` or ``dataio._json_value`` wrote it."""
+    """A real cell as ``dataio.format_cell`` or ``dataio._json_value`` wrote
+    it; a JSON ``true`` or ``false`` is no number (``float`` would read 1 or 0)."""
     if value is None or value == UNDEFINED or value == "":
         return None
     if value == NEG_INF:
         return -math.inf
+    if type(value) is bool:
+        raise ValueError(value)
     return numeral(value)
 
 

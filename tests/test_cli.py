@@ -868,6 +868,17 @@ class TestConfigFile:
         assert run("validate", "raw.jsonl", "--format", "csv", "-o", "flag.csv") == 0
         assert (tmp_path / name).read_bytes() == (tmp_path / "flag.csv").read_bytes()
 
+    def test_a_byte_order_mark_is_no_part_of_the_first_key(self, tmp_path, monkeypatch) -> None:
+        """A BOM before the first key is dropped; a U+FEFF inside a value is kept."""
+        write_cli_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        name = "out\ufeff.csv"
+        (tmp_path / "run.cfg").write_text(f"\ufeffformat = csv\noutput = {name}\n", encoding="utf-8")
+        assert cli._load_config("run.cfg") == {"format": "csv", "output": name}
+        assert run("validate", "raw.jsonl", "--config", "run.cfg") == 0
+        assert run("validate", "raw.jsonl", "--format", "csv", "-o", "flag.csv") == 0
+        assert (tmp_path / name).read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
     def test_malformed_config_is_a_clean_error(self, tmp_path, capsys) -> None:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("queries 3\n", encoding="utf-8")

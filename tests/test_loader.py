@@ -445,6 +445,24 @@ def test_each_broken_rule_reads_like_line_by_line(tmp_path) -> None:
     assert len(got[1].parse_issues) == len(ONE_RULE_BROKEN) - 3  # the three extras are valid
 
 
+def test_every_rule_is_the_problem_of_a_broken_row_in_the_reference_order(tmp_path) -> None:
+    """Each message of ``_RULES`` is reported for some row of ONE_RULE_BROKEN,
+    row by row and through chunked loads, so no rule is dead; and the rules
+    stand in the order the reference checks them."""
+    messages = [message for message, _ in loader._RULES]
+    broken = [json.loads(json.dumps(raw)) for raw in ONE_RULE_BROKEN]
+    assert list(dict.fromkeys(filter(None, map(ref_row_problem, broken)))) == messages
+    assert list(dict.fromkeys(filter(None, map(loader._row_problem, broken)))) == messages
+    lines = []
+    for n, obj in enumerate(ONE_RULE_BROKEN):
+        lines += [line(row(query_id=f"ok{n}")), line(obj)]
+    path = _write(tmp_path, lines)
+    for chunk, leaf in ((1, 64), (4, 1), (4096, 2), (4096, 64)):
+        with mock.patch.object(loader, "_CHUNK_LINES", chunk), mock.patch.object(loader, "_LEAF_LINES", leaf):
+            _, report = load_dataset(path)
+        assert list(dict.fromkeys(issue.message for issue in report.parse_issues)) == messages
+
+
 # ---------------------------------------------------------------------------
 # the column check against the row check
 

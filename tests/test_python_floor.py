@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "rankaudit").glob("*.py"))
+PACKAGE = ROOT / "src" / "rankaudit"
+MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
 def python_floor() -> tuple[int, int]:
@@ -23,7 +24,7 @@ def python_floor() -> tuple[int, int]:
     return int(major), int(minor)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=[path.relative_to(PACKAGE).as_posix() for path in MODULES])
 def test_module_parses_at_the_python_floor(path) -> None:
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=python_floor())
 

@@ -207,6 +207,8 @@ def ref_parse_cell(value):
         return None
     if value == dataio.NEG_INF:
         return -math.inf
+    if isinstance(value, bool):  # float(True) would read 1
+        raise ValueError(value)
     return ref_number(value)
 
 
@@ -503,6 +505,16 @@ def test_value_too_large_for_a_float_is_a_malformed_row(tmp_path) -> None:
     path = tmp_path / "table.jsonl"
     path.write_text('{"metric":"skew","value":1' + "0" * 400 + "}\n", encoding="utf-8")
     with pytest.raises(MalformedRow, match="^line 1: value 10+ does not parse$"):
+        dataio.read_long_table(path)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_value_is_a_malformed_row(tmp_path, value) -> None:
+    path = tmp_path / "table.jsonl"
+    path.write_text('{"query_id":"q1","day":1,"k":5,"metric":"skew","value":0.5}\n'
+                    f'{{"query_id":"q1","day":1,"k":10,"metric":"skew","value":{json.dumps(value)}}}\n',
+                    encoding="utf-8")
+    with pytest.raises(MalformedRow, match=rf"^line 2: value {value} does not parse$"):
         dataio.read_long_table(path)
 
 
